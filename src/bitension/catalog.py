@@ -6,6 +6,7 @@ sample points.  Every case also has a deliberately broken variant whose key
 check fails loudly, so a green report can't be vacuous.
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +45,51 @@ class VerificationCase:
 # -- evaluators ----------------------------------------------------------------
 
 
+class _SharedStates:
+    """Order-4 map states at one batch of points, shared by a case's checks.
+
+    States are keyed by the identity of their (map, domain metric, target
+    metric) objects, which hold dicts and so cannot be hashed.  A build that
+    raises is not kept: every check that needs it fails on its own.
+    """
+
+    def __init__(self, pts):
+        self.pts = pts
+        self._built = {}
+
+    def _get(self, kind, key, build):
+        key = (kind,) + tuple(id(obj) for obj in key)
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def map(self, phi, g, h):
+        return self._get("map", (phi, g, h),
+                         lambda: MapState(phi, g, h, self.pts, 4))
+
+    def surface(self, phi, g, h):
+        return self._get("surface", (phi, g, h),
+                         lambda: surfaces.SurfaceData(self.map(phi, g, h)))
+
+    def section(self, phi, g, h):
+        return self._get("section", (phi, g, h),
+                         lambda: weierstrass.section_of(self.map(phi, g, h)))
+
+
 def _tension_eval(phi, g, h):
-    def run(pts):
-        state = MapState(phi, g, h, pts, 2)
-        tau = np.stack([t.value for t in state.tension_jets], axis=-1)
+    def run(states):
+        state = states.map(phi, g, h)
+        tau = state.tension_values
         mags = np.sqrt(state.target_inner(tau, tau))
         return mags, mags
     return run
 
 
 def _bitension_eval(phi, g, h):
-    def run(pts):
-        state = MapState(phi, g, h, pts, 4)
+    def run(states):
+        state = states.map(phi, g, h)
         tau2 = state.bitension_values
-        tau = np.stack([t.value for t in state.tension_jets], axis=-1)
+        tau = state.tension_values
         mags = np.sqrt(state.target_inner(tau2, tau2))
         scale = 1.0 + np.sqrt(state.target_inner(tau, tau))
         return mags, mags / scale
@@ -65,25 +97,27 @@ def _bitension_eval(phi, g, h):
 
 
 def _recovery_eval(phi, g, h, expected_of_pts):
-    def run(pts):
-        probe = geometry.conformality_factor(phi, g, h, pts)
-        want = expected_of_pts(pts)
+    def run(states):
+        probe = geometry.conformality_factor(phi, g, h, states.pts)
+        want = expected_of_pts(states.pts)
         diff = np.abs(probe.lambda_sq - want) + probe.max_residual
         return diff, diff / (1.0 + np.abs(want))
     return run
 
 
 def _r3_evals(phi, induced, h, lam_src, g, bindings):
-    def tangential(pts):
-        sd = surfaces.surface_data(phi, induced, h, pts)
-        tan, _ = surfaces.r3_system_residual(sd, lam_src, g,
+    def tangential(states):
+        sd = states.surface(phi, induced, h)
+        tan, _ = surfaces.r3_system_residual(sd, lam_src,
+                                             states.map(phi, g, h),
                                              parameters=bindings)
         v = np.sqrt(np.sum(tan ** 2, axis=-1))
         return v, v / (1.0 + np.abs(sd.mean_curvature_values))
 
-    def normal(pts):
-        sd = surfaces.surface_data(phi, induced, h, pts)
-        _, nor = surfaces.r3_system_residual(sd, lam_src, g,
+    def normal(states):
+        sd = states.surface(phi, induced, h)
+        _, nor = surfaces.r3_system_residual(sd, lam_src,
+                                             states.map(phi, g, h),
                                              parameters=bindings)
         v = np.abs(nor)
         return v, v / (1.0 + np.abs(sd.mean_curvature_values))
@@ -92,38 +126,33 @@ def _r3_evals(phi, induced, h, lam_src, g, bindings):
 
 
 def _w1_eval(phi, g, h):
-    def run(pts):
-        ws = weierstrass.section(phi, g, h, pts)
+    def run(states):
+        ws = states.section(phi, g, h)
         v = np.abs(weierstrass.conformality_sums(ws)[0])
         return v, v
     return run
 
 
 def _w3_eval(phi, g, h):
-    def run(pts):
-        ws = weierstrass.section(phi, g, h, pts)
+    def run(states):
+        ws = states.section(phi, g, h)
         v = np.max(np.abs(weierstrass.w3_residual(ws)), axis=-1)
         return v, v
     return run
 
 
 def _nonholomorphic_eval(phi, g, h):
-    def run(pts):
-        ws = weierstrass.section(phi, g, h, pts)
-        anti = np.stack([weierstrass.wirtinger_dzbar(c).value
-                         for c in ws.components], axis=-1)
-        v = np.linalg.norm(anti, axis=-1)
+    def run(states):
+        v = weierstrass.nonholomorphicity(states.section(phi, g, h))
         return v, v
     return run
 
 
 def _chen_eval(phi, induced, h, engine_metric):
-    def run(pts):
-        sd = surfaces.surface_data(phi, induced, h, pts)
-        chen = surfaces.chen_bitension(sd)
-        direct = geometry.bitension_field(phi, engine_metric, h, pts)
-        state = MapState(phi, engine_metric, h, pts, 2)
-        diff = chen - direct
+    def run(states):
+        chen = surfaces.chen_bitension(states.surface(phi, induced, h))
+        state = states.map(phi, engine_metric, h)
+        diff = chen - state.bitension_values
         v = np.sqrt(state.target_inner(diff, diff))
         scale = 1.0 + np.sqrt(state.target_inner(chen, chen))
         return v, v / scale
@@ -303,9 +332,10 @@ def build_case(name, **params):
         known = ", ".join(CASE_NAMES)
         raise ValueError(f"unknown case '{name}' (choose from {known})")
     try:
-        return builder(**params)
+        inspect.signature(builder).bind(**params)
     except TypeError as err:
         raise ValueError(f"bad parameters for '{name}': {err}")
+    return builder(**params)
 
 
 def negative_control(name, **params):
@@ -443,15 +473,18 @@ def verify_case(case, samples=64, seed=7, tol=None):
     """Evaluate every expectation at low-discrepancy points.
 
     ``tol`` overrides the tolerance of residual ("max") checks only;
-    magnitude checks keep their own bounds.  Evaluation errors become
-    failed checks rather than crashes.
+    magnitude checks keep their own bounds.  The checks share one map state
+    per (map, domain metric, target metric), so a state that cannot be built
+    fails every check that reads it.  Evaluation errors become failed checks
+    rather than crashes.
     """
     pts = case.domain.sample(samples, seed)
+    states = _SharedStates(pts)
     records = []
     for exp, evaluate in case._entries:
         use_tol = exp.tol if (tol is None or exp.mode == "min") else float(tol)
         try:
-            val_abs, val_norm = evaluate(pts)
+            val_abs, val_norm = evaluate(states)
         except _EVALUATION_ERRORS:
             records.append(CheckRecord(exp.check, None, None, use_tol,
                                        False, None))

@@ -5,8 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr
-from .expr import EvalContext, parse
+from .expr import parse
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -155,8 +154,3 @@ class VectorFieldAlongMap:
     def from_components(cls, comps, parameters=None):
         return cls(tuple(_as_ast(c) for c in comps), dict(parameters or {}))
 
-
-def evaluate_components(components, coords, bindings, parameters):
-    """Evaluate a tuple of ASTs with the given coordinate bindings."""
-    ctx = EvalContext(variables=dict(zip(coords, bindings)), parameters=parameters)
-    return [expr.evaluate(c, ctx) for c in components]

@@ -16,8 +16,8 @@ from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap, \
 from .geometry import GeometryInputError, MapState
 
 __all__ = [
-    "ConformalFactor", "conformal_metric", "tension_transform_rhs",
-    "jacobi_transform_rhs", "bitension_transform_rhs",
+    "ConformalFactor", "conformal_metric", "law_sides",
+    "tension_transform_rhs", "jacobi_transform_rhs", "bitension_transform_rhs",
     "bitension_transform_rhs_dim2", "harmonic_biharmonic_condition",
     "conformal_immersion_sides", "conformal_immersion_residual",
     "conformal_immersion_residual_dim2", "random_transform_family",
@@ -135,6 +135,24 @@ def bitension_transform_rhs_dim2(phi, g, h, factor, x, parameters=None):
     b = fac.laplacian + 2.0 * fac.grad_norm_sq
     inner = state.bitension_values + 2.0 * b[..., None] * tau + 4.0 * slide_tau
     return fac.values[..., None] ** 4 * inner
+
+
+def law_sides(law, phi, g, h, fld, factor, x):
+    """Both sides of one conformal-change law ("tension", "jacobi" or
+    "bitension"): the operator computed directly with the rescaled metric
+    conformal_metric(g, factor), and the g-side right-hand side.  ``fld`` is
+    the section the Jacobi law is applied to; the other laws ignore it."""
+    gbar = conformal_metric(g, factor)
+    if law == "tension":
+        return (geometry.tension_field(phi, gbar, h, x),
+                tension_transform_rhs(phi, g, h, factor, x))
+    if law == "jacobi":
+        return (geometry.jacobi_apply(phi, gbar, h, x, fld),
+                jacobi_transform_rhs(phi, g, h, factor, fld, x))
+    if law == "bitension":
+        return (geometry.bitension_field(phi, gbar, h, x),
+                bitension_transform_rhs(phi, g, h, factor, x))
+    raise ValueError(f"unknown law '{law}'")
 
 
 def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None,

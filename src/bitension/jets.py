@@ -3,10 +3,14 @@
 A :class:`Jet` stores the Taylor coefficients ``c[alpha] = d^alpha f / alpha!``
 of a smooth function at a base point, for every multi-index ``alpha`` of total
 degree <= ``order`` (at most :data:`MAX_ORDER`).  Coefficients live in a dense
-float array whose last axis enumerates multi-indices in graded lexicographic
-order, so indices of degree <= k always form a prefix and truncation is a
-slice.  Leading axes of the coefficient array are broadcastable batch axes:
-one jet object can carry a whole batch of evaluation points.
+float or complex array whose last axis enumerates multi-indices in graded
+lexicographic order, so indices of degree <= k always form a prefix and
+truncation is a slice.  Leading axes of the coefficient array are broadcastable
+batch axes: one jet object can carry a whole batch of evaluation points.
+
+Sums, differences and products accept complex scalars and jets, so a
+complex-valued function is one jet (``u + 1j*v``); divisors and the arguments
+of the elementary functions stay real.
 
 Arithmetic truncates to the smaller operand order; differentiating drops the
 order by one.  Products are convolutions driven by a precomputed pair table
@@ -178,7 +182,7 @@ class Jet:
         if isinstance(other, Jet):
             order, ca, cb = self._pair(other)
             return Jet(self.num_vars, order, ca + cb)
-        out = self.coeffs.copy()
+        out = self.coeffs.astype(np.result_type(self.coeffs, other))
         out[..., 0] += other
         return Jet(self.num_vars, self.order, out)
 
@@ -191,7 +195,7 @@ class Jet:
         if isinstance(other, Jet):
             order, ca, cb = self._pair(other)
             return Jet(self.num_vars, order, ca - cb)
-        out = self.coeffs.copy()
+        out = self.coeffs.astype(np.result_type(self.coeffs, other))
         out[..., 0] -= other
         return Jet(self.num_vars, self.order, out)
 
@@ -206,7 +210,7 @@ class Jet:
             return Jet(self.num_vars, order,
                        np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1))
         return Jet(self.num_vars, self.order,
-                   self.coeffs * np.asarray(other, dtype=float)[..., None])
+                   self.coeffs * np.asarray(other)[..., None])
 
     __rmul__ = __mul__
 
@@ -303,16 +307,6 @@ class Jet:
 
 
 # -- public functional surface ----------------------------------------------
-
-def seed_variable(index, value, num_vars, order=MAX_ORDER):
-    """Jet of the coordinate function x_index at the given base value."""
-    return Jet.variable(index, value, num_vars, order)
-
-
-def extract_partial(jet, alpha):
-    """d^alpha of the function the jet represents, at the base point."""
-    return jet.partial(alpha)
-
 
 def exp(x):
     return x.exp() if isinstance(x, Jet) else np.exp(x)

@@ -32,26 +32,23 @@ def _values(section):
 class SurfaceData:
     """Normal, shape operator, and curvature data of an isometric immersion.
 
-    ``induced`` must be the metric the immersion actually induces (checked
-    against the pullback).  The normal is oriented by the ordered coordinate
-    tangents: on a cylinder parametrized by (theta, z) it points outward,
-    along +d/d rho.
+    Built from an order-4 map state whose domain metric must be the metric
+    the immersion actually induces (checked against the pullback).  The
+    normal is oriented by the ordered coordinate tangents: on a cylinder
+    parametrized by (theta, z) it points outward, along +d/d rho.
     """
 
-    def __init__(self, phi, induced, target_metric, x, iso_tol=1e-8):
-        state = MapState(phi, induced, target_metric, x, 4)
+    def __init__(self, state, iso_tol=1e-8):
         if state.m != 2 or state.n != 3:
             raise GeometryInputError("surface machinery needs a 2d domain "
                                      f"and a 3d target, got {state.m} -> "
                                      f"{state.n}")
-        pullback = geometry.pullback_metric(phi, target_metric, x)
+        pullback = geometry.pullback_metric(state.phi, state.h, state.x)
         gap = np.max(np.abs(pullback - state.g_val)
                      / (1.0 + np.abs(state.g_val)))
         if gap > iso_tol:
             raise GeometryInputError("declared induced metric differs from "
                                      f"the immersion pullback (off by {gap:g})")
-        self.phi = phi
-        self.target_metric = target_metric
         self.state = state
 
         hx = [[state.compose_codomain_jet(state.h_yjets[a][b])
@@ -160,7 +157,8 @@ class SurfaceData:
 
 def surface_data(phi, induced, target_metric, x, iso_tol=1e-8):
     """Assemble normal/shape/curvature data for an isometric immersion."""
-    return SurfaceData(phi, induced, target_metric, x, iso_tol=iso_tol)
+    return SurfaceData(MapState(phi, induced, target_metric, x, 4),
+                       iso_tol=iso_tol)
 
 
 def chen_bitension(sd):
@@ -181,17 +179,19 @@ def chen_bitension(sd):
     return 2.0 * normal_part[..., None] * sd.normal_values - 2.0 * pushed
 
 
-def r3_system_residual(sd, lam, g, parameters=None):
+def r3_system_residual(sd, lam, stg, parameters=None):
     """Residuals of the two-equation biharmonicity system for a conformal
     surface immersion into flat 3-space, with operators of the conformal
     domain metric g and |B|^2 = lambda^2 |B|^2_induced.
+
+    ``stg`` is a map state of order 3 or more for the same map and points
+    as ``sd``, carrying the conformal domain metric g.
 
     Returns (tangential, normal): A(grad H) + grad(H^2)/2 + 2H A(grad ln lam)
     as domain-vector values, and Lap H - H|B|^2 + 2H(Lap ln lam
     + 2|grad ln lam|^2) + 4 g(grad ln lam, grad H) as a scalar.
     """
     fac = ConformalFactor.of(lam, parameters)
-    stg = MapState(sd.phi, g, sd.target_metric, sd.state.x, 3)
     lam_jet = stg.scalar_jet(fac.ast, fac.parameters)
     if np.any(lam_jet.value <= 0.0):
         raise GeometryInputError("conformal factor must stay positive")

@@ -16,77 +16,14 @@ from .charts import ChartDomain, RiemannianMetric, SmoothMap
 from .geometry import GeometryInputError, MapState
 
 
-class ComplexJet:
-    """A pair of real jets acting as one complex-valued jet."""
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @property
-    def value(self):
-        return self.re.value + 1j * self.im.value
-
-    def conj(self):
-        return ComplexJet(self.re, -self.im)
-
-    def abs_sq(self):
-        return self.re * self.re + self.im * self.im
-
-    def derivative(self, axis):
-        return ComplexJet(self.re.derivative(axis), self.im.derivative(axis))
-
-    def __add__(self, other):
-        if isinstance(other, ComplexJet):
-            return ComplexJet(self.re + other.re, self.im + other.im)
-        if isinstance(other, complex):
-            return ComplexJet(self.re + other.real, self.im + other.imag)
-        return ComplexJet(self.re + other, self.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexJet(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, ComplexJet) else -1.0 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexJet):
-            return ComplexJet(self.re * other.re - self.im * other.im,
-                              self.re * other.im + self.im * other.re)
-        if isinstance(other, complex):
-            return ComplexJet(self.re * other.real - self.im * other.imag,
-                              self.re * other.imag + self.im * other.real)
-        return ComplexJet(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-
-def _as_complex(f):
-    if isinstance(f, ComplexJet):
-        return f
-    return ComplexJet(f, f * 0.0)
-
-
 def wirtinger_dz(f):
     """d/dz = (d/du - i d/dv)/2."""
-    f = _as_complex(f)
-    du, dv = f.derivative(0), f.derivative(1)
-    return ComplexJet((du.re + dv.im) * 0.5, (du.im - dv.re) * 0.5)
+    return (f.derivative(0) - 1j * f.derivative(1)) * 0.5
 
 
 def wirtinger_dzbar(f):
     """d/dzbar = (d/du + i d/dv)/2."""
-    f = _as_complex(f)
-    du, dv = f.derivative(0), f.derivative(1)
-    return ComplexJet((du.re - dv.im) * 0.5, (du.im + dv.re) * 0.5)
+    return (f.derivative(0) + 1j * f.derivative(1)) * 0.5
 
 
 @dataclass(frozen=True)
@@ -98,13 +35,13 @@ class WSection:
     mu_sq: object  # jet of the isothermal factor
 
 
-def section(phi, g, h, x, isothermal_tol=1e-9):
-    """Build the derivative section phi_sec = (phi_u - i phi_v)/2.
+def section_of(state, isothermal_tol=1e-9):
+    """The derivative section phi_sec = d phi/dz, read from a map state.
 
     Requires a 2d domain, an isothermal domain metric g = mu^2 (du^2+dv^2),
-    and a flat Cartesian target metric (identity components).
+    and a flat Cartesian target metric (identity components).  The section
+    shares the state's jets; :func:`w3_residual` needs a state of order 4.
     """
-    state = MapState(phi, g, h, x, 4)
     if state.m != 2:
         raise GeometryInputError("conformal-coordinate calculus needs a "
                                  "2d domain")
@@ -123,9 +60,13 @@ def section(phi, g, h, x, isothermal_tol=1e-9):
     if max(off, gap) > isothermal_tol * max(1.0, scale):
         raise GeometryInputError("domain metric must be isothermal, "
                                  "g = mu^2 (du^2 + dv^2)")
-    comps = tuple(ComplexJet(state.Dphi[0][a] * 0.5, state.Dphi[1][a] * (-0.5))
-                  for a in range(state.n))
+    comps = tuple(wirtinger_dz(pj) for pj in state.phi_jets)
     return WSection(state, comps, state.g_jets[0][0])
+
+
+def section(phi, g, h, x, isothermal_tol=1e-9):
+    """Build the derivative section phi_sec = (phi_u - i phi_v)/2."""
+    return section_of(MapState(phi, g, h, x, 4), isothermal_tol)
 
 
 def conformality_sums(ws):
@@ -135,9 +76,9 @@ def conformality_sums(ws):
     conformal factor of the pullback metric and must stay positive for an
     immersion.
     """
-    w1 = sum((c * c).value for c in ws.components)
-    w2 = sum(c.abs_sq().value for c in ws.components)
-    return w1, w2
+    values = [c.value for c in ws.components]
+    return (sum(v * v for v in values),
+            sum(v.real ** 2 + v.imag ** 2 for v in values))
 
 
 def tension_complex(ws):
@@ -165,6 +106,14 @@ def bitension_complex(ws):
     """The bitension field as 16 mu^-2 times the biharmonicity residual."""
     inv = (1.0 / ws.mu_sq).value
     return 16.0 * inv[..., None] * w3_residual(ws)
+
+
+def nonholomorphicity(ws):
+    """Norm of d phi_sec/dzbar at each point: the section's distance from
+    holomorphic, zero exactly where the map is harmonic."""
+    return np.linalg.norm(np.stack([wirtinger_dzbar(c).value
+                                    for c in ws.components], axis=-1),
+                          axis=-1)
 
 
 @dataclass(frozen=True)

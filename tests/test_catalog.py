@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from bitension import catalog, report
-from bitension.charts import DomainError
+from bitension.charts import ChartDomain, DomainError, RiemannianMetric, \
+    SmoothMap
+from bitension.geometry import MapState
 
 
 def test_every_builtin_passes_at_defaults():
@@ -54,6 +56,51 @@ def test_unknown_case_and_bad_params():
         catalog.build_case("cylinder_family", bogus=1.0)
     with pytest.raises(ValueError, match="2..6"):
         catalog.build_case("identity", m=9)
+
+
+def test_type_errors_inside_a_builder_propagate(monkeypatch):
+    def broken(R=1.0):
+        return len(R)  # a TypeError from the builder's own code
+
+    monkeypatch.setitem(catalog._BUILDERS, "cylinder_family", broken)
+    with pytest.raises(TypeError, match="len"):
+        catalog.build_case("cylinder_family", R=2.0)
+
+
+@pytest.mark.parametrize("name,builds", [
+    ("cylinder_family", 2), ("r2_wrap_r3", 1), ("isometric_cylinder", 2),
+    ("h5_inclusion", 1)])
+def test_checks_share_map_states(monkeypatch, name, builds):
+    case = catalog.build_case(name)
+    calls = []
+    init = MapState.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MapState, "__init__", counting)
+    assert catalog.verify_case(case).passed
+    assert len(calls) == builds
+
+
+def test_unbuildable_state_fails_every_check_that_reads_it():
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    # the third component reaches 5 on the domain, outside the target chart
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "5*u"))
+    g = RiemannianMetric.euclidean(dom)
+    h = RiemannianMetric.euclidean(tgt)
+    kinds = sorted(catalog.CHECK_KINDS)
+    case = catalog.custom_case("off_chart", phi, g, h,
+                               [(k, None) for k in kinds], induced=g,
+                               factor="1")
+    rep = catalog.verify_case(case, samples=16)
+    assert [c.name for c in rep.checks] == kinds
+    for check in rep.checks:
+        assert check.max_abs is None and check.max_norm is None
+        assert not check.passed and check.worst_point is None
+    assert not rep.passed
 
 
 def test_degenerate_cylinder_parameters_are_rejected():

@@ -83,6 +83,13 @@ def test_check_transform_laws_pass(capsys, law, dims):
     assert "overall: PASS" in out
 
 
+def test_check_transform_reports_points_evaluated(capsys):
+    code, out, _ = run(capsys, "check-transform", "--law", "tension",
+                       "--dims", "2,3", "--cases", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["samples"] == 5 * 4  # four points per case
+
+
 def test_check_transform_rejects_bad_dims(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["check-transform", "--law", "tension", "--dims", "7,3"])

@@ -122,6 +122,6 @@ def test_family_member_satisfies_surface_system():
     sd = surfaces.surface_data(phi, induced, h, pts)
     lam, bindings = cylinder.lambda_expression(params)
     tangential, normal = surfaces.r3_system_residual(
-        sd, lam, g, parameters=bindings)
+        sd, lam, geometry.MapState(phi, g, h, pts, 3), parameters=bindings)
     assert np.max(np.abs(tangential)) < 1e-8
     assert np.max(np.abs(normal)) < 1e-8

@@ -105,8 +105,8 @@ def test_evaluate_jets_matches_floats():
     ast = parse("exp(0.3*x)*sin(y) + pow(1.5 + x^2, -2) / (2.0 + cos(x*y))")
     for _ in range(5):
         x0, y0 = rng.uniform(-0.8, 0.8, size=2)
-        jx = jets.seed_variable(0, x0, 2)
-        jy = jets.seed_variable(1, y0, 2)
+        jx = jets.Jet.variable(0, x0, 2)
+        jy = jets.Jet.variable(1, y0, 2)
         jval = evaluate(ast, EvalContext(variables={"x": jx, "y": jy}))
         fval = evaluate(ast, EvalContext(variables={"x": x0, "y": y0}))
         assert jval.value == pytest.approx(fval, rel=1e-14)
@@ -124,7 +124,7 @@ def test_variable_shadows_parameter_and_unbound():
 def test_domain_error_carries_expression_source():
     ast = parse("ln(x - 2)")
     with pytest.raises(ExprEvalError) as err:
-        evaluate(ast, EvalContext(variables={"x": jets.seed_variable(0, 0.0, 1)}))
+        evaluate(ast, EvalContext(variables={"x": jets.Jet.variable(0, 0.0, 1)}))
     assert "ln" in str(err.value)
 
 

@@ -4,59 +4,59 @@ import numpy as np
 import pytest
 
 from bitension import jets
-from bitension.jets import Jet, JetDomainError, extract_partial, seed_variable
+from bitension.jets import Jet, JetDomainError
 
 import support
 
 
 def test_seed_variable_layout():
-    j = seed_variable(1, 0.25, 3)
+    j = Jet.variable(1, 0.25, 3)
     assert j.value == 0.25
-    assert extract_partial(j, (0, 1, 0)) == 1.0
-    assert extract_partial(j, (1, 0, 0)) == 0.0
-    assert extract_partial(j, (0, 0, 2)) == 0.0
+    assert j.partial((0, 1, 0)) == 1.0
+    assert j.partial((1, 0, 0)) == 0.0
+    assert j.partial((0, 0, 2)) == 0.0
 
 
 def test_seed_variable_index_out_of_range():
     with pytest.raises(ValueError):
-        seed_variable(3, 0.0, 3)
+        Jet.variable(3, 0.0, 3)
 
 
 def test_extract_partial_exceeding_order():
-    j = seed_variable(0, 1.0, 2)
+    j = Jet.variable(0, 1.0, 2)
     with pytest.raises(ValueError):
-        extract_partial(j, (5, 0))
+        j.partial((5, 0))
 
 
 def test_hand_computed_partials():
     # f(x, y) = exp(x + 2y): d^(a,b) f = 2^b exp(x + 2y)
-    x = seed_variable(0, 0.3, 2)
-    y = seed_variable(1, -0.1, 2)
+    x = Jet.variable(0, 0.3, 2)
+    y = Jet.variable(1, -0.1, 2)
     f = jets.exp(x + 2.0 * y)
     base = math.exp(0.3 - 0.2)
     for a, b in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (4, 0)]:
-        assert extract_partial(f, (a, b)) == pytest.approx(2.0 ** b * base, rel=1e-12)
+        assert f.partial((a, b)) == pytest.approx(2.0 ** b * base, rel=1e-12)
     # g = x^2 y^2: the only surviving 4th-order mixed partial is d^(2,2) g = 4
     g = x * x * y * y
-    assert extract_partial(g, (2, 2)) == pytest.approx(4.0, rel=1e-13)
-    assert extract_partial(g, (1, 1)) == pytest.approx(4.0 * 0.3 * -0.1, rel=1e-13)
+    assert g.partial((2, 2)) == pytest.approx(4.0, rel=1e-13)
+    assert g.partial((1, 1)) == pytest.approx(4.0 * 0.3 * -0.1, rel=1e-13)
 
 
 def test_polynomial_truncation_is_silent():
     # degree-5 content simply vanishes from an order-4 jet
-    x = seed_variable(0, 0.0, 1)
+    x = Jet.variable(0, 0.0, 1)
     p = (x * x * x) * (x * x)
     assert np.all(p.coeffs == 0.0)
 
 
 def test_derivative_drops_order():
-    x = seed_variable(0, 0.7, 2)
-    y = seed_variable(1, 0.2, 2)
+    x = Jet.variable(0, 0.7, 2)
+    y = Jet.variable(1, 0.2, 2)
     f = jets.sin(x) * y
     fx = f.derivative(0)
     assert fx.order == 3
     assert fx.value == pytest.approx(math.cos(0.7) * 0.2, rel=1e-13)
-    assert extract_partial(fx, (0, 1)) == pytest.approx(math.cos(0.7), rel=1e-13)
+    assert fx.partial((0, 1)) == pytest.approx(math.cos(0.7), rel=1e-13)
 
 
 def test_leibniz_expansion_exact():
@@ -84,7 +84,7 @@ def test_finite_difference_oracle():
         num_vars = int(rng.integers(1, 4))
         prog = support.random_program(rng, num_vars, depth=int(rng.integers(2, 6)))
         x0 = rng.uniform(-0.5, 0.5, size=num_vars)
-        seeds = [seed_variable(i, x0[i], num_vars) for i in range(num_vars)]
+        seeds = [Jet.variable(i, x0[i], num_vars) for i in range(num_vars)]
         jet = prog(seeds)
         if not isinstance(jet, Jet):  # tree degenerated to a constant
             continue
@@ -104,7 +104,7 @@ def test_degree_zero_consistency():
         num_vars = int(rng.integers(1, 4))
         prog = support.random_program(rng, num_vars, depth=3)
         x0 = rng.uniform(-0.5, 0.5, size=num_vars)
-        seeds = [seed_variable(i, x0[i], num_vars) for i in range(num_vars)]
+        seeds = [Jet.variable(i, x0[i], num_vars) for i in range(num_vars)]
         jet_val = prog(seeds)
         plain = prog(list(x0))
         if isinstance(jet_val, Jet):
@@ -116,31 +116,31 @@ def test_batched_jets_match_scalar_loop():
     rng = np.random.default_rng(3)
     prog = support.random_program(rng, 2, depth=4)
     pts = rng.uniform(-0.5, 0.5, size=(7, 2))
-    batched = prog([seed_variable(i, pts[:, i], 2) for i in range(2)])
+    batched = prog([Jet.variable(i, pts[:, i], 2) for i in range(2)])
     for b in range(7):
-        single = prog([seed_variable(i, pts[b, i], 2) for i in range(2)])
+        single = prog([Jet.variable(i, pts[b, i], 2) for i in range(2)])
         assert np.allclose(batched.coeffs[b], single.coeffs, rtol=0, atol=0)
 
 
 def test_integer_power_valid_at_negative_base():
-    x = seed_variable(0, -1.5, 1)
+    x = Jet.variable(0, -1.5, 1)
     f = jets.power(x, 3)
     assert f.value == pytest.approx((-1.5) ** 3, rel=1e-14)
-    assert extract_partial(f, (1,)) == pytest.approx(3 * (-1.5) ** 2, rel=1e-14)
+    assert f.partial((1,)) == pytest.approx(3 * (-1.5) ** 2, rel=1e-14)
     g = jets.power(x, -2)
     assert g.value == pytest.approx((-1.5) ** -2, rel=1e-14)
-    assert extract_partial(g, (1,)) == pytest.approx(-2 * (-1.5) ** -3, rel=1e-13)
+    assert g.partial((1,)) == pytest.approx(-2 * (-1.5) ** -3, rel=1e-13)
 
 
 def test_domain_errors():
-    x = seed_variable(0, -1.0, 1)
+    x = Jet.variable(0, -1.0, 1)
     with pytest.raises(JetDomainError):
         jets.ln(x)
     with pytest.raises(JetDomainError):
         jets.sqrt(x)
     with pytest.raises(JetDomainError):
         jets.power(x, 0.5)
-    zero = seed_variable(0, 0.0, 1)
+    zero = Jet.variable(0, 0.0, 1)
     with pytest.raises(JetDomainError):
         (zero + 1.0) / zero
     with pytest.raises(JetDomainError):
@@ -148,18 +148,18 @@ def test_domain_errors():
 
 
 def test_batched_domain_error_reports_offender():
-    x = seed_variable(0, np.array([1.0, -3.0, 2.0]), 1)
+    x = Jet.variable(0, np.array([1.0, -3.0, 2.0]), 1)
     with pytest.raises(JetDomainError) as err:
         jets.ln(x)
     assert np.any(np.asarray(err.value.value) <= 0)
 
 
 def test_general_power_and_jet_exponent():
-    x = seed_variable(0, 1.7, 1)
+    x = Jet.variable(0, 1.7, 1)
     f = jets.power(x, 0.5)
     g = jets.sqrt(x)
     assert np.allclose(f.coeffs, g.coeffs, rtol=1e-12, atol=1e-14)
     h = jets.power(x, x)  # x^x = exp(x ln x)
     assert h.value == pytest.approx(1.7 ** 1.7, rel=1e-13)
-    assert extract_partial(h, (1,)) == pytest.approx(
+    assert h.partial((1,)) == pytest.approx(
         1.7 ** 1.7 * (math.log(1.7) + 1.0), rel=1e-12)

@@ -187,7 +187,8 @@ def test_r3_system_cylinder_biharmonic_factor():
     g = RiemannianMetric.from_components(
         dom, [["R^2*exp(-z/R)", "0"], ["0", "exp(-z/R)"]], {"R": radius})
     tangential, normal = surfaces.r3_system_residual(
-        sd, "exp(z/(2*R))", g, parameters={"R": radius})
+        sd, "exp(z/(2*R))", MapState(phi, g, h, pts, 3),
+        parameters={"R": radius})
     assert np.max(np.abs(tangential)) < 1e-10
     assert np.max(np.abs(normal)) < 1e-10
     res = conformal.conformal_immersion_residual(
@@ -203,7 +204,7 @@ def test_r3_system_flags_nonsolution_factor():
     g = RiemannianMetric.from_components(
         dom, [["R^2*exp(-2*z/R)", "0"], ["0", "exp(-2*z/R)"]], {"R": radius})
     tangential, normal = surfaces.r3_system_residual(
-        sd, "exp(z/R)", g, parameters={"R": radius})
+        sd, "exp(z/R)", MapState(phi, g, h, pts, 3), parameters={"R": radius})
     assert np.max(np.abs(tangential)) < 1e-10  # the factor only depends on z
     want = -1.5 * np.exp(2.0 * pts[:, 1] / radius) / radius ** 3
     assert np.max(np.abs(normal - want)) < 1e-10
@@ -219,7 +220,7 @@ def test_r3_requires_positive_factor():
     sd = surfaces.surface_data(phi, induced, h, pts)
     g = RiemannianMetric.euclidean(dom)
     with pytest.raises(GeometryInputError, match="positive"):
-        surfaces.r3_system_residual(sd, "z", g)
+        surfaces.r3_system_residual(sd, "z", MapState(phi, g, h, pts, 3))
 
 
 def test_laplacian_conformal_rescale_on_cylinder():
