@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cylinder, geometry, surfaces, weierstrass
+from . import cylinder, geometry, jets, surfaces, weierstrass
 from . import expr as expr_mod
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
 from .cylinder import CylinderParams
 from .expr import ExprEvalError
-from .geometry import GeometryInputError, MapState
+from .geometry import GeometryInputError, MapState, MetricError
 from .report import VERSION, CheckRecord, VerificationReport
 
 
@@ -465,8 +465,11 @@ def custom_case(name, phi, g, h, checks, induced=None, factor=None,
 
 # -- running -------------------------------------------------------------------
 
-_EVALUATION_ERRORS = (DomainError, GeometryInputError, ExprEvalError,
-                      ValueError, FloatingPointError)
+# failures of the inputs at the sample points; anything else, such as a plain
+# ValueError from reading a jet beyond its order, is a bug and propagates
+_EVALUATION_ERRORS = (DomainError, GeometryInputError, MetricError,
+                      ExprEvalError, jets.JetDomainError,
+                      np.linalg.LinAlgError, FloatingPointError)
 
 
 def verify_case(case, samples=64, seed=7, tol=None):

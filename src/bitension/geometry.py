@@ -115,58 +115,48 @@ def _values_matrix(rows):
                     axis=-2)
 
 
+def _truncated(rows, order):
+    return [[e.truncated(order) for e in row] for row in rows]
+
+
 def _zero_jet(batch_shape, num_vars, order):
     return jets.Jet.constant(np.zeros(batch_shape), num_vars, order)
 
 
 def _jet_matrix_inverse(rows):
-    """Inverse of a jet matrix with invertible value part.
+    """Inverse of a symmetric positive definite jet matrix.
 
-    Splitting A = A0 + E with E carrying no constant term, the geometric
-    series sum (-A0^-1 E)^k A0^-1 terminates at the jet order because each
-    factor of E raises the minimal degree.
+    Gauss-Jordan in its symmetric form (the sweep operator), without
+    pivoting: every caller has checked that the value part is positive
+    definite, so each pivot has a nonzero value.  Structurally zero entries
+    are skipped, so a diagonal matrix costs one reciprocal per diagonal entry
+    and its inverse has exactly zero off-diagonal jets.  The result carries
+    the smallest order among the entries: truncate the input to the order
+    the inverse is read at.
     """
-    msize = len(rows)
+    m = len(rows)
     order = min(e.order for row in rows for e in row)
-    num_vars = rows[0][0].num_vars
-    a0 = _values_matrix(rows)
-    a0inv = np.linalg.inv(a0)
-    batch = a0.shape[:-2]
-    hot = [[rows[i][j] - a0[..., i, j] for j in range(msize)] for i in range(msize)]
-    neg = [[None] * msize for _ in range(msize)]
-    for i in range(msize):
-        for j in range(msize):
-            acc = None
-            for k in range(msize):
-                if not np.any(hot[k][j].coeffs):
-                    continue
-                term = hot[k][j] * (-a0inv[..., i, k])
-                acc = term if acc is None else acc + term
-            neg[i][j] = acc if acc is not None else _zero_jet(batch, num_vars, order)
-    ones = np.ones(batch)
-    ident = [[jets.Jet.constant(ones if i == j else np.zeros(batch), num_vars, order)
-              for j in range(msize)] for i in range(msize)]
-    series = ident
-    for _ in range(order):
-        nxt = [[None] * msize for _ in range(msize)]
-        for i in range(msize):
-            for j in range(msize):
-                acc = ident[i][j]
-                for k in range(msize):
-                    if not np.any(neg[i][k].coeffs):
-                        continue
-                    acc = acc + neg[i][k] * series[k][j]
-                nxt[i][j] = acc
-        series = nxt
-    out = [[None] * msize for _ in range(msize)]
-    for i in range(msize):
-        for j in range(msize):
-            acc = None
-            for k in range(msize):
-                term = series[i][k] * a0inv[..., k, j]
-                acc = term if acc is None else acc + term
-            out[i][j] = acc
-    return out
+    a = {}  # the nonzero entries, each symmetric pair sharing one jet
+    for i in range(m):
+        for j in range(i, m):
+            if np.any(rows[i][j].coeffs):
+                a[i, j] = a[j, i] = rows[i][j].truncated(order)
+    # sweeping pivot k maps a_ij to a_ij - a_ik a_kj / a_kk, the pivot row
+    # to a_kj / a_kk and the pivot to -1 / a_kk; sweeping all leaves -A^-1
+    for k in range(m):
+        r = a[k, k]._reciprocal()
+        s = {j: a[k, j] * r for j in range(m) if j != k and (k, j) in a}
+        for i in s:
+            for j in s:
+                if i <= j:
+                    t = a[i, k] * s[j]
+                    a[i, j] = a[j, i] = a[i, j] - t if (i, j) in a else -t
+        for j, sj in s.items():
+            a[k, j] = a[j, k] = sj
+        a[k, k] = -r
+    zero = _zero_jet(rows[0][0].value.shape, rows[0][0].num_vars, order)
+    return [[-a[i, j] if (i, j) in a else zero for j in range(m)]
+            for i in range(m)]
 
 
 def _christoffel_jets(gj, ginv):
@@ -269,6 +259,10 @@ class MapState:
     fields.  The target metric is expanded to ``order - 1`` around the image
     points and its Christoffel symbols are pulled back through the map.
 
+    Other jets are carried at the order they are read at: ``ginv_jets`` at
+    ``order - 1``; ``gammaM``, ``Q_jets`` and the target inverse at
+    ``order - 2``.
+
     Points ``x`` may carry arbitrary leading batch axes; every derived value
     keeps those axes.
     """
@@ -294,10 +288,11 @@ class MapState:
         self.g_jets = _sym_matrix_jets(g, xvars, batch, order, "domain metric")
         self.g_val = _values_matrix(self.g_jets)
         _require_spd(self.g_val, x, "domain metric")
-        self.ginv_jets = _jet_matrix_inverse(self.g_jets)
+        g_low = _truncated(self.g_jets, order - 1)
+        self.ginv_jets = _jet_matrix_inverse(g_low)
         self.ginv_val = _values_matrix(self.ginv_jets)
         self.sqrt_det_g = np.sqrt(np.linalg.det(self.g_val))
-        self.gammaM = _christoffel_jets(self.g_jets, self.ginv_jets)
+        self.gammaM = _christoffel_jets(g_low, self.ginv_jets)
         self.gammaM_val = _gamma_values(self.gammaM)
 
         self.phi_jets = _eval_components(phi.components, xvars, phi.parameters,
@@ -315,7 +310,7 @@ class MapState:
         self.h_yjets = _sym_matrix_jets(h, yvars, batch, yorder, "target metric")
         self.hN_val = _values_matrix(self.h_yjets)
         _require_spd(self.hN_val, self.y0, "target metric")
-        hinv_y = _jet_matrix_inverse(self.h_yjets)
+        hinv_y = _jet_matrix_inverse(_truncated(self.h_yjets, yorder - 1))
         self.gammaN_y = _christoffel_jets(self.h_yjets, hinv_y)
 
         gnx = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -531,14 +526,14 @@ def metric_jets(metric, x, order=2):
 def christoffel(metric, x):
     """Christoffel values; ``[..., i, j, k]`` is Gamma^k_ij."""
     rows = metric_jets(metric, x, order=2)
-    ginv = _jet_matrix_inverse(rows)
+    ginv = _jet_matrix_inverse(_truncated(rows, 1))
     return _gamma_values(_christoffel_jets(rows, ginv))
 
 
 def curvature_tensor(metric, x):
     """Curvature values R[..., l, k, i, j]; R(e_i,e_j)e_k = R^l_{kij} e_l."""
     rows = metric_jets(metric, x, order=2)
-    ginv = _jet_matrix_inverse(rows)
+    ginv = _jet_matrix_inverse(_truncated(rows, 1))
     return _curvature_values(_christoffel_jets(rows, ginv))
 
 

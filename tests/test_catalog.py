@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bitension import catalog, report
+from bitension import catalog, jets, report
 from bitension.charts import ChartDomain, DomainError, RiemannianMetric, \
     SmoothMap
 from bitension.geometry import MapState
@@ -101,6 +101,30 @@ def test_unbuildable_state_fails_every_check_that_reads_it():
         assert check.max_abs is None and check.max_norm is None
         assert not check.passed and check.worst_point is None
     assert not rep.passed
+
+
+def _single_check_case(run):
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    return catalog.VerificationCase(
+        "probe", dom, {}, [(catalog.Expectation("probe", 1e-7, "max"), run)])
+
+
+def test_plain_value_errors_in_an_evaluator_propagate():
+    def run(states):
+        # what Jet.partial raises when asked for more order than it carries
+        raise ValueError("multi-index (3, 0) exceeds jet order 2")
+
+    with pytest.raises(ValueError, match="exceeds jet order"):
+        catalog.verify_case(_single_check_case(run), samples=4)
+
+
+def test_jet_domain_errors_in_an_evaluator_fail_the_check():
+    def run(states):
+        raise jets.JetDomainError("sqrt of a nonpositive value")
+
+    rep = catalog.verify_case(_single_check_case(run), samples=4)
+    (check,) = rep.checks
+    assert check.max_abs is None and not check.passed and not rep.passed
 
 
 def test_degenerate_cylinder_parameters_are_rejected():

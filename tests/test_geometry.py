@@ -154,18 +154,56 @@ def test_metric_compatibility_of_connection():
 
 def test_jet_matrix_inverse_roundtrip():
     dom, met = wiggly_metric()
-    rows = geometry.metric_jets(met, dom.sample(6, 11), order=3)
-    inv = geometry._jet_matrix_inverse(rows)
+    pts = dom.sample(6, 11)
     m = dom.dim
-    for i in range(m):
-        for j in range(m):
-            acc = None
-            for k in range(m):
-                term = rows[i][k] * inv[k][j]
-                acc = term if acc is None else acc + term
-            expected = np.zeros_like(acc.coeffs)
-            expected[..., 0] = 1.0 if i == j else 0.0
-            assert np.max(np.abs(acc.coeffs - expected)) < 1e-11
+    for order in (1, 2, 3, 4):
+        rows = geometry.metric_jets(met, pts, order=order)
+        inv = geometry._jet_matrix_inverse(rows)
+        for i in range(m):
+            for j in range(m):
+                assert inv[i][j].order == order
+                acc = None
+                for k in range(m):
+                    term = rows[i][k] * inv[k][j]
+                    acc = term if acc is None else acc + term
+                expected = np.zeros_like(acc.coeffs)
+                expected[..., 0] = 1.0 if i == j else 0.0
+                assert np.max(np.abs(acc.coeffs - expected)) < 1e-11, order
+
+
+def test_diagonal_metric_inverse_keeps_exact_zeros():
+    dom, met = hyperbolic_space(3)
+    pts = dom.sample(8, 12)
+    rows = geometry.metric_jets(met, pts, order=3)
+    inv = geometry._jet_matrix_inverse(rows)
+    x3 = jets.Jet.variable(2, pts[:, 2], 3, 3)
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                assert not np.any(inv[i][j].coeffs)
+    # the inverse of 1/x3^2 is x3^2 through order 3
+    assert np.max(np.abs(inv[0][0].coeffs - (x3 * x3).coeffs)) < 1e-12
+
+
+def test_map_state_carries_each_jet_at_the_order_it_is_read():
+    dom, met = wiggly_metric()
+    tgt = ChartDomain(("y1", "y2", "y3"), ((-1.0, 1.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("x1+0.1*x2^2", "x2", "x3"))
+    h = RiemannianMetric.euclidean(tgt)
+    state = MapState(phi, met, h, dom.sample(6, 13), 4)
+    assert all(e.order == 4 for row in state.g_jets for e in row)
+    assert all(e.order == 3 for row in state.ginv_jets for e in row)
+    assert all(e.order == 2 for jj in state.gammaM for kk in jj for e in kk)
+    # the truncated inputs reproduce a prefix of the untruncated Christoffel
+    # jets bit for bit: no coefficient that is read depends on a dropped one
+    full = geometry._christoffel_jets(
+        state.g_jets, geometry._jet_matrix_inverse(state.g_jets))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                assert full[i][j][k].order == 3
+                assert np.array_equal(state.gammaM[i][j][k].coeffs,
+                                      full[i][j][k].truncated(2).coeffs)
 
 
 def test_metric_symmetry_violation_raises():
