@@ -479,7 +479,7 @@ def verify_case(case, samples=64, seed=7, tol=None):
     magnitude checks keep their own bounds.  The checks share one map state
     per (map, domain metric, target metric), so a state that cannot be built
     fails every check that reads it.  Evaluation errors become failed checks
-    rather than crashes.
+    rather than crashes; the record's ``error`` says what was raised.
     """
     pts = case.domain.sample(samples, seed)
     states = _SharedStates(pts)
@@ -488,9 +488,9 @@ def verify_case(case, samples=64, seed=7, tol=None):
         use_tol = exp.tol if (tol is None or exp.mode == "min") else float(tol)
         try:
             val_abs, val_norm = evaluate(states)
-        except _EVALUATION_ERRORS:
-            records.append(CheckRecord(exp.check, None, None, use_tol,
-                                       False, None))
+        except _EVALUATION_ERRORS as err:
+            records.append(CheckRecord(exp.check, None, None, use_tol, False,
+                                       None, f"{type(err).__name__}: {err}"))
             continue
         if exp.mode == "max":
             idx = int(np.argmax(val_abs))

@@ -57,12 +57,12 @@ class _FactorData:
                 f"conformal factor must stay positive (found {worst:g})")
         lnf = jets.ln(fj)
         self.grad = state.gradient_jets(lnf)
-        self.grad_values = np.stack([g.value for g in self.grad], axis=-1)
+        self.grad_values = jets.stack_values(self.grad)
         self.laplacian = state.scalar_laplacian(lnf).value
         self.grad_norm_sq = state.domain_inner(self.grad_values,
                                                self.grad_values)
         self.pushed = state.dphi_apply(self.grad)
-        self.pushed_values = np.stack([p.value for p in self.pushed], axis=-1)
+        self.pushed_values = jets.stack_values(self.pushed)
 
 
 def conformal_metric(g, factor, parameters=None):
@@ -211,7 +211,7 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
     m = state.m
     lhs = lam_sq[..., None] ** 2 * iso.bitension_values
     eta_jets = [t * (1.0 / m) for t in iso.tension_jets]
-    eta = np.stack([e.value for e in eta_jets], axis=-1)
+    eta = jets.stack_values(eta_jets)
     jac_pushed = state.jacobi_of(data.pushed)
     slide_eta = state.directional_covariant(data.grad, eta_jets)
     shrink = -data.laplacian - 2.0 * data.grad_norm_sq
@@ -252,7 +252,7 @@ def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None,
     gbar = conformal_metric(g, fac.reciprocal())
     iso = MapState(phi, gbar, h, x, 4)
     eta_jets = [t * 0.5 for t in iso.tension_jets]
-    eta = np.stack([e.value for e in eta_jets], axis=-1)
+    eta = jets.stack_values(eta_jets)
     slide_eta = state.directional_covariant(data.grad, eta_jets)
     grow = data.laplacian + 2.0 * data.grad_norm_sq
     return (lam_sq[..., None] * iso.bitension_values

@@ -16,13 +16,19 @@ Index conventions, fixed once for the whole package:
   J(X) = -Trace_g (nabla^phi)^2 X + Trace_g R^N(dphi, X) dphi,
   and the bitension field is tau2 = -J(tau); harmonic maps are biharmonic.
 
+Every index contraction (Christoffel symbols, the pull-back connection, the
+tension field, traces against g^-1) goes through :func:`jets.contract`, whose
+docstring fixes the zero-skipping rule and the summation order.
+
 A :class:`MapState` caches all per-point data for one (map, domain metric,
 target metric, batch of points, derivative order) tuple.  The module-level
 functions are thin wrappers that build a state and extract one quantity.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -110,17 +116,8 @@ def _require_spd(values, x, what):
 # -- jet linear algebra --------------------------------------------------------
 
 
-def _values_matrix(rows):
-    return np.stack([np.stack([e.value for e in row], axis=-1) for row in rows],
-                    axis=-2)
-
-
 def _truncated(rows, order):
     return [[e.truncated(order) for e in row] for row in rows]
-
-
-def _zero_jet(batch_shape, num_vars, order):
-    return jets.Jet.constant(np.zeros(batch_shape), num_vars, order)
 
 
 def _jet_matrix_inverse(rows):
@@ -154,7 +151,8 @@ def _jet_matrix_inverse(rows):
         for j, sj in s.items():
             a[k, j] = a[j, k] = sj
         a[k, k] = -r
-    zero = _zero_jet(rows[0][0].value.shape, rows[0][0].num_vars, order)
+    zero = jets.Jet.constant(np.zeros(rows[0][0].value.shape),
+                             rows[0][0].num_vars, order)
     return [[-a[i, j] if (i, j) in a else zero for j in range(m)]
             for i in range(m)]
 
@@ -164,34 +162,22 @@ def _christoffel_jets(gj, ginv):
     m = len(gj)
     dg = [[[gj[i][j].derivative(l) for l in range(m)] for j in range(m)]
           for i in range(m)]
-    batch = gj[0][0].value.shape
-    order = gj[0][0].order - 1
     out = [[[None] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
             for k in range(m):
-                acc = None
-                for l in range(m):
-                    br = dg[j][l][i] + dg[i][l][j] - dg[i][j][l]
-                    if not np.any(br.coeffs):
-                        continue
-                    term = ginv[k][l] * br
-                    acc = term if acc is None else acc + term
-                val = acc * 0.5 if acc is not None else _zero_jet(batch, m, order)
+                val = jets.contract(
+                    (ginv[k][l], dg[j][l][i] + dg[i][l][j] - dg[i][j][l])
+                    for l in range(m)) * 0.5
                 out[i][j][k] = val
                 out[j][i][k] = val
     return out
 
 
-def _gamma_values(gamma):
-    return np.stack([np.stack([np.stack([e.value for e in kk], axis=-1)
-                               for kk in jj], axis=-2) for jj in gamma], axis=-3)
-
-
 def _curvature_values(gamma):
     """R[..., l, k, i, j] with R(e_i, e_j) e_k = R^l_{kij} e_l."""
     n = len(gamma)
-    gv = _gamma_values(gamma)
+    gv = jets.stack_values(gamma)
     batch = gv.shape[:-3]
     dg = np.empty(batch + (n, n, n, n))
     for i in range(n):
@@ -240,10 +226,8 @@ def _compose_to_x(jet_y, phi_jets):
         coef = jet_y.coeffs[..., pos]
         if not np.any(coef):
             continue
-        mono = None
-        for a, d in enumerate(mids[pos]):
-            if d:
-                mono = pows[a][d] if mono is None else mono * pows[a][d]
+        mono = reduce(operator.mul,
+                      [pows[a][d] for a, d in enumerate(mids[pos]) if d])
         out += coef[..., None] * mono.coeffs
     return jets.Jet(m, q, out)
 
@@ -286,29 +270,28 @@ class MapState:
         self._xvars = xvars
 
         self.g_jets = _sym_matrix_jets(g, xvars, batch, order, "domain metric")
-        self.g_val = _values_matrix(self.g_jets)
+        self.g_val = jets.stack_values(self.g_jets)
         _require_spd(self.g_val, x, "domain metric")
         g_low = _truncated(self.g_jets, order - 1)
         self.ginv_jets = _jet_matrix_inverse(g_low)
-        self.ginv_val = _values_matrix(self.ginv_jets)
+        self.ginv_val = jets.stack_values(self.ginv_jets)
         self.sqrt_det_g = np.sqrt(np.linalg.det(self.g_val))
         self.gammaM = _christoffel_jets(g_low, self.ginv_jets)
-        self.gammaM_val = _gamma_values(self.gammaM)
+        self.gammaM_val = jets.stack_values(self.gammaM)
 
         self.phi_jets = _eval_components(phi.components, xvars, phi.parameters,
                                          batch, m, order)
-        self.y0 = np.stack([pj.value for pj in self.phi_jets], axis=-1)
+        self.y0 = jets.stack_values(self.phi_jets)
         phi.codomain.require(self.y0)
         self.Dphi = [[self.phi_jets[a].derivative(i) for a in range(n)]
                      for i in range(m)]
-        self.dphi = np.stack([np.stack([self.Dphi[i][a].value for a in range(n)],
-                                       axis=-1) for i in range(m)], axis=-2)
+        self.dphi = jets.stack_values(self.Dphi)
 
         yorder = order - 1
         yvars = {c: jets.Jet.variable(a, self.y0[..., a], n, yorder)
                  for a, c in enumerate(phi.codomain.coords)}
         self.h_yjets = _sym_matrix_jets(h, yvars, batch, yorder, "target metric")
-        self.hN_val = _values_matrix(self.h_yjets)
+        self.hN_val = jets.stack_values(self.h_yjets)
         _require_spd(self.hN_val, self.y0, "target metric")
         hinv_y = _jet_matrix_inverse(_truncated(self.h_yjets, yorder - 1))
         self.gammaN_y = _christoffel_jets(self.h_yjets, hinv_y)
@@ -322,25 +305,10 @@ class MapState:
                     gnx[b][a][c] = j
         self.gammaN_x = gnx
 
-        qorder = order - 2
-        self.Q_jets = []
-        for i in range(m):
-            qi = [[None] * n for _ in range(n)]
-            for c in range(n):
-                for b in range(n):
-                    acc = None
-                    for a in range(n):
-                        ga = gnx[a][b][c]
-                        if not np.any(ga.coeffs):
-                            continue
-                        term = ga * self.Dphi[i][a]
-                        acc = term if acc is None else acc + term
-                    qi[c][b] = acc if acc is not None else _zero_jet(batch, m, qorder)
-            self.Q_jets.append(qi)
-        self.Q_val = np.stack(
-            [np.stack([np.stack([self.Q_jets[i][c][b].value for b in range(n)],
-                                axis=-1) for c in range(n)], axis=-2)
-             for i in range(m)], axis=-3)
+        self.Q_jets = [[[jets.contract((gnx[a][b][c], self.Dphi[i][a])
+                                       for a in range(n))
+                         for b in range(n)] for c in range(n)] for i in range(m)]
+        self.Q_val = jets.stack_values(self.Q_jets)
 
         self.RN = _curvature_values(self.gammaN_y) if order >= 3 else None
         self._tension = None
@@ -357,32 +325,25 @@ class MapState:
         arr = np.broadcast_to(np.asarray(v, dtype=float), self.batch_shape)
         return jets.Jet.constant(arr, self.m, self.order)
 
+    def _metric_trace(self, hessian):
+        """g^ij H_ij over the symmetric pairs i <= j, off-diagonal ones twice;
+        ``hessian(i, j)`` builds H_ij."""
+        return jets.contract(
+            (self.ginv_jets[i][j], hessian(i, j)) + ((2.0,) if i != j else ())
+            for i in range(self.m) for j in range(i, self.m))
+
     def gradient_jets(self, f):
         """Metric gradient of a scalar jet, one component jet per axis."""
-        out = []
-        for i in range(self.m):
-            acc = None
-            for j in range(self.m):
-                term = self.ginv_jets[i][j] * f.derivative(j)
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        df = [f.derivative(j) for j in range(self.m)]
+        return [jets.contract((self.ginv_jets[i][j], df[j]) for j in range(self.m))
+                for i in range(self.m)]
 
     def scalar_laplacian(self, f):
         """Laplace-Beltrami of a scalar jet, as a jet two orders lower."""
-        acc = None
-        for i in range(self.m):
-            for j in range(i, self.m):
-                t = f.derivative(i).derivative(j)
-                for k in range(self.m):
-                    gk = self.gammaM[i][j][k]
-                    if np.any(gk.coeffs):
-                        t = t - gk * f.derivative(k)
-                term = self.ginv_jets[i][j] * t
-                if i != j:
-                    term = term * 2.0
-                acc = term if acc is None else acc + term
-        return acc
+        df = [f.derivative(k) for k in range(self.m)]
+        return self._metric_trace(lambda i, j: jets.contract(
+            [(df[i].derivative(j),)]
+            + [(self.gammaM[i][j][k], df[k], -1.0) for k in range(self.m)]))
 
     def domain_inner(self, u, v):
         return np.einsum("...ij,...i,...j->...", self.g_val, u, v)
@@ -398,37 +359,22 @@ class MapState:
 
     def dphi_apply(self, vec):
         """Push a domain vector (jet components) through the differential."""
-        out = []
-        for a in range(self.n):
-            acc = None
-            for i in range(self.m):
-                term = vec[i] * self.Dphi[i][a]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        return [jets.contract((vec[i], self.Dphi[i][a]) for i in range(self.m))
+                for a in range(self.n)]
 
     def covariant_derivative(self, section):
         """Pull-back connection derivative: DS[j][c] = (nabla^phi_j S)^c."""
-        out = []
-        for j in range(self.m):
-            row = []
-            for c in range(self.n):
-                acc = section[c].derivative(j)
-                for b in range(self.n):
-                    q = self.Q_jets[j][c][b]
-                    if np.any(q.coeffs):
-                        acc = acc + q * section[b]
-                row.append(acc)
-            out.append(row)
-        return out
+        return [[jets.contract([(section[c].derivative(j),)]
+                               + [(self.Q_jets[j][c][b], section[b])
+                                  for b in range(self.n)])
+                 for c in range(self.n)] for j in range(self.m)]
 
     def directional_covariant(self, vec, section):
         """Values of nabla^phi_Y S for a domain vector Y."""
         ds = self.covariant_derivative(section)
-        dsval = np.stack([np.stack([ds[j][c].value for c in range(self.n)], axis=-1)
-                          for j in range(self.m)], axis=-2)
+        dsval = jets.stack_values(ds)
         if isinstance(vec[0], jets.Jet):
-            yv = np.stack([v.value for v in vec], axis=-1)
+            yv = jets.stack_values(vec)
         else:
             yv = np.stack([np.broadcast_to(np.asarray(v, dtype=float),
                                            self.batch_shape) for v in vec], axis=-1)
@@ -440,59 +386,47 @@ class MapState:
             raise GeometryInputError("trace_laplacian needs order-2 section jets")
         ds = self.covariant_derivative(section)
         m, n = self.m, self.n
-        dsval = np.stack([np.stack([ds[j][c].value for c in range(n)], axis=-1)
-                          for j in range(m)], axis=-2)
-        dds = np.stack(
-            [np.stack([np.stack([ds[j][c].derivative(i).value for c in range(n)],
-                                axis=-1) for j in range(m)], axis=-2)
-             for i in range(m)], axis=-3)
+        dsval = jets.stack_values(ds)
+        dds = jets.stack_values([[[ds[j][c].derivative(i) for c in range(n)]
+                                  for j in range(m)] for i in range(m)])
         full = dds + np.einsum("...icb,...jb->...ijc", self.Q_val, dsval)
         return (np.einsum("...ij,...ijc->...c", self.ginv_val, full)
                 - np.einsum("...ij,...ijk,...kc->...c", self.ginv_val,
-                            self.gammaM_val, dsval))
+                            self.gammaM_val, dsval, optimize=True))
 
     def curvature_trace(self, section_values):
         """Values of Trace_g R^N(dphi, S) dphi."""
         if self.RN is None:
             raise GeometryInputError("curvature trace needs jet order >= 3")
+        # optimize=True picks a pairwise contraction order; the default
+        # loops over all six summed indices at once, about 40x slower here
         return np.einsum("...ij,...ia,...b,...jk,...ckab->...c", self.ginv_val,
-                         self.dphi, section_values, self.dphi, self.RN)
+                         self.dphi, section_values, self.dphi, self.RN,
+                         optimize=True)
 
     def jacobi_of(self, section):
         """J(S) = -Trace nabla^2 S + Trace R^N(dphi, S) dphi, as values."""
-        sval = np.stack([s.value for s in section], axis=-1)
-        return self.curvature_trace(sval) - self.trace_laplacian(section)
+        return (self.curvature_trace(jets.stack_values(section))
+                - self.trace_laplacian(section))
 
     # -- tension and bitension ----------------------------------------------------
 
     @property
     def tension_jets(self):
         if self._tension is None:
-            comps = []
-            for c in range(self.n):
-                acc = None
-                for i in range(self.m):
-                    for j in range(i, self.m):
-                        t = self.Dphi[i][c].derivative(j)
-                        for k in range(self.m):
-                            gk = self.gammaM[i][j][k]
-                            if np.any(gk.coeffs):
-                                t = t - gk * self.Dphi[k][c]
-                        for b in range(self.n):
-                            qb = self.Q_jets[i][c][b]
-                            if np.any(qb.coeffs):
-                                t = t + qb * self.Dphi[j][b]
-                        term = self.ginv_jets[i][j] * t
-                        if i != j:
-                            term = term * 2.0
-                        acc = term if acc is None else acc + term
-                comps.append(acc)
-            self._tension = comps
+            m, n, D = self.m, self.n, self.Dphi
+            # (nabla dphi)_ij^c = d_j dphi_i^c - Gamma^k_ij dphi_k^c
+            #                     + Q_i^c_b dphi_j^b
+            self._tension = [self._metric_trace(lambda i, j: jets.contract(
+                [(D[i][c].derivative(j),)]
+                + [(self.gammaM[i][j][k], D[k][c], -1.0) for k in range(m)]
+                + [(self.Q_jets[i][c][b], D[j][b]) for b in range(n)]))
+                for c in range(n)]
         return self._tension
 
     @property
     def tension_values(self):
-        return np.stack([t.value for t in self.tension_jets], axis=-1)
+        return jets.stack_values(self.tension_jets)
 
     @property
     def bitension_values(self):
@@ -501,9 +435,8 @@ class MapState:
             if self.order < 4:
                 raise GeometryInputError("bitension needs jet order 4")
             tau = self.tension_jets
-            tval = np.stack([t.value for t in tau], axis=-1)
             self._bitension = (self.trace_laplacian(tau)
-                               - self.curvature_trace(tval))
+                               - self.curvature_trace(jets.stack_values(tau)))
         return self._bitension
 
     def compose_codomain_jet(self, jet_y):
@@ -519,7 +452,7 @@ def metric_jets(metric, x, order=2):
     x, batch, variables = _seeds(metric.domain.coords, x, order)
     metric.domain.require(x)
     rows = _sym_matrix_jets(metric, variables, batch, order, "metric")
-    _require_spd(_values_matrix(rows), x, "metric")
+    _require_spd(jets.stack_values(rows), x, "metric")
     return rows
 
 
@@ -527,7 +460,7 @@ def christoffel(metric, x):
     """Christoffel values; ``[..., i, j, k]`` is Gamma^k_ij."""
     rows = metric_jets(metric, x, order=2)
     ginv = _jet_matrix_inverse(_truncated(rows, 1))
-    return _gamma_values(_christoffel_jets(rows, ginv))
+    return jets.stack_values(_christoffel_jets(rows, ginv))
 
 
 def curvature_tensor(metric, x):
@@ -543,11 +476,10 @@ def pullback_metric(phi, h, x):
     phi.domain.require(x)
     pj = _eval_components(phi.components, variables, phi.parameters, batch,
                           phi.domain.dim, 1)
-    y0 = np.stack([p.value for p in pj], axis=-1)
+    y0 = jets.stack_values(pj)
     phi.codomain.require(y0)
-    n = phi.codomain.dim
-    dphi = np.stack([np.stack([pj[a].derivative(i).value for a in range(n)],
-                              axis=-1) for i in range(phi.domain.dim)], axis=-2)
+    dphi = jets.stack_values([[p.derivative(i) for p in pj]
+                              for i in range(phi.domain.dim)])
     hv = _metric_values(h, y0)
     return np.einsum("...ia,...ab,...jb->...ij", dphi, hv, dphi)
 

@@ -20,7 +20,8 @@ pass regardless of batch size.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -304,6 +305,59 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(num_vars={self.num_vars}, order={self.order}, value={self.value!r})"
+
+
+# -- contractions -------------------------------------------------------------
+
+
+def contract(terms):
+    """Sum of products of jets: the one place index contractions are summed.
+
+    ``terms`` yields tuples of factors, each a :class:`Jet` or a plain scalar
+    such as ``2.0`` or ``-1.0``.  The rules, relied on by every contraction in
+    the package:
+
+    * A term with a structurally zero jet factor (no nonzero coefficient) is
+      skipped before any product is formed, so diagonal metrics and flat
+      targets cost no products with their zero entries.
+    * Each kept term is multiplied left to right in the order given, and the
+      kept terms are summed left to right.  Jet products are convolutions
+      whose rounding depends on operand order, so this order is part of the
+      result; ``t - p`` is written as the term ``(..., -1.0)``, which adds
+      the exact negation.
+    * If every term is skipped, the result is a zero jet at the smallest
+      order among all the jet factors, with their broadcast batch shape.
+    """
+    skipped = []
+
+    def kept():
+        for factors in terms:
+            factor_jets = [f for f in factors if isinstance(f, Jet)]
+            if all(f.coeffs.any() for f in factor_jets):
+                yield reduce(operator.mul, factors)
+            else:
+                skipped.extend(factor_jets)
+
+    products = kept()
+    total = next(products, None)
+    if total is None:
+        shape = np.broadcast_shapes(*(f.coeffs.shape[:-1] for f in skipped))
+        return Jet.constant(np.zeros(shape), skipped[0].num_vars,
+                            min(f.order for f in skipped))
+    for p in products:
+        total = total + p
+    return total
+
+
+def stack_values(nested):
+    """Values of a nested list of jets as one array: ``gamma[i][j][k]`` is
+    read at ``[..., i, j, k]``, after the batch axes."""
+    if isinstance(nested, Jet):
+        return nested.value
+    depth, first = 1, nested[0]
+    while not isinstance(first, Jet):
+        depth, first = depth + 1, first[0]
+    return np.stack([stack_values(e) for e in nested], axis=-depth)
 
 
 # -- public functional surface ----------------------------------------------

@@ -8,7 +8,9 @@ Residual checks store the largest residual in ``max_abs`` (absolute) and
 absolute value stays below the tolerance.  Magnitude checks — the ones
 asserting a quantity is bounded AWAY from zero — reuse the same fields for
 the binding (smallest) value and pass when it exceeds the tolerance.
-A check whose evaluation raised stores null residuals and fails.
+A check whose evaluation raised stores null residuals, fails, and carries
+the exception's type and text in ``error``; the field is rendered only when
+it is set, so reports of evaluable checks do not change.
 """
 
 import json
@@ -25,6 +27,7 @@ class CheckRecord:
     tol: float
     passed: bool
     worst_point: tuple  # coordinates of the binding sample, None on failure
+    error: str | None = None  # why evaluation failed, None otherwise
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,26 @@ REPORT_SCHEMA = {
                         "type": ["array", "null"],
                         "items": {"type": "number"},
                     },
+                    "error": {"type": "string"},
                 },
             },
         },
     },
 }
+
+
+def _check_json(c):
+    out = {
+        "name": c.name,
+        "max_abs": c.max_abs,
+        "max_norm": c.max_norm,
+        "tol": c.tol,
+        "pass": c.passed,
+        "worst_point": None if c.worst_point is None else list(c.worst_point),
+    }
+    if c.error is not None:
+        out["error"] = c.error
+    return out
 
 
 def to_json(rep):
@@ -77,18 +95,7 @@ def to_json(rep):
         "case": rep.case,
         "seed": rep.seed,
         "samples": rep.samples,
-        "checks": [
-            {
-                "name": c.name,
-                "max_abs": c.max_abs,
-                "max_norm": c.max_norm,
-                "tol": c.tol,
-                "pass": c.passed,
-                "worst_point": None if c.worst_point is None
-                else list(c.worst_point),
-            }
-            for c in rep.checks
-        ],
+        "checks": [_check_json(c) for c in rep.checks],
         "pass": rep.passed,
     }
     return json.dumps(payload, indent=2)
@@ -108,5 +115,7 @@ def to_text(rep):
         if c.worst_point is not None:
             coords = ", ".join(repr(float(p)) for p in c.worst_point)
             lines.append(f"        at ({coords})")
+        if c.error is not None:
+            lines.append(f"        error: {c.error}")
     lines.append("overall: " + ("PASS" if rep.passed else "FAIL"))
     return "\n".join(lines)

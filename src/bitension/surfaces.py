@@ -20,13 +20,13 @@ _EPSILON = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
 
 
 def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _values(section):
-    return np.stack([s.value for s in section], axis=-1)
+    # cofactor expansion; through jets.contract a flat target's zero
+    # entries cost no products
+    def minor(a, b, c, d):
+        return jets.contract([(m[1][a], m[2][b]), (m[1][c], m[2][d], -1.0)])
+    return jets.contract([(m[0][0], minor(1, 2, 2, 1)),
+                          (m[0][1], minor(0, 2, 2, 0), -1.0),
+                          (m[0][2], minor(0, 1, 1, 0))])
 
 
 class SurfaceData:
@@ -55,28 +55,14 @@ class SurfaceData:
                for b in range(3)] for a in range(3)]
         vol = jets.sqrt(_det3(hx))
         t1, t2 = state.Dphi[0], state.Dphi[1]
-        cross = []
-        for d in range(3):
-            acc = None
-            for p, a, b, s in _EPSILON:
-                if p != d:
-                    continue
-                term = t1[a] * t2[b] * s
-                acc = term if acc is None else acc + term
-            cross.append(vol * acc)
+        cross = [vol * jets.contract((t1[a], t2[b], s)
+                                     for p, a, b, s in _EPSILON if p == d)
+                 for d in range(3)]
         hinv = geometry._jet_matrix_inverse(hx)
-        raw = []
-        for c in range(3):
-            acc = None
-            for d in range(3):
-                term = hinv[c][d] * cross[d]
-                acc = term if acc is None else acc + term
-            raw.append(acc)
-        norm_sq = None
-        for c in range(3):
-            for d in range(3):
-                term = hx[c][d] * raw[c] * raw[d]
-                norm_sq = term if norm_sq is None else norm_sq + term
+        raw = [jets.contract((hinv[c][d], cross[d]) for d in range(3))
+               for c in range(3)]
+        norm_sq = jets.contract((hx[c][d], raw[c], raw[d])
+                                for c in range(3) for d in range(3))
         if np.min(norm_sq.value) <= 1e-12:
             raise GeometryInputError("immersion is rank-deficient at a "
                                      "sample point")
@@ -86,43 +72,28 @@ class SurfaceData:
 
         dxi = state.covariant_derivative(self.normal)
         # A^k_i = -gbar^{kj} <nabla_i xi, dphi_j>_h ; stored as shape[i][k]
-        paired = [[None] * 2 for _ in range(2)]
-        for i in range(2):
-            for j in range(2):
-                acc = None
-                for a in range(3):
-                    for b in range(3):
-                        term = hx[a][b] * dxi[i][a] * state.Dphi[j][b]
-                        acc = term if acc is None else acc + term
-                paired[i][j] = acc
-        self.shape = [[None] * 2 for _ in range(2)]
-        for i in range(2):
-            for k in range(2):
-                acc = None
-                for j in range(2):
-                    term = state.ginv_jets[k][j] * paired[i][j]
-                    acc = term if acc is None else acc + term
-                self.shape[i][k] = -acc
+        paired = [[jets.contract((hx[a][b], dxi[i][a], state.Dphi[j][b])
+                                 for a in range(3) for b in range(3))
+                   for j in range(2)] for i in range(2)]
+        self.shape = [[-jets.contract((state.ginv_jets[k][j], paired[i][j])
+                                      for j in range(2))
+                       for k in range(2)] for i in range(2)]
         self.mean_curvature = (self.shape[0][0] + self.shape[1][1]) * 0.5
-        b2 = None
-        for i in range(2):
-            for k in range(2):
-                term = self.shape[i][k] * self.shape[k][i]
-                b2 = term if b2 is None else b2 + term
-        self.second_form_sq = b2
+        self.second_form_sq = jets.contract(
+            (self.shape[i][k], self.shape[k][i])
+            for i in range(2) for k in range(2))
         self.eta = [self.mean_curvature * self.normal[c] for c in range(3)]
 
     # -- value views -------------------------------------------------------------
 
     @property
     def normal_values(self):
-        return _values(self.normal)
+        return jets.stack_values(self.normal)
 
     @property
     def shape_values(self):
         """A^k_i as [..., i, k]."""
-        return np.stack([np.stack([self.shape[i][k].value for k in range(2)],
-                                  axis=-1) for i in range(2)], axis=-2)
+        return jets.stack_values(self.shape)
 
     @property
     def mean_curvature_values(self):
@@ -135,24 +106,18 @@ class SurfaceData:
 
     @property
     def eta_values(self):
-        return _values(self.eta)
+        return jets.stack_values(self.eta)
 
     # -- tangent algebra ----------------------------------------------------------
 
     def apply_shape(self, vec):
         """Shape operator on a domain vector given by component jets."""
-        out = []
-        for k in range(2):
-            acc = None
-            for i in range(2):
-                term = self.shape[i][k] * vec[i]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        return [jets.contract((self.shape[i][k], vec[i]) for i in range(2))
+                for k in range(2)]
 
     def push_values(self, vec):
         """Target-frame values of dphi applied to domain-vector jets."""
-        return _values(self.state.dphi_apply(vec))
+        return jets.stack_values(self.state.dphi_apply(vec))
 
 
 def surface_data(phi, induced, target_metric, x, iso_tol=1e-8):
@@ -197,18 +162,19 @@ def r3_system_residual(sd, lam, stg, parameters=None):
         raise GeometryInputError("conformal factor must stay positive")
     ln_lam = jets.ln(lam_jet)
     grad_l = stg.gradient_jets(ln_lam)
-    grad_l_val = _values(grad_l)
+    grad_l_val = jets.stack_values(grad_l)
     lap_l = stg.scalar_laplacian(ln_lam).value
     norm_l = stg.domain_inner(grad_l_val, grad_l_val)
 
     H = sd.mean_curvature
     hv = H.value
     grad_h = stg.gradient_jets(H)
-    tangential = (_values(sd.apply_shape(grad_h))
-                  + 0.5 * _values(stg.gradient_jets(H * H))
-                  + 2.0 * hv[..., None] * _values(sd.apply_shape(grad_l)))
+    tangential = (jets.stack_values(sd.apply_shape(grad_h))
+                  + 0.5 * jets.stack_values(stg.gradient_jets(H * H))
+                  + 2.0 * hv[..., None]
+                  * jets.stack_values(sd.apply_shape(grad_l)))
     b2 = lam_jet.value ** 2 * sd.second_form_sq.value
-    cross = stg.domain_inner(grad_l_val, _values(grad_h))
+    cross = stg.domain_inner(grad_l_val, jets.stack_values(grad_h))
     normal = (stg.scalar_laplacian(H).value - hv * b2
               + 2.0 * hv * (lap_l + 2.0 * norm_l) + 4.0 * cross)
     return tangential, normal

@@ -47,6 +47,9 @@ def test_json_matches_schema_and_text_numbers():
         # the text rendering carries the same full-precision numbers
         assert repr(check["max_abs"]) in text
         assert check["name"] in text
+        # evaluable checks carry no error field in either rendering
+        assert "error" not in check
+    assert "error:" not in text
 
 
 def test_unknown_case_and_bad_params():
@@ -100,7 +103,15 @@ def test_unbuildable_state_fails_every_check_that_reads_it():
     for check in rep.checks:
         assert check.max_abs is None and check.max_norm is None
         assert not check.passed and check.worst_point is None
+        # each record carries the build failure's own text
+        assert check.error.startswith(
+            "DomainError: point outside chart domain: [")
     assert not rep.passed
+    payload = json.loads(report.to_json(rep))
+    jsonschema.validate(payload, report.REPORT_SCHEMA)
+    assert all(c["error"] == rep.checks[0].error for c in payload["checks"])
+    text = report.to_text(rep)
+    assert text.count(f"error: {rep.checks[0].error}") == len(kinds)
 
 
 def _single_check_case(run):
@@ -125,6 +136,12 @@ def test_jet_domain_errors_in_an_evaluator_fail_the_check():
     rep = catalog.verify_case(_single_check_case(run), samples=4)
     (check,) = rep.checks
     assert check.max_abs is None and not check.passed and not rep.passed
+    assert check.error == "JetDomainError: sqrt of a nonpositive value"
+    assert "error: JetDomainError: sqrt of a nonpositive value" in \
+        report.to_text(rep)
+    payload = json.loads(report.to_json(rep))
+    jsonschema.validate(payload, report.REPORT_SCHEMA)
+    assert payload["checks"][0]["error"] == check.error
 
 
 def test_degenerate_cylinder_parameters_are_rejected():

@@ -185,6 +185,46 @@ def test_diagonal_metric_inverse_keeps_exact_zeros():
     assert np.max(np.abs(inv[0][0].coeffs - (x3 * x3).coeffs)) < 1e-12
 
 
+def _jet_products(monkeypatch):
+    """Record the operands of every jet-by-jet product from now on."""
+    calls, mul = [], jets.Jet.__mul__
+
+    def recording(a, b):
+        if isinstance(b, jets.Jet):
+            calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", recording)
+    return calls
+
+
+def _structurally_zero(jet):
+    return not np.any(jet.coeffs)
+
+
+def test_tension_makes_no_product_with_a_zero_inverse_entry(monkeypatch):
+    dom, met = half_plane()
+    tgt = ChartDomain(("p", "q"), ((-30.0, 30.0),) * 2)
+    phi = SmoothMap.from_components(dom, tgt, ("x*y + sin(y)", "x^2 - y^3"))
+    state = MapState(phi, met, RiemannianMetric.euclidean(tgt),
+                     dom.sample(8, 3), 4)
+    assert _structurally_zero(state.ginv_jets[0][1])
+    calls = _jet_products(monkeypatch)
+    state.tension_jets
+    assert not any(_structurally_zero(a) or _structurally_zero(b)
+                   for a, b in calls)
+    # flat target: Q vanishes, every dphi entry is nonzero, and g^-1 is
+    # diagonal, so each component costs one product per nonzero Gamma^k_ij
+    # (i <= j) plus one per diagonal g^ii
+    nonzero_gamma = sum(not _structurally_zero(state.gammaM[i][j][k])
+                        for i in range(2) for j in range(i, 2)
+                        for k in range(2))
+    assert nonzero_gamma == 3
+    assert len(calls) == state.n * (nonzero_gamma + state.m)
+    ginv = [e for row in state.ginv_jets for e in row]
+    assert sum(any(a is e for e in ginv) for a, _ in calls) == state.n * state.m
+
+
 def test_map_state_carries_each_jet_at_the_order_it_is_read():
     dom, met = wiggly_metric()
     tgt = ChartDomain(("y1", "y2", "y3"), ((-1.0, 1.0),) * 3)

@@ -163,3 +163,80 @@ def test_general_power_and_jet_exponent():
     assert h.value == pytest.approx(1.7 ** 1.7, rel=1e-13)
     assert h.partial((1,)) == pytest.approx(
         1.7 ** 1.7 * (math.log(1.7) + 1.0), rel=1e-12)
+
+
+# -- contractions ---------------------------------------------------------------
+
+
+def _random_jet(rng, order, batch=(3, 4), dtype=float):
+    coeffs = rng.standard_normal(batch + (len(jets.multi_indices(2, order)),))
+    if dtype is complex:
+        coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+    return Jet(2, order, coeffs)
+
+
+def _zero_jet(order, batch):
+    return Jet(2, order, np.zeros(batch + (len(jets.multi_indices(2, order)),)))
+
+
+def _loop_contraction(terms):
+    """The accumulator loop jets.contract replaces, kept as its reference."""
+    acc = None
+    for factors in terms:
+        term = factors[0]
+        for f in factors[1:]:
+            term = term * f
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def test_contract_is_the_left_to_right_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    a, b = _random_jet(rng, 4), _random_jet(rng, 3)
+    c, z = _random_jet(rng, 2), _random_jet(rng, 4, dtype=complex)
+    terms = [(a, b), (c,), (b, a, -1.0), (z, c, 2.0), (a, z, b)]
+    got = jets.contract(iter(terms))
+    want = _loop_contraction(terms)
+    assert got.order == want.order == 2
+    assert got.coeffs.dtype == want.coeffs.dtype == complex
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_contract_forms_no_product_with_a_zero_factor(monkeypatch):
+    rng = np.random.default_rng(42)
+    a, b = _random_jet(rng, 3), _random_jet(rng, 3)
+    zero = _zero_jet(3, (3, 4))
+    calls = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    got = jets.contract([(a, zero), (zero, b, 2.0), (a, b)])
+    assert len(calls) == 1 and calls[0] == (a, b)
+    assert np.array_equal(got.coeffs, mul(a, b).coeffs)
+
+
+def test_contract_of_skipped_terms_is_a_zero_jet():
+    rng = np.random.default_rng(43)
+    a = _random_jet(rng, 4, batch=(3, 1))
+    got = jets.contract([(a, _zero_jet(2, (1, 5))),
+                         (_zero_jet(3, (3, 5)), 2.0, a)])
+    assert got.order == 2 and got.num_vars == 2
+    assert got.coeffs.shape == (3, 5, len(jets.multi_indices(2, 2)))
+    assert not np.any(got.coeffs)
+
+
+def test_stack_values_puts_nest_indices_after_the_batch():
+    batch = (5,)
+    nest = [[[Jet.constant(np.full(batch, 100.0 * i + 10.0 * j + k), 2, 1)
+              for k in range(4)] for j in range(3)] for i in range(2)]
+    vals = jets.stack_values(nest)
+    assert vals.shape == batch + (2, 3, 4)
+    for i in range(2):
+        for j in range(3):
+            for k in range(4):
+                assert np.all(vals[:, i, j, k] == 100.0 * i + 10.0 * j + k)
+    assert np.array_equal(jets.stack_values(nest[1][2]), vals[:, 1, 2, :])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bitension import conformal, geometry, surfaces
+from bitension import catalog, conformal, geometry, jets, surfaces
 from bitension.charts import ChartDomain, RiemannianMetric, SmoothMap
 from bitension.geometry import GeometryInputError, MapState
 
@@ -99,6 +99,38 @@ def test_paraboloid_closed_forms():
     # the shape operator is self-adjoint for the induced metric
     paired = np.einsum("...ik,...kj->...ij", sd.shape_values, gram)
     assert np.max(np.abs(paired - np.swapaxes(paired, -1, -2))) < 1e-11
+
+
+def test_flat_target_surface_makes_no_product_with_a_zero_entry(monkeypatch):
+    case = catalog.build_case("r2_wrap_r3")
+    phi, _, h = case.geometry
+    # the wrap is isometric for the flat metric of its parameter plane
+    state = MapState(phi, RiemannianMetric.euclidean(case.domain), h,
+                     case.domain.sample(8, 3), 4)
+    inverses, invert = [], geometry._jet_matrix_inverse
+
+    def recording_inverse(rows):
+        inverses.append(invert(rows))
+        return inverses[-1]
+
+    monkeypatch.setattr(geometry, "_jet_matrix_inverse", recording_inverse)
+    calls, mul = [], jets.Jet.__mul__
+
+    def recording_mul(a, b):
+        if isinstance(b, jets.Jet):
+            calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", recording_mul)
+    sd = surfaces.SurfaceData(state)
+    (hinv,) = inverses
+    zeros = [e for rows in (sd._hx, hinv, state.ginv_jets) for row in rows
+             for e in row if not np.any(e.coeffs)]
+    assert len(zeros) == 6 + 6 + 2  # every off-diagonal entry
+    assert calls
+    assert not any(a is z or b is z for a, b in calls for z in zeros)
+    # the normal of the wrapped cylinder is radial: (cos, sin, 0)
+    assert not np.any(sd.normal[2].coeffs)
 
 
 def test_surface_rejects_bad_input():
