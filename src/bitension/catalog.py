@@ -75,6 +75,12 @@ class _SharedStates:
         return self._get("section", (phi, g, h),
                          lambda: weierstrass.section_of(self.map(phi, g, h)))
 
+    def r3(self, phi, induced, h, g, lam, bindings):
+        return self._get("r3", (phi, induced, h, g, lam, bindings),
+                         lambda: surfaces.r3_system_residual(
+                             self.surface(phi, induced, h), lam,
+                             self.map(phi, g, h), parameters=bindings))
+
 
 def _tension_eval(phi, g, h):
     def run(states):
@@ -106,23 +112,16 @@ def _recovery_eval(phi, g, h, expected_of_pts):
 
 
 def _r3_evals(phi, induced, h, lam_src, g, bindings):
-    def tangential(states):
-        sd = states.surface(phi, induced, h)
-        tan, _ = surfaces.r3_system_residual(sd, lam_src,
-                                             states.map(phi, g, h),
-                                             parameters=bindings)
-        v = np.sqrt(np.sum(tan ** 2, axis=-1))
-        return v, v / (1.0 + np.abs(sd.mean_curvature_values))
+    # both checks read one residual computation per verify_case
+    def check(part, size):
+        def run(states):
+            v = size(states.r3(phi, induced, h, g, lam_src, bindings)[part])
+            hv = states.surface(phi, induced, h).mean_curvature_values
+            return v, v / (1.0 + np.abs(hv))
+        return run
 
-    def normal(states):
-        sd = states.surface(phi, induced, h)
-        _, nor = surfaces.r3_system_residual(sd, lam_src,
-                                             states.map(phi, g, h),
-                                             parameters=bindings)
-        v = np.abs(nor)
-        return v, v / (1.0 + np.abs(sd.mean_curvature_values))
-
-    return tangential, normal
+    return (check(0, lambda tan: np.sqrt(np.sum(tan ** 2, axis=-1))),
+            check(1, np.abs))
 
 
 def _w1_eval(phi, g, h):
@@ -478,8 +477,8 @@ def verify_case(case, samples=64, seed=7, tol=None):
     ``tol`` overrides the tolerance of residual ("max") checks only;
     magnitude checks keep their own bounds.  The checks share one map state
     per (map, domain metric, target metric), so a state that cannot be built
-    fails every check that reads it.  Evaluation errors become failed checks
-    rather than crashes; the record's ``error`` says what was raised.
+    fails every check that reads it.  Evaluation errors, overflow included,
+    become failed checks; the record's ``error`` says what was raised.
     """
     pts = case.domain.sample(samples, seed)
     states = _SharedStates(pts)
@@ -487,7 +486,8 @@ def verify_case(case, samples=64, seed=7, tol=None):
     for exp, evaluate in case._entries:
         use_tol = exp.tol if (tol is None or exp.mode == "min") else float(tol)
         try:
-            val_abs, val_norm = evaluate(states)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                val_abs, val_norm = evaluate(states)
         except _EVALUATION_ERRORS as err:
             records.append(CheckRecord(exp.check, None, None, use_tol, False,
                                        None, f"{type(err).__name__}: {err}"))

@@ -26,9 +26,7 @@ functions are thin wrappers that build a state and extract one quantity.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -76,30 +74,37 @@ def _eval_components(components, variables, parameters, batch_shape, num_vars, o
 
 
 def _sym_matrix_jets(metric, variables, batch_shape, order, what):
-    m = metric.dim
-    rows = [_eval_components(metric.components[i], variables, metric.parameters,
-                             batch_shape, m, order) for i in range(m)]
+    """Component jets of a metric; entries (i, j) and (j, i) with the same
+    expression share one jet, others are evaluated and compared."""
+    m, comps = metric.dim, metric.components
+    rows = []
+    for i in range(m):
+        rows.append([rows[j][i] if j < i and comps[i][j] == comps[j][i] else
+                     _eval_components([comps[i][j]], variables, metric.parameters,
+                                      batch_shape, m, order)[0] for j in range(m)])
     for i in range(m):
         for j in range(i + 1, m):
             a, b = rows[i][j].coeffs, rows[j][i].coeffs
-            scale = 1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)))
-            if np.max(np.abs(a - b)) > 1e-9 * scale:
+            if a is not b and np.max(np.abs(a - b)) > 1e-9 * (
+                    1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)))):
                 raise MetricError(
                     f"{what} components ({i},{j}) and ({j},{i}) disagree")
     return rows
 
 
+def _float_values(components, coords, parameters, x):
+    """Plain float evaluation of expressions at points ``x``, stacked on a
+    last axis."""
+    ctx = expr.EvalContext({c: x[..., a] for a, c in enumerate(coords)}, parameters)
+    return np.stack([np.broadcast_to(np.asarray(expr.evaluate(comp, ctx), dtype=float),
+                                     x.shape[:-1]) for comp in components], axis=-1)
+
+
 def _metric_values(metric, y):
     """Plain float evaluation of the component matrix at points ``y``."""
-    batch = y.shape[:-1]
-    ctx = expr.EvalContext({c: y[..., a] for a, c in enumerate(metric.domain.coords)},
-                           metric.parameters)
-    vals = np.empty(batch + (metric.dim, metric.dim))
-    for i in range(metric.dim):
-        for j in range(metric.dim):
-            v = np.asarray(expr.evaluate(metric.components[i][j], ctx), dtype=float)
-            vals[..., i, j] = np.broadcast_to(v, batch)
-    return vals
+    flat = _float_values([c for row in metric.components for c in row],
+                         metric.domain.coords, metric.parameters, y)
+    return flat.reshape(y.shape[:-1] + (metric.dim, metric.dim))
 
 
 def _require_spd(values, x, what):
@@ -166,11 +171,9 @@ def _christoffel_jets(gj, ginv):
     for i in range(m):
         for j in range(i, m):
             for k in range(m):
-                val = jets.contract(
+                out[i][j][k] = out[j][i][k] = jets.contract(
                     (ginv[k][l], dg[j][l][i] + dg[i][l][j] - dg[i][j][l])
                     for l in range(m)) * 0.5
-                out[i][j][k] = val
-                out[j][i][k] = val
     return out
 
 
@@ -191,45 +194,6 @@ def _curvature_values(gamma):
     t3 = np.einsum("...ipl,...jkp->...lkij", gv, gv)
     t4 = np.einsum("...jpl,...ikp->...lkij", gv, gv)
     return t1 - t2 + t3 - t4
-
-
-def _compose_to_x(jet_y, phi_jets):
-    """Compose a jet in target coordinates with the map's coordinate jets.
-
-    Works by expanding the target-side Taylor polynomial monomial by monomial
-    in the value-free parts of the map jets; exact through the target jet's
-    own order.
-    """
-    q = jet_y.order
-    m = phi_jets[0].num_vars
-    if q == 0:
-        return jets.Jet.constant(jet_y.value, m, 0)
-    n = jet_y.num_vars
-    centered = []
-    for pj in phi_jets:
-        t = pj.truncated(q)
-        c = np.array(t.coeffs)
-        c[..., 0] = 0.0
-        centered.append(jets.Jet(m, q, c))
-    pows = []
-    for a in range(n):
-        row = [None] * (q + 1)
-        row[1] = centered[a]
-        for k in range(2, q + 1):
-            row[k] = row[k - 1] * centered[a]
-        pows.append(row)
-    mids = jets.multi_indices(n, q)
-    batch = np.broadcast_shapes(jet_y.coeffs.shape[:-1], centered[0].coeffs.shape[:-1])
-    out = np.zeros(batch + (centered[0].coeffs.shape[-1],))
-    out[..., 0] = jet_y.coeffs[..., 0]
-    for pos in range(1, len(mids)):
-        coef = jet_y.coeffs[..., pos]
-        if not np.any(coef):
-            continue
-        mono = reduce(operator.mul,
-                      [pows[a][d] for a, d in enumerate(mids[pos]) if d])
-        out += coef[..., None] * mono.coeffs
-    return jets.Jet(m, q, out)
 
 
 # -- the per-point engine -------------------------------------------------------
@@ -296,14 +260,11 @@ class MapState:
         hinv_y = _jet_matrix_inverse(_truncated(self.h_yjets, yorder - 1))
         self.gammaN_y = _christoffel_jets(self.h_yjets, hinv_y)
 
-        gnx = [[[None] * n for _ in range(n)] for _ in range(n)]
+        monos = jets.Monomials(self.phi_jets, yorder - 1)
+        gnx = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                for c in range(n):
-                    j = _compose_to_x(self.gammaN_y[a][b][c], self.phi_jets)
-                    gnx[a][b][c] = j
-                    gnx[b][a][c] = j
-        self.gammaN_x = gnx
+                gnx[a][b] = gnx[b][a] = [jets.compose(j, monos) for j in self.gammaN_y[a][b]]
 
         self.Q_jets = [[[jets.contract((gnx[a][b][c], self.Dphi[i][a])
                                        for a in range(n))
@@ -319,18 +280,17 @@ class MapState:
     def scalar_jet(self, source, parameters=None):
         """Jet of a scalar expression in the domain coordinates."""
         node = expr.parse(source) if isinstance(source, str) else source
-        v = expr.evaluate(node, expr.EvalContext(self._xvars, parameters or {}))
-        if isinstance(v, jets.Jet):
-            return v
-        arr = np.broadcast_to(np.asarray(v, dtype=float), self.batch_shape)
-        return jets.Jet.constant(arr, self.m, self.order)
+        return _eval_components([node], self._xvars, parameters or {},
+                                self.batch_shape, self.m, self.order)[0]
 
     def _metric_trace(self, hessian):
         """g^ij H_ij over the symmetric pairs i <= j, off-diagonal ones twice;
-        ``hessian(i, j)`` builds H_ij."""
+        ``hessian(i, j)`` builds H_ij, only where g^ij is not structurally
+        zero (the diagonal of an SPD inverse never is)."""
         return jets.contract(
             (self.ginv_jets[i][j], hessian(i, j)) + ((2.0,) if i != j else ())
-            for i in range(self.m) for j in range(i, self.m))
+            for i in range(self.m) for j in range(i, self.m)
+            if self.ginv_jets[i][j].coeffs.any())
 
     def gradient_jets(self, f):
         """Metric gradient of a scalar jet, one component jet per axis."""
@@ -438,10 +398,6 @@ class MapState:
             self._bitension = (self.trace_laplacian(tau)
                                - self.curvature_trace(jets.stack_values(tau)))
         return self._bitension
-
-    def compose_codomain_jet(self, jet_y):
-        """Compose a jet in target coordinates with this state's map jets."""
-        return _compose_to_x(jet_y, self.phi_jets)
 
 
 # -- public one-shot operators ---------------------------------------------------
@@ -556,14 +512,6 @@ def bienergy(phi, g, h, nodes=32):
     return float(0.5 * np.sum(w * state.target_inner(tau, tau) * state.sqrt_det_g))
 
 
-def _field_values(field, coords, x):
-    ctx = expr.EvalContext({c: x[..., i] for i, c in enumerate(coords)},
-                           field.parameters)
-    vals = [np.broadcast_to(np.asarray(expr.evaluate(comp, ctx), dtype=float),
-                            x.shape[:-1]) for comp in field.components]
-    return np.stack(vals, axis=-1)
-
-
 def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
     """Slope of E2 along a variation field versus its bitension pairing.
 
@@ -593,7 +541,8 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
     grid, w = _quad_grid(phi.domain.box, nodes)
     state = MapState(phi, g, h, grid, 4)
     tau2 = state.bitension_values
-    vvals = _field_values(field, phi.domain.coords, grid)
+    vvals = _float_values(field.components, phi.domain.coords,
+                          field.parameters, grid)
     pairing = float(np.sum(w * state.target_inner(tau2, vvals) * state.sqrt_det_g))
     return {"slope": float(slope), "slope_half": float(slope_half),
             "pairing": pairing}

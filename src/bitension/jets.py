@@ -16,6 +16,11 @@ Arithmetic truncates to the smaller operand order; differentiating drops the
 order by one.  Products are convolutions driven by a precomputed pair table
 and ``np.add.reduceat``, keeping the per-operation cost one vectorized numpy
 pass regardless of batch size.
+
+Taylor composition (the elementary functions, target-side jets pulled back
+through a map) is done in one place: :func:`compose` sums the outer
+coefficients against a :class:`Monomials` set of the inner jets; the two
+docstrings fix the product and summation order.
 """
 from __future__ import annotations
 
@@ -233,16 +238,8 @@ class Jet:
 
     def _compose(self, taylor):
         """sum_k taylor[k] * (self - value)^k, taylor[k] ~ f^(k)(value)/k!."""
-        uhat = Jet(self.num_vars, self.order, self.coeffs.copy())
-        uhat.coeffs[..., 0] = 0.0
-        out = np.zeros_like(self.coeffs)
-        out[..., 0] = taylor[0]
-        acc = uhat
-        for k in range(1, self.order + 1):
-            out = out + np.asarray(taylor[k], dtype=float)[..., None] * acc.coeffs
-            if k < self.order:
-                acc = acc * uhat
-        return Jet(self.num_vars, self.order, out)
+        outer = Jet(1, self.order, np.stack(np.broadcast_arrays(*taylor), axis=-1))
+        return compose(outer, Monomials([self], self.order))
 
     def _reciprocal(self):
         v = self.value
@@ -294,17 +291,68 @@ class Jet:
     def _pow_int(self, k):
         if k < 0:
             return self._pow_int(-k)._reciprocal()
-        out = Jet.constant(np.ones(self.value.shape), self.num_vars, self.order)
-        base = self
+        if k == 0:
+            return Jet.constant(np.ones(self.value.shape), self.num_vars, self.order)
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
         return out
 
     def __repr__(self):
         return f"Jet(num_vars={self.num_vars}, order={self.order}, value={self.value!r})"
+
+
+# -- composition --------------------------------------------------------------
+
+
+class Monomials(dict):
+    """The centred monomials (u - u(0))^alpha of a list of inner jets.
+
+    ``monos[p]`` is the monomial of the ``p``-th multi-index of
+    :func:`multi_indices` in ``len(inner)`` variables, a jet at ``order``.
+    It is built on first read and kept, so one set serves every outer jet
+    composed against it.  Per variable the powers are ``p[k] = p[k-1] * u``;
+    a monomial is the product of its variables' powers, left to right.
+    """
+
+    def __init__(self, inner, order):
+        self.num_vars, self.order = inner[0].num_vars, order
+        self.batch_shape = inner[0].coeffs.shape[:-1]
+        self._mids = multi_indices(len(inner), order)
+        # per variable [None, u - u(0), (u - u(0))^2, ...], grown on demand
+        self._powers = [[None, u.truncated(order) - u.value] for u in inner]
+
+    def __missing__(self, pos):
+        factors = []
+        for row, k in zip(self._powers, self._mids[pos]):
+            while len(row) <= k:
+                row.append(row[-1] * row[1])
+            factors += [row[k]] if k else []
+        self[pos] = reduce(operator.mul, factors)
+        return self[pos]
+
+
+def compose(outer, monos):
+    """The outer jet, a Taylor polynomial about the inner values, composed
+    with the inner jets of ``monos``: a real jet at ``monos.order`` (at most
+    the outer order).
+
+    The constant term is set first, then ``c_alpha * monos[alpha]`` is added
+    one multi-index at a time in graded order.  A multi-index whose
+    coefficient is zero at every batch point is skipped, so its monomial is
+    never built and a constant outer jet costs no product.
+    """
+    c = outer.coeffs
+    shape = np.broadcast_shapes(c.shape[:-1], monos.batch_shape)
+    out = np.zeros(shape + (_ncoef(monos.num_vars, monos.order),))
+    out[..., 0] = c[..., 0]
+    for pos in range(1, _ncoef(outer.num_vars, monos.order)):
+        if c[..., pos].any():
+            out += c[..., pos, None] * monos[pos].coeffs
+    return Jet(monos.num_vars, monos.order, out)
 
 
 # -- contractions -------------------------------------------------------------

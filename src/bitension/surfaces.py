@@ -43,7 +43,8 @@ class SurfaceData:
             raise GeometryInputError("surface machinery needs a 2d domain "
                                      f"and a 3d target, got {state.m} -> "
                                      f"{state.n}")
-        pullback = geometry.pullback_metric(state.phi, state.h, state.x)
+        pullback = np.einsum("...ia,...ab,...jb->...ij", state.dphi,
+                             state.hN_val, state.dphi)
         gap = np.max(np.abs(pullback - state.g_val)
                      / (1.0 + np.abs(state.g_val)))
         if gap > iso_tol:
@@ -51,8 +52,8 @@ class SurfaceData:
                                      f"the immersion pullback (off by {gap:g})")
         self.state = state
 
-        hx = [[state.compose_codomain_jet(state.h_yjets[a][b])
-               for b in range(3)] for a in range(3)]
+        monos = jets.Monomials(state.phi_jets, state.order - 1)
+        hx = [[jets.compose(e, monos) for e in row] for row in state.h_yjets]
         vol = jets.sqrt(_det3(hx))
         t1, t2 = state.Dphi[0], state.Dphi[1]
         cross = [vol * jets.contract((t1[a], t2[b], s)

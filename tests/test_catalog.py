@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bitension import catalog, jets, report
+from bitension import catalog, jets, report, surfaces
 from bitension.charts import ChartDomain, DomainError, RiemannianMetric, \
     SmoothMap
 from bitension.geometry import MapState
@@ -112,6 +112,34 @@ def test_unbuildable_state_fails_every_check_that_reads_it():
     assert all(c["error"] == rep.checks[0].error for c in payload["checks"])
     text = report.to_text(rep)
     assert text.count(f"error: {rep.checks[0].error}") == len(kinds)
+
+
+def test_overflow_is_reported_as_a_floating_point_error():
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q"), ((-2.0, 2.0),) * 2)
+    phi = SmoothMap.from_components(dom, tgt, ("exp(800*u)", "v"))
+    case = catalog.custom_case(
+        "overflow", phi, RiemannianMetric.euclidean(dom),
+        RiemannianMetric.euclidean(tgt),
+        [("tension_zero", None), ("bitension_zero", None)])
+    rep = catalog.verify_case(case)
+    for check in rep.checks:
+        assert check.max_abs is None and not check.passed
+        assert check.error == "FloatingPointError: overflow encountered in exp"
+
+
+def test_r3_checks_share_one_residual(monkeypatch):
+    calls = []
+    residual = surfaces.r3_system_residual
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "r3_system_residual", counting)
+    rep = catalog.verify_case(catalog.build_case("cylinder_family"))
+    assert {"r3_tangential", "r3_normal"} <= {c.name for c in rep.checks}
+    assert rep.passed and len(calls) == 1
 
 
 def _single_check_case(run):

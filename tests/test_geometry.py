@@ -214,13 +214,12 @@ def test_tension_makes_no_product_with_a_zero_inverse_entry(monkeypatch):
     assert not any(_structurally_zero(a) or _structurally_zero(b)
                    for a, b in calls)
     # flat target: Q vanishes, every dphi entry is nonzero, and g^-1 is
-    # diagonal, so each component costs one product per nonzero Gamma^k_ij
-    # (i <= j) plus one per diagonal g^ii
-    nonzero_gamma = sum(not _structurally_zero(state.gammaM[i][j][k])
-                        for i in range(2) for j in range(i, 2)
-                        for k in range(2))
-    assert nonzero_gamma == 3
-    assert len(calls) == state.n * (nonzero_gamma + state.m)
+    # diagonal, so H_ij is built only for i = j: each component costs one
+    # product per nonzero Gamma^k_ii plus one per diagonal g^ii
+    nonzero_gamma = sum(not _structurally_zero(state.gammaM[i][i][k])
+                        for i in range(2) for k in range(2))
+    assert nonzero_gamma == 2
+    assert len(calls) == state.n * (nonzero_gamma + state.m) == 8
     ginv = [e for row in state.ginv_jets for e in row]
     assert sum(any(a is e for e in ginv) for a, _ in calls) == state.n * state.m
 
@@ -254,6 +253,15 @@ def test_metric_symmetry_violation_raises():
         geometry.christoffel(met, dom.sample(4, 1))
 
 
+def test_mirror_entries_with_one_expression_share_a_jet():
+    dom = ChartDomain(("x1", "x2"), ((-1.0, 1.0),) * 2)
+    met = RiemannianMetric.from_components(
+        dom, [["2", "x1*x2"], ["x1*x2", "2"]])
+    rows = geometry.metric_jets(met, dom.sample(4, 1))
+    assert rows[1][0] is rows[0][1]
+    assert rows[0][0] is not rows[1][1]
+
+
 def test_metric_not_positive_definite_raises():
     dom = ChartDomain(("x1", "x2"), ((-1.0, 1.0),) * 2)
     met = RiemannianMetric.from_components(dom, [["1", "0"], ["0", "x1"]])
@@ -275,9 +283,58 @@ def test_compose_codomain_jet_matches_substitution():
               for a, name in enumerate(tgt.coords)}
     jy = expr.evaluate(expr.parse("sin(y1) + y1*y2^2"),
                        expr.EvalContext(yseeds))
-    composed = st.compose_codomain_jet(jy)
+    composed = jets.compose(jy, jets.Monomials(st.phi_jets, 3))
     direct = st.scalar_jet("sin(sin(x1)) + sin(x1)*(x1*x2)^2").truncated(3)
     assert np.max(np.abs(composed.coeffs - direct.coeffs)) < 1e-12
+
+
+def _pullback_products(monkeypatch):
+    """Count the jet products made inside jets.compose from now on, for
+    outer jets in more than one variable (the elementary functions compose
+    univariate ones)."""
+    calls, mul, compose = [], jets.Jet.__mul__, jets.compose
+    inside = []
+
+    def recording(a, b):
+        if inside and inside[-1] and isinstance(b, jets.Jet):
+            calls.append((a, b))
+        return mul(a, b)
+
+    def composing(outer, monos):
+        inside.append(outer.num_vars > 1)
+        try:
+            return compose(outer, monos)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(jets.Jet, "__mul__", recording)
+    monkeypatch.setattr(jets, "compose", composing)
+    return calls
+
+
+def test_target_pullback_products_do_not_grow_with_nonconstant_jets(
+        monkeypatch):
+    dom = ChartDomain(("x1", "x2"), ((-0.5, 0.5),) * 2)
+    tgt = ChartDomain(("y1", "y2", "y3"), ((-2.0, 2.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("x1", "x2", "x1*x2"))
+    g = RiemannianMetric.euclidean(dom)
+    # both targets vary along y1 only, so both read the monomials of y1
+    # alone; the conformal one has more nonconstant Christoffel jets
+    fewer = RiemannianMetric.from_components(
+        tgt, [["1", "0", "0"], ["0", "2+y1", "0"], ["0", "0", "1"]])
+    more = RiemannianMetric.conformally_flat(tgt, "2+y1")
+    pts = dom.sample(5, 3)
+    nonconstant, products = [], []
+    for h in (fewer, more):
+        calls = _pullback_products(monkeypatch)
+        state = MapState(phi, g, h, pts, 4)
+        nonconstant.append(sum(not e.is_constant() for ab in state.gammaN_y
+                               for b in ab for e in b))
+        products.append(len(calls))
+        monkeypatch.undo()
+    assert nonconstant == [2, 7]
+    # one product, u1 * u1, for the one monomial of degree 2 read
+    assert products == [1, 1]
 
 
 # -- tension fields ---------------------------------------------------------------

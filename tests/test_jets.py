@@ -240,3 +240,109 @@ def test_stack_values_puts_nest_indices_after_the_batch():
             for k in range(4):
                 assert np.all(vals[:, i, j, k] == 100.0 * i + 10.0 * j + k)
     assert np.array_equal(jets.stack_values(nest[1][2]), vals[:, 1, 2, :])
+
+
+# -- composition ------------------------------------------------------------------
+
+
+def _loop_compose(u, taylor):
+    """The univariate loop Jet._compose used to run, kept as its reference:
+    sum_k taylor[k] * (u - u(0))^k with the powers built by repeated
+    multiplication."""
+    uhat = Jet(u.num_vars, u.order, u.coeffs.copy())
+    uhat.coeffs[..., 0] = 0.0
+    out = np.zeros_like(u.coeffs)
+    out[..., 0] = taylor[0]
+    acc = uhat
+    for k in range(1, u.order + 1):
+        out = out + np.asarray(taylor[k], dtype=float)[..., None] * acc.coeffs
+        if k < u.order:
+            acc = acc * uhat
+    return out
+
+
+_TAYLOR = {
+    "exp": lambda v: [np.exp(v), np.exp(v), np.exp(v) / 2.0, np.exp(v) / 6.0,
+                      np.exp(v) / 24.0],
+    "sin": lambda v: [np.sin(v), np.cos(v), -np.sin(v) / 2.0,
+                      -np.cos(v) / 6.0, np.sin(v) / 24.0],
+    "sqrt": lambda v: [np.sqrt(v), 0.5 / np.sqrt(v),
+                       -1.0 / (8.0 * np.sqrt(v) * v),
+                       1.0 / (16.0 * np.sqrt(v) * v * v),
+                       -5.0 / (128.0 * np.sqrt(v) * v ** 3)],
+    "_reciprocal": lambda v: [1.0 / v, -(1.0 / v) * (1.0 / v), (1.0 / v) ** 3,
+                              -((1.0 / v) ** 4), (1.0 / v) ** 5],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAYLOR))
+@pytest.mark.parametrize("order", range(5))
+def test_univariate_composition_is_the_old_loop_bit_for_bit(name, order):
+    rng = np.random.default_rng(44)
+    u = _random_jet(rng, order)
+    u.coeffs[..., 0] = rng.uniform(0.5, 2.0, u.value.shape)
+    got = getattr(u, name)()
+    want = _loop_compose(u, _TAYLOR[name](u.value)[: order + 1])
+    assert got.order == order
+    assert np.array_equal(got.coeffs, want)
+
+
+def test_monomials_are_products_of_powers_in_graded_order():
+    rng = np.random.default_rng(45)
+    inner = [_random_jet(rng, 4), _random_jet(rng, 3), _random_jet(rng, 4)]
+    monos = jets.Monomials(inner, 3)
+    centred = [Jet(2, 3, np.concatenate(
+        [np.zeros((3, 4, 1)), u.truncated(3).coeffs[..., 1:]], axis=-1))
+        for u in inner]
+    for pos, alpha in enumerate(jets.multi_indices(3, 3)):
+        if pos == 0:
+            continue
+        want = None
+        for var, k in enumerate(alpha):
+            if k:
+                power = centred[var]
+                for _ in range(k - 1):
+                    power = power * centred[var]
+                want = power if want is None else want * power
+        assert monos[pos].order == 3
+        assert np.array_equal(monos[pos].coeffs, want.coeffs)
+
+
+def _counting_products(monkeypatch):
+    calls, mul = [], Jet.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Jet):
+            calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    return calls
+
+
+def test_composing_a_constant_outer_jet_makes_no_product(monkeypatch):
+    rng = np.random.default_rng(46)
+    inner = [_random_jet(rng, 4), _random_jet(rng, 4)]
+    outer = Jet.constant(rng.standard_normal((3, 4)), 2, 4)
+    calls = _counting_products(monkeypatch)
+    got = jets.compose(outer, jets.Monomials(inner, 4))
+    assert calls == []
+    assert got.order == 4 and np.array_equal(got.coeffs, outer.coeffs)
+
+
+def test_integer_powers_start_from_the_base(monkeypatch):
+    rng = np.random.default_rng(47)
+    b = _random_jet(rng, 4)
+    calls = _counting_products(monkeypatch)
+    for k, products in zip(range(1, 6), (0, 1, 2, 2, 3)):
+        calls.clear()
+        got = b ** k
+        assert len(calls) == products
+        want = b
+        for _ in range(k - 1):
+            want = want * b
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-13,
+                                   atol=1e-13)
+    assert np.array_equal((b ** 1).coeffs, b.coeffs)
+    assert np.array_equal((b ** 0).coeffs[..., 0], np.ones((3, 4)))
+    assert not np.any((b ** 0).coeffs[..., 1:])
