@@ -182,17 +182,20 @@ def _cmd_weierstrass_check(args):
         label = cfg.name
     seed = _resolve_seed(args.seed)
     pts = phi.domain.sample(args.samples, seed)
-    try:
-        ws = weierstrass.section(phi, g, h, pts)
-    except GeometryInputError as err:
-        print(f"not checkable this way: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    w1, w2 = weierstrass.conformality_sums(ws)
-    w3 = weierstrass.w3_residual(ws)
-    w1_max = float(np.max(np.abs(w1)))
-    w2_min = float(np.min(w2))
-    w3_max = float(np.max(np.abs(w3)))
-    holo_max = float(np.max(weierstrass.nonholomorphicity(ws)))
+    # overflow and invalid values raise, as in verify_case, so they are
+    # reported as evaluation errors rather than as their downstream effects
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            ws = weierstrass.section(phi, g, h, pts)
+        except GeometryInputError as err:
+            print(f"not checkable this way: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        w1, w2 = weierstrass.conformality_sums(ws)
+        w3 = weierstrass.w3_residual(ws)
+        w1_max = float(np.max(np.abs(w1)))
+        w2_min = float(np.min(w2))
+        w3_max = float(np.max(np.abs(w3)))
+        holo_max = float(np.max(weierstrass.nonholomorphicity(ws)))
     print(f"case: {label}  samples: {args.samples}  seed: {seed}")
     print(f"conformality defect  max |sum phi_a^2|   {w1_max:.6e}")
     print(f"immersion scale      min sum |phi_a|^2   {w2_min:.6e}")

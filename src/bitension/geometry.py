@@ -179,20 +179,12 @@ def _christoffel_jets(gj, ginv):
 
 def _curvature_values(gamma):
     """R[..., l, k, i, j] with R(e_i, e_j) e_k = R^l_{kij} e_l."""
-    n = len(gamma)
     gv = jets.stack_values(gamma)
-    batch = gv.shape[:-3]
-    dg = np.empty(batch + (n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                jet = gamma[i][j][k]
-                for d in range(n):
-                    dg[..., d, i, j, k] = jet.derivative(d).value
-    t1 = np.einsum("...ijkl->...lkij", dg)
-    t2 = np.einsum("...jikl->...lkij", dg)
-    t3 = np.einsum("...ipl,...jkp->...lkij", gv, gv)
-    t4 = np.einsum("...jpl,...ikp->...lkij", gv, gv)
+    dg = jets.stack_gradients(gamma)  # d_l Gamma^k_ij at [..., i, j, k, l]
+    t1 = np.einsum("...jkli->...lkij", dg)
+    t2 = np.einsum("...iklj->...lkij", dg)
+    t3 = np.einsum("...ipl,...jkp->...lkij", gv, gv, optimize=True)
+    t4 = np.einsum("...jpl,...ikp->...lkij", gv, gv, optimize=True)
     return t1 - t2 + t3 - t4
 
 
@@ -202,14 +194,15 @@ def _curvature_values(gamma):
 class MapState:
     """Jets of one map between metric charts at a batch of points.
 
-    ``order`` is the Taylor order carried for the map and the domain metric:
-    2 suffices for tension fields, 3 for the Jacobi operator, 4 for bitension
-    fields.  The target metric is expanded to ``order - 1`` around the image
-    points and its Christoffel symbols are pulled back through the map.
+    ``order`` is the Taylor order carried for the map: 2 suffices for
+    tension fields, 3 for the Jacobi operator, 4 for bitension fields.  The
+    target metric is expanded to ``order - 1`` around the image points and
+    its Christoffel symbols are pulled back through the map.
 
-    Other jets are carried at the order they are read at: ``ginv_jets`` at
-    ``order - 1``; ``gammaM``, ``Q_jets`` and the target inverse at
-    ``order - 2``.
+    Other jets are carried at the order they are read at: the domain metric
+    ``g_jets`` (evaluated from seeds truncated to that order) and
+    ``ginv_jets`` at ``order - 1``; ``gammaM``, ``Q_jets`` and the target
+    inverse at ``order - 2``.
 
     Points ``x`` may carry arbitrary leading batch axes; every derived value
     keeps those axes.
@@ -233,14 +226,15 @@ class MapState:
         self.batch_shape = batch
         self._xvars = xvars
 
-        self.g_jets = _sym_matrix_jets(g, xvars, batch, order, "domain metric")
+        gvars = {c: v.truncated(order - 1) for c, v in xvars.items()}
+        self.g_jets = _sym_matrix_jets(g, gvars, batch, order - 1,
+                                       "domain metric")
         self.g_val = jets.stack_values(self.g_jets)
         _require_spd(self.g_val, x, "domain metric")
-        g_low = _truncated(self.g_jets, order - 1)
-        self.ginv_jets = _jet_matrix_inverse(g_low)
+        self.ginv_jets = _jet_matrix_inverse(self.g_jets)
         self.ginv_val = jets.stack_values(self.ginv_jets)
         self.sqrt_det_g = np.sqrt(np.linalg.det(self.g_val))
-        self.gammaM = _christoffel_jets(g_low, self.ginv_jets)
+        self.gammaM = _christoffel_jets(self.g_jets, self.ginv_jets)
         self.gammaM_val = jets.stack_values(self.gammaM)
 
         self.phi_jets = _eval_components(phi.components, xvars, phi.parameters,
@@ -345,10 +339,9 @@ class MapState:
         if min(s.order for s in section) < 2:
             raise GeometryInputError("trace_laplacian needs order-2 section jets")
         ds = self.covariant_derivative(section)
-        m, n = self.m, self.n
         dsval = jets.stack_values(ds)
-        dds = jets.stack_values([[[ds[j][c].derivative(i) for c in range(n)]
-                                  for j in range(m)] for i in range(m)])
+        # d_i (nabla_j S)^c at [..., i, j, c]
+        dds = np.moveaxis(jets.stack_gradients(ds), -1, -3)
         full = dds + np.einsum("...icb,...jb->...ijc", self.Q_val, dsval)
         return (np.einsum("...ij,...ijc->...c", self.ginv_val, full)
                 - np.einsum("...ij,...ijk,...kc->...c", self.ginv_val,

@@ -397,15 +397,35 @@ def contract(terms):
     return total
 
 
+def _stack(nested, leaf, leaf_axes):
+    if isinstance(nested, Jet):
+        return leaf(nested)
+    depth, first = 1 + leaf_axes, nested[0]
+    while not isinstance(first, Jet):
+        depth, first = depth + 1, first[0]
+    return np.stack([_stack(e, leaf, leaf_axes) for e in nested], axis=-depth)
+
+
 def stack_values(nested):
     """Values of a nested list of jets as one array: ``gamma[i][j][k]`` is
     read at ``[..., i, j, k]``, after the batch axes."""
-    if isinstance(nested, Jet):
-        return nested.value
-    depth, first = 1, nested[0]
-    while not isinstance(first, Jet):
-        depth, first = depth + 1, first[0]
-    return np.stack([stack_values(e) for e in nested], axis=-depth)
+    return _stack(nested, lambda jet: jet.value, 0)
+
+
+def _gradient(jet):
+    if jet.order < 1:
+        raise ValueError("cannot differentiate an order-0 jet")
+    return jet.coeffs[..., 1:jet.num_vars + 1]
+
+
+def stack_gradients(nested):
+    """First partials of a nested list of jets as one array: d_l of
+    ``gamma[i][j][k]`` is read at ``[..., i, j, k, l]``.
+
+    These are the degree-1 coefficients, whose derivative weight is exactly
+    1, so each entry equals ``gamma[i][j][k].derivative(l).value``.
+    """
+    return _stack(nested, _gradient, 1)
 
 
 # -- public functional surface ----------------------------------------------

@@ -159,6 +159,18 @@ def test_weierstrass_not_biharmonic_verdict(capsys, tmp_path):
     assert code == 1 and "verdict: not biharmonic" in out
 
 
+def test_weierstrass_reports_overflow_as_an_evaluation_error(capsys,
+                                                              tmp_path):
+    source = next(p for p in CONFIGS if p.stem == "r2_wrap_r3").read_text()
+    huge = tmp_path / "overflow.cfg"
+    huge.write_text(source.replace("exp(y/R)", "exp(800*y)"))
+    code, out, err = run(capsys, "weierstrass", "check",
+                         "--config", str(huge))
+    assert code == cli.EXIT_EVAL
+    assert err == "evaluation error: overflow encountered in exp\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_every_shipped_config_passes(capsys, path):
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path))

@@ -229,20 +229,56 @@ def test_map_state_carries_each_jet_at_the_order_it_is_read():
     tgt = ChartDomain(("y1", "y2", "y3"), ((-1.0, 1.0),) * 3)
     phi = SmoothMap.from_components(dom, tgt, ("x1+0.1*x2^2", "x2", "x3"))
     h = RiemannianMetric.euclidean(tgt)
-    state = MapState(phi, met, h, dom.sample(6, 13), 4)
-    assert all(e.order == 4 for row in state.g_jets for e in row)
+    pts = dom.sample(6, 13)
+    state = MapState(phi, met, h, pts, 4)
+    assert all(e.order == 3 for row in state.g_jets for e in row)
     assert all(e.order == 3 for row in state.ginv_jets for e in row)
     assert all(e.order == 2 for jj in state.gammaM for kk in jj for e in kk)
     # the truncated inputs reproduce a prefix of the untruncated Christoffel
     # jets bit for bit: no coefficient that is read depends on a dropped one
-    full = geometry._christoffel_jets(
-        state.g_jets, geometry._jet_matrix_inverse(state.g_jets))
+    rows = geometry.metric_jets(met, pts, order=4)
+    full = geometry._christoffel_jets(rows, geometry._jet_matrix_inverse(rows))
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 assert full[i][j][k].order == 3
                 assert np.array_equal(state.gammaM[i][j][k].coeffs,
                                       full[i][j][k].truncated(2).coeffs)
+
+
+def _curvature_by_derivatives(gamma):
+    """R[..., l, k, i, j] from one derivative() call per partial."""
+    n = len(gamma)
+    gv = jets.stack_values(gamma)
+    dg = np.empty(gv.shape[:-3] + (n, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for d in range(n):
+                    dg[..., d, i, j, k] = gamma[i][j][k].derivative(d).value
+    return (np.einsum("...ijkl->...lkij", dg)
+            - np.einsum("...jikl->...lkij", dg)
+            + np.einsum("...ipl,...jkp->...lkij", gv, gv)
+            - np.einsum("...jpl,...ikp->...lkij", gv, gv))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_curvature_reads_every_partial_in_one_gather(n, monkeypatch):
+    rng = np.random.default_rng(40 + n)
+    # Gamma^k_ij without the i <-> j symmetry, so a swapped index shows
+    gamma = [[[jets.Jet(n, 2, rng.normal(size=(5, jets._ncoef(n, 2))))
+               for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    want = _curvature_by_derivatives(gamma)
+
+    def refuse(self, axis):
+        raise AssertionError("derivative() called")
+
+    monkeypatch.setattr(jets.Jet, "derivative", refuse)
+    got = geometry._curvature_values(gamma)
+    assert got.shape == want.shape == (5, n, n, n, n)
+    # the first-partial terms are gathered exactly; only the einsum path of
+    # the Gamma * Gamma terms may reorder a sum, by a few ulps of the tensor
+    assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
 
 
 def test_metric_symmetry_violation_raises():

@@ -242,6 +242,21 @@ def test_stack_values_puts_nest_indices_after_the_batch():
     assert np.array_equal(jets.stack_values(nest[1][2]), vals[:, 1, 2, :])
 
 
+def test_stack_gradients_are_the_derivative_values_bit_for_bit():
+    rng = np.random.default_rng(17)
+    nest = [[Jet(3, order, rng.normal(size=(5, jets._ncoef(3, order))))
+             for order in (1, 2, 4)] for _ in range(2)]
+    grads = jets.stack_gradients(nest)
+    assert grads.shape == (5, 2, 3, 3)
+    for i in range(2):
+        for j in range(3):
+            for d in range(3):
+                assert np.array_equal(grads[:, i, j, d],
+                                      nest[i][j].derivative(d).value)
+    with pytest.raises(ValueError):
+        jets.stack_gradients([Jet.constant(np.ones(5), 3, 0)])
+
+
 # -- composition ------------------------------------------------------------------
 
 

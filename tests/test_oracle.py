@@ -1,12 +1,12 @@
 """Independent symbolic oracle for the jet engine.
 
-The Christoffel symbols, tension field and bitension field are derived
-exactly with sympy from the coordinate formulas and conventions in
-``geometry``'s docstring, evaluated in 30-digit arithmetic at dyadic points
-(exact in binary, so both sides see the same inputs) and compared with the
-engine.  Unlike the conformal-law checks, which compare the engine with
-itself, this catches an order mistake that cancels between the two sides of
-a law.
+The Christoffel symbols, target curvature, tension field and bitension
+field are derived exactly with sympy from the coordinate formulas and
+conventions in ``geometry``'s docstring, evaluated in 30-digit arithmetic at
+dyadic points (exact in binary, so both sides see the same inputs) and
+compared with the engine.  Unlike the conformal-law checks, which compare
+the engine with itself, this catches an order mistake that cancels between
+the two sides of a law.
 """
 import numpy as np
 import pytest
@@ -190,6 +190,7 @@ def test_engine_matches_exact_derivation(name):
     oracle = _Oracle(phi, g, h)
     gamma = [e for jj in oracle.gamma for kk in jj for e in kk]
     gamma_n = [e for jj in oracle.gamma_n for kk in jj for e in kk]
+    curv_n = [e for ll in oracle.curv_n for kk in ll for ii in kk for e in ii]
     tau2 = oracle.bitension()
     state = MapState(phi, g, h, pts, 4)
     for p, x in enumerate(pts):
@@ -200,6 +201,8 @@ def test_engine_matches_exact_derivation(name):
         y = state.y0[p]
         _close(geometry.christoffel(h, y[None])[0].reshape(-1),
                _values(gamma_n, oracle.ys, y), f"{name} Gamma_N")
+        _close(state.RN[p].reshape(-1), _values(curv_n, oracle.ys, y),
+               f"{name} R^N")
         _close(state.tension_values[p], _values(oracle.tau, oracle.xs, x),
                f"{name} tau")
         _close(state.bitension_values[p], _values(tau2, oracle.xs, x),
