@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cylinder, geometry, jets, surfaces, weierstrass
+from . import cylinder, jets, surfaces, weierstrass
 from . import expr as expr_mod
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
 from .cylinder import CylinderParams
@@ -104,7 +104,7 @@ def _bitension_eval(phi, g, h):
 
 def _recovery_eval(phi, g, h, expected_of_pts):
     def run(states):
-        probe = geometry.conformality_factor(phi, g, h, states.pts)
+        probe = states.map(phi, g, h).conformality()
         want = expected_of_pts(states.pts)
         diff = np.abs(probe.lambda_sq - want) + probe.max_residual
         return diff, diff / (1.0 + np.abs(want))

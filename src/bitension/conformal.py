@@ -89,8 +89,7 @@ def jacobi_transform_rhs(phi, g, h, factor, fld, x, parameters=None):
     state = MapState(phi, g, h, x, 3)
     fac = _FactorData(state, ConformalFactor.of(factor, parameters))
     section = state.section_from_field(fld)
-    jac = state.jacobi_of(section)
-    slide = state.directional_covariant(fac.grad, section)
+    jac, slide = state.jacobi_and_directional(section, fac.grad)
     return fac.values[..., None] ** 2 * (jac + (state.m - 2.0) * slide)
 
 
@@ -98,9 +97,9 @@ def _bitension_rhs(state, fac):
     m = state.m
     tau_jets = state.tension_jets
     tau = state.tension_values
-    jac_pushed = state.jacobi_of(fac.pushed)
+    jac_pushed, slide_pushed = state.jacobi_and_directional(fac.pushed,
+                                                            fac.grad)
     slide_tau = state.directional_covariant(fac.grad, tau_jets)
-    slide_pushed = state.directional_covariant(fac.grad, fac.pushed)
     a = fac.laplacian - (m - 4.0) * fac.grad_norm_sq
     inner = (state.bitension_values
              + (m - 2.0) * jac_pushed
@@ -172,8 +171,8 @@ def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None,
                                  f"(|tension| up to {worst:g})")
     fac = _FactorData(state, ConformalFactor.of(factor, parameters))
     m = state.m
-    jac_pushed = state.jacobi_of(fac.pushed)
-    slide_pushed = state.directional_covariant(fac.grad, fac.pushed)
+    jac_pushed, slide_pushed = state.jacobi_and_directional(fac.pushed,
+                                                            fac.grad)
     a = fac.laplacian - (m - 4.0) * fac.grad_norm_sq
     return (jac_pushed + (m - 6.0) * slide_pushed
             - 2.0 * a[..., None] * fac.pushed_values)
@@ -194,11 +193,11 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
     conformal immersion is biharmonic.
     """
     fac = ConformalFactor.of(lam, parameters)
-    probe = geometry.conformality_factor(phi, g, h, x, tol=conformal_tol)
+    state = MapState(phi, g, h, x, 4)
+    probe = state.conformality(tol=conformal_tol)
     if not probe.conformal:
         raise GeometryInputError("map is not a conformal immersion for g, h "
                                  f"(pullback residual {probe.max_residual:g})")
-    state = MapState(phi, g, h, x, 4)
     data = _FactorData(state, fac)
     lam_sq = data.values ** 2
     mismatch = np.max(np.abs(lam_sq - probe.lambda_sq)
@@ -243,7 +242,7 @@ def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None,
     if state.m != 2:
         raise GeometryInputError("surface criterion requires a 2d domain, "
                                  f"got m={state.m}")
-    probe = geometry.conformality_factor(phi, g, h, x, tol=conformal_tol)
+    probe = state.conformality(tol=conformal_tol)
     if not probe.conformal:
         raise GeometryInputError("map is not a conformal immersion for g, h "
                                  f"(pullback residual {probe.max_residual:g})")

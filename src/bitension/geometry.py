@@ -267,6 +267,7 @@ class MapState:
 
         self.RN = _curvature_values(self.gammaN_y) if order >= 3 else None
         self._tension = None
+        self._tension_ds = None
         self._bitension = None
 
     # -- scalar helpers ---------------------------------------------------------
@@ -305,6 +306,13 @@ class MapState:
     def target_inner(self, a, b):
         return np.einsum("...ab,...a,...b->...", self.hN_val, a, b)
 
+    def conformality(self, tol=1e-9):
+        """:func:`conformality_factor` at the state's points, read from its
+        dphi and metric values instead of evaluating the map again."""
+        pb = np.einsum("...ia,...ab,...jb->...ij", self.dphi, self.hN_val,
+                       self.dphi)
+        return _fit_conformality(pb, self.g_val, tol)
+
     # -- sections of the pulled-back bundle --------------------------------------
 
     def section_from_field(self, field):
@@ -317,15 +325,22 @@ class MapState:
                 for a in range(self.n)]
 
     def covariant_derivative(self, section):
-        """Pull-back connection derivative: DS[j][c] = (nabla^phi_j S)^c."""
-        return [[jets.contract([(section[c].derivative(j),)]
-                               + [(self.Q_jets[j][c][b], section[b])
-                                  for b in range(self.n)])
-                 for c in range(self.n)] for j in range(self.m)]
+        """Pull-back connection derivative: DS[j][c] = (nabla^phi_j S)^c.
 
-    def directional_covariant(self, vec, section):
-        """Values of nabla^phi_Y S for a domain vector Y."""
-        ds = self.covariant_derivative(section)
+        The derivative of the state's own tension field is built once and
+        kept: the bitension field and the conformal laws both read it."""
+        if section is self._tension and self._tension_ds is not None:
+            return self._tension_ds
+        ds = [[jets.contract([(section[c].derivative(j),)]
+                             + [(self.Q_jets[j][c][b], section[b])
+                                for b in range(self.n)])
+               for c in range(self.n)] for j in range(self.m)]
+        if section is self._tension:
+            self._tension_ds = ds
+        return ds
+
+    def _along(self, vec, ds):
+        """Values of Y^j DS[j] for a domain vector Y (jets or values)."""
         dsval = jets.stack_values(ds)
         if isinstance(vec[0], jets.Jet):
             yv = jets.stack_values(vec)
@@ -334,11 +349,14 @@ class MapState:
                                            self.batch_shape) for v in vec], axis=-1)
         return np.einsum("...j,...jc->...c", yv, dsval)
 
-    def trace_laplacian(self, section):
-        """Values of Trace_g (nabla^phi)^2 S (the rough Laplacian on sections)."""
-        if min(s.order for s in section) < 2:
+    def directional_covariant(self, vec, section):
+        """Values of nabla^phi_Y S for a domain vector Y."""
+        return self._along(vec, self.covariant_derivative(section))
+
+    def _rough_laplacian(self, ds):
+        """Values of Trace_g (nabla^phi)^2 S from DS = nabla^phi S."""
+        if min(d.order for row in ds for d in row) < 1:
             raise GeometryInputError("trace_laplacian needs order-2 section jets")
-        ds = self.covariant_derivative(section)
         dsval = jets.stack_values(ds)
         # d_i (nabla_j S)^c at [..., i, j, c]
         dds = np.moveaxis(jets.stack_gradients(ds), -1, -3)
@@ -346,6 +364,10 @@ class MapState:
         return (np.einsum("...ij,...ijc->...c", self.ginv_val, full)
                 - np.einsum("...ij,...ijk,...kc->...c", self.ginv_val,
                             self.gammaM_val, dsval, optimize=True))
+
+    def trace_laplacian(self, section):
+        """Values of Trace_g (nabla^phi)^2 S (the rough Laplacian on sections)."""
+        return self._rough_laplacian(self.covariant_derivative(section))
 
     def curvature_trace(self, section_values):
         """Values of Trace_g R^N(dphi, S) dphi."""
@@ -357,10 +379,18 @@ class MapState:
                          self.dphi, section_values, self.dphi, self.RN,
                          optimize=True)
 
+    def _jacobi(self, section, ds):
+        return (self.curvature_trace(jets.stack_values(section))
+                - self._rough_laplacian(ds))
+
     def jacobi_of(self, section):
         """J(S) = -Trace nabla^2 S + Trace R^N(dphi, S) dphi, as values."""
-        return (self.curvature_trace(jets.stack_values(section))
-                - self.trace_laplacian(section))
+        return self._jacobi(section, self.covariant_derivative(section))
+
+    def jacobi_and_directional(self, section, vec):
+        """J(S) and nabla^phi_Y S, from one covariant derivative of S."""
+        ds = self.covariant_derivative(section)
+        return self._jacobi(section, ds), self._along(vec, ds)
 
     # -- tension and bitension ----------------------------------------------------
 
@@ -445,12 +475,16 @@ def conformality_factor(phi, g, h, x, tol=1e-9):
     """Fit lambda^2 = trace(g^-1 phi^*h)/m and measure the residual.
 
     ``max_residual`` is the largest entry of phi^*h - lambda^2 g over all
-    points, divided by 1 + the largest entry of phi^*h.
+    points, divided by 1 + the largest entry of phi^*h.  A caller holding a
+    :class:`MapState` reads the same fit from :meth:`MapState.conformality`.
     """
     x = np.asarray(x, dtype=float)
-    pb = pullback_metric(phi, h, x)
-    gv = _metric_values(g, x)
-    lam2 = np.einsum("...ij,...ji->...", np.linalg.inv(gv), pb) / g.dim
+    return _fit_conformality(pullback_metric(phi, h, x), _metric_values(g, x),
+                             tol)
+
+
+def _fit_conformality(pb, gv, tol):
+    lam2 = np.einsum("...ij,...ji->...", np.linalg.inv(gv), pb) / gv.shape[-1]
     resid = pb - lam2[..., None, None] * gv
     scale = 1.0 + np.max(np.abs(pb))
     max_res = float(np.max(np.abs(resid)) / scale)
@@ -497,12 +531,41 @@ def _quad_grid(box, nodes):
     return grid, weight
 
 
+# Jet coefficients per point times points per chunk of a quadrature integrand
+# (see _integrate): on a 4-D grid, order-4 jets run in chunks of 936 points
+# and order-2 jets in chunks of 4369.
+_CHUNK_COEFFS = 65536
+
+
+def _integrate(integrand, grid, weights, order):
+    """Sum of ``integrand(points, weights)`` over a flat quadrature grid.
+
+    The integrand returns the weighted per-point terms of one slice of the
+    grid; the slices are consecutive and hold ``_CHUNK_COEFFS`` divided by
+    the jet width per point (at least one point), so the jets of one slice
+    bound the memory whatever the grid size.  The terms are concatenated and
+    summed once, so the sum sees the same array as one batch would.
+    """
+    step = max(1, _CHUNK_COEFFS // jets._ncoef(grid.shape[-1], order))
+    return np.sum(np.concatenate([integrand(grid[k:k + step], weights[k:k + step])
+                                  for k in range(0, len(grid), step)]))
+
+
 def bienergy(phi, g, h, nodes=32):
-    """E2(phi) = 1/2 integral |tau(phi)|^2 dv_g over the domain box."""
+    """E2(phi) = 1/2 integral |tau(phi)|^2 dv_g over the domain box.
+
+    The grid is evaluated chunk by chunk under a fixed jet budget, so memory
+    stays bounded for any ``nodes``; parameters of ``phi``, ``g`` and ``h``
+    must therefore not carry the grid axis (scalars or arrays broadcasting
+    against one chunk of points).
+    """
+    def terms(x, w):
+        state = MapState(phi, g, h, x, 2)
+        tau = state.tension_values
+        return w * state.target_inner(tau, tau) * state.sqrt_det_g
+
     grid, w = _quad_grid(phi.domain.box, nodes)
-    state = MapState(phi, g, h, grid, 2)
-    tau = state.tension_values
-    return float(0.5 * np.sum(w * state.target_inner(tau, tau) * state.sqrt_det_g))
+    return float(0.5 * _integrate(terms, grid, w, 2))
 
 
 def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
@@ -511,7 +574,9 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
     Returns a dict with the central-difference slope at ``eps``, the slope at
     ``eps/2``, and the integral of <tau2, V> dv_g.  For fields vanishing to
     high order on the boundary, slope = VARIATION_SIGN * pairing up to
-    O(eps^2).
+    O(eps^2).  Both integrals run chunk by chunk, as in :func:`bienergy`, so
+    memory is bounded by the chunk budget and parameters must not carry the
+    grid axis.
     """
     field = _as_field(field)
     tname = "__fv_t__"
@@ -529,13 +594,16 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
         moved = SmoothMap(phi.domain, phi.codomain, comps, {**merged, tname: t})
         return bienergy(moved, g, h, nodes=nodes)
 
+    def pairing_terms(x, w):
+        state = MapState(phi, g, h, x, 4)
+        vvals = _float_values(field.components, phi.domain.coords,
+                              field.parameters, x)
+        return (w * state.target_inner(state.bitension_values, vvals)
+                * state.sqrt_det_g)
+
     slope = (energy(eps) - energy(-eps)) / (2.0 * eps)
     slope_half = (energy(eps / 2.0) - energy(-eps / 2.0)) / eps
     grid, w = _quad_grid(phi.domain.box, nodes)
-    state = MapState(phi, g, h, grid, 4)
-    tau2 = state.bitension_values
-    vvals = _float_values(field.components, phi.domain.coords,
-                          field.parameters, grid)
-    pairing = float(np.sum(w * state.target_inner(tau2, vvals) * state.sqrt_det_g))
+    pairing = float(_integrate(pairing_terms, grid, w, 4))
     return {"slope": float(slope), "slope_half": float(slope_half),
             "pairing": pairing}

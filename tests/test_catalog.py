@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bitension import catalog, jets, report, surfaces
+from bitension import catalog, geometry, jets, report, surfaces
 from bitension.charts import ChartDomain, DomainError, RiemannianMetric, \
     SmoothMap
 from bitension.geometry import MapState
@@ -214,3 +214,13 @@ def test_identity_dimension_sweep():
                                   samples=16)
         assert rep.passed
         assert rep.case == "identity"
+
+
+def test_conformal_recovery_reads_the_shared_state(monkeypatch):
+    def evaluated_again(*args):
+        raise AssertionError("the map was evaluated a second time")
+
+    monkeypatch.setattr(geometry, "pullback_metric", evaluated_again)
+    rep = catalog.verify_case(catalog.build_case("cylinder_family"))
+    rec = next(c for c in rep.checks if c.name == "conformal_recovery")
+    assert rec.passed and rec.error is None

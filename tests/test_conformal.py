@@ -4,7 +4,7 @@ import pytest
 from bitension import conformal, geometry
 from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
                               SmoothMap, VectorFieldAlongMap)
-from bitension.geometry import GeometryInputError
+from bitension.geometry import GeometryInputError, MapState
 
 import support
 
@@ -226,3 +226,38 @@ def test_conformal_immersion_rejects_bad_input():
         conformal.conformal_immersion_residual(
             phi, RiemannianMetric.conformally_flat(dom, "exp(y)"), h,
             "exp(-y)", pts)
+
+
+def _derivatives(monkeypatch):
+    """Record (section, result) of every covariant derivative from now on."""
+    calls, nabla = [], MapState.covariant_derivative
+
+    def recording(self, section):
+        out = nabla(self, section)
+        calls.append((section, out))
+        return out
+
+    monkeypatch.setattr(MapState, "covariant_derivative", recording)
+    return calls
+
+
+# law -> sections it differentiates: X; tau and dphi(grad ln F); dphi(grad ln F)
+@pytest.mark.parametrize("law,sections", [("jacobi", 1), ("bitension", 2),
+                                          ("harmonic", 1)])
+def test_each_section_is_differentiated_once_per_state(monkeypatch, law,
+                                                       sections):
+    dom, g, h, phi, fld, fac = conformal.random_transform_family(
+        3, 2, np.random.default_rng(21))
+    x = broadcast_points(dom, 2, 3, 22)
+    calls = _derivatives(monkeypatch)
+    if law == "jacobi":
+        conformal.jacobi_transform_rhs(phi, g, h, fac, fld, x)
+    elif law == "bitension":
+        conformal.bitension_transform_rhs(phi, g, h, fac, x)
+    else:
+        hdom, hg, _, hh, hphi = hyperbolic_inclusion()
+        conformal.harmonic_biharmonic_condition(hphi, hg, hh, "1/x4",
+                                                hdom.sample(4, 43))
+    # ``calls`` keeps every section and result alive, so ids stay distinct
+    assert len({id(s) for s, _ in calls}) == sections
+    assert len({id(ds) for _, ds in calls}) == sections

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -562,6 +564,23 @@ def test_pullback_and_conformality():
     assert res2.max_residual > 0.1
 
 
+def test_state_conformality_matches_the_one_shot_fit():
+    dom = ChartDomain(("x", "y"), ((-2.0, 2.0), (-1.0, 1.0)))
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    h3 = RiemannianMetric.euclidean(tgt)
+    wrap = SmoothMap.from_components(
+        dom, tgt, ("R*cos(x/R)", "R*sin(x/R)", "y"), {"R": 1.3})
+    skew = SmoothMap.from_components(dom, tgt, ("x", "2*y", "0"))
+    pts = dom.sample(15, 23)
+    for phi, g in ((wrap, RiemannianMetric.conformally_flat(dom, "exp(y)")),
+                   (skew, RiemannianMetric.euclidean(dom))):
+        want = geometry.conformality_factor(phi, g, h3, pts)
+        got = MapState(phi, g, h3, pts, 2).conformality()
+        assert got.conformal == want.conformal
+        assert support.relative_error(got.lambda_sq, want.lambda_sq) < 1e-15
+        assert abs(got.max_residual - want.max_residual) < 1e-15
+
+
 # -- bienergy and its first variation ---------------------------------------------------
 
 
@@ -624,3 +643,78 @@ def test_first_variation_vanishes_at_biharmonic_map():
     assert 3.5 < out["slope"] / out["slope_half"] < 4.5
     richardson = (4.0 * out["slope_half"] - out["slope"]) / 3.0
     assert abs(richardson) < 1e-5
+
+
+def small_slab():
+    """The 4-D first-variation slab of the test above, on a coarser grid."""
+    dom, _, tgt, h5, _ = hyperbolic_inclusion()
+    dom = ChartDomain(dom.coords, ((-1.0, 1.0),) * 3 + ((0.5, 1.5),))
+    phi = SmoothMap.from_components(dom, tgt, ("1", "x1", "x2", "x3", "x4"))
+    bump = ("((x1+1)*(1-x1)*(x2+1)*(1-x2)*(x3+1)*(1-x3)"
+            "*(x4-0.5)*(1.5-x4))^2")
+    field = VectorFieldAlongMap.from_components((bump, "0", "0", "0", bump))
+    return phi, RiemannianMetric.euclidean(dom), h5, field
+
+
+def _count_states(monkeypatch):
+    sizes, cls = [], geometry.MapState
+
+    class Counting(cls):
+        def __init__(self, phi, g, h, x, order):
+            sizes.append((order, len(x)))
+            super().__init__(phi, g, h, x, order)
+
+    monkeypatch.setattr(geometry, "MapState", Counting)
+    return sizes
+
+
+# budget, nodes: the 2-D pair (36 points) runs order-4 chunks of 8 points and
+# order-2 chunks of 21; the slab (81 points) order-4 chunks of 7 and order-2
+# chunks of 33; every grid ends in a shorter chunk
+@pytest.mark.parametrize("geom,budget,nodes", [("pair", 130, 6),
+                                               ("slab", 500, 3)])
+def test_chunked_quadrature_is_bit_identical(monkeypatch, geom, budget, nodes):
+    if geom == "pair":
+        _, g, _, h, phi = reference_variation_setup()
+        bump = "100*(x*(1-x)*y*(1-y))^3"
+        field = VectorFieldAlongMap.from_components((bump, bump))
+    else:
+        phi, g, h, field = small_slab()
+    whole = (geometry.bienergy(phi, g, h, nodes=nodes),
+             geometry.first_variation(phi, g, h, field, eps=0.1, nodes=nodes))
+    monkeypatch.setattr(geometry, "_CHUNK_COEFFS", budget)
+    sizes = _count_states(monkeypatch)
+    chunked = (geometry.bienergy(phi, g, h, nodes=nodes),
+               geometry.first_variation(phi, g, h, field, eps=0.1, nodes=nodes))
+    assert chunked[0].hex() == whole[0].hex()
+    assert {k: v.hex() for k, v in chunked[1].items()} == \
+        {k: v.hex() for k, v in whole[1].items()}
+    points = nodes ** phi.domain.dim
+
+    def chunks(order):
+        step = budget // jets._ncoef(phi.domain.dim, order)
+        assert points % step, "the grid must end in a shorter chunk"
+        return [step] * (points // step) + [points % step]
+
+    # five energies (one above, four in first_variation) and one pairing
+    assert [n for o, n in sizes if o == 2] == chunks(2) * 5
+    assert [n for o, n in sizes if o == 4] == chunks(4)
+
+
+def test_bienergy_memory_is_bounded_by_one_chunk(monkeypatch):
+    phi, g, h, _ = small_slab()
+    # order-2 jets in four variables carry 15 coefficients: 256-point chunks
+    monkeypatch.setattr(geometry, "_CHUNK_COEFFS", 15 * 256)
+
+    def peak(nodes):
+        tracemalloc.start()
+        try:
+            geometry.bienergy(phi, g, h, nodes=nodes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # first call fills the module-level tables and caches
+    one = peak(4)  # 256 points, one chunk
+    # 4096 points, 16 chunks; in one batch the peak is about 15 times larger
+    assert peak(8) <= 1.5 * one
