@@ -114,10 +114,13 @@ def _cmd_check_transform(args):
         m, args.cases, rng, n=n)
     pts = dom.sample(4, seed + 1)
     x = np.broadcast_to(pts, (args.cases,) + pts.shape)
-    direct, law = conformal.law_sides(args.law, phi, g, h, fld, fac, x)
-    rel = np.abs(direct - law) / (
-        1.0 + np.maximum(np.abs(direct), np.abs(law)))
-    worst = float(np.max(rel))
+    # overflow and invalid values raise, as in weierstrass check, so they
+    # exit as evaluation errors instead of yielding a nan verdict
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        direct, law = conformal.law_sides(args.law, phi, g, h, fld, fac, x)
+        rel = np.abs(direct - law) / (
+            1.0 + np.maximum(np.abs(direct), np.abs(law)))
+        worst = float(np.max(rel))
     passed = worst < args.tol
     rep = VerificationReport(
         VERSION, f"transform_{args.law}_{m}to{n}", seed,

@@ -84,9 +84,9 @@ def _sym_matrix_jets(metric, variables, batch_shape, order, what):
                                       batch_shape, m, order)[0] for j in range(m)])
     for i in range(m):
         for j in range(i + 1, m):
-            a, b = rows[i][j].coeffs, rows[j][i].coeffs
-            if a is not b and np.max(np.abs(a - b)) > 1e-9 * (
-                    1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)))):
+            a, b = rows[i][j], rows[j][i]
+            if a is not b and (a - b).max_abs() > 1e-9 * (
+                    1.0 + max(a.max_abs(), b.max_abs())):
                 raise MetricError(
                     f"{what} components ({i},{j}) and ({j},{i}) disagree")
     return rows
@@ -141,7 +141,7 @@ def _jet_matrix_inverse(rows):
     a = {}  # the nonzero entries, each symmetric pair sharing one jet
     for i in range(m):
         for j in range(i, m):
-            if np.any(rows[i][j].coeffs):
+            if not rows[i][j].is_zero():
                 a[i, j] = a[j, i] = rows[i][j].truncated(order)
     # sweeping pivot k maps a_ij to a_ij - a_ik a_kj / a_kk, the pivot row
     # to a_kj / a_kk and the pivot to -1 / a_kk; sweeping all leaves -A^-1
@@ -285,7 +285,7 @@ class MapState:
         return jets.contract(
             (self.ginv_jets[i][j], hessian(i, j)) + ((2.0,) if i != j else ())
             for i in range(self.m) for j in range(i, self.m)
-            if self.ginv_jets[i][j].coeffs.any())
+            if not self.ginv_jets[i][j].is_zero())
 
     def gradient_jets(self, f):
         """Metric gradient of a scalar jet, one component jet per axis."""
@@ -517,18 +517,14 @@ def bitension_field(phi, g, h, x):
 # -- integral functionals ----------------------------------------------------------
 
 
-def _quad_grid(box, nodes):
-    """Tensor Gauss-Legendre grid over a box; returns points and weights."""
+def _gauss_axes(box, nodes):
+    """Gauss-Legendre nodes and weights of each axis of a box."""
     axes, wts = [], []
     for lo, hi in box:
         t, w = np.polynomial.legendre.leggauss(nodes)
         axes.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * t)
         wts.append(0.5 * (hi - lo) * w)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
-    weight = np.ones(1)
-    for w in wts:
-        weight = np.outer(weight, w).reshape(-1)
-    return grid, weight
+    return axes, wts
 
 
 # Jet coefficients per point times points per chunk of a quadrature integrand
@@ -537,18 +533,33 @@ def _quad_grid(box, nodes):
 _CHUNK_COEFFS = 65536
 
 
-def _integrate(integrand, grid, weights, order):
-    """Sum of ``integrand(points, weights)`` over a flat quadrature grid.
+def _integrate(integrand, box, nodes, order):
+    """Sum of ``integrand(points, weights)`` over the tensor Gauss-Legendre
+    grid of a box, ``nodes`` per axis.
 
-    The integrand returns the weighted per-point terms of one slice of the
-    grid; the slices are consecutive and hold ``_CHUNK_COEFFS`` divided by
-    the jet width per point (at least one point), so the jets of one slice
-    bound the memory whatever the grid size.  The terms are concatenated and
-    summed once, so the sum sees the same array as one batch would.
+    The grid is flattened with the last axis fastest and cut into
+    consecutive slices of ``_CHUNK_COEFFS`` divided by the jet width per
+    point (at least one point); the integrand returns the weighted per-point
+    terms of one slice.  Each slice's points and weights are built from its
+    flat indices, the weight as the left-to-right product ``(1 * w0) * w1
+    ...`` of the axis weights, so neither the grid nor the weight vector is
+    ever held whole and memory stays bounded whatever ``nodes`` is.  The
+    terms are concatenated and summed once, so the sum sees the same array
+    as one batch would.
     """
-    step = max(1, _CHUNK_COEFFS // jets._ncoef(grid.shape[-1], order))
-    return np.sum(np.concatenate([integrand(grid[k:k + step], weights[k:k + step])
-                                  for k in range(0, len(grid), step)]))
+    axes, wts = _gauss_axes(box, nodes)
+    shape = (nodes,) * len(axes)
+    size = nodes ** len(axes)
+    step = max(1, _CHUNK_COEFFS // jets._ncoef(len(axes), order))
+    terms = []
+    for k in range(0, size, step):
+        idx = np.unravel_index(np.arange(k, min(k + step, size)), shape)
+        weight = np.ones(1)
+        for w, i in zip(wts, idx):
+            weight = weight * w[i]
+        terms.append(integrand(np.stack([a[i] for a, i in zip(axes, idx)],
+                                        axis=-1), weight))
+    return np.sum(np.concatenate(terms))
 
 
 def bienergy(phi, g, h, nodes=32):
@@ -564,8 +575,7 @@ def bienergy(phi, g, h, nodes=32):
         tau = state.tension_values
         return w * state.target_inner(tau, tau) * state.sqrt_det_g
 
-    grid, w = _quad_grid(phi.domain.box, nodes)
-    return float(0.5 * _integrate(terms, grid, w, 2))
+    return float(0.5 * _integrate(terms, phi.domain.box, nodes, 2))
 
 
 def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
@@ -603,7 +613,6 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
 
     slope = (energy(eps) - energy(-eps)) / (2.0 * eps)
     slope_half = (energy(eps / 2.0) - energy(-eps / 2.0)) / eps
-    grid, w = _quad_grid(phi.domain.box, nodes)
-    pairing = float(_integrate(pairing_terms, grid, w, 4))
+    pairing = float(_integrate(pairing_terms, phi.domain.box, nodes, 4))
     return {"slope": float(slope), "slope_half": float(slope_half),
             "pairing": pairing}

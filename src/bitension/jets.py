@@ -8,6 +8,11 @@ lexicographic order, so indices of degree <= k always form a prefix and
 truncation is a slice.  Leading axes of the coefficient array are broadcastable
 batch axes: one jet object can carry a whole batch of evaluation points.
 
+A coefficient array is never written after its jet is constructed: every
+operation builds a new array (or a view it does not write), and code that
+fills an array in place does so before handing it to :class:`Jet`.
+:meth:`Jet.is_zero` relies on this to test each jet once and keep the answer.
+
 Sums, differences and products accept complex scalars and jets, so a
 complex-valued function is one jet (``u + 1j*v``); divisors and the arguments
 of the elementary functions stay real.
@@ -113,9 +118,14 @@ def _factorials(num_vars, order):
 
 
 class Jet:
-    """Taylor expansion of a scalar function truncated at ``order``."""
+    """Taylor expansion of a scalar function truncated at ``order``.
 
-    __slots__ = ("num_vars", "order", "coeffs")
+    ``coeffs`` is not written after construction (see the module
+    docstring), so queries on it such as :meth:`is_zero` may be cached on
+    the jet.
+    """
+
+    __slots__ = ("num_vars", "order", "coeffs", "_zero")
 
     # keep ndarray operands from absorbing jets elementwise; with ufuncs
     # disabled, ndarray <op> Jet falls through to the reflected methods
@@ -125,6 +135,7 @@ class Jet:
         self.num_vars = num_vars
         self.order = order
         self.coeffs = coeffs
+        self._zero = None
 
     # -- construction ------------------------------------------------------
 
@@ -164,6 +175,17 @@ class Jet:
 
     def is_constant(self):
         return bool(np.all(self.coeffs[..., 1:] == 0.0))
+
+    def is_zero(self):
+        """True when no coefficient is nonzero at any batch point (a
+        structurally zero jet); computed on the first call and kept."""
+        if self._zero is None:
+            self._zero = not self.coeffs.any()
+        return self._zero
+
+    def max_abs(self):
+        """The largest coefficient modulus over all batch points."""
+        return float(np.max(np.abs(self.coeffs)))
 
     def truncated(self, order):
         if order >= self.order:
@@ -212,7 +234,8 @@ class Jet:
         if isinstance(other, Jet):
             order, ca, cb = self._pair(other)
             ia, ib, seg = _mul_table(self.num_vars, order)
-            ca, cb = np.broadcast_arrays(ca, cb)
+            # each operand is gathered at its own batch shape; the multiply
+            # broadcasts them, as parameter-only jets are often narrower
             return Jet(self.num_vars, order,
                        np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1))
         return Jet(self.num_vars, self.order,
@@ -343,14 +366,16 @@ def compose(outer, monos):
     The constant term is set first, then ``c_alpha * monos[alpha]`` is added
     one multi-index at a time in graded order.  A multi-index whose
     coefficient is zero at every batch point is skipped, so its monomial is
-    never built and a constant outer jet costs no product.
+    never built and a constant outer jet costs no product; one reduction
+    over the batch axes finds these multi-indices for the whole outer jet.
     """
     c = outer.coeffs
     shape = np.broadcast_shapes(c.shape[:-1], monos.batch_shape)
     out = np.zeros(shape + (_ncoef(monos.num_vars, monos.order),))
     out[..., 0] = c[..., 0]
+    nonzero = c.any(axis=tuple(range(c.ndim - 1)))
     for pos in range(1, _ncoef(outer.num_vars, monos.order)):
-        if c[..., pos].any():
+        if nonzero[pos]:
             out += c[..., pos, None] * monos[pos].coeffs
     return Jet(monos.num_vars, monos.order, out)
 
@@ -367,7 +392,9 @@ def contract(terms):
 
     * A term with a structurally zero jet factor (no nonzero coefficient) is
       skipped before any product is formed, so diagonal metrics and flat
-      targets cost no products with their zero entries.
+      targets cost no products with their zero entries.  The test is
+      :meth:`Jet.is_zero`, which scans a jet's coefficients once however
+      many terms share it (jets are immutable, see the module docstring).
     * Each kept term is multiplied left to right in the order given, and the
       kept terms are summed left to right.  Jet products are convolutions
       whose rounding depends on operand order, so this order is part of the
@@ -381,7 +408,7 @@ def contract(terms):
     def kept():
         for factors in terms:
             factor_jets = [f for f in factors if isinstance(f, Jet)]
-            if all(f.coeffs.any() for f in factor_jets):
+            if not any(f.is_zero() for f in factor_jets):
                 yield reduce(operator.mul, factors)
             else:
                 skipped.extend(factor_jets)

@@ -47,16 +47,13 @@ def section_of(state, isothermal_tol=1e-9):
                                  "2d domain")
     for a in range(state.n):
         for b in range(state.n):
-            jet = state.h_yjets[a][b]
-            flat = np.zeros_like(jet.coeffs)
-            flat[..., 0] = 1.0 if a == b else 0.0
-            if np.max(np.abs(jet.coeffs - flat)) > 1e-12:
+            flat = 1.0 if a == b else 0.0
+            if (state.h_yjets[a][b] - flat).max_abs() > 1e-12:
                 raise GeometryInputError("target metric must be flat "
                                          "Cartesian (identity components)")
-    scale = np.max(np.abs(state.g_jets[0][0].coeffs))
-    off = np.max(np.abs(state.g_jets[0][1].coeffs))
-    gap = np.max(np.abs(state.g_jets[0][0].coeffs
-                        - state.g_jets[1][1].coeffs))
+    scale = state.g_jets[0][0].max_abs()
+    off = state.g_jets[0][1].max_abs()
+    gap = (state.g_jets[0][0] - state.g_jets[1][1]).max_abs()
     if max(off, gap) > isothermal_tol * max(1.0, scale):
         raise GeometryInputError("domain metric must be isothermal, "
                                  "g = mu^2 (du^2 + dv^2)")

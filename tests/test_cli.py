@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bitension import catalog, cli, cylinder, report
+from bitension import catalog, cli, conformal, cylinder, report
 from bitension.cylinder import CylinderParams
 
 CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.cfg"))
@@ -88,6 +88,20 @@ def test_check_transform_reports_points_evaluated(capsys):
                        "--dims", "2,3", "--cases", "5", "--format", "json")
     assert code == 0
     assert json.loads(out)["samples"] == 5 * 4  # four points per case
+
+
+def test_check_transform_reports_overflow_as_an_evaluation_error(
+        capsys, monkeypatch):
+    def overflowing(law, phi, g, h, fld, factor, x):
+        side = np.exp(np.full(x.shape[:-1], 800.0))
+        return side, side
+
+    monkeypatch.setattr(conformal, "law_sides", overflowing)
+    code, out, err = run(capsys, "check-transform", "--law", "tension",
+                         "--dims", "2,3", "--cases", "2")
+    assert code == cli.EXIT_EVAL
+    assert err == "evaluation error: overflow encountered in exp\n"
+    assert out == ""
 
 
 def test_check_transform_rejects_bad_dims(capsys):

@@ -718,3 +718,23 @@ def test_bienergy_memory_is_bounded_by_one_chunk(monkeypatch):
     one = peak(4)  # 256 points, one chunk
     # 4096 points, 16 chunks; in one batch the peak is about 15 times larger
     assert peak(8) <= 1.5 * one
+
+
+def test_quadrature_grid_is_built_chunk_by_chunk(monkeypatch):
+    phi, g, h, _ = small_slab()
+    # 4096-point chunks: nodes = 8 is one chunk and nodes = 16 sixteen, so
+    # the two peaks differ only by what grows with the grid
+    monkeypatch.setattr(geometry, "_CHUNK_COEFFS", 15 * 4096)
+
+    def peak(nodes):
+        tracemalloc.start()
+        try:
+            geometry.bienergy(phi, g, h, nodes=nodes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first call fills the module-level tables and caches
+    # 65536 points: the per-point terms take 0.5 MiB; a whole grid with its
+    # weights would add 2.5 MiB more
+    assert peak(16) - peak(8) < 1.5 * 2 ** 20

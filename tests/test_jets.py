@@ -229,6 +229,54 @@ def test_contract_of_skipped_terms_is_a_zero_jet():
     assert not np.any(got.coeffs)
 
 
+def _counting_any(jet, counts):
+    """The jet with a coefficient array that records each ``.any`` call."""
+    class Counting(np.ndarray):
+        def any(self, *args, **kwargs):
+            counts.append(self.shape)
+            return np.asarray(self).any(*args, **kwargs)
+
+    return Jet(jet.num_vars, jet.order, jet.coeffs.view(Counting))
+
+
+def test_a_shared_jet_is_tested_for_zero_once():
+    rng = np.random.default_rng(48)
+    counts = []
+    shared = _counting_any(_random_jet(rng, 3), counts)
+    others = [_random_jet(rng, 3) for _ in range(5)]
+    got = jets.contract((shared, b) for b in others)
+    assert len(counts) == 1
+    jets.contract((b, shared, 2.0) for b in others)
+    assert len(counts) == 1 and not shared.is_zero()
+    assert np.array_equal(got.coeffs, _loop_contraction(
+        [(shared, b) for b in others]).coeffs)
+
+
+def _broadcast_product(a, b):
+    """The product with both operands broadcast before the gathers, as
+    Jet.__mul__ once formed it, kept as its reference."""
+    order = min(a.order, b.order)
+    nc = len(jets.multi_indices(a.num_vars, order))
+    ia, ib, seg = jets._mul_table(a.num_vars, order)
+    ca, cb = np.broadcast_arrays(a.coeffs[..., :nc], b.coeffs[..., :nc])
+    return np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1)
+
+
+@pytest.mark.parametrize("batches", [((3, 1), (3, 4)), ((4,), (2, 3, 4)),
+                                     ((), (3, 4))])
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_products_across_batch_shapes_are_the_broadcast_form(batches, order,
+                                                             dtype):
+    rng = np.random.default_rng(49)
+    a = _random_jet(rng, order, batch=batches[0], dtype=dtype)
+    b = _random_jet(rng, 4, batch=batches[1], dtype=dtype)
+    for x, y in ((a, b), (b, a)):
+        got, want = (x * y).coeffs, _broadcast_product(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_stack_values_puts_nest_indices_after_the_batch():
     batch = (5,)
     nest = [[[Jet.constant(np.full(batch, 100.0 * i + 10.0 * j + k), 2, 1)
@@ -343,6 +391,25 @@ def test_composing_a_constant_outer_jet_makes_no_product(monkeypatch):
     got = jets.compose(outer, jets.Monomials(inner, 4))
     assert calls == []
     assert got.order == 4 and np.array_equal(got.coeffs, outer.coeffs)
+
+
+def test_composition_tests_the_outer_coefficients_in_one_reduction():
+    rng = np.random.default_rng(50)
+    inner = [_random_jet(rng, 4), _random_jet(rng, 4)]
+    coeffs = rng.standard_normal((3, 4, len(jets.multi_indices(2, 4))))
+    coeffs[..., [2, 5, 9]] = 0.0
+    coeffs[1, 2, 5] = 1.0  # nonzero at one batch point: still composed
+    counts = []
+    outer = _counting_any(Jet(2, 4, coeffs), counts)
+    got = jets.compose(outer, jets.Monomials(inner, 4))
+    assert len(counts) == 1
+    monos = jets.Monomials(inner, 4)
+    want = np.zeros_like(coeffs)
+    want[..., 0] = coeffs[..., 0]
+    for pos in range(1, coeffs.shape[-1]):
+        if pos not in (2, 9):
+            want += coeffs[..., pos, None] * monos[pos].coeffs
+    assert np.array_equal(got.coeffs, want)
 
 
 def test_integer_powers_start_from_the_base(monkeypatch):
