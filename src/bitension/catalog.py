@@ -7,6 +7,7 @@ check fails loudly, so a green report can't be vacuous.
 """
 
 import inspect
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ from .cylinder import CylinderParams
 from .expr import ExprEvalError
 from .geometry import GeometryInputError, MapState, MetricError
 from .report import VERSION, CheckRecord, VerificationReport
+
+
+class CaseError(ValueError):
+    """A case, negative control or check that its name, parameters or
+    inputs do not describe: an input error, not a failed check."""
 
 
 @dataclass(frozen=True)
@@ -268,7 +274,7 @@ def _plane_inclusion(bend=False):
 def _identity(m=3, bend=False):
     m = int(m)
     if not 2 <= m <= 6:
-        raise ValueError("identity case supports dimensions 2..6")
+        raise CaseError("identity case supports dimensions 2..6")
     coords = tuple(f"x{i}" for i in range(1, m + 1))
     dom = ChartDomain(coords, ((-1.0, 1.0),) * m)
     tgt = ChartDomain(coords, ((-1.5, 1.5),) * m)
@@ -329,11 +335,15 @@ def build_case(name, **params):
         builder = _BUILDERS[name]
     except KeyError:
         known = ", ".join(CASE_NAMES)
-        raise ValueError(f"unknown case '{name}' (choose from {known})")
+        raise CaseError(f"unknown case '{name}' (choose from {known})")
     try:
         inspect.signature(builder).bind(**params)
     except TypeError as err:
-        raise ValueError(f"bad parameters for '{name}': {err}")
+        raise CaseError(f"bad parameters for '{name}': {err}")
+    for key, value in params.items():
+        if not isinstance(value, numbers.Real):
+            raise CaseError(f"bad parameters for '{name}': {key} = "
+                            f"{value!r} is not a number")
     return builder(**params)
 
 
@@ -356,7 +366,7 @@ def negative_control(name, **params):
         return _identity(bend=True, **params), "tension_zero"
     if name == "isometric_cylinder":
         return _isometric_cylinder(engine_scale=1.69, **params), "chen_match"
-    raise ValueError(f"no control registered for '{name}'")
+    raise CaseError(f"no control registered for '{name}'")
 
 
 def _broken_cylinder(R=1.0, **_ignored):
@@ -428,7 +438,7 @@ def custom_case(name, phi, g, h, checks, induced=None, factor=None,
     for kind, tol in checks:
         if kind not in CHECK_KINDS:
             known = ", ".join(sorted(CHECK_KINDS))
-            raise ValueError(f"unknown check '{kind}' (choose from {known})")
+            raise CaseError(f"unknown check '{kind}' (choose from {known})")
         mode, default = CHECK_KINDS[kind]
         exp = Expectation(kind, default if tol is None else float(tol), mode)
         if kind in ("tension_zero", "tension_nonzero"):
@@ -445,7 +455,7 @@ def custom_case(name, phi, g, h, checks, induced=None, factor=None,
             run = _chen_eval(phi, induced if induced is not None else g, h, g)
         elif kind in ("r3_tangential", "r3_normal"):
             if induced is None or factor is None:
-                raise ValueError(
+                raise CaseError(
                     f"check '{kind}' needs both an induced metric and a "
                     "conformal factor")
             if r3_pair is None:
@@ -453,8 +463,8 @@ def custom_case(name, phi, g, h, checks, induced=None, factor=None,
             run = r3_pair[0] if kind == "r3_tangential" else r3_pair[1]
         else:  # conformal_recovery
             if factor is None:
-                raise ValueError("check 'conformal_recovery' needs a "
-                                 "conformal factor to compare against")
+                raise CaseError("check 'conformal_recovery' needs a "
+                                "conformal factor to compare against")
             run = _recovery_eval(
                 phi, g, h, _factor_sq_values(phi.domain, factor, parameters))
         entries.append((exp, run))

@@ -22,7 +22,7 @@ from .charts import DomainError
 from .config import ConfigError, load_config
 from .cylinder import CylinderParams
 from .expr import ExprEvalError
-from .geometry import GeometryInputError
+from .geometry import GeometryInputError, MetricError
 from .report import VERSION, CheckRecord, VerificationReport, to_json, to_text
 
 EXIT_PASS = 0
@@ -58,6 +58,13 @@ def _coerce(raw):
         except ValueError:
             continue
     return raw
+
+
+def _positive_int(raw):
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(
+            f"wants a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _case_params(pairs):
@@ -234,7 +241,7 @@ def _cmd_custom_verify(args):
 
 
 def _add_sampling(sub, with_tol=True, with_format=True):
-    sub.add_argument("--samples", type=int, default=64)
+    sub.add_argument("--samples", type=_positive_int, default=64)
     sub.add_argument("--seed", type=int, default=None)
     if with_tol:
         sub.add_argument("--tol", type=float, default=None,
@@ -266,7 +273,7 @@ def _build_parser():
     law.add_argument("--law", choices=("tension", "jacobi", "bitension"),
                      required=True)
     law.add_argument("--dims", type=_dims, required=True, metavar="M,N")
-    law.add_argument("--cases", type=int, default=100)
+    law.add_argument("--cases", type=_positive_int, default=100)
     law.add_argument("--seed", type=int, default=None)
     law.add_argument("--tol", type=float, default=1e-7)
     law.add_argument("--format", choices=("text", "json"), default="text")
@@ -296,7 +303,7 @@ def _build_parser():
     pick.add_argument("--case", help="a catalog case name")
     pick.add_argument("--config", help="a run config file")
     check.add_argument("--param", action="append", metavar="KEY=VALUE")
-    check.add_argument("--samples", type=int, default=64)
+    check.add_argument("--samples", type=_positive_int, default=64)
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--tol", type=float, default=1e-9,
                        help="biharmonicity bound on the mixed third "
@@ -308,7 +315,7 @@ def _build_parser():
     custom_tree = custom.add_subparsers(dest="subcommand", required=True)
     run = custom_tree.add_parser("verify", help="run a config file")
     run.add_argument("--config", required=True)
-    run.add_argument("--samples", type=int, default=None)
+    run.add_argument("--samples", type=_positive_int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--tol", type=float, default=None)
     run.add_argument("--format", choices=("text", "json"), default="text")
@@ -327,10 +334,13 @@ def main(argv=None):
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ExprEvalError, GeometryInputError, FloatingPointError) as err:
+    except (ExprEvalError, GeometryInputError, MetricError,
+            FloatingPointError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
-    except ValueError as err:
+    except (catalog.CaseError, cylinder.ParameterError) as err:
+        # input errors by name: any other exception is a bug and keeps its
+        # traceback
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,6 +18,10 @@ from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
 _GRID = 257  # positivity is checked on this many equally spaced z values
 
 
+class ParameterError(ValueError):
+    """Family parameters or integration settings that describe no run."""
+
+
 @dataclass(frozen=True)
 class CylinderParams:
     """Radius, the two solution constants, the exponential branch sign,
@@ -30,15 +34,16 @@ class CylinderParams:
 
     def __post_init__(self):
         if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+            raise ParameterError("radius must be positive")
         if self.c2 == 0.0:
-            raise ValueError("c2 = 0 does not describe a solution; both "
-                             "exponential branches would collapse")
+            raise ParameterError("c2 = 0 does not describe a solution; "
+                                 "both exponential branches would collapse")
         if self.sign not in (-1, 1):
-            raise ValueError("sign selects an exponential branch, +1 or -1")
+            raise ParameterError(
+                "sign selects an exponential branch, +1 or -1")
         lo, hi = self.z_range
         if not lo < hi:
-            raise ValueError("empty z range")
+            raise ParameterError("empty z range")
 
 
 def lambda_sq_closed_form(params, z):
@@ -90,7 +95,7 @@ def fit_from_initial(radius, z0, y0, y0prime):
     plus = y0 + radius * y0prime
     minus = y0 - radius * y0prime
     if plus == 0.0 and minus == 0.0:
-        raise ValueError("zero initial data only fits the zero solution")
+        raise ParameterError("zero initial data only fits the zero solution")
     sign = 1 if abs(plus) >= abs(minus) else -1
     lead = plus if sign == 1 else minus
     c2 = lead * np.exp(-sign * z0 / radius)
@@ -117,7 +122,7 @@ def solve_ode(params, y0=None, y0prime=None, steps=256):
     ``params``, so the run doubles as an independent check of the formula.
     """
     if steps < 16:
-        raise ValueError("use at least 16 steps")
+        raise ParameterError("use at least 16 steps")
     lo, hi = params.z_range
     r = params.radius
     if y0 is None:

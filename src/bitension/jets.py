@@ -22,6 +22,21 @@ order by one.  Products are convolutions driven by a precomputed pair table
 and ``np.add.reduceat``, keeping the per-operation cost one vectorized numpy
 pass regardless of batch size.
 
+Every jet carries a variable support: a bitmask that contains every variable
+used by a multi-index whose coefficient is nonzero at some batch point (a
+superset; it may hold more).  Seeds get ``1 << index`` and constants ``0``;
+sums, differences, products, negation, scalar operations and truncation take
+the union of their operands' supports; :func:`compose` the union of the inner
+supports it reads; a derivative along a variable outside the support gets
+``0``.  A jet built from a raw coefficient array finds its support in the
+same scan that answers :meth:`Jet.is_zero`.  A product gathers its pairs
+from :func:`_support_table`, a restriction of the dense :func:`_mul_table`
+(which stays the reference) to the pairs whose factors lie in the operands'
+supports, plus the exact-zero pairs that keep ``reduceat`` adding the rest
+in the dense grouping; a factor of support ``0`` is a scale by its value
+column.  So a product equals the dense one bit for bit, except possibly in
+the sign of a zero.
+
 Taylor composition (the elementary functions, target-side jets pulled back
 through a map) is done in one place: :func:`compose` sums the outer
 coefficients against a :class:`Monomials` set of the inner jets; the two
@@ -97,6 +112,43 @@ def _mul_table(num_vars, order):
 
 
 @lru_cache(maxsize=None)
+def _var_masks(num_vars, order):
+    # per position, the bitmask of the variables its multi-index uses
+    return np.array([sum(1 << k for k, e in enumerate(mi) if e)
+                     for mi in multi_indices(num_vars, order)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _support_table(num_vars, order, sa, sb, blocked):
+    """The pairs of :func:`_mul_table` to gather when the factors have the
+    supports ``sa`` and ``sb``: a restriction that sums to the same bits.
+
+    ``np.add.reduceat`` adds a segment's first term to the sum of the rest,
+    and sums the rest left to right while it is shorter than ``blocked``
+    terms (8 for float64, 4 for complex128 sums), in interleaved blocks
+    beyond.  So every output position keeps, in dense order, the pairs whose
+    factors lie in ``sa`` and ``sb``, and these exact zeros: its first dense
+    pair when more than two pairs of the rest are kept (they are summed
+    after it) or when nothing else is (a filler, for a position outside
+    ``sa | sb``), and a block-summed rest whole when it keeps more than two
+    pairs.  Two terms and zeros add to the same bits in any order.
+    """
+    ia, ib, seg = _mul_table(num_vars, order)
+    masks = _var_masks(num_vars, order)
+    inside = ((masks[ia] & ~sa) == 0) & ((masks[ib] & ~sb) == 0)
+    sizes = np.diff(seg, append=len(ia))
+    first = np.zeros(len(ia), dtype=bool)
+    first[seg] = True
+    rest = np.add.reduceat((inside & ~first).astype(np.intp), seg)
+    keep = (inside | first & np.repeat((rest > 2) | (rest == 0), sizes)
+            | np.repeat((sizes - 1 >= blocked) & (rest > 2), sizes))
+    if keep.all():
+        return ia, ib, seg
+    counts = np.add.reduceat(keep.astype(np.intp), seg)
+    return ia[keep], ib[keep], np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+
+@lru_cache(maxsize=None)
 def _diff_table(num_vars, order):
     # axis j: positions of beta+e_j inside the order table, and weights beta_j+1,
     # mapping an order jet onto the order-1 coefficient layout
@@ -117,15 +169,36 @@ def _factorials(num_vars, order):
                      for mi in multi_indices(num_vars, order)])
 
 
+def _jet(num_vars, order, coeffs, support):
+    # a jet whose variable support is known from how it was built (None:
+    # unknown, found by scanning the coefficients when first asked); the
+    # slots are set here rather than through __init__, as every operation
+    # comes through here
+    out = object.__new__(Jet)
+    out.num_vars, out.order, out.coeffs = num_vars, order, coeffs
+    out._zero, out._support = None, support
+    return out
+
+
+def _union(sa, sb):
+    return None if sa is None or sb is None else sa | sb
+
+
 class Jet:
     """Taylor expansion of a scalar function truncated at ``order``.
 
     ``coeffs`` is not written after construction (see the module
     docstring), so queries on it such as :meth:`is_zero` may be cached on
     the jet.
+
+    The jet's variable support is a bitmask holding every variable that a
+    nonzero coefficient's multi-index uses, and possibly more.  Operations
+    in this module record it from their operands; a jet built here from a
+    raw array finds it in the scan that answers :meth:`is_zero`.  Products
+    multiply only over the supports (see the module docstring).
     """
 
-    __slots__ = ("num_vars", "order", "coeffs", "_zero")
+    __slots__ = ("num_vars", "order", "coeffs", "_zero", "_support")
 
     # keep ndarray operands from absorbing jets elementwise; with ufuncs
     # disabled, ndarray <op> Jet falls through to the reflected methods
@@ -136,6 +209,7 @@ class Jet:
         self.order = order
         self.coeffs = coeffs
         self._zero = None
+        self._support = None
 
     # -- construction ------------------------------------------------------
 
@@ -148,14 +222,14 @@ class Jet:
         coeffs[..., 0] = value
         coeffs[..., _positions(num_vars, order)[
             tuple(1 if k == index else 0 for k in range(num_vars))]] = 1.0
-        return cls(num_vars, order, coeffs)
+        return _jet(num_vars, order, coeffs, 1 << index)
 
     @classmethod
     def constant(cls, value, num_vars, order=MAX_ORDER):
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros(value.shape + (_ncoef(num_vars, order),))
         coeffs[..., 0] = value
-        return cls(num_vars, order, coeffs)
+        return _jet(num_vars, order, coeffs, 0)
 
     # -- coefficient access ------------------------------------------------
 
@@ -180,8 +254,26 @@ class Jet:
         """True when no coefficient is nonzero at any batch point (a
         structurally zero jet); computed on the first call and kept."""
         if self._zero is None:
-            self._zero = not self.coeffs.any()
+            if self._support is None:
+                self._scan()
+            else:
+                self._zero = not self.coeffs.any()
         return self._zero
+
+    def _variables(self):
+        """The variable support bitmask (see the class docstring)."""
+        if self._support is None:
+            self._scan()
+        return self._support
+
+    def _scan(self):
+        # a jet without a recorded support: one reduction over the batch axes
+        # answers both queries
+        c = self.coeffs
+        nonzero = c.any(axis=tuple(range(c.ndim - 1)))
+        self._zero = not nonzero.any()
+        self._support = int(np.bitwise_or.reduce(
+            _var_masks(self.num_vars, self.order)[nonzero]))
 
     def max_abs(self):
         """The largest coefficient modulus over all batch points."""
@@ -190,14 +282,19 @@ class Jet:
     def truncated(self, order):
         if order >= self.order:
             return self
-        return Jet(self.num_vars, order, self.coeffs[..., :_ncoef(self.num_vars, order)])
+        return _jet(self.num_vars, order,
+                    self.coeffs[..., :_ncoef(self.num_vars, order)], self._support)
 
     def derivative(self, axis):
         """The jet of df/dx_axis, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         idx, wgt = _diff_table(self.num_vars, self.order)
-        return Jet(self.num_vars, self.order - 1, self.coeffs[..., idx[axis]] * wgt[axis])
+        support = self._support
+        if support is not None and not support >> axis & 1:
+            support = 0
+        return _jet(self.num_vars, self.order - 1,
+                    self.coeffs[..., idx[axis]] * wgt[axis], support)
 
     # -- ring operations ----------------------------------------------------
 
@@ -209,23 +306,25 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             order, ca, cb = self._pair(other)
-            return Jet(self.num_vars, order, ca + cb)
+            return _jet(self.num_vars, order, ca + cb,
+                        _union(self._support, other._support))
         out = self.coeffs.astype(np.result_type(self.coeffs, other))
         out[..., 0] += other
-        return Jet(self.num_vars, self.order, out)
+        return _jet(self.num_vars, self.order, out, self._support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.num_vars, self.order, -self.coeffs)
+        return _jet(self.num_vars, self.order, -self.coeffs, self._support)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             order, ca, cb = self._pair(other)
-            return Jet(self.num_vars, order, ca - cb)
+            return _jet(self.num_vars, order, ca - cb,
+                        _union(self._support, other._support))
         out = self.coeffs.astype(np.result_type(self.coeffs, other))
         out[..., 0] -= other
-        return Jet(self.num_vars, self.order, out)
+        return _jet(self.num_vars, self.order, out, self._support)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -233,13 +332,23 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             order, ca, cb = self._pair(other)
-            ia, ib, seg = _mul_table(self.num_vars, order)
-            # each operand is gathered at its own batch shape; the multiply
-            # broadcasts them, as parameter-only jets are often narrower
-            return Jet(self.num_vars, order,
-                       np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1))
-        return Jet(self.num_vars, self.order,
-                   self.coeffs * np.asarray(other)[..., None])
+            sa, sb = self._variables(), other._variables()
+            if sa == 0:
+                out = ca[..., :1] * cb
+            elif sb == 0:
+                out = ca * cb[..., :1]
+            else:
+                # reduceat sums complex terms in blocks from 4 on, real from 8
+                blocked = 4 if "c" in (ca.dtype.kind, cb.dtype.kind) else 8
+                ia, ib, seg = _support_table(self.num_vars, order, sa, sb,
+                                             blocked)
+                # each operand is gathered at its own batch shape; the
+                # multiply broadcasts them, as parameter-only jets are often
+                # narrower
+                out = np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1)
+            return _jet(self.num_vars, order, out, sa | sb)
+        return _jet(self.num_vars, self.order,
+                    self.coeffs * np.asarray(other)[..., None], self._support)
 
     __rmul__ = __mul__
 
@@ -344,6 +453,7 @@ class Monomials(dict):
     def __init__(self, inner, order):
         self.num_vars, self.order = inner[0].num_vars, order
         self.batch_shape = inner[0].coeffs.shape[:-1]
+        self.supports = [u._variables() for u in inner]
         self._mids = multi_indices(len(inner), order)
         # per variable [None, u - u(0), (u - u(0))^2, ...], grown on demand
         self._powers = [[None, u.truncated(order) - u.value] for u in inner]
@@ -368,16 +478,22 @@ def compose(outer, monos):
     coefficient is zero at every batch point is skipped, so its monomial is
     never built and a constant outer jet costs no product; one reduction
     over the batch axes finds these multi-indices for the whole outer jet.
+    The result's support is the union of the supports of the inner jets
+    that these multi-indices use.
     """
     c = outer.coeffs
     shape = np.broadcast_shapes(c.shape[:-1], monos.batch_shape)
     out = np.zeros(shape + (_ncoef(monos.num_vars, monos.order),))
     out[..., 0] = c[..., 0]
     nonzero = c.any(axis=tuple(range(c.ndim - 1)))
+    masks, used = _var_masks(outer.num_vars, monos.order), 0
     for pos in range(1, _ncoef(outer.num_vars, monos.order)):
         if nonzero[pos]:
             out += c[..., pos, None] * monos[pos].coeffs
-    return Jet(monos.num_vars, monos.order, out)
+            used |= int(masks[pos])
+    support = reduce(operator.or_, (s for k, s in enumerate(monos.supports)
+                                    if used >> k & 1), 0)
+    return _jet(monos.num_vars, monos.order, out, support)
 
 
 # -- contractions -------------------------------------------------------------

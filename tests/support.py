@@ -30,6 +30,18 @@ def fd_partial(values, alpha, step=1e-2):
     return float(out)
 
 
+def scanned_support(jet):
+    """Bitmask of the variables used by the multi-indices whose coefficient
+    is nonzero at some batch point, read from the coefficients alone."""
+    c = np.asarray(jet.coeffs)
+    nonzero = c.reshape(-1, c.shape[-1]).any(axis=0)
+    mask = 0
+    for mi, used in zip(jets.multi_indices(jet.num_vars, jet.order), nonzero):
+        if used:
+            mask |= sum(1 << k for k, e in enumerate(mi) if e)
+    return mask
+
+
 def relative_error(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.max(np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b))))

@@ -74,6 +74,43 @@ def test_seed_env_and_flag_precedence(capsys, monkeypatch):
     assert code == 2 and "BITENSION_SEED" in err
 
 
+def test_plain_value_errors_from_a_handler_propagate(capsys, monkeypatch):
+    def broken(case, samples, seed, tol):
+        # what Jet.derivative raises on an order-0 jet: a bug, not bad input
+        raise ValueError("cannot differentiate an order-0 jet")
+
+    monkeypatch.setattr(catalog, "verify_case", broken)
+    with pytest.raises(ValueError, match="order-0 jet"):
+        cli.main(["catalog", "verify", "identity"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("catalog", "verify", "cylinder_family", "--param", "R=abc"),
+     "R = 'abc' is not a number"),
+    (("catalog", "verify", "identity", "--param", "m=9"), "2..6"),
+    (("cylinder", "solve", "--radius", "0", "--c1", "0", "--c2", "2"),
+     "radius must be positive"),
+    (("cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2",
+      "--steps", "8"), "at least 16 steps"),
+])
+def test_named_input_errors_are_usage_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "verify", "identity", "--samples", "0"),
+    ("check-transform", "--law", "tension", "--dims", "2,3", "--cases", "0"),
+    ("weierstrass", "check", "--case", "r2_wrap_r3", "--samples", "-3"),
+])
+def test_counts_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(list(argv))
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert "wants a positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("law,dims", [
     ("tension", "4,5"), ("jacobi", "2,3"), ("bitension", "3,4")])
 def test_check_transform_laws_pass(capsys, law, dims):

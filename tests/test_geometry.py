@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bitension import expr, geometry, jets
+from bitension import catalog, conformal, expr, geometry, jets
 from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
                               SmoothMap, VectorFieldAlongMap)
 from bitension.geometry import MapState
@@ -246,6 +246,41 @@ def test_map_state_carries_each_jet_at_the_order_it_is_read():
                 assert full[i][j][k].order == 3
                 assert np.array_equal(state.gammaM[i][j][k].coeffs,
                                       full[i][j][k].truncated(2).coeffs)
+
+
+def _every_jet(nest):
+    if isinstance(nest, jets.Jet):
+        yield nest
+    else:
+        for entry in nest:
+            yield from _every_jet(entry)
+
+
+def _support_source(name):
+    if name in catalog.CASE_NAMES:
+        phi, g, h = catalog.build_case(name).geometry
+        return phi, g, h, phi.domain.sample(6, 31)
+    m = int(name[-1])
+    dom, g, h, phi, _, _ = conformal.random_transform_family(
+        m, 3, np.random.default_rng(60 + m))
+    pts = dom.sample(2, 70 + m)
+    return phi, g, h, np.broadcast_to(pts, (3,) + pts.shape)
+
+
+@pytest.mark.parametrize("name", catalog.CASE_NAMES
+                         + tuple(f"family m={m}" for m in range(2, 6)))
+def test_map_state_jets_record_supersets_of_their_supports(name):
+    state = MapState(*_support_source(name), 4)
+    lists = (state.g_jets, state.ginv_jets, state.gammaM, state.phi_jets,
+             state.Dphi, state.Q_jets, state.tension_jets)
+    every = [jet for nest in lists for jet in _every_jet(nest)]
+    narrower = 0
+    for jet in every:
+        recorded = jet._support
+        assert recorded is not None  # built by jets operations, not scanned
+        assert support.scanned_support(jet) & ~recorded == 0
+        narrower += recorded != (1 << jet.num_vars) - 1
+    assert narrower > 0
 
 
 def _curvature_by_derivatives(gamma):

@@ -277,6 +277,120 @@ def test_products_across_batch_shapes_are_the_broadcast_form(batches, order,
         assert np.array_equal(got, want)
 
 
+_BATCH_PAIRS = (((3, 1), (3, 4)), ((4,), (2, 3, 4)), ((), (3, 4)))
+
+
+def _jet_over(rng, num_vars, order, variables, batch, dtype):
+    """A random jet whose coefficients vanish at every multi-index that uses
+    a variable outside the bitmask ``variables``."""
+    coeffs = rng.standard_normal(batch + (jets._ncoef(num_vars, order),))
+    if dtype is complex:
+        coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+    for pos, alpha in enumerate(jets.multi_indices(num_vars, order)):
+        if any(e and not variables >> k & 1 for k, e in enumerate(alpha)):
+            coeffs[..., pos] = 0.0
+    return Jet(num_vars, order, coeffs)
+
+
+@pytest.mark.parametrize("num_vars", range(1, 7))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_products_over_variable_supports_are_the_dense_form(num_vars, dtype):
+    # np.array_equal counts -0.0 equal to 0.0: the restricted product skips
+    # only pairs that are exact zeros, which can change nothing but the sign
+    # of a zero sum
+    rng = np.random.default_rng(51 + num_vars)
+    full = (1 << num_vars) - 1
+    for batches in _BATCH_PAIRS:
+        for order in range(5):
+            subsets = [(0, full), (full, full), (0, 0)] + [
+                tuple(int(s) for s in rng.integers(0, full + 1, size=2))
+                for _ in range(4)]
+            for sa, sb in subsets:
+                a = _jet_over(rng, num_vars, order, sa, batches[0], dtype)
+                b = _jet_over(rng, num_vars, 4, sb, batches[1], dtype)
+                for x, y in ((a, b), (b, a)):
+                    got, want = (x * y).coeffs, _broadcast_product(x, y)
+                    assert got.shape == want.shape
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("num_vars", range(1, 7))
+@pytest.mark.parametrize("blocked", [4, 8])
+def test_support_tables_drop_only_zero_pairs_in_dense_order(num_vars, blocked):
+    rng = np.random.default_rng(53)
+    order = 4
+    mids = jets.multi_indices(num_vars, order)
+    used = [sum(1 << k for k, e in enumerate(mi) if e) for mi in mids]
+    ia, ib, seg = jets._mul_table(num_vars, order)
+    dense = [list(zip(ia[lo:hi], ib[lo:hi]))
+             for lo, hi in zip(seg, list(seg[1:]) + [len(ia)])]
+    full = (1 << num_vars) - 1
+    for sa, sb in [(1, full), (full, 1)] + [
+            tuple(int(s) for s in pair)
+            for pair in rng.integers(1, full + 1, size=(8, 2))]:
+        ra, rb, rseg = jets._support_table(num_vars, order, sa, sb, blocked)
+        assert len(rseg) == len(mids)
+        for pos, (lo, hi) in enumerate(zip(rseg, list(rseg[1:]) + [len(ra)])):
+            kept = list(zip(ra[lo:hi], rb[lo:hi]))
+            inside = [p for p in dense[pos]
+                      if not used[p[0]] & ~sa and not used[p[1]] & ~sb]
+            # a subsequence of the dense pairs holding every pair whose
+            # factors lie in the supports; where more than two of those
+            # follow the first dense pair, it is kept, and a block-summed
+            # position is kept whole
+            assert kept == [p for p in dense[pos] if p in kept]
+            assert set(inside) <= set(kept) and kept
+            rest = set(inside) - {dense[pos][0]}
+            if len(rest) > 2:
+                assert kept[0] == dense[pos][0]
+                if len(dense[pos]) > blocked:
+                    assert kept == dense[pos]
+            elif not inside:
+                assert kept == dense[pos][:1]
+            else:
+                assert kept == inside
+        if sa == 1 and num_vars >= 3:
+            # a factor in one variable: far fewer pairs than the dense table
+            assert 2 * len(ra) < len(ia)
+
+
+def test_recorded_supports_cover_every_nonzero_coefficient(monkeypatch):
+    made, build = [], jets._jet
+
+    def recording(*args):
+        made.append(build(*args))
+        return made[-1]
+
+    monkeypatch.setattr(jets, "_jet", recording)
+    rng = np.random.default_rng(52)
+    narrower = 0
+    for trial in range(60):
+        num_vars = int(rng.integers(1, 5))
+        full = (1 << num_vars) - 1
+        chosen = int(rng.integers(0, full + 1))
+        prog = support.random_program(rng, num_vars,
+                                      depth=int(rng.integers(2, 6)))
+        x0 = rng.uniform(-0.5, 0.5, size=(3, num_vars))
+        seeds = [Jet.variable(i, x0[:, i], num_vars) if chosen >> i & 1
+                 else Jet.constant(x0[:, i], num_vars)
+                 for i in range(num_vars)]
+        made.clear()
+        got = prog(seeds)
+        for jet in made:
+            if jet._support is not None:
+                assert support.scanned_support(jet) & ~jet._support == 0, trial
+                narrower += jet.num_vars == num_vars and jet._support != full
+        if isinstance(got, Jet):
+            # the same program with every product over the dense table
+            with monkeypatch.context() as dense:
+                dense.setattr(Jet, "_variables",
+                              lambda self: (1 << self.num_vars) - 1)
+                want = prog(seeds)
+            assert np.array_equal(got.coeffs, want.coeffs), trial
+    assert narrower > 100
+
+
 def test_stack_values_puts_nest_indices_after_the_batch():
     batch = (5,)
     nest = [[[Jet.constant(np.full(batch, 100.0 * i + 10.0 * j + k), 2, 1)
@@ -410,6 +524,23 @@ def test_composition_tests_the_outer_coefficients_in_one_reduction():
         if pos not in (2, 9):
             want += coeffs[..., pos, None] * monos[pos].coeffs
     assert np.array_equal(got.coeffs, want)
+
+
+def test_composition_records_the_supports_of_the_inner_jets_it_reads():
+    rng = np.random.default_rng(54)
+    seeds = [Jet.variable(i, rng.uniform(size=3), 4, 3) for i in range(4)]
+    # inner jets over {x0}, {x1, x2} and {x3}
+    inner = [seeds[0].sin(), seeds[1] * seeds[2], seeds[3].exp()]
+    monos = jets.Monomials(inner, 3)
+    mids = jets.multi_indices(3, 3)
+    for outer_vars, want in ((0b010, 0b0110), (0b101, 0b1001), (0, 0)):
+        coeffs = rng.standard_normal((3, len(mids)))
+        for pos, alpha in enumerate(mids):
+            if any(e and not outer_vars >> k & 1 for k, e in enumerate(alpha)):
+                coeffs[..., pos] = 0.0
+        got = jets.compose(Jet(3, 3, coeffs), monos)
+        assert got._support == want
+        assert support.scanned_support(got) == want
 
 
 def test_integer_powers_start_from_the_base(monkeypatch):
