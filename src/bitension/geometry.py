@@ -165,15 +165,21 @@ def _jet_matrix_inverse(rows):
 def _christoffel_jets(gj, ginv):
     """gamma[i][j][k] = Gamma^k_ij, one jet order below the metric jets."""
     m = len(gj)
-    dg = [[[gj[i][j].derivative(l) for l in range(m)] for j in range(m)]
-          for i in range(m)]
+    # each distinct entry is differentiated once: mirror entries that share
+    # a jet (see _sym_matrix_jets) share its derivatives
+    dg = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            dg[i][j] = (dg[j][i] if j < i and gj[i][j] is gj[j][i] else
+                        [gj[i][j].derivative(l) for l in range(m)])
     out = [[[None] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
+            # d_i g_jl + d_j g_il - d_l g_ij, formed once for every k
+            s = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(m)]
             for k in range(m):
                 out[i][j][k] = out[j][i][k] = jets.contract(
-                    (ginv[k][l], dg[j][l][i] + dg[i][l][j] - dg[i][j][l])
-                    for l in range(m)) * 0.5
+                    (ginv[k][l], s[l]) for l in range(m)) * 0.5
     return out
 
 

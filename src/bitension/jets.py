@@ -37,6 +37,20 @@ in the dense grouping; a factor of support ``0`` is a scale by its value
 column.  So a product equals the dense one bit for bit, except possibly in
 the sign of a zero.
 
+A jet can also be known to be zero from how it was built, and then it holds
+no memory: its coefficients are one shared read-only zero array per
+coefficient shape and dtype (``np.broadcast_to``), and :meth:`Jet.is_zero`
+answers without a scan.  Known zeros come from :meth:`Jet.constant` of an
+all-zero value (so the all-skipped :func:`contract`, zero fills and literal
+``0`` components), a derivative along a variable outside the support (every
+derivative of a constant), a product with a known zero factor, the centred
+monomials of a constant inner jet and :func:`compose` of a known zero outer
+jet.  A sum or difference with a known zero returns the other operand
+(negated for ``0 - x``) at the order, batch shape and dtype of the dense
+result; negation and truncation keep the flag.  Results equal the dense ones
+except possibly in the sign of a zero, and ``x * 0`` is ``0`` even where
+``x`` holds inf or NaN, as in :func:`contract`.
+
 Taylor composition (the elementary functions, target-side jets pulled back
 through a map) is done in one place: :func:`compose` sums the outer
 coefficients against a :class:`Monomials` set of the inner jets; the two
@@ -169,15 +183,40 @@ def _factorials(num_vars, order):
                      for mi in multi_indices(num_vars, order)])
 
 
-def _jet(num_vars, order, coeffs, support):
+def _jet(num_vars, order, coeffs, support, zero=None):
     # a jet whose variable support is known from how it was built (None:
-    # unknown, found by scanning the coefficients when first asked); the
-    # slots are set here rather than through __init__, as every operation
-    # comes through here
+    # unknown, found by scanning the coefficients when first asked), and
+    # zero=True when it is known to be zero; the slots are set here rather
+    # than through __init__, as every operation comes through here
     out = object.__new__(Jet)
     out.num_vars, out.order, out.coeffs = num_vars, order, coeffs
-    out._zero, out._support = None, support
+    out._zero, out._support = zero, support
     return out
+
+
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+@lru_cache(maxsize=256)
+def _zeros(shape, dtype):
+    # the read-only coefficients shared by every known zero of this shape
+    return np.broadcast_to(np.zeros((), dtype), shape)
+
+
+def _zero_jet(num_vars, order, batch, dtype):
+    """A known zero jet: no allocation, and never scanned."""
+    return _jet(num_vars, order, _zeros(batch + (_ncoef(num_vars, order),),
+                                        dtype), 0, True)
+
+
+def _batch(ca, cb):
+    # the broadcast batch shape of two coefficient arrays
+    a, b = ca.shape[:-1], cb.shape[:-1]
+    return a if a == b else np.broadcast_shapes(a, b)
+
+
+def _dtype(a, b):
+    return a if a == b else np.result_type(a, b)
 
 
 def _union(sa, sb):
@@ -196,6 +235,11 @@ class Jet:
     in this module record it from their operands; a jet built here from a
     raw array finds it in the scan that answers :meth:`is_zero`.  Products
     multiply only over the supports (see the module docstring).
+
+    A jet known to be zero at construction (see the module docstring) has
+    ``_zero`` set and shares a read-only zero coefficient array; sums with
+    it return the other operand and products with it are zero without
+    arithmetic, so ``x * 0`` is ``0`` even where ``x`` is inf or NaN.
     """
 
     __slots__ = ("num_vars", "order", "coeffs", "_zero", "_support")
@@ -227,6 +271,8 @@ class Jet:
     @classmethod
     def constant(cls, value, num_vars, order=MAX_ORDER):
         value = np.asarray(value, dtype=float)
+        if not value.any():
+            return _zero_jet(num_vars, order, value.shape, _FLOAT)
         coeffs = np.zeros(value.shape + (_ncoef(num_vars, order),))
         coeffs[..., 0] = value
         return _jet(num_vars, order, coeffs, 0)
@@ -252,7 +298,9 @@ class Jet:
 
     def is_zero(self):
         """True when no coefficient is nonzero at any batch point (a
-        structurally zero jet); computed on the first call and kept."""
+        structurally zero jet).  Known zeros (see the module docstring)
+        answer at once; any other jet scans on the first call and keeps the
+        answer."""
         if self._zero is None:
             if self._support is None:
                 self._scan()
@@ -277,24 +325,31 @@ class Jet:
 
     def max_abs(self):
         """The largest coefficient modulus over all batch points."""
+        if self._zero:
+            return 0.0
         return float(np.max(np.abs(self.coeffs)))
 
     def truncated(self, order):
         if order >= self.order:
             return self
+        # a zero stays zero; a nonzero jet may lose its nonzero coefficients
         return _jet(self.num_vars, order,
-                    self.coeffs[..., :_ncoef(self.num_vars, order)], self._support)
+                    self.coeffs[..., :_ncoef(self.num_vars, order)],
+                    self._support, self._zero or None)
 
     def derivative(self, axis):
         """The jet of df/dx_axis, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
+        c, support = self.coeffs, self._support
+        if self._zero or support is not None and not support >> axis & 1:
+            # the dense derivative multiplies by float weights
+            return _zero_jet(self.num_vars, self.order - 1, c.shape[:-1],
+                             c.dtype if c.dtype == _COMPLEX
+                             else _dtype(c.dtype, _FLOAT))
         idx, wgt = _diff_table(self.num_vars, self.order)
-        support = self._support
-        if support is not None and not support >> axis & 1:
-            support = 0
-        return _jet(self.num_vars, self.order - 1,
-                    self.coeffs[..., idx[axis]] * wgt[axis], support)
+        return _jet(self.num_vars, self.order - 1, c[..., idx[axis]] * wgt[axis],
+                    support)
 
     # -- ring operations ----------------------------------------------------
 
@@ -303,8 +358,31 @@ class Jet:
         nc = _ncoef(self.num_vars, order)
         return order, self.coeffs[..., :nc], other.coeffs[..., :nc]
 
+    def _plus_zero(self, zero):
+        """The sum of this jet and the known zero ``zero``: this jet at the
+        order, broadcast batch shape and dtype of the dense sum."""
+        order = min(self.order, zero.order)
+        c, z = self.coeffs, zero.coeffs
+        if self._zero:
+            return _zero_jet(self.num_vars, order, _batch(c, z),
+                             _dtype(c.dtype, z.dtype))
+        if order < self.order:
+            c = c[..., :_ncoef(self.num_vars, order)]
+        dtype, batch = _dtype(c.dtype, z.dtype), _batch(c, z)
+        if dtype != c.dtype:
+            c = c.astype(dtype)
+        if batch != c.shape[:-1]:
+            c = np.broadcast_to(c, batch + c.shape[-1:])
+        if c is self.coeffs:
+            return self
+        return _jet(self.num_vars, order, c, self._support, self._zero or None)
+
     def __add__(self, other):
         if isinstance(other, Jet):
+            if other._zero:
+                return self._plus_zero(other)
+            if self._zero:
+                return other._plus_zero(self)
             order, ca, cb = self._pair(other)
             return _jet(self.num_vars, order, ca + cb,
                         _union(self._support, other._support))
@@ -315,10 +393,16 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._zero:
+            return self
         return _jet(self.num_vars, self.order, -self.coeffs, self._support)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
+            if other._zero:
+                return self._plus_zero(other)
+            if self._zero:
+                return (-other)._plus_zero(self)
             order, ca, cb = self._pair(other)
             return _jet(self.num_vars, order, ca - cb,
                         _union(self._support, other._support))
@@ -331,6 +415,10 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
+            if self._zero or other._zero:
+                c, d = self.coeffs, other.coeffs
+                return _zero_jet(self.num_vars, min(self.order, other.order),
+                                 _batch(c, d), _dtype(c.dtype, d.dtype))
             order, ca, cb = self._pair(other)
             sa, sb = self._variables(), other._variables()
             if sa == 0:
@@ -347,8 +435,15 @@ class Jet:
                 # narrower
                 out = np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1)
             return _jet(self.num_vars, order, out, sa | sb)
-        return _jet(self.num_vars, self.order,
-                    self.coeffs * np.asarray(other)[..., None], self._support)
+        other = np.asarray(other)
+        if self._zero:
+            c = self.coeffs
+            batch = (c.shape[:-1] if other.ndim == 0
+                     else np.broadcast_shapes(c.shape[:-1], other.shape))
+            return _zero_jet(self.num_vars, self.order, batch,
+                             _dtype(c.dtype, other.dtype))
+        return _jet(self.num_vars, self.order, self.coeffs * other[..., None],
+                    self._support)
 
     __rmul__ = __mul__
 
@@ -455,8 +550,12 @@ class Monomials(dict):
         self.batch_shape = inner[0].coeffs.shape[:-1]
         self.supports = [u._variables() for u in inner]
         self._mids = multi_indices(len(inner), order)
-        # per variable [None, u - u(0), (u - u(0))^2, ...], grown on demand
-        self._powers = [[None, u.truncated(order) - u.value] for u in inner]
+        # per variable [None, u - u(0), (u - u(0))^2, ...], grown on demand;
+        # a constant inner jet (support 0) centres to a known zero
+        self._powers = [[None, u.truncated(order) - u.value if s else
+                         _zero_jet(self.num_vars, order, u.coeffs.shape[:-1],
+                                   u.coeffs.dtype)]
+                        for u, s in zip(inner, self.supports)]
 
     def __missing__(self, pos):
         factors = []
@@ -478,17 +577,22 @@ def compose(outer, monos):
     coefficient is zero at every batch point is skipped, so its monomial is
     never built and a constant outer jet costs no product; one reduction
     over the batch axes finds these multi-indices for the whole outer jet.
-    The result's support is the union of the supports of the inner jets
-    that these multi-indices use.
+    A known zero monomial is skipped too, and a known zero outer jet gives a
+    known zero.  The result's support is the union of the supports of the
+    inner jets that the added terms use.
     """
     c = outer.coeffs
-    shape = np.broadcast_shapes(c.shape[:-1], monos.batch_shape)
+    shape = c.shape[:-1]
+    if shape != monos.batch_shape:
+        shape = np.broadcast_shapes(shape, monos.batch_shape)
+    if outer._zero:
+        return _zero_jet(monos.num_vars, monos.order, shape, _FLOAT)
     out = np.zeros(shape + (_ncoef(monos.num_vars, monos.order),))
     out[..., 0] = c[..., 0]
     nonzero = c.any(axis=tuple(range(c.ndim - 1)))
     masks, used = _var_masks(outer.num_vars, monos.order), 0
     for pos in range(1, _ncoef(outer.num_vars, monos.order)):
-        if nonzero[pos]:
+        if nonzero[pos] and not monos[pos]._zero:
             out += c[..., pos, None] * monos[pos].coeffs
             used |= int(masks[pos])
     support = reduce(operator.or_, (s for k, s in enumerate(monos.supports)
@@ -516,8 +620,9 @@ def contract(terms):
       whose rounding depends on operand order, so this order is part of the
       result; ``t - p`` is written as the term ``(..., -1.0)``, which adds
       the exact negation.
-    * If every term is skipped, the result is a zero jet at the smallest
-      order among all the jet factors, with their broadcast batch shape.
+    * If every term is skipped, the result is a known zero jet (see the
+      module docstring) at the smallest order among all the jet factors,
+      with their broadcast batch shape.
     """
     skipped = []
 
@@ -532,9 +637,10 @@ def contract(terms):
     products = kept()
     total = next(products, None)
     if total is None:
-        shape = np.broadcast_shapes(*(f.coeffs.shape[:-1] for f in skipped))
-        return Jet.constant(np.zeros(shape), skipped[0].num_vars,
-                            min(f.order for f in skipped))
+        shapes = {f.coeffs.shape[:-1] for f in skipped}
+        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        return _zero_jet(skipped[0].num_vars, min(f.order for f in skipped),
+                         shape, _FLOAT)
     for p in products:
         total = total + p
     return total

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -391,6 +392,128 @@ def test_recorded_supports_cover_every_nonzero_coefficient(monkeypatch):
     assert narrower > 100
 
 
+# -- known zeros ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_derivatives_outside_the_support_are_known_zeros_without_a_scan(dtype):
+    rng = np.random.default_rng(55)
+    counts = []
+    x = _counting_any(_jet_over(rng, 3, 4, 0b101, (3, 4), dtype), counts)
+    assert x._variables() == 0b101 and len(counts) == 1
+    idx, wgt = jets._diff_table(3, 4)
+    for axis in range(3):
+        got = x.derivative(axis)
+        want = np.asarray(x.coeffs)[..., idx[axis]] * wgt[axis]
+        assert got.order == 3
+        assert got.coeffs.shape == want.shape and got.coeffs.dtype == want.dtype
+        assert np.array_equal(got.coeffs, want)
+        assert got._zero is (True if axis == 1 else None)
+    # x1 is outside the support: a known zero, built and tested with no scan
+    assert x.derivative(1).is_zero() and len(counts) == 1
+    # every derivative of a constant, and of a known zero, is a known zero
+    c = Jet.constant(rng.standard_normal((3, 4)), 3, 2)
+    assert all(c.derivative(k)._zero for k in range(3))
+    assert c.derivative(0).derivative(2)._zero
+
+
+def _dense(op, a, b):
+    """The dense reference: ``op`` on the coefficient arrays alone."""
+    if op is operator.mul:
+        return _broadcast_product(a, b)
+    nc = jets._ncoef(a.num_vars, min(a.order, b.order))
+    return op(np.asarray(a.coeffs)[..., :nc], np.asarray(b.coeffs)[..., :nc])
+
+
+@pytest.mark.parametrize("dtypes", [(float, float), (float, complex),
+                                    (complex, float), (complex, complex)])
+def test_arithmetic_with_a_known_zero_is_the_dense_form(dtypes):
+    # np.array_equal cannot see the sign of a zero: x + 0 returns x, where
+    # the dense sum turns -0.0 into 0.0
+    rng = np.random.default_rng(56)
+    for batches in _BATCH_PAIRS:
+        for order in range(5):
+            for xo, zo in ((4, order), (order, 4)):
+                x = _jet_over(rng, 2, xo, 0b11, batches[0], dtypes[0])
+                zero = jets._zero_jet(2, zo, batches[1], np.dtype(dtypes[1]))
+                for a, b in ((x, zero), (zero, x), (zero, zero)):
+                    for op in (operator.add, operator.sub, operator.mul):
+                        got, want = op(a, b), _dense(op, a, b)
+                        assert got.order == min(a.order, b.order)
+                        assert got.coeffs.shape == want.shape
+                        assert got.coeffs.dtype == want.dtype
+                        assert np.array_equal(got.coeffs, want)
+                        if op is operator.mul or a is b:
+                            assert got._zero
+                for scale in (2.0, 1j, rng.standard_normal((2, 1, 1))):
+                    want = np.asarray(zero.coeffs) * np.asarray(scale)[..., None]
+                    for got in (zero * scale, scale * zero):
+                        assert got._zero and got.coeffs.shape == want.shape
+                        assert got.coeffs.dtype == want.dtype
+                assert (-zero) is zero and zero.truncated(0)._zero
+
+
+def test_a_product_with_a_known_zero_is_zero_at_inf_and_nan():
+    x = Jet(2, 2, np.array([[np.inf, 1.0, np.nan, 0.0, 2.0, 3.0]]))
+    zero = Jet.constant(np.zeros(1), 2, 2)
+    assert zero._zero
+    assert not np.any((x * zero).coeffs) and not np.any((zero * x).coeffs)
+
+
+def test_known_zero_coefficients_are_shared_and_not_writeable():
+    zero = Jet.constant(np.zeros((3, 4)), 2, 3)
+    assert zero._zero and zero._support == 0 and zero.is_zero()
+    assert not zero.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        zero.coeffs[..., 0] = 1.0
+    # one buffer for every known zero of a coefficient shape and dtype,
+    # holding no memory of its own
+    assert not any(zero.coeffs.strides) and zero.max_abs() == 0.0
+    one = Jet.constant(np.ones((3, 4)), 2, 4)
+    assert one.derivative(0).coeffs is zero.coeffs
+    assert jets.contract([(zero, one)]).coeffs is zero.coeffs
+    # truncation keeps a known zero, but a nonzero jet may truncate to zero
+    seed = Jet.variable(0, np.zeros(3), 2)
+    assert not seed.is_zero() and seed.truncated(0).is_zero()
+
+
+def test_known_zeros_give_the_results_of_the_dense_operations(monkeypatch):
+    # random programs over seed variables, nonzero constants and known zero
+    # constants, and their first partials, against the same programs with
+    # every zero flag dropped; np.array_equal does not see the sign of zero
+    build = jets._jet
+    rng = np.random.default_rng(57)
+    zeros = 0
+    for trial in range(60):
+        num_vars = int(rng.integers(1, 5))
+        kinds = rng.integers(0, 3, size=num_vars)
+        prog = support.random_program(rng, num_vars,
+                                      depth=int(rng.integers(2, 6)))
+        x0 = rng.uniform(-0.5, 0.5, size=(3, num_vars))
+
+        def run():
+            seeds = [Jet.variable(i, x0[:, i], num_vars) if kind == 0
+                     else Jet.constant(x0[:, i] * (kind == 1), num_vars)
+                     for i, kind in enumerate(kinds)]
+            out = prog(seeds)
+            if not isinstance(out, Jet):
+                return []
+            return [out] + [out.derivative(k) for k in range(num_vars)]
+
+        got = run()
+        zeros += sum(bool(jet._zero) for jet in got)
+        with monkeypatch.context() as dense:
+            dense.setattr(jets, "_jet",
+                          lambda n, o, c, s, zero=None: build(n, o, c, s))
+            want = run()
+        assert not any(jet._zero for jet in want)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.order == w.order and g.coeffs.dtype == w.coeffs.dtype
+            assert np.array_equal(g.coeffs, w.coeffs), trial
+    assert zeros > 10
+
+
 def test_stack_values_puts_nest_indices_after_the_batch():
     batch = (5,)
     nest = [[[Jet.constant(np.full(batch, 100.0 * i + 10.0 * j + k), 2, 1)
@@ -505,6 +628,22 @@ def test_composing_a_constant_outer_jet_makes_no_product(monkeypatch):
     got = jets.compose(outer, jets.Monomials(inner, 4))
     assert calls == []
     assert got.order == 4 and np.array_equal(got.coeffs, outer.coeffs)
+
+
+def test_known_zeros_in_a_composition_short_circuit(monkeypatch):
+    rng = np.random.default_rng(58)
+    inner = [Jet.constant(rng.uniform(size=(3, 4)), 2, 4), _random_jet(rng, 4)]
+    monos = jets.Monomials(inner, 3)
+    calls = _counting_products(monkeypatch)
+    # the constant inner jet centres to a known zero, and so does every
+    # monomial that uses it
+    for pos, alpha in enumerate(jets.multi_indices(2, 3)[1:], 1):
+        assert bool(monos[pos]._zero) == (alpha[0] > 0)
+    # only the powers u^2 and u^3 of the other inner jet take arithmetic
+    assert sum(not (a._zero or b._zero) for a, b in calls) == 2
+    got = jets.compose(Jet.constant(np.zeros((3, 1)), 2, 4), monos)
+    assert got._zero and got.order == 3
+    assert got.coeffs.shape == (3, 4, jets._ncoef(2, 3))
 
 
 def test_composition_tests_the_outer_coefficients_in_one_reduction():
