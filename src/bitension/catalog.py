@@ -18,7 +18,8 @@ from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
 from .cylinder import CylinderParams
 from .expr import ExprEvalError
 from .geometry import GeometryInputError, MapState, MetricError
-from .report import VERSION, CheckRecord, VerificationReport
+from .report import (VERSION, CheckRecord, VerificationReport,
+                     check_record)
 
 
 class CaseError(ValueError):
@@ -502,14 +503,7 @@ def verify_case(case, samples=64, seed=7, tol=None):
             records.append(CheckRecord(exp.check, None, None, use_tol, False,
                                        None, f"{type(err).__name__}: {err}"))
             continue
-        if exp.mode == "max":
-            idx = int(np.argmax(val_abs))
-            passed = bool(val_abs[idx] < use_tol)
-        else:
-            idx = int(np.argmin(val_abs))
-            passed = bool(val_abs[idx] > use_tol)
-        records.append(CheckRecord(
-            exp.check, float(val_abs[idx]), float(val_norm[idx]), use_tol,
-            passed, tuple(float(c) for c in pts[idx])))
+        records.append(check_record(exp.check, val_abs, val_norm, pts,
+                                    use_tol, exp.mode))
     return VerificationReport(VERSION, case.name, seed, samples,
                               tuple(records), all(r.passed for r in records))

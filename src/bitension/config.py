@@ -74,6 +74,13 @@ def _parse_float(where, key, raw):
         _fail(where, f"{key} must be a number, got {raw!r}")
 
 
+def _parse_int(where, key, raw):
+    try:
+        return None if raw is None else int(raw)
+    except ValueError:
+        _fail(where, f"{key} must be an integer, got {raw!r}")
+
+
 def _parse_expr(where, source, allowed, parameters):
     try:
         node = expr.parse(source)
@@ -314,15 +321,12 @@ def load_config(path):
         if kind in ("r3_tangential", "r3_normal") and induced_name is None:
             _fail(where, f"check '{kind}' needs induced = NAME")
 
-    samples = run.pop("samples", None)
-    seed = run.pop("seed", None)
+    samples, seed = (_parse_int(where, key, run.pop(key, None))
+                     for key in ("samples", "seed"))
     label = run.pop("name", None)
     if run:
         _fail(where, f"unknown key {sorted(run)[0]!r}")
-    for key, value in (("samples", samples), ("seed", seed)):
-        if value is not None and not value.lstrip("-").isdigit():
-            _fail(where, f"{key} must be an integer, got {value!r}")
-    if samples is not None and int(samples) <= 0:
+    if samples is not None and samples <= 0:
         _fail(where, "samples must be positive")
 
     default_label = os.path.splitext(os.path.basename(str(path)))[0]
@@ -332,5 +336,4 @@ def load_config(path):
         induced=metrics[induced_name] if induced_name else None,
         factor=factors[factor_name] if factor_name else None,
         parameters=parameters, checks=tuple(checks),
-        samples=int(samples) if samples is not None else None,
-        seed=int(seed) if seed is not None else None)
+        samples=samples, seed=seed)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr, geometry, jets
+from . import expr, jets
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap, \
     VectorFieldAlongMap
 from .geometry import GeometryInputError, MapState
@@ -48,8 +48,9 @@ class ConformalFactor:
 class _FactorData:
     """Derived quantities of ln F at the points of a map state."""
 
-    def __init__(self, state, factor):
-        fj = state.scalar_jet(factor.ast, factor.parameters)
+    def __init__(self, state, source, parameters=None):
+        self.factor = ConformalFactor.of(source, parameters)
+        fj = state.scalar_jet(self.factor.ast, self.factor.parameters)
         self.values = np.asarray(fj.value, dtype=float)
         if np.any(self.values <= 0.0):
             worst = float(np.min(self.values))
@@ -75,19 +76,12 @@ def conformal_metric(g, factor, parameters=None):
     return RiemannianMetric(g.domain, comps, merged)
 
 
-def tension_transform_rhs(phi, g, h, factor, x, parameters=None):
-    """g-side of the tension law: F^2 {tau(phi,g) - (m-2) dphi(grad ln F)}."""
-    state = MapState(phi, g, h, x, 2)
-    fac = _FactorData(state, ConformalFactor.of(factor, parameters))
-    m = state.m
-    inner = state.tension_values - (m - 2.0) * fac.pushed_values
+def _tension_rhs(state, fac):
+    inner = state.tension_values - (state.m - 2.0) * fac.pushed_values
     return fac.values[..., None] ** 2 * inner
 
 
-def jacobi_transform_rhs(phi, g, h, factor, fld, x, parameters=None):
-    """g-side of the Jacobi law: F^2 J(X) + F^2 (m-2) nabla_{grad ln F} X."""
-    state = MapState(phi, g, h, x, 3)
-    fac = _FactorData(state, ConformalFactor.of(factor, parameters))
+def _jacobi_rhs(state, fac, fld):
     section = state.section_from_field(fld)
     jac, slide = state.jacobi_and_directional(section, fac.grad)
     return fac.values[..., None] ** 2 * (jac + (state.m - 2.0) * slide)
@@ -110,12 +104,22 @@ def _bitension_rhs(state, fac):
     return fac.values[..., None] ** 4 * inner
 
 
+def tension_transform_rhs(phi, g, h, factor, x, parameters=None):
+    """g-side of the tension law: F^2 {tau(phi,g) - (m-2) dphi(grad ln F)}."""
+    state = MapState(phi, g, h, x, 2)
+    return _tension_rhs(state, _FactorData(state, factor, parameters))
+
+
+def jacobi_transform_rhs(phi, g, h, factor, fld, x, parameters=None):
+    """g-side of the Jacobi law: F^2 J(X) + F^2 (m-2) nabla_{grad ln F} X."""
+    state = MapState(phi, g, h, x, 3)
+    return _jacobi_rhs(state, _FactorData(state, factor, parameters), fld)
+
+
 def bitension_transform_rhs(phi, g, h, factor, x, parameters=None):
     """g-side of the bitension law, valid in every dimension."""
     state = MapState(phi, g, h, x, 4)
-    return _bitension_rhs(state, _FactorData(state,
-                                             ConformalFactor.of(factor,
-                                                                parameters)))
+    return _bitension_rhs(state, _FactorData(state, factor, parameters))
 
 
 def bitension_transform_rhs_dim2(phi, g, h, factor, x, parameters=None):
@@ -128,7 +132,7 @@ def bitension_transform_rhs_dim2(phi, g, h, factor, x, parameters=None):
     if state.m != 2:
         raise GeometryInputError("dimension-2 form requires a 2d domain, "
                                  f"got m={state.m}")
-    fac = _FactorData(state, ConformalFactor.of(factor, parameters))
+    fac = _FactorData(state, factor, parameters)
     tau = state.tension_values
     slide_tau = state.directional_covariant(fac.grad, state.tension_jets)
     b = fac.laplacian + 2.0 * fac.grad_norm_sq
@@ -136,22 +140,27 @@ def bitension_transform_rhs_dim2(phi, g, h, factor, x, parameters=None):
     return fac.values[..., None] ** 4 * inner
 
 
-def law_sides(law, phi, g, h, fld, factor, x):
-    """Both sides of one conformal-change law ("tension", "jacobi" or
-    "bitension"): the operator computed directly with the rescaled metric
-    conformal_metric(g, factor), and the g-side right-hand side.  ``fld`` is
-    the section the Jacobi law is applied to; the other laws ignore it."""
-    gbar = conformal_metric(g, factor)
-    if law == "tension":
-        return (geometry.tension_field(phi, gbar, h, x),
-                tension_transform_rhs(phi, g, h, factor, x))
-    if law == "jacobi":
-        return (geometry.jacobi_apply(phi, gbar, h, x, fld),
-                jacobi_transform_rhs(phi, g, h, factor, fld, x))
-    if law == "bitension":
-        return (geometry.bitension_field(phi, gbar, h, x),
-                bitension_transform_rhs(phi, g, h, factor, x))
-    raise ValueError(f"unknown law '{law}'")
+def law_sides(phi, g, h, fld, factor, x):
+    """Both sides of all three conformal-change laws, from two shared states.
+
+    Returns ``{"tension": (direct, rhs), "jacobi": ..., "bitension": ...}``
+    in that order.  Every direct side is read from one order-4 state on the
+    rescaled metric conformal_metric(g, factor), every g-side from one
+    order-4 state on g; the two states stay apart because the laws compare
+    them.  ``fld`` is the section the Jacobi law is applied to.  Each side
+    is bitwise equal to its one-shot (geometry.tension_field etc. on the
+    rescaled metric, the *_transform_rhs functions), whose lower orders
+    give the same low-degree coefficients.
+    """
+    bar = MapState(phi, conformal_metric(g, factor), h, x, 4)
+    state = MapState(phi, g, h, x, 4)
+    fac = _FactorData(state, factor)
+    return {
+        "tension": (bar.tension_values, _tension_rhs(state, fac)),
+        "jacobi": (bar.jacobi_of(bar.section_from_field(fld)),
+                   _jacobi_rhs(state, fac, fld)),
+        "bitension": (bar.bitension_values, _bitension_rhs(state, fac)),
+    }
 
 
 def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None,
@@ -169,7 +178,7 @@ def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None,
     if worst >= harmonic_tol:
         raise GeometryInputError("input map is not harmonic for g "
                                  f"(|tension| up to {worst:g})")
-    fac = _FactorData(state, ConformalFactor.of(factor, parameters))
+    fac = _FactorData(state, factor, parameters)
     m = state.m
     jac_pushed, slide_pushed = state.jacobi_and_directional(fac.pushed,
                                                             fac.grad)
@@ -192,20 +201,19 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
     Left minus right equals tau^2(phi, g); it vanishes exactly when the
     conformal immersion is biharmonic.
     """
-    fac = ConformalFactor.of(lam, parameters)
     state = MapState(phi, g, h, x, 4)
     probe = state.conformality(tol=conformal_tol)
     if not probe.conformal:
         raise GeometryInputError("map is not a conformal immersion for g, h "
                                  f"(pullback residual {probe.max_residual:g})")
-    data = _FactorData(state, fac)
+    data = _FactorData(state, lam, parameters)
     lam_sq = data.values ** 2
     mismatch = np.max(np.abs(lam_sq - probe.lambda_sq)
                       / (1.0 + np.abs(probe.lambda_sq)))
     if mismatch > conformal_tol:
         raise GeometryInputError("given factor disagrees with the measured "
                                  f"conformal factor (off by {mismatch:g})")
-    gbar = conformal_metric(g, fac.reciprocal())
+    gbar = conformal_metric(g, data.factor.reciprocal())
     iso = MapState(phi, gbar, h, x, 4)
     m = state.m
     lhs = lam_sq[..., None] ** 2 * iso.bitension_values
@@ -237,7 +245,6 @@ def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None,
 
     Equals the general residual divided by lambda^2 when m = 2.
     """
-    fac = ConformalFactor.of(lam, parameters)
     state = MapState(phi, g, h, x, 4)
     if state.m != 2:
         raise GeometryInputError("surface criterion requires a 2d domain, "
@@ -246,9 +253,9 @@ def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None,
     if not probe.conformal:
         raise GeometryInputError("map is not a conformal immersion for g, h "
                                  f"(pullback residual {probe.max_residual:g})")
-    data = _FactorData(state, fac)
+    data = _FactorData(state, lam, parameters)
     lam_sq = data.values ** 2
-    gbar = conformal_metric(g, fac.reciprocal())
+    gbar = conformal_metric(g, data.factor.reciprocal())
     iso = MapState(phi, gbar, h, x, 4)
     eta_jets = [t * 0.5 for t in iso.tension_jets]
     eta = jets.stack_values(eta_jets)

@@ -16,6 +16,8 @@ it is set, so reports of evaluable checks do not change.
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 VERSION = "0.1.0"
 
 
@@ -28,6 +30,21 @@ class CheckRecord:
     passed: bool
     worst_point: tuple  # coordinates of the binding sample, None on failure
     error: str | None = None  # why evaluation failed, None otherwise
+
+
+def check_record(name, values, normalized, pts, tol, mode="max"):
+    """The record of one check from its per-point values.
+
+    ``values`` and ``normalized`` share a shape; ``pts`` has that shape plus
+    a trailing coordinate axis.  The binding point is the largest value of a
+    residual ("max") check and the smallest of a magnitude ("min") check.
+    """
+    pick, beats = ((np.argmax, np.less) if mode == "max"
+                   else (np.argmin, np.greater))
+    idx = np.unravel_index(pick(values), np.shape(values))
+    return CheckRecord(name, float(values[idx]), float(normalized[idx]), tol,
+                       bool(beats(values[idx], tol)),
+                       tuple(float(c) for c in pts[idx]))
 
 
 @dataclass(frozen=True)

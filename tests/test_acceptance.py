@@ -38,8 +38,8 @@ def test_criterion_01_transformation_laws():
             m, 100, rng)
         pts = dom.sample(4, 200 + m)
         x = np.broadcast_to(pts, (100,) + pts.shape)
-        for law in worst:
-            direct, via = conformal.law_sides(law, phi, g, h, fld, fac, x)
+        sides = conformal.law_sides(phi, g, h, fld, fac, x)
+        for law, (direct, via) in sides.items():
             worst[law] = max(worst[law], support.relative_error(direct, via))
     elapsed = time.monotonic() - started
     top = max(worst.values())

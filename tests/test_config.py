@@ -91,6 +91,10 @@ def test_name_defaults_to_file_stem_and_label_overrides(tmp_path):
     (lambda t: t.replace("metric = flat2", "metric = flat3"),
      "starts from"),
     (lambda t: t.replace("samples = 32", "samples = soon"), "integer"),
+    (lambda t: t.replace("seed = 3", "seed = --5"),
+     "seed must be an integer"),
+    (lambda t: t.replace("samples = 32", "samples = \u00b3"),
+     "samples must be an integer"),
 ])
 def test_rejections_carry_a_reason(tmp_path, mangle, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -91,6 +91,11 @@ def test_factor_must_be_positive():
         conformal.tension_transform_rhs(phi, g, h, "x1", pts)
 
 
+def _bitwise_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_transform_laws_match_direct_rescaled_computation(m):
     rng = np.random.default_rng(100 + m)
@@ -110,6 +115,32 @@ def test_transform_laws_match_direct_rescaled_computation(m):
     direct_b = geometry.bitension_field(phi, gbar, h, x)
     law_b = conformal.bitension_transform_rhs(phi, g, h, fac, x)
     assert support.relative_error(law_b, direct_b) < 1e-8
+
+    # the shared order-4 states of law_sides give the one-shots' numbers,
+    # signs of zeros included
+    sides = conformal.law_sides(phi, g, h, fld, fac, x)
+    assert list(sides) == ["tension", "jacobi", "bitension"]
+    for (direct, rhs), one_shots in zip(sides.values(), [
+            (direct_t, law_t), (direct_j, law_j), (direct_b, law_b)]):
+        assert _bitwise_equal(direct, one_shots[0])
+        assert _bitwise_equal(rhs, one_shots[1])
+
+
+def test_law_sides_builds_one_state_per_geometry(monkeypatch):
+    rng = np.random.default_rng(104)
+    dom, g, h, phi, fld, fac = conformal.random_transform_family(4, 2, rng)
+    x = broadcast_points(dom, 2, 2, 39)
+    built = []
+    init = MapState.__init__
+
+    def counting(self, phi, g, h, x, order):
+        built.append((g, order))
+        init(self, phi, g, h, x, order)
+
+    monkeypatch.setattr(MapState, "__init__", counting)
+    conformal.law_sides(phi, g, h, fld, fac, x)
+    assert [order for _, order in built] == [4, 4]
+    assert sum(metric is g for metric, _ in built) == 1
 
 
 def test_dim2_bitension_form_agrees_with_general():
