@@ -187,19 +187,12 @@ def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None,
             - 2.0 * a[..., None] * fac.pushed_values)
 
 
-def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
-                              conformal_tol=1e-8):
-    """Both sides of the biharmonicity criterion for a conformal immersion.
+def _immersion_states(phi, g, h, lam, x, parameters, conformal_tol):
+    """The order-4 states of a conformal immersion on g and on the isometric
+    metric gbar = lambda^2 g, with the factor data of lambda and lambda^2.
 
-    For phi with pullback metric lambda^2 g the left side is
-    lambda^4 tau^2(phi, gbar) of the associated isometric immersion
-    (gbar = lambda^2 g, mean curvature section eta = tau(phi,gbar)/m), and the
-    right side collects the g-side terms
-    -(m-2) J(dphi(grad ln lambda))
-    + 2m lambda^2 (-Lap ln lambda - 2|grad ln lambda|^2) eta
-    + m(m-6) lambda^2 nabla_{grad ln lambda} eta.
-    Left minus right equals tau^2(phi, g); it vanishes exactly when the
-    conformal immersion is biharmonic.
+    Raises GeometryInputError unless phi is conformal for g, h and the given
+    factor lambda matches the measured conformal factor.
     """
     state = MapState(phi, g, h, x, 4)
     probe = state.conformality(tol=conformal_tol)
@@ -214,7 +207,25 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
         raise GeometryInputError("given factor disagrees with the measured "
                                  f"conformal factor (off by {mismatch:g})")
     gbar = conformal_metric(g, data.factor.reciprocal())
-    iso = MapState(phi, gbar, h, x, 4)
+    return state, data, lam_sq, MapState(phi, gbar, h, x, 4)
+
+
+def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
+                              conformal_tol=1e-8):
+    """Both sides of the biharmonicity criterion for a conformal immersion.
+
+    For phi with pullback metric lambda^2 g the left side is
+    lambda^4 tau^2(phi, gbar) of the associated isometric immersion
+    (gbar = lambda^2 g, mean curvature section eta = tau(phi,gbar)/m), and the
+    right side collects the g-side terms
+    -(m-2) J(dphi(grad ln lambda))
+    + 2m lambda^2 (-Lap ln lambda - 2|grad ln lambda|^2) eta
+    + m(m-6) lambda^2 nabla_{grad ln lambda} eta.
+    Left minus right equals tau^2(phi, g); it vanishes exactly when the
+    conformal immersion is biharmonic.
+    """
+    state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x,
+                                                  parameters, conformal_tol)
     m = state.m
     lhs = lam_sq[..., None] ** 2 * iso.bitension_values
     eta_jets = [t * (1.0 / m) for t in iso.tension_jets]
@@ -245,18 +256,11 @@ def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None,
 
     Equals the general residual divided by lambda^2 when m = 2.
     """
-    state = MapState(phi, g, h, x, 4)
-    if state.m != 2:
+    if phi.domain.dim != 2:
         raise GeometryInputError("surface criterion requires a 2d domain, "
-                                 f"got m={state.m}")
-    probe = state.conformality(tol=conformal_tol)
-    if not probe.conformal:
-        raise GeometryInputError("map is not a conformal immersion for g, h "
-                                 f"(pullback residual {probe.max_residual:g})")
-    data = _FactorData(state, lam, parameters)
-    lam_sq = data.values ** 2
-    gbar = conformal_metric(g, data.factor.reciprocal())
-    iso = MapState(phi, gbar, h, x, 4)
+                                 f"got m={phi.domain.dim}")
+    state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x,
+                                                  parameters, conformal_tol)
     eta_jets = [t * 0.5 for t in iso.tension_jets]
     eta = jets.stack_values(eta_jets)
     slide_eta = state.directional_covariant(data.grad, eta_jets)

@@ -18,9 +18,16 @@ complex-valued function is one jet (``u + 1j*v``); divisors and the arguments
 of the elementary functions stay real.
 
 Arithmetic truncates to the smaller operand order; differentiating drops the
-order by one.  Products are convolutions driven by a precomputed pair table
-and ``np.add.reduceat``, keeping the per-operation cost one vectorized numpy
-pass regardless of batch size.
+order by one.  Products are convolutions driven by a precomputed pair table:
+gather the pairs of every output coefficient, multiply, and sum each output's
+segment of terms with the grouping of ``np.add.reduceat``.  Small products
+and complex ones call ``reduceat`` itself, which loops once per batch point
+and output coefficient.  A real product of at least ``_RANK_MIN_TERMS``
+gathered terms (batch points times table length) sums rank by rank instead
+(:func:`_rank_plan`, :func:`_rank_sum`): the ``k``-th terms of all outputs
+form one contiguous block, so a handful of numpy calls cover the whole batch
+whatever its size.  Both give the same bits, signed zeros included, so the
+choice never makes a result depend on batch size or chunking.
 
 Every jet carries a variable support: a bitmask that contains every variable
 used by a multi-index whose coefficient is nonzero at some batch point (a
@@ -145,7 +152,9 @@ def _support_table(num_vars, order, sa, sb, blocked):
     pair when more than two pairs of the rest are kept (they are summed
     after it) or when nothing else is (a filler, for a position outside
     ``sa | sb``), and a block-summed rest whole when it keeps more than two
-    pairs.  Two terms and zeros add to the same bits in any order.
+    pairs.  Two terms and zeros add to the same bits in any order.  The
+    float64 tables are also the input of :func:`_rank_plan`, which repeats
+    this grouping without ``reduceat``, so the same rules hold on both paths.
     """
     ia, ib, seg = _mul_table(num_vars, order)
     masks = _var_masks(num_vars, order)
@@ -160,6 +169,92 @@ def _support_table(num_vars, order, sa, sb, blocked):
         return ia, ib, seg
     counts = np.add.reduceat(keep.astype(np.intp), seg)
     return ia[keep], ib[keep], np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+
+# a real product gathering at least this many terms (batch points times table
+# length) is summed by _rank_sum; below it the fixed cost of that path's numpy
+# calls outweighs what it saves, and reduceat sums it to the same bits
+_RANK_MIN_TERMS = 2048
+
+
+@lru_cache(maxsize=None)
+def _rank_plan(num_vars, order, sa, sb):
+    """The float64 :func:`_support_table` of supports ``sa``, ``sb`` laid out
+    rank by rank for :func:`_rank_sum`: ``(ia, ib, adds, inverse)``.
+
+    The outputs are sorted by segment length, longest first, and the pairs
+    ordered rank-major: rank ``k`` holds the ``k``-th term of every output
+    that has one, so it is a block of rows whose outputs are a prefix of the
+    sorted ones.  ``adds`` lists in-place row-block sums ``t[a:b] += t[c:d]``
+    that leave in the rank-0 rows exactly what ``np.add.reduceat`` computes
+    for float64 segments ``t0, t1, ...``: ``t0 + S``, where ``S`` sums the
+    rest left to right below 8 terms (numpy starts from ``-0.0``, which adds
+    to ``t1`` exactly) and, from 8 to 15, is the 8-accumulator block
+    ``((t1+t2) + (t3+t4)) + ((t5+t6) + (t7+t8))`` followed by the remaining
+    terms left to right (numpy's pairwise sum).  No output has more than 15
+    after its first up to order 4.  ``inverse`` maps each output to its
+    sorted row, or is ``None`` when the sort kept the order.
+    """
+    ia, ib, seg = _support_table(num_vars, order, sa, sb, 8)
+    sizes = np.diff(seg, append=len(ia))
+    assert sizes.max() <= 16, "rest sums beyond one pairwise block"
+    perm = np.argsort(-sizes, kind="stable")
+    counts = [int(np.count_nonzero(sizes > k)) for k in range(sizes.max())]
+    starts = np.cumsum([0] + counts[:-1]).tolist()
+    rows = np.concatenate([seg[perm[:n]] + k for k, n in enumerate(counts)])
+    counts += [0] * (16 - len(counts))
+    adds = []
+
+    def add(k, j, lo, hi):
+        # rank k rows lo:hi += rank j rows lo:hi
+        if hi > lo:
+            adds.append((starts[k] + lo, starts[k] + hi,
+                         starts[j] + lo, starts[j] + hi))
+
+    blocked = counts[8]  # the outputs with 8 or more terms after the first
+    for k, j in ((1, 2), (3, 4), (5, 6), (7, 8), (1, 3), (5, 7), (1, 5)):
+        add(k, j, 0, blocked)
+    for k in range(9, 16):
+        add(1, k, 0, counts[k])
+    for k in range(2, 8):
+        add(1, k, blocked, counts[k])
+    add(0, 1, 0, counts[1])
+    inverse = np.argsort(perm)
+    if (perm == np.arange(len(perm))).all():
+        inverse = None
+    return ia[rows], ib[rows], tuple(adds), inverse
+
+
+@lru_cache(maxsize=None)
+def _coefficient_axes(ndim):
+    # transpose axes putting the coefficient axis first, and back
+    return (ndim - 1,) + tuple(range(ndim - 1)), tuple(range(1, ndim)) + (0,)
+
+
+def _rank_sum(ca, cb, plan):
+    """The product of real coefficient arrays ``ca``, ``cb`` by a
+    :func:`_rank_plan`: the bits of ``np.add.reduceat`` over the plan's
+    support table, from a handful of numpy calls whatever the batch size.
+
+    Inside, the coefficient axis leads (an operand of lower batch rank gets
+    leading 1-axes first, so batch axes still align), so every rank is a
+    contiguous block of rows and each add covers all its outputs and batch
+    points at once.  The result is batch-major and C-contiguous, as stored.
+    """
+    ia, ib, adds, inverse = plan
+    ndim = max(ca.ndim, cb.ndim)
+    if ca.ndim < ndim:
+        ca = ca.reshape((1,) * (ndim - ca.ndim) + ca.shape)
+    if cb.ndim < ndim:
+        cb = cb.reshape((1,) * (ndim - cb.ndim) + cb.shape)
+    front, back = _coefficient_axes(ndim)
+    t = (np.ascontiguousarray(ca.transpose(front))[ia]
+         * np.ascontiguousarray(cb.transpose(front))[ib])
+    for a, b, c, d in adds:
+        rows = t[a:b]
+        np.add(rows, t[c:d], out=rows)
+    t = t[:ca.shape[-1]] if inverse is None else t[inverse]
+    return np.ascontiguousarray(t.transpose(back))
 
 
 @lru_cache(maxsize=None)
@@ -433,7 +528,13 @@ class Jet:
                 # each operand is gathered at its own batch shape; the
                 # multiply broadcasts them, as parameter-only jets are often
                 # narrower
-                out = np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1)
+                if (blocked == 8 and len(ia) * math.prod(_batch(ca, cb))
+                        >= _RANK_MIN_TERMS):
+                    out = _rank_sum(ca, cb, _rank_plan(self.num_vars, order,
+                                                       sa, sb))
+                else:
+                    out = np.add.reduceat(ca[..., ia] * cb[..., ib], seg,
+                                          axis=-1)
             return _jet(self.num_vars, order, out, sa | sb)
         other = np.asarray(other)
         if self._zero:

@@ -45,12 +45,14 @@ def section_of(state, isothermal_tol=1e-9):
     if state.m != 2:
         raise GeometryInputError("conformal-coordinate calculus needs a "
                                  "2d domain")
-    for a in range(state.n):
-        for b in range(state.n):
-            flat = 1.0 if a == b else 0.0
-            if (state.h_yjets[a][b] - flat).max_abs() > 1e-12:
-                raise GeometryInputError("target metric must be flat "
-                                         "Cartesian (identity components)")
+    # off the diagonal max_abs() reads a known zero without a copy; an entry
+    # shared with its transpose is tested once
+    h = state.h_yjets
+    if any((h[a][b] - 1.0 if a == b else h[a][b]).max_abs() > 1e-12
+           for a in range(state.n) for b in range(state.n)
+           if a <= b or h[a][b] is not h[b][a]):
+        raise GeometryInputError("target metric must be flat "
+                                 "Cartesian (identity components)")
     scale = state.g_jets[0][0].max_abs()
     off = state.g_jets[0][1].max_abs()
     gap = (state.g_jets[0][0] - state.g_jets[1][1]).max_abs()

@@ -259,6 +259,17 @@ def test_conformal_immersion_rejects_bad_input():
             "exp(-y)", pts)
 
 
+def test_surface_form_checks_the_given_factor():
+    dom, tgt, h, phi = wrap_immersion()
+    g = RiemannianMetric.conformally_flat(dom, "exp(y)")
+    pts = dom.sample(8, 50)
+    with pytest.raises(GeometryInputError, match="given factor disagrees"):
+        conformal.conformal_immersion_residual_dim2(phi, g, h, "exp(-y)", pts)
+    res = conformal.conformal_immersion_residual_dim2(phi, g, h, "exp(-y/2)",
+                                                      pts)
+    assert res.shape == (8, 3) and np.all(np.isfinite(res))
+
+
 def _derivatives(monkeypatch):
     """Record (section, result) of every covariant derivative from now on."""
     calls, nabla = [], MapState.covariant_derivative

@@ -356,6 +356,108 @@ def test_support_tables_drop_only_zero_pairs_in_dense_order(num_vars, blocked):
             assert 2 * len(ra) < len(ia)
 
 
+# -- the rank-major product sum -------------------------------------------------
+#
+# Large real products sum their terms rank by rank instead of calling
+# np.add.reduceat; these tests hold the two to the same bits, signed zeros
+# included (int64 views), so they also guard the numpy grouping the rank sum
+# reproduces.
+
+
+def _reduceat_product(x, y):
+    """x * y summed by np.add.reduceat over the float64 support table."""
+    order = min(x.order, y.order)
+    nc = jets._ncoef(x.num_vars, order)
+    ia, ib, seg = jets._support_table(x.num_vars, order, x._variables(),
+                                      y._variables(), 8)
+    return np.add.reduceat(x.coeffs[..., ia] * y.coeffs[..., ib], seg,
+                           axis=-1)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _signed_jet(rng, num_vars, order, variables, batch):
+    # scaled coefficients with exact zeros of both signs, in the support
+    coeffs = _jet_over(rng, num_vars, order, variables, batch, float).coeffs
+    coeffs = 1e3 * coeffs
+    coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+    coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
+    return Jet(num_vars, order, coeffs)
+
+
+def _counting_rank_sums(monkeypatch):
+    calls, rank_sum = [], jets._rank_sum
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return rank_sum(*args)
+
+    monkeypatch.setattr(jets, "_rank_sum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("num_vars", range(1, 7))
+@pytest.mark.parametrize("rank_min", [0, jets._RANK_MIN_TERMS])
+def test_rank_sums_are_the_reduceat_bits(monkeypatch, num_vars, rank_min):
+    # rank_min 0 sends every real product down the rank path; the default
+    # splits these batches across the threshold
+    monkeypatch.setattr(jets, "_RANK_MIN_TERMS", rank_min)
+    calls = _counting_rank_sums(monkeypatch)
+    rng = np.random.default_rng(57 + num_vars)
+    full = (1 << num_vars) - 1
+    supports = {(full, full), (1, full), (full, full >> 1 or 1),
+                (full & 0b101 or 1, full & 0b110 or 1)}
+    batches = (((100, 1), (100, 4)), ((), (3, 5)), ((7,), (2, 7)),
+               ((4,), (4,)))
+    made = 0
+    for order in range(1, 5):
+        for sa, sb in supports:
+            for ba, bb in batches:
+                a = _signed_jet(rng, num_vars, order, sa, ba)
+                b = _signed_jet(rng, num_vars, 4, sb, bb)
+                for x, y in ((a, b), (b, a)):
+                    if x.is_zero() or y.is_zero() or not (
+                            x._variables() and y._variables()):
+                        continue
+                    got, want = (x * y).coeffs, _reduceat_product(x, y)
+                    assert got.shape == want.shape and got.flags.c_contiguous
+                    assert np.array_equal(_bits(got), _bits(want))
+                    made += 1
+    assert made > 0
+    if rank_min == 0:
+        assert len(calls) == made
+    else:
+        assert 0 < len(calls) < made
+
+
+def test_a_row_has_the_same_bits_in_any_batch(monkeypatch):
+    calls = _counting_rank_sums(monkeypatch)
+    rng = np.random.default_rng(61)
+    for sa, sb in ((31, 31), (5, 27)):
+        a = _signed_jet(rng, 5, 4, sa, (1000,))
+        b = _signed_jet(rng, 5, 4, sb, (1000,))
+        whole = (a * b).coeffs
+        for row in (0, 417, 999):
+            one = (Jet(5, 4, a.coeffs[row:row + 1])
+                   * Jet(5, 4, b.coeffs[row:row + 1])).coeffs
+            assert np.array_equal(_bits(one[0]), _bits(whole[row]))
+    # the batch of 1000 takes the rank path, the single rows do not
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("batch", [(2,), (500,)])
+def test_an_overflowing_product_raises_under_errstate(monkeypatch, batch):
+    calls = _counting_rank_sums(monkeypatch)
+    big = np.full(batch + (jets._ncoef(3, 4),), 1e200)
+    a, b = Jet(3, 4, big), Jet(3, 4, big.copy())
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            a * b
+    assert len(calls) == (batch[0] > 2)
+
+
 def test_recorded_supports_cover_every_nonzero_coefficient(monkeypatch):
     made, build = [], jets._jet
 

@@ -236,3 +236,28 @@ def test_section_rejects_unsuitable_input():
     with pytest.raises(GeometryInputError, match="2d"):
         weierstrass.section(solid, RiemannianMetric.euclidean(dom3), h,
                             dom3.sample(4, 16))
+
+
+def test_flat_target_check_reads_each_entry_without_a_copy(monkeypatch):
+    dom = square()
+    tgt, h = flat_target(3)
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "u*v"))
+    pts = dom.sample(6, 17)
+    state = geometry.MapState(phi, RiemannianMetric.euclidean(dom), h, pts, 4)
+    shifted, sub = [], jets.Jet.__sub__
+
+    def recording(self, other):
+        if not isinstance(other, jets.Jet):
+            shifted.append(other)
+        return sub(self, other)
+
+    monkeypatch.setattr(jets.Jet, "__sub__", recording)
+    weierstrass.section_of(state)
+    # only the diagonal is shifted; the known-zero off-diagonal entries
+    # answer max_abs() at once
+    assert shifted == [1.0, 1.0, 1.0]
+    sheared = RiemannianMetric.from_components(
+        tgt, [["1", "0.01*p", "0"], ["0.01*p", "1", "0"], ["0", "0", "1"]])
+    with pytest.raises(GeometryInputError, match="flat"):
+        weierstrass.section(phi, RiemannianMetric.euclidean(dom), sheared,
+                            pts)
