@@ -3,10 +3,16 @@
 A :class:`Jet` stores the Taylor coefficients ``c[alpha] = d^alpha f / alpha!``
 of a smooth function at a base point, for every multi-index ``alpha`` of total
 degree <= ``order`` (at most :data:`MAX_ORDER`).  Coefficients live in a dense
-float or complex array whose last axis enumerates multi-indices in graded
-lexicographic order, so indices of degree <= k always form a prefix and
-truncation is a slice.  Leading axes of the coefficient array are broadcastable
-batch axes: one jet object can carry a whole batch of evaluation points.
+float or complex array stored coefficient-major: its first axis enumerates
+multi-indices in graded lexicographic order, so indices of degree <= k always
+form a prefix of rows and truncation is a slice, and the axes after it are
+broadcastable batch axes: one jet object can carry a whole batch of
+evaluation points, and each coefficient (the value, a partial) is one
+contiguous row over the batch.  Batch axes align from the right, as in numpy
+broadcasting of batch-shaped arrays: an operand of lower batch rank gets
+1-axes after its coefficient axis (:func:`_aligned`).  The public
+:attr:`Jet.coeffs` is a read-only batch-major view of this storage, and
+:class:`Jet` takes a batch-major array, so only this module sees the layout.
 
 A coefficient array is never written after its jet is constructed: every
 operation builds a new array (or a view it does not write), and code that
@@ -20,14 +26,17 @@ of the elementary functions stay real.
 Arithmetic truncates to the smaller operand order; differentiating drops the
 order by one.  Products are convolutions driven by a precomputed pair table:
 gather the pairs of every output coefficient, multiply, and sum each output's
-segment of terms with the grouping of ``np.add.reduceat``.  Small products
-and complex ones call ``reduceat`` itself, which loops once per batch point
-and output coefficient.  A real product of at least ``_RANK_MIN_TERMS``
-gathered terms (batch points times table length) sums rank by rank instead
-(:func:`_rank_plan`, :func:`_rank_sum`): the ``k``-th terms of all outputs
-form one contiguous block, so a handful of numpy calls cover the whole batch
-whatever its size.  Both give the same bits, signed zeros included, so the
-choice never makes a result depend on batch size or chunking.
+segment of terms with the grouping of ``np.add.reduceat``.  Every gather
+takes whole rows of the coefficient-major storage.  Small products and
+complex ones call ``reduceat`` itself over the row axis, which loops once per
+batch point and output coefficient.  A real product of at least
+``_RANK_MIN_TERMS`` gathered terms (batch points times table length) sums
+rank by rank instead (:func:`_rank_plan`, :func:`_rank_sum`): the ``k``-th
+terms of all outputs form one contiguous block of rows, so a handful of
+numpy calls cover the whole batch whatever its size, and the rank-0 rows are
+the result in the stored layout, with no transpose.  Both give the same
+bits, signed zeros included, so the choice never makes a result depend on
+batch size or chunking.
 
 Every jet carries a variable support: a bitmask that contains every variable
 used by a multi-index whose coefficient is nonzero at some batch point (a
@@ -225,36 +234,23 @@ def _rank_plan(num_vars, order, sa, sb):
     return ia[rows], ib[rows], tuple(adds), inverse
 
 
-@lru_cache(maxsize=None)
-def _coefficient_axes(ndim):
-    # transpose axes putting the coefficient axis first, and back
-    return (ndim - 1,) + tuple(range(ndim - 1)), tuple(range(1, ndim)) + (0,)
-
-
 def _rank_sum(ca, cb, plan):
-    """The product of real coefficient arrays ``ca``, ``cb`` by a
-    :func:`_rank_plan`: the bits of ``np.add.reduceat`` over the plan's
-    support table, from a handful of numpy calls whatever the batch size.
+    """The product of real coefficient arrays ``ca``, ``cb`` (stored
+    coefficient-major, batch axes aligned) by a :func:`_rank_plan`: the bits
+    of ``np.add.reduceat`` over the plan's support table, from a handful of
+    numpy calls whatever the batch size.
 
-    Inside, the coefficient axis leads (an operand of lower batch rank gets
-    leading 1-axes first, so batch axes still align), so every rank is a
-    contiguous block of rows and each add covers all its outputs and batch
-    points at once.  The result is batch-major and C-contiguous, as stored.
+    The gathered terms are whole rows, so every rank is a contiguous block
+    of rows and each add covers all its outputs and batch points at once.
+    The rank-0 rows hold the result in the stored layout; it is returned as
+    a C-contiguous array of its own, never a view of the term buffer.
     """
     ia, ib, adds, inverse = plan
-    ndim = max(ca.ndim, cb.ndim)
-    if ca.ndim < ndim:
-        ca = ca.reshape((1,) * (ndim - ca.ndim) + ca.shape)
-    if cb.ndim < ndim:
-        cb = cb.reshape((1,) * (ndim - cb.ndim) + cb.shape)
-    front, back = _coefficient_axes(ndim)
-    t = (np.ascontiguousarray(ca.transpose(front))[ia]
-         * np.ascontiguousarray(cb.transpose(front))[ib])
+    t = ca[ia] * cb[ib]
     for a, b, c, d in adds:
         rows = t[a:b]
         np.add(rows, t[c:d], out=rows)
-    t = t[:ca.shape[-1]] if inverse is None else t[inverse]
-    return np.ascontiguousarray(t.transpose(back))
+    return t[:len(ca)].copy() if inverse is None else t[inverse]
 
 
 @lru_cache(maxsize=None)
@@ -279,12 +275,13 @@ def _factorials(num_vars, order):
 
 
 def _jet(num_vars, order, coeffs, support, zero=None):
-    # a jet whose variable support is known from how it was built (None:
-    # unknown, found by scanning the coefficients when first asked), and
-    # zero=True when it is known to be zero; the slots are set here rather
-    # than through __init__, as every operation comes through here
+    # a jet over the coefficient-major array coeffs, whose variable support
+    # is known from how it was built (None: unknown, found by scanning the
+    # coefficients when first asked), and zero=True when it is known to be
+    # zero; the slots are set here rather than through __init__, as every
+    # operation comes through here
     out = object.__new__(Jet)
-    out.num_vars, out.order, out.coeffs = num_vars, order, coeffs
+    out.num_vars, out.order, out._c = num_vars, order, coeffs
     out._zero, out._support = zero, support
     return out
 
@@ -300,13 +297,28 @@ def _zeros(shape, dtype):
 
 def _zero_jet(num_vars, order, batch, dtype):
     """A known zero jet: no allocation, and never scanned."""
-    return _jet(num_vars, order, _zeros(batch + (_ncoef(num_vars, order),),
+    return _jet(num_vars, order, _zeros((_ncoef(num_vars, order),) + batch,
                                         dtype), 0, True)
+
+
+def _aligned(c, ndim):
+    """The coefficient-major array ``c`` with 1-axes after its coefficient
+    axis, up to ``ndim`` axes in all: its batch axes then line up with those
+    of an operand of batch rank ``ndim - 1`` as batch-major broadcasting
+    lines them up, from the right.  A view; ``c`` itself at that rank."""
+    if c.ndim >= ndim:
+        return c
+    return c.reshape(c.shape[:1] + (1,) * (ndim - c.ndim) + c.shape[1:])
+
+
+def _batch_major(c):
+    # the coefficient-major array c with its coefficient axis last (a view)
+    return c.transpose(*range(1, c.ndim), 0)
 
 
 def _batch(ca, cb):
     # the broadcast batch shape of two coefficient arrays
-    a, b = ca.shape[:-1], cb.shape[:-1]
+    a, b = ca.shape[1:], cb.shape[1:]
     return a if a == b else np.broadcast_shapes(a, b)
 
 
@@ -321,7 +333,11 @@ def _union(sa, sb):
 class Jet:
     """Taylor expansion of a scalar function truncated at ``order``.
 
-    ``coeffs`` is not written after construction (see the module
+    ``Jet(num_vars, order, coeffs)`` takes a batch-major array (batch axes,
+    then the coefficient axis) and stores it coefficient-major (see the
+    module docstring) as a view, keeping an ndarray subclass.
+    :attr:`coeffs` gives it back batch-major, as a read-only view of the
+    storage.  The storage is not written after construction (see the module
     docstring), so queries on it such as :meth:`is_zero` may be cached on
     the jet.
 
@@ -337,7 +353,8 @@ class Jet:
     arithmetic, so ``x * 0`` is ``0`` even where ``x`` is inf or NaN.
     """
 
-    __slots__ = ("num_vars", "order", "coeffs", "_zero", "_support")
+    # _c is the coefficient-major storage
+    __slots__ = ("num_vars", "order", "_c", "_zero", "_support")
 
     # keep ndarray operands from absorbing jets elementwise; with ufuncs
     # disabled, ndarray <op> Jet falls through to the reflected methods
@@ -346,7 +363,7 @@ class Jet:
     def __init__(self, num_vars, order, coeffs):
         self.num_vars = num_vars
         self.order = order
-        self.coeffs = coeffs
+        self._c = np.moveaxis(np.asanyarray(coeffs), -1, 0)
         self._zero = None
         self._support = None
 
@@ -357,9 +374,9 @@ class Jet:
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
         value = np.asarray(value, dtype=float)
-        coeffs = np.zeros(value.shape + (_ncoef(num_vars, order),))
-        coeffs[..., 0] = value
-        coeffs[..., _positions(num_vars, order)[
+        coeffs = np.zeros((_ncoef(num_vars, order),) + value.shape)
+        coeffs[0] = value
+        coeffs[_positions(num_vars, order)[
             tuple(1 if k == index else 0 for k in range(num_vars))]] = 1.0
         return _jet(num_vars, order, coeffs, 1 << index)
 
@@ -368,15 +385,22 @@ class Jet:
         value = np.asarray(value, dtype=float)
         if not value.any():
             return _zero_jet(num_vars, order, value.shape, _FLOAT)
-        coeffs = np.zeros(value.shape + (_ncoef(num_vars, order),))
-        coeffs[..., 0] = value
+        coeffs = np.zeros((_ncoef(num_vars, order),) + value.shape)
+        coeffs[0] = value
         return _jet(num_vars, order, coeffs, 0)
 
     # -- coefficient access ------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients batch-major: a read-only view of the storage."""
+        view = _batch_major(self._c)
+        view.flags.writeable = False
+        return view
+
+    @property
     def value(self):
-        return self.coeffs[..., 0]
+        return self._c[0]
 
     def partial(self, alpha):
         """The partial derivative d^alpha f at the base point."""
@@ -386,10 +410,10 @@ class Jet:
         if sum(alpha) > self.order:
             raise ValueError(f"multi-index {alpha} exceeds jet order {self.order}")
         p = _positions(self.num_vars, self.order)[alpha]
-        return self.coeffs[..., p] * _factorials(self.num_vars, self.order)[p]
+        return self._c[p] * _factorials(self.num_vars, self.order)[p]
 
     def is_constant(self):
-        return bool(np.all(self.coeffs[..., 1:] == 0.0))
+        return bool(np.all(self._c[1:] == 0.0))
 
     def is_zero(self):
         """True when no coefficient is nonzero at any batch point (a
@@ -400,7 +424,7 @@ class Jet:
             if self._support is None:
                 self._scan()
             else:
-                self._zero = not self.coeffs.any()
+                self._zero = not self._c.any()
         return self._zero
 
     def _variables(self):
@@ -412,8 +436,8 @@ class Jet:
     def _scan(self):
         # a jet without a recorded support: one reduction over the batch axes
         # answers both queries
-        c = self.coeffs
-        nonzero = c.any(axis=tuple(range(c.ndim - 1)))
+        c = self._c
+        nonzero = c.any(axis=tuple(range(1, c.ndim)))
         self._zero = not nonzero.any()
         self._support = int(np.bitwise_or.reduce(
             _var_masks(self.num_vars, self.order)[nonzero]))
@@ -422,55 +446,72 @@ class Jet:
         """The largest coefficient modulus over all batch points."""
         if self._zero:
             return 0.0
-        return float(np.max(np.abs(self.coeffs)))
+        return float(np.max(np.abs(self._c)))
 
     def truncated(self, order):
         if order >= self.order:
             return self
         # a zero stays zero; a nonzero jet may lose its nonzero coefficients
         return _jet(self.num_vars, order,
-                    self.coeffs[..., :_ncoef(self.num_vars, order)],
+                    self._c[:_ncoef(self.num_vars, order)],
                     self._support, self._zero or None)
 
     def derivative(self, axis):
         """The jet of df/dx_axis, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        c, support = self.coeffs, self._support
+        c, support = self._c, self._support
         if self._zero or support is not None and not support >> axis & 1:
             # the dense derivative multiplies by float weights
-            return _zero_jet(self.num_vars, self.order - 1, c.shape[:-1],
+            return _zero_jet(self.num_vars, self.order - 1, c.shape[1:],
                              c.dtype if c.dtype == _COMPLEX
                              else _dtype(c.dtype, _FLOAT))
         idx, wgt = _diff_table(self.num_vars, self.order)
-        return _jet(self.num_vars, self.order - 1, c[..., idx[axis]] * wgt[axis],
+        # a row gather, each row scaled by its weight
+        weights = wgt[axis].reshape((-1,) + (1,) * (c.ndim - 1))
+        return _jet(self.num_vars, self.order - 1, c[idx[axis]] * weights,
                     support)
 
     # -- ring operations ----------------------------------------------------
 
     def _pair(self, other):
+        # both coefficient arrays at the smaller order, batch axes aligned
         order = min(self.order, other.order)
         nc = _ncoef(self.num_vars, order)
-        return order, self.coeffs[..., :nc], other.coeffs[..., :nc]
+        ca, cb = self._c[:nc], other._c[:nc]
+        if ca.ndim != cb.ndim:
+            ndim = max(ca.ndim, cb.ndim)
+            ca, cb = _aligned(ca, ndim), _aligned(cb, ndim)
+        return order, ca, cb
 
     def _plus_zero(self, zero):
         """The sum of this jet and the known zero ``zero``: this jet at the
         order, broadcast batch shape and dtype of the dense sum."""
         order = min(self.order, zero.order)
-        c, z = self.coeffs, zero.coeffs
+        c, z = self._c, zero._c
         if self._zero:
             return _zero_jet(self.num_vars, order, _batch(c, z),
                              _dtype(c.dtype, z.dtype))
         if order < self.order:
-            c = c[..., :_ncoef(self.num_vars, order)]
+            c = c[:_ncoef(self.num_vars, order)]
         dtype, batch = _dtype(c.dtype, z.dtype), _batch(c, z)
         if dtype != c.dtype:
             c = c.astype(dtype)
-        if batch != c.shape[:-1]:
-            c = np.broadcast_to(c, batch + c.shape[-1:])
-        if c is self.coeffs:
+        if batch != c.shape[1:]:
+            c = np.broadcast_to(_aligned(c, len(batch) + 1),
+                                c.shape[:1] + batch)
+        if c is self._c:
             return self
         return _jet(self.num_vars, order, c, self._support, self._zero or None)
+
+    def _shifted(self, value):
+        # this jet with the value row of its sum or difference with a scalar,
+        # whose dtype and batch shape are those of the result
+        c = self._c
+        out = np.empty(c.shape[:1] + value.shape, value.dtype)
+        out[0] = value
+        out[1:] = _aligned(c[1:], out.ndim)
+        return _jet(self.num_vars, self.order, out, self._support)
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -481,16 +522,14 @@ class Jet:
             order, ca, cb = self._pair(other)
             return _jet(self.num_vars, order, ca + cb,
                         _union(self._support, other._support))
-        out = self.coeffs.astype(np.result_type(self.coeffs, other))
-        out[..., 0] += other
-        return _jet(self.num_vars, self.order, out, self._support)
+        return self._shifted(self._c[0] + other)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._zero:
             return self
-        return _jet(self.num_vars, self.order, -self.coeffs, self._support)
+        return _jet(self.num_vars, self.order, -self._c, self._support)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -501,9 +540,7 @@ class Jet:
             order, ca, cb = self._pair(other)
             return _jet(self.num_vars, order, ca - cb,
                         _union(self._support, other._support))
-        out = self.coeffs.astype(np.result_type(self.coeffs, other))
-        out[..., 0] -= other
-        return _jet(self.num_vars, self.order, out, self._support)
+        return self._shifted(self._c[0] - other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -511,15 +548,15 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             if self._zero or other._zero:
-                c, d = self.coeffs, other.coeffs
+                c, d = self._c, other._c
                 return _zero_jet(self.num_vars, min(self.order, other.order),
                                  _batch(c, d), _dtype(c.dtype, d.dtype))
             order, ca, cb = self._pair(other)
             sa, sb = self._variables(), other._variables()
             if sa == 0:
-                out = ca[..., :1] * cb
+                out = ca[:1] * cb
             elif sb == 0:
-                out = ca * cb[..., :1]
+                out = ca * cb[:1]
             else:
                 # reduceat sums complex terms in blocks from 4 on, real from 8
                 blocked = 4 if "c" in (ca.dtype.kind, cb.dtype.kind) else 8
@@ -533,18 +570,17 @@ class Jet:
                     out = _rank_sum(ca, cb, _rank_plan(self.num_vars, order,
                                                        sa, sb))
                 else:
-                    out = np.add.reduceat(ca[..., ia] * cb[..., ib], seg,
-                                          axis=-1)
+                    out = np.add.reduceat(ca[ia] * cb[ib], seg, axis=0)
             return _jet(self.num_vars, order, out, sa | sb)
         other = np.asarray(other)
+        c = self._c
         if self._zero:
-            c = self.coeffs
-            batch = (c.shape[:-1] if other.ndim == 0
-                     else np.broadcast_shapes(c.shape[:-1], other.shape))
+            batch = (c.shape[1:] if other.ndim == 0
+                     else np.broadcast_shapes(c.shape[1:], other.shape))
             return _zero_jet(self.num_vars, self.order, batch,
                              _dtype(c.dtype, other.dtype))
-        return _jet(self.num_vars, self.order, self.coeffs * other[..., None],
-                    self._support)
+        return _jet(self.num_vars, self.order, _aligned(c, other.ndim + 1)
+                    * other, self._support)
 
     __rmul__ = __mul__
 
@@ -566,7 +602,8 @@ class Jet:
 
     def _compose(self, taylor):
         """sum_k taylor[k] * (self - value)^k, taylor[k] ~ f^(k)(value)/k!."""
-        outer = Jet(1, self.order, np.stack(np.broadcast_arrays(*taylor), axis=-1))
+        outer = _jet(1, self.order, np.stack(np.broadcast_arrays(*taylor)),
+                     None)
         return compose(outer, Monomials([self], self.order))
 
     def _reciprocal(self):
@@ -648,14 +685,14 @@ class Monomials(dict):
 
     def __init__(self, inner, order):
         self.num_vars, self.order = inner[0].num_vars, order
-        self.batch_shape = inner[0].coeffs.shape[:-1]
+        self.batch_shape = inner[0]._c.shape[1:]
         self.supports = [u._variables() for u in inner]
         self._mids = multi_indices(len(inner), order)
         # per variable [None, u - u(0), (u - u(0))^2, ...], grown on demand;
         # a constant inner jet (support 0) centres to a known zero
         self._powers = [[None, u.truncated(order) - u.value if s else
-                         _zero_jet(self.num_vars, order, u.coeffs.shape[:-1],
-                                   u.coeffs.dtype)]
+                         _zero_jet(self.num_vars, order, u._c.shape[1:],
+                                   u._c.dtype)]
                         for u, s in zip(inner, self.supports)]
 
     def __missing__(self, pos):
@@ -682,19 +719,20 @@ def compose(outer, monos):
     known zero.  The result's support is the union of the supports of the
     inner jets that the added terms use.
     """
-    c = outer.coeffs
-    shape = c.shape[:-1]
+    c = outer._c
+    shape = c.shape[1:]
     if shape != monos.batch_shape:
         shape = np.broadcast_shapes(shape, monos.batch_shape)
     if outer._zero:
         return _zero_jet(monos.num_vars, monos.order, shape, _FLOAT)
-    out = np.zeros(shape + (_ncoef(monos.num_vars, monos.order),))
-    out[..., 0] = c[..., 0]
-    nonzero = c.any(axis=tuple(range(c.ndim - 1)))
+    out = np.zeros((_ncoef(monos.num_vars, monos.order),) + shape)
+    out[0] = c[0]
+    nonzero = c.any(axis=tuple(range(1, c.ndim)))
     masks, used = _var_masks(outer.num_vars, monos.order), 0
     for pos in range(1, _ncoef(outer.num_vars, monos.order)):
         if nonzero[pos] and not monos[pos]._zero:
-            out += c[..., pos, None] * monos[pos].coeffs
+            # the outer coefficient's row scales every row of the monomial
+            out += c[pos] * _aligned(monos[pos]._c, out.ndim)
             used |= int(masks[pos])
     support = reduce(operator.or_, (s for k, s in enumerate(monos.supports)
                                     if used >> k & 1), 0)
@@ -738,7 +776,7 @@ def contract(terms):
     products = kept()
     total = next(products, None)
     if total is None:
-        shapes = {f.coeffs.shape[:-1] for f in skipped}
+        shapes = {f._c.shape[1:] for f in skipped}
         shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         return _zero_jet(skipped[0].num_vars, min(f.order for f in skipped),
                          shape, _FLOAT)
@@ -748,6 +786,7 @@ def contract(terms):
 
 
 def _stack(nested, leaf, leaf_axes):
+    # leaf(jet) is batch-major: batch axes, then leaf_axes axes
     if isinstance(nested, Jet):
         return leaf(nested)
     depth, first = 1 + leaf_axes, nested[0]
@@ -765,7 +804,7 @@ def stack_values(nested):
 def _gradient(jet):
     if jet.order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
-    return jet.coeffs[..., 1:jet.num_vars + 1]
+    return _batch_major(jet._c[1:jet.num_vars + 1])
 
 
 def stack_gradients(nested):

@@ -1,0 +1,132 @@
+"""Dump the outputs of a checkout and compare two dumps byte by byte.
+
+A refactor that must not move a single bit (zero signs included) is checked
+by dumping the outputs of the parent checkout and of the change, each in a
+fresh process, and diffing the two files:
+
+    python3 tools/compare_outputs.py dump --root PARENT --seed 0 --out a.txt
+    python3 tools/compare_outputs.py dump --root . --seed 0 --out b.txt
+    python3 tools/compare_outputs.py diff a.txt b.txt
+
+``dump`` imports ``bitension`` from ``ROOT/src`` and builds its inputs with
+the setup functions of ``ROOT/perfbench/workloads.py``, which it only reads.
+It writes one line per output: the three law sides (direct and right-hand
+side, m = 2..5) of the law sweep; every catalog case, negative control and
+cylinder grid member as a JSON report; the W3 and direct bitension residuals
+of every Weierstrass pool case; the ``custom verify`` (JSON), ``weierstrass
+check`` and ``check-transform`` (m = 2..5, text) outputs of the CLI over the
+shipped configs; and the ``first_variation`` dicts of the quadrature
+workload.  Arrays are written as their dtype, shape and raw bytes in hex, and
+floats by ``float.hex``, so two dumps are equal exactly when every output
+has the same bits.  ``diff`` exits 1 and names the first lines that differ.
+"""
+import argparse
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def _array(value):
+    a = np.ascontiguousarray(value)
+    return f"{a.dtype.str} {a.shape} {a.tobytes().hex()}"
+
+
+def _floats(d):
+    return " ".join(f"{k}={float(v).hex()}" for k, v in sorted(d.items()))
+
+
+def _cli(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return repr((code, out.getvalue(), err.getvalue()))
+
+
+def _dump(root, seed, out):
+    root = Path(root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from bitension import cli, geometry, report, weierstrass
+
+    def emit(name, text):
+        out.write(f"{name}\t{text}\n")
+
+    for fam in workloads.law_setup(seed, root):
+        for law, (direct, via) in workloads._LAWS.items():
+            emit(f"law {law} m={fam.m} direct", _array(direct(fam)))
+            emit(f"law {law} m={fam.m} rhs", _array(via(fam)))
+
+    inputs = workloads.catalog_setup(seed, root)
+
+    def verify(case):
+        return repr(report.to_json(workloads._verify(inputs, case)))
+
+    for name, case in inputs.cases:
+        emit(f"case {name}", verify(case))
+    for name, control, key in inputs.controls:
+        emit(f"control {name} {key}", verify(control))
+    for params, case in inputs.grid:
+        emit(f"grid {sorted(params.items())}", verify(case))
+    for k, (case, pts) in enumerate(inputs.pool):
+        ws = weierstrass.section(case.phi, case.g, case.h, pts)
+        emit(f"pool {k} w3", _array(weierstrass.w3_residual(ws)))
+        emit(f"pool {k} direct", _array(geometry.bitension_field(
+            case.phi, case.g, case.h, pts)))
+    seed_arg = ["--seed", str(inputs.sample_seed)]
+    for path in inputs.configs:
+        emit(f"custom verify {path.name}", _cli(cli, [
+            "custom", "verify", "--config", str(path), "--format", "json"]
+            + seed_arg))
+        emit(f"weierstrass check {path.name}", _cli(cli, [
+            "weierstrass", "check", "--config", str(path)] + seed_arg))
+    for m in workloads.LAW_DIMS:
+        emit(f"check-transform {m},{m + 1}", _cli(cli, [
+            "check-transform", "--dims", f"{m},{m + 1}", "--cases", "10"]
+            + seed_arg))
+
+    quad = workloads.quadrature_setup(seed, root)
+    emit("quadrature slab", _floats(geometry.first_variation(
+        *quad.slab, eps=0.1, nodes=8)))
+    for eps in (1e-2, 5e-3):
+        emit(f"quadrature pair eps={eps}", _floats(geometry.first_variation(
+            *quad.pair, eps=eps, nodes=24)))
+
+
+def _diff(a, b):
+    with open(a) as fa, open(b) as fb:
+        la, lb = fa.read().splitlines(), fb.read().splitlines()
+    names = [line.split("\t", 1)[0] for line in la]
+    if names != [line.split("\t", 1)[0] for line in lb]:
+        print(f"the dumps list different outputs ({len(la)} and {len(lb)} "
+              f"lines)")
+        return 1
+    differ = [n for n, x, y in zip(names, la, lb) if x != y]
+    for name in differ[:20]:
+        print(f"differs: {name}")
+    print(f"{len(la) - len(differ)} of {len(la)} outputs bitwise equal")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    tree = parser.add_subparsers(dest="command", required=True)
+    dump = tree.add_parser("dump", help="write the outputs of a checkout")
+    dump.add_argument("--root", default=".", help="the checkout to import")
+    dump.add_argument("--seed", type=int, default=0)
+    dump.add_argument("--out", required=True)
+    diff = tree.add_parser("diff", help="compare two dumps byte by byte")
+    diff.add_argument("a")
+    diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "diff":
+        return _diff(args.a, args.b)
+    with open(args.out, "w") as out:
+        _dump(args.root, args.seed, out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
