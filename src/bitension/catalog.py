@@ -2,10 +2,16 @@
 
 Each case bundles a map, its metrics, and a list of expectations — residuals
 that must vanish, magnitudes that must not — evaluated at low-discrepancy
-sample points.  Every case also has a deliberately broken variant whose key
-check fails loudly, so a green report can't be vacuous.
+sample points.  ``CHECK_KINDS`` is the one table of check kinds: the mode,
+default tolerance, needed inputs and evaluator of each.  Every named case,
+negative control and ad-hoc ``custom_case`` is assembled from it by one step.
+Every case also has a deliberately broken variant whose key check fails
+loudly, so a green report can't be vacuous; ``build_case`` takes only a
+case's own parameters, so the switches that break it stay with
+``negative_control``.
 """
 
+import functools
 import inspect
 import numbers
 from dataclasses import dataclass
@@ -52,6 +58,22 @@ class VerificationCase:
 # -- evaluators ----------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _Inputs:
+    """What a case's checks read: the map and its metrics, the immersion's
+    induced metric and conformal factor lambda with the factor's bindings,
+    ``lambda_sq`` (points -> lambda^2) and chen_match's engine-side metric.
+    """
+    phi: SmoothMap
+    g: RiemannianMetric
+    h: RiemannianMetric
+    induced: RiemannianMetric
+    factor: object
+    bindings: dict
+    lambda_sq: object
+    engine: RiemannianMetric
+
+
 class _SharedStates:
     """Order-4 map states at one batch of points, shared by a case's checks.
 
@@ -82,107 +104,151 @@ class _SharedStates:
         return self._get("section", (phi, g, h),
                          lambda: weierstrass.section_of(self.map(phi, g, h)))
 
-    def r3(self, phi, induced, h, g, lam, bindings):
-        return self._get("r3", (phi, induced, h, g, lam, bindings),
-                         lambda: surfaces.r3_system_residual(
-                             self.surface(phi, induced, h), lam,
-                             self.map(phi, g, h), parameters=bindings))
+    def r3(self, src):
+        # both r3 checks of a case read this one residual computation
+        return self._get("r3", (src,), lambda: surfaces.r3_system_residual(
+            self.surface(src.phi, src.induced, src.h), src.factor,
+            self.map(src.phi, src.g, src.h), parameters=src.bindings))
 
 
-def _tension_eval(phi, g, h):
-    def run(states):
-        state = states.map(phi, g, h)
-        tau = state.tension_values
-        mags = np.sqrt(state.target_inner(tau, tau))
-        return mags, mags
+def _tension(src, states):
+    state = states.map(src.phi, src.g, src.h)
+    tau = state.tension_values
+    mags = np.sqrt(state.target_inner(tau, tau))
+    return mags, mags
+
+
+def _bitension(src, states):
+    state = states.map(src.phi, src.g, src.h)
+    tau2 = state.bitension_values
+    tau = state.tension_values
+    mags = np.sqrt(state.target_inner(tau2, tau2))
+    scale = 1.0 + np.sqrt(state.target_inner(tau, tau))
+    return mags, mags / scale
+
+
+def _recovery(src, states):
+    probe = states.map(src.phi, src.g, src.h).conformality()
+    want = src.lambda_sq(states.pts)
+    diff = np.abs(probe.lambda_sq - want) + probe.max_residual
+    return diff, diff / (1.0 + np.abs(want))
+
+
+def _r3_scaled(src, states, v):
+    hv = states.surface(src.phi, src.induced, src.h).mean_curvature_values
+    return v, v / (1.0 + np.abs(hv))
+
+
+def _r3_tangential(src, states):
+    tan = states.r3(src)[0]
+    return _r3_scaled(src, states, np.sqrt(np.sum(tan ** 2, axis=-1)))
+
+
+def _r3_normal(src, states):
+    return _r3_scaled(src, states, np.abs(states.r3(src)[1]))
+
+
+def _w1(src, states):
+    ws = states.section(src.phi, src.g, src.h)
+    v = np.abs(weierstrass.conformality_sums(ws)[0])
+    return v, v
+
+
+def _w3(src, states):
+    ws = states.section(src.phi, src.g, src.h)
+    v = np.max(np.abs(weierstrass.w3_residual(ws)), axis=-1)
+    return v, v
+
+
+def _nonholomorphic(src, states):
+    v = weierstrass.nonholomorphicity(states.section(src.phi, src.g, src.h))
+    return v, v
+
+
+def _chen(src, states):
+    induced = src.g if src.induced is None else src.induced
+    chen = surfaces.chen_bitension(states.surface(src.phi, induced, src.h))
+    state = states.map(src.phi, src.engine, src.h)
+    diff = chen - state.bitension_values
+    v = np.sqrt(state.target_inner(diff, diff))
+    scale = 1.0 + np.sqrt(state.target_inner(chen, chen))
+    return v, v / scale
+
+
+# kind -> (comparison mode, default tolerance, inputs it needs, evaluator).
+# "max": the value must stay below the tolerance; "min": it must exceed it.
+# chen_match reads ``induced`` when given and the domain metric otherwise.
+CHECK_KINDS = {
+    "tension_zero": ("max", 1e-7, (), _tension),
+    "tension_nonzero": ("min", 1e-3, (), _tension),
+    "bitension_zero": ("max", 1e-7, (), _bitension),
+    "bitension_nonzero": ("min", 1e-3, (), _bitension),
+    "w1_zero": ("max", 1e-12, (), _w1),
+    "w3_zero": ("max", 1e-9, (), _w3),
+    "nonholomorphic": ("min", 0.1, (), _nonholomorphic),
+    "chen_match": ("max", 1e-7, (), _chen),
+    "r3_tangential": ("max", 1e-8, ("factor", "induced"), _r3_tangential),
+    "r3_normal": ("max", 1e-8, ("factor", "induced"), _r3_normal),
+    "conformal_recovery": ("max", 1e-12, ("factor",), _recovery),
+}
+
+
+def _factor_sq_values(domain, source, bindings):
+    node = expr_mod.parse(source) if isinstance(source, str) else source
+
+    def run(pts):
+        variables = {c: pts[..., i] for i, c in enumerate(domain.coords)}
+        lam = expr_mod.evaluate(node, expr_mod.EvalContext(variables, bindings))
+        return np.asarray(lam, dtype=float) ** 2
+
     return run
 
 
-def _bitension_eval(phi, g, h):
-    def run(states):
-        state = states.map(phi, g, h)
-        tau2 = state.bitension_values
-        tau = state.tension_values
-        mags = np.sqrt(state.target_inner(tau2, tau2))
-        scale = 1.0 + np.sqrt(state.target_inner(tau, tau))
-        return mags, mags / scale
-    return run
+def _assemble(name, params, phi, g, h, checks, induced=None, factor=None,
+              bindings=None, lambda_sq=None, engine=None):
+    """The case whose checks are the (kind, tolerance-or-None) pairs of
+    ``checks``, each evaluated as CHECK_KINDS says.  ``lambda_sq`` defaults
+    to the square of ``factor`` and ``engine`` to ``g``."""
+    if lambda_sq is None and factor is not None:
+        lambda_sq = _factor_sq_values(phi.domain, factor, bindings)
+    src = _Inputs(phi, g, h, induced, factor, bindings, lambda_sq,
+                  g if engine is None else engine)
+    entries = []
+    for kind, tol in checks:
+        if kind not in CHECK_KINDS:
+            known = ", ".join(sorted(CHECK_KINDS))
+            raise CaseError(f"unknown check '{kind}' (choose from {known})")
+        mode, default, needs, evaluate = CHECK_KINDS[kind]
+        missing = [key for key in needs if getattr(src, key) is None]
+        if missing:
+            raise CaseError(f"check '{kind}' needs {' and '.join(missing)}")
+        entries.append((Expectation(kind, default if tol is None
+                                    else float(tol), mode),
+                        functools.partial(evaluate, src)))
+    return VerificationCase(name, phi.domain, params, entries,
+                            geometry=(phi, g, h))
 
 
-def _recovery_eval(phi, g, h, expected_of_pts):
-    def run(states):
-        probe = states.map(phi, g, h).conformality()
-        want = expected_of_pts(states.pts)
-        diff = np.abs(probe.lambda_sq - want) + probe.max_residual
-        return diff, diff / (1.0 + np.abs(want))
-    return run
-
-
-def _r3_evals(phi, induced, h, lam_src, g, bindings):
-    # both checks read one residual computation per verify_case
-    def check(part, size):
-        def run(states):
-            v = size(states.r3(phi, induced, h, g, lam_src, bindings)[part])
-            hv = states.surface(phi, induced, h).mean_curvature_values
-            return v, v / (1.0 + np.abs(hv))
-        return run
-
-    return (check(0, lambda tan: np.sqrt(np.sum(tan ** 2, axis=-1))),
-            check(1, np.abs))
-
-
-def _w1_eval(phi, g, h):
-    def run(states):
-        ws = states.section(phi, g, h)
-        v = np.abs(weierstrass.conformality_sums(ws)[0])
-        return v, v
-    return run
-
-
-def _w3_eval(phi, g, h):
-    def run(states):
-        ws = states.section(phi, g, h)
-        v = np.max(np.abs(weierstrass.w3_residual(ws)), axis=-1)
-        return v, v
-    return run
-
-
-def _nonholomorphic_eval(phi, g, h):
-    def run(states):
-        v = weierstrass.nonholomorphicity(states.section(phi, g, h))
-        return v, v
-    return run
-
-
-def _chen_eval(phi, induced, h, engine_metric):
-    def run(states):
-        chen = surfaces.chen_bitension(states.surface(phi, induced, h))
-        state = states.map(phi, engine_metric, h)
-        diff = chen - state.bitension_values
-        v = np.sqrt(state.target_inner(diff, diff))
-        scale = 1.0 + np.sqrt(state.target_inner(chen, chen))
-        return v, v / scale
-    return run
+def _defaults(*kinds):
+    return [(kind, None) for kind in kinds]
 
 
 # -- case builders -------------------------------------------------------------
+# Keyword-only arguments are the switches of the negative controls: they are
+# not case parameters, so build_case does not accept them.
 
 
-def _h5_inclusion(power=2.0):
+def _h5_inclusion(*, power=2.0):
     dom = ChartDomain(tuple(f"x{i}" for i in range(1, 5)), ((0.5, 2.0),) * 4)
     tgt = ChartDomain(tuple(f"y{i}" for i in range(1, 6)), ((0.4, 2.4),) * 5)
     h = RiemannianMetric.conformally_flat(tgt, f"1/y5^{power!r}")
     g = RiemannianMetric.euclidean(dom)
     phi = SmoothMap.from_components(dom, tgt, ("1", "x1", "x2", "x3", "x4"))
-    entries = [
-        (Expectation("bitension_zero", 1e-7, "max"), _bitension_eval(phi, g, h)),
-        (Expectation("tension_nonzero", 1e-3, "min"), _tension_eval(phi, g, h)),
-    ]
-    return VerificationCase("h5_inclusion", dom, {}, entries,
-                            geometry=(phi, g, h))
+    return _assemble("h5_inclusion", {}, phi, g, h,
+                     _defaults("bitension_zero", "tension_nonzero"))
 
 
-def _s5_stereographic(bend=False):
+def _s5_stereographic(*, bend=False):
     dom = ChartDomain(tuple(f"u{i}" for i in range(1, 5)), ((-2.0, 2.0),) * 4)
     tgt = ChartDomain(tuple(f"y{i}" for i in range(1, 6)), ((-2.2, 2.2),) * 5)
     square_sum = "+".join(f"y{i}^2" for i in range(1, 6))
@@ -190,40 +256,46 @@ def _s5_stereographic(bend=False):
     g = RiemannianMetric.euclidean(dom)
     last = "0.2*u1^2" if bend else "0"
     phi = SmoothMap.from_components(dom, tgt, ("u1", "u2", "u3", "u4", last))
-    entries = [
-        (Expectation("bitension_zero", 1e-7, "max"), _bitension_eval(phi, g, h)),
-        (Expectation("tension_nonzero", 1e-3, "min"), _tension_eval(phi, g, h)),
-    ]
-    return VerificationCase("s5_stereographic", dom, {}, entries,
-                            geometry=(phi, g, h))
+    return _assemble("s5_stereographic", {}, phi, g, h,
+                     _defaults("bitension_zero", "tension_nonzero"))
+
+
+def _cylinder_case(shown, params, phi, g, h, lam, bindings):
+    # recovery compares against the closed form of lambda^2: squaring the
+    # sqrt(...) of lam would move ulps
+    return _assemble(
+        "cylinder_family", shown, phi, g, h,
+        _defaults("bitension_zero", "tension_nonzero", "r3_tangential",
+                  "r3_normal", "conformal_recovery"),
+        induced=cylinder.induced_metric(params, phi.domain), factor=lam,
+        bindings=bindings,
+        lambda_sq=lambda pts: cylinder.lambda_sq_closed_form(params,
+                                                             pts[:, 1]))
 
 
 def _cylinder_family(R=1.0, C1=0.0, C2=2.0, sign=-1):
     params = CylinderParams(float(R), float(C1), float(C2), int(sign),
                             (0.0, 1.0))
     phi, g, h = cylinder.build_family_case(params)
-    dom = phi.domain
-    induced = cylinder.induced_metric(params, dom)
     lam, bindings = cylinder.lambda_expression(params)
-
-    def expected(pts):
-        return cylinder.lambda_sq_closed_form(params, pts[:, 1])
-
-    tangential, normal = _r3_evals(phi, induced, h, lam, g, bindings)
-    entries = [
-        (Expectation("bitension_zero", 1e-7, "max"), _bitension_eval(phi, g, h)),
-        (Expectation("tension_nonzero", 1e-3, "min"), _tension_eval(phi, g, h)),
-        (Expectation("r3_tangential", 1e-8, "max"), tangential),
-        (Expectation("r3_normal", 1e-8, "max"), normal),
-        (Expectation("conformal_recovery", 1e-12, "max"),
-         _recovery_eval(phi, g, h, expected)),
-    ]
-    return VerificationCase("cylinder_family", dom,
-                            {"R": R, "C1": C1, "C2": C2, "sign": sign},
-                            entries, geometry=(phi, g, h))
+    return _cylinder_case({"R": R, "C1": C1, "C2": C2, "sign": sign},
+                          params, phi, g, h, lam, bindings)
 
 
-def _wrap_pieces(copies, exponent):
+def _broken_cylinder(R=1.0, **_ignored):
+    """The cylinder with factor lambda^2 = exp(2z/R): twice the decay rate
+    the solution family allows."""
+    radius = float(R)
+    params = CylinderParams(radius, 0.0, 2.0, 1, (0.0, 1.0))
+    phi, _, h = cylinder.build_family_case(params)
+    g = RiemannianMetric.from_components(
+        phi.domain, [["R^2*exp(-2*z/R)", "0"], ["0", "exp(-2*z/R)"]],
+        {"R": radius})
+    return _cylinder_case({"R": radius}, params, phi, g, h, "exp(z/R)",
+                          {"R": radius})
+
+
+def _wrap_case(name, copies, *, exponent=1.0):
     radius = 1.0
     dom = ChartDomain(("x", "y"), ((-2.0, 2.0), (-1.0, 1.0)))
     names = ("p", "q", "r", "s", "t", "w")[:3 * copies]
@@ -234,19 +306,9 @@ def _wrap_pieces(copies, exponent):
         dom, tgt, ("R*cos(x/R)", "R*sin(x/R)", "y") * copies, {"R": radius})
     g = RiemannianMetric.conformally_flat(
         dom, f"exp({exponent!r}*y/R)", {"R": radius})
-    return dom, phi, g, h
-
-
-def _wrap_case(name, copies, exponent=1.0):
-    dom, phi, g, h = _wrap_pieces(copies, exponent)
-    entries = [
-        (Expectation("w1_zero", 1e-12, "max"), _w1_eval(phi, g, h)),
-        (Expectation("w3_zero", 1e-9, "max"), _w3_eval(phi, g, h)),
-        (Expectation("nonholomorphic", 0.1, "min"),
-         _nonholomorphic_eval(phi, g, h)),
-        (Expectation("bitension_zero", 1e-7, "max"), _bitension_eval(phi, g, h)),
-    ]
-    return VerificationCase(name, dom, {}, entries, geometry=(phi, g, h))
+    return _assemble(name, {}, phi, g, h,
+                     _defaults("w1_zero", "w3_zero", "nonholomorphic",
+                               "bitension_zero"))
 
 
 def _r2_wrap_r3():
@@ -257,22 +319,18 @@ def _r2_wrap_r6():
     return _wrap_case("r2_wrap_r6", 2)
 
 
-def _plane_inclusion(bend=False):
+def _plane_inclusion(*, bend=False):
     dom = ChartDomain(("u", "v"), ((-1.0, 1.0), (-1.0, 1.0)))
     tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
     h = RiemannianMetric.euclidean(tgt)
     third = "(u^2+v^2)/2" if bend else "0"
     phi = SmoothMap.from_components(dom, tgt, ("u", "v", third))
     g = RiemannianMetric.euclidean(dom)
-    entries = [
-        (Expectation("tension_zero", 1e-7, "max"), _tension_eval(phi, g, h)),
-        (Expectation("bitension_zero", 1e-7, "max"), _bitension_eval(phi, g, h)),
-    ]
-    return VerificationCase("plane_inclusion", dom, {}, entries,
-                            geometry=(phi, g, h))
+    return _assemble("plane_inclusion", {}, phi, g, h,
+                     _defaults("tension_zero", "bitension_zero"))
 
 
-def _identity(m=3, bend=False):
+def _identity(m=3, *, bend=False):
     m = int(m)
     if not 2 <= m <= 6:
         raise CaseError("identity case supports dimensions 2..6")
@@ -283,15 +341,11 @@ def _identity(m=3, bend=False):
     h = RiemannianMetric.conformally_flat(tgt, "exp(0.3*x1)")
     comps = ("x1+0.2*x1^2",) + coords[1:] if bend else coords
     phi = SmoothMap.from_components(dom, tgt, comps)
-    entries = [
-        (Expectation("tension_zero", 1e-7, "max"), _tension_eval(phi, g, h)),
-        (Expectation("bitension_zero", 1e-7, "max"), _bitension_eval(phi, g, h)),
-    ]
-    return VerificationCase("identity", dom, {"m": m}, entries,
-                            geometry=(phi, g, h))
+    return _assemble("identity", {"m": m}, phi, g, h,
+                     _defaults("tension_zero", "bitension_zero"))
 
 
-def _isometric_cylinder(R=1.0, engine_scale=1.0):
+def _isometric_cylinder(R=1.0, *, engine_scale=1.0):
     radius = float(R)
     dom = ChartDomain(("theta", "z"), ((0.1, 6.0), (-1.0, 1.0)))
     tgt = ChartDomain(("rho", "psi", "w"),
@@ -304,16 +358,13 @@ def _isometric_cylinder(R=1.0, engine_scale=1.0):
     induced = RiemannianMetric.from_components(
         dom, [["R^2", "0"], ["0", "1"]], {"R": radius})
     scale = float(engine_scale)
-    engine_metric = RiemannianMetric.from_components(
+    engine = RiemannianMetric.from_components(
         dom, [[f"{scale!r}*R^2", "0"], ["0", f"{scale!r}"]], {"R": radius})
-    entries = [
-        (Expectation("chen_match", 1e-7, "max"),
-         _chen_eval(phi, induced, h, engine_metric)),
-        (Expectation("tension_nonzero", 1e-3, "min"),
-         _tension_eval(phi, induced, h)),
-    ]
-    return VerificationCase("isometric_cylinder", dom, {"R": R}, entries,
-                            geometry=(phi, induced, h))
+    # chen_match's engine side runs on the scaled metric, while
+    # tension_nonzero stays on the induced one
+    return _assemble("isometric_cylinder", {"R": R}, phi, induced, h,
+                     _defaults("chen_match", "tension_nonzero"),
+                     engine=engine)
 
 
 _BUILDERS = {
@@ -337,8 +388,11 @@ def build_case(name, **params):
     except KeyError:
         known = ", ".join(CASE_NAMES)
         raise CaseError(f"unknown case '{name}' (choose from {known})")
+    signature = inspect.signature(builder)
+    own = [p for p in signature.parameters.values()
+           if p.kind is not p.KEYWORD_ONLY]
     try:
-        inspect.signature(builder).bind(**params)
+        signature.replace(parameters=own).bind(**params)
     except TypeError as err:
         raise CaseError(f"bad parameters for '{name}': {err}")
     for key, value in params.items():
@@ -370,107 +424,20 @@ def negative_control(name, **params):
     raise CaseError(f"no control registered for '{name}'")
 
 
-def _broken_cylinder(R=1.0, **_ignored):
-    """The cylinder with factor lambda^2 = exp(2z/R): twice the decay rate
-    the solution family allows."""
-    radius = float(R)
-    params = CylinderParams(radius, 0.0, 2.0, 1, (0.0, 1.0))
-    phi, _, h = cylinder.build_family_case(params)
-    dom = phi.domain
-    g = RiemannianMetric.from_components(
-        dom, [["R^2*exp(-2*z/R)", "0"], ["0", "exp(-2*z/R)"]], {"R": radius})
-    induced = cylinder.induced_metric(params, dom)
-    tangential, normal = _r3_evals(phi, induced, h, "exp(z/R)", g,
-                                   {"R": radius})
-
-    def expected(pts):
-        return cylinder.lambda_sq_closed_form(params, pts[:, 1])
-
-    entries = [
-        (Expectation("bitension_zero", 1e-7, "max"), _bitension_eval(phi, g, h)),
-        (Expectation("tension_nonzero", 1e-3, "min"), _tension_eval(phi, g, h)),
-        (Expectation("r3_tangential", 1e-8, "max"), tangential),
-        (Expectation("r3_normal", 1e-8, "max"), normal),
-        (Expectation("conformal_recovery", 1e-12, "max"),
-         _recovery_eval(phi, g, h, expected)),
-    ]
-    return VerificationCase("cylinder_family", dom, {"R": radius}, entries)
-
-
-# kind -> (comparison mode, default tolerance) for ad-hoc cases
-CHECK_KINDS = {
-    "tension_zero": ("max", 1e-7),
-    "tension_nonzero": ("min", 1e-3),
-    "bitension_zero": ("max", 1e-7),
-    "bitension_nonzero": ("min", 1e-3),
-    "w1_zero": ("max", 1e-12),
-    "w3_zero": ("max", 1e-9),
-    "nonholomorphic": ("min", 0.1),
-    "chen_match": ("max", 1e-7),
-    "r3_tangential": ("max", 1e-8),
-    "r3_normal": ("max", 1e-8),
-    "conformal_recovery": ("max", 1e-12),
-}
-
-
-def _factor_sq_values(domain, source, bindings):
-    node = expr_mod.parse(source) if isinstance(source, str) else source
-
-    def run(pts):
-        variables = {c: pts[..., i] for i, c in enumerate(domain.coords)}
-        lam = expr_mod.evaluate(node, expr_mod.EvalContext(variables, bindings))
-        return np.asarray(lam, dtype=float) ** 2
-
-    return run
-
-
 def custom_case(name, phi, g, h, checks, induced=None, factor=None,
                 parameters=None):
     """Assemble an ad-hoc case from raw geometry.
 
-    ``checks`` lists (kind, tolerance-or-None) pairs drawn from CHECK_KINDS.
-    The r3 system checks need ``induced`` (the immersion pullback metric on
-    the domain) and ``factor`` (the conformal scale lambda as an expression
-    in domain coordinates); conformal_recovery needs ``factor``;
+    ``checks`` lists (kind, tolerance-or-None) pairs drawn from CHECK_KINDS,
+    which also names the inputs each kind needs: the r3 system checks need
+    ``induced`` (the immersion pullback metric on the domain) and ``factor``
+    (the conformal scale lambda as an expression in domain coordinates,
+    with ``parameters`` bound); conformal_recovery needs ``factor``;
     chen_match reads ``induced``, defaulting to the domain metric itself.
+    A kind that is unknown or lacks an input raises CaseError.
     """
-    entries = []
-    r3_pair = None
-    for kind, tol in checks:
-        if kind not in CHECK_KINDS:
-            known = ", ".join(sorted(CHECK_KINDS))
-            raise CaseError(f"unknown check '{kind}' (choose from {known})")
-        mode, default = CHECK_KINDS[kind]
-        exp = Expectation(kind, default if tol is None else float(tol), mode)
-        if kind in ("tension_zero", "tension_nonzero"):
-            run = _tension_eval(phi, g, h)
-        elif kind in ("bitension_zero", "bitension_nonzero"):
-            run = _bitension_eval(phi, g, h)
-        elif kind == "w1_zero":
-            run = _w1_eval(phi, g, h)
-        elif kind == "w3_zero":
-            run = _w3_eval(phi, g, h)
-        elif kind == "nonholomorphic":
-            run = _nonholomorphic_eval(phi, g, h)
-        elif kind == "chen_match":
-            run = _chen_eval(phi, induced if induced is not None else g, h, g)
-        elif kind in ("r3_tangential", "r3_normal"):
-            if induced is None or factor is None:
-                raise CaseError(
-                    f"check '{kind}' needs both an induced metric and a "
-                    "conformal factor")
-            if r3_pair is None:
-                r3_pair = _r3_evals(phi, induced, h, factor, g, parameters)
-            run = r3_pair[0] if kind == "r3_tangential" else r3_pair[1]
-        else:  # conformal_recovery
-            if factor is None:
-                raise CaseError("check 'conformal_recovery' needs a "
-                                "conformal factor to compare against")
-            run = _recovery_eval(
-                phi, g, h, _factor_sq_values(phi.domain, factor, parameters))
-        entries.append((exp, run))
-    return VerificationCase(name, phi.domain, {}, entries,
-                            geometry=(phi, g, h))
+    return _assemble(name, {}, phi, g, h, checks, induced=induced,
+                     factor=factor, bindings=parameters)
 
 
 # -- running -------------------------------------------------------------------

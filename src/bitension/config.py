@@ -314,12 +314,11 @@ def load_config(path):
     if factor_name and factor_charts[factor_name] != from_chart:
         _fail(where, f"factor '{factor_name}' must live on chart "
               f"'{from_chart}'")
-    needs_factor = {"r3_tangential", "r3_normal", "conformal_recovery"}
+    given = {"induced": induced_name, "factor": factor_name}
     for kind, _ in checks:
-        if kind in needs_factor and factor_name is None:
-            _fail(where, f"check '{kind}' needs factor = NAME")
-        if kind in ("r3_tangential", "r3_normal") and induced_name is None:
-            _fail(where, f"check '{kind}' needs induced = NAME")
+        for key in catalog.CHECK_KINDS[kind][2]:
+            if given[key] is None:
+                _fail(where, f"check '{kind}' needs {key} = NAME")
 
     samples, seed = (_parse_int(where, key, run.pop(key, None))
                      for key in ("samples", "seed"))

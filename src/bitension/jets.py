@@ -786,13 +786,18 @@ def contract(terms):
 
 
 def _stack(nested, leaf, leaf_axes):
-    # leaf(jet) is batch-major: batch axes, then leaf_axes axes
-    if isinstance(nested, Jet):
-        return leaf(nested)
-    depth, first = 1 + leaf_axes, nested[0]
-    while not isinstance(first, Jet):
-        depth, first = depth + 1, first[0]
-    return np.stack([_stack(e, leaf, leaf_axes) for e in nested], axis=-depth)
+    # leaf(jet) is batch-major: batch axes, then leaf_axes axes.  The leaves
+    # are stacked in one call on one axis, which is then split into the
+    # nest's axes.
+    shape, leaves = (), [nested]
+    while not isinstance(leaves[0], Jet):
+        shape += (len(leaves[0]),)
+        if any(len(row) != shape[-1] for row in leaves):
+            raise ValueError("a nest of jets must be rectangular")
+        leaves = [e for row in leaves for e in row]
+    out = np.stack([leaf(jet) for jet in leaves], axis=-1 - leaf_axes)
+    cut = out.ndim - 1 - leaf_axes
+    return out.reshape(out.shape[:cut] + shape + out.shape[cut + 1:])
 
 
 def stack_values(nested):

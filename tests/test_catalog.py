@@ -61,6 +61,19 @@ def test_unknown_case_and_bad_params():
         catalog.build_case("identity", m=9)
 
 
+@pytest.mark.parametrize("name,own", [
+    ("cylinder_family", {"R": 2, "C1": -1, "C2": 1, "sign": 1}),
+    ("identity", {"m": 4}), ("isometric_cylinder", {"R": 2}),
+    ("h5_inclusion", {}), ("s5_stereographic", {}), ("plane_inclusion", {}),
+    ("r2_wrap_r3", {}), ("r2_wrap_r6", {})])
+def test_build_case_takes_only_the_case_parameters(name, own):
+    assert catalog.build_case(name, **own).params == own
+    # the switches of the negative controls are not among them
+    for switch in ("bend", "power", "engine_scale", "exponent"):
+        with pytest.raises(catalog.CaseError, match="bad parameters"):
+            catalog.build_case(name, **{switch: 1})
+
+
 def test_type_errors_inside_a_builder_propagate(monkeypatch):
     def broken(R=1.0):
         return len(R)  # a TypeError from the builder's own code
@@ -112,6 +125,21 @@ def test_unbuildable_state_fails_every_check_that_reads_it():
     assert all(c["error"] == rep.checks[0].error for c in payload["checks"])
     text = report.to_text(rep)
     assert text.count(f"error: {rep.checks[0].error}") == len(kinds)
+
+
+@pytest.mark.parametrize("kind,inputs,missing", [
+    ("r3_tangential", {"induced": "g"}, "factor"),
+    ("conformal_recovery", {"induced": "g"}, "factor"),
+    ("r3_normal", {"factor": "1"}, "induced")])
+def test_checks_without_their_inputs_are_case_errors(kind, inputs, missing):
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "0"))
+    g = RiemannianMetric.euclidean(dom)
+    inputs = {k: g if v == "g" else v for k, v in inputs.items()}
+    with pytest.raises(catalog.CaseError, match=f"'{kind}' needs {missing}"):
+        catalog.custom_case("missing", phi, g, RiemannianMetric.euclidean(tgt),
+                            [("tension_zero", None), (kind, None)], **inputs)
 
 
 def test_overflow_is_reported_as_a_floating_point_error():

@@ -94,6 +94,9 @@ def test_plain_value_errors_from_a_handler_propagate(capsys, monkeypatch):
      "radius must be positive"),
     (("cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2",
       "--steps", "8"), "at least 16 steps"),
+    # a negative control's switch is not a parameter of the case
+    (("catalog", "verify", "plane_inclusion", "--param", "bend=1"),
+     "bad parameters for 'plane_inclusion'"),
 ])
 def test_named_input_errors_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)

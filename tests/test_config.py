@@ -137,9 +137,25 @@ def test_entry_style_metric_requires_diagonal(tmp_path):
         load_config(write(tmp_path, text))
 
 
-def test_r3_checks_need_induced_and_factor(tmp_path):
-    text = GOOD.replace("[check tension_zero]", "[check r3_tangential]")
-    with pytest.raises(ConfigError, match="factor"):
+FACTOR = """
+[factor lam]
+chart = sheet
+expr = 1
+
+[run]"""
+
+
+@pytest.mark.parametrize("kind,extra,missing", [
+    ("r3_tangential", "", "factor"),
+    ("conformal_recovery", "", "factor"),
+    ("r3_normal", "factor = lam\n", "induced")],
+    ids=["r3_tangential", "conformal_recovery", "r3_normal"])
+def test_r3_checks_need_induced_and_factor(tmp_path, kind, extra, missing):
+    text = GOOD.replace("[check tension_zero]", f"[check {kind}]")
+    text = text.replace("\n[run]", FACTOR) + extra
+    # the message names the file, the [run] section and the missing key
+    with pytest.raises(ConfigError, match=rf"case\.cfg \[run\]: check "
+                       rf"'{kind}' needs {missing} = NAME"):
         load_config(write(tmp_path, text))
 
 

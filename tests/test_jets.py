@@ -648,6 +648,46 @@ def test_stack_gradients_are_the_derivative_values_bit_for_bit():
         jets.stack_gradients([Jet.constant(np.ones(5), 3, 0)])
 
 
+def _row_by_row(nested, leaf, leaf_axes):
+    """The stack built one np.stack per row of every nest level."""
+    if isinstance(nested, Jet):
+        return leaf(nested)
+    depth, first = 1 + leaf_axes, nested[0]
+    while not isinstance(first, Jet):
+        depth, first = depth + 1, first[0]
+    return np.stack([_row_by_row(e, leaf, leaf_axes) for e in nested],
+                    axis=-depth)
+
+
+def test_stacks_are_one_np_stack_and_the_row_by_row_bits(monkeypatch):
+    rng = np.random.default_rng(23)
+    nest = [[[_signed_jet(rng, 3, 2, 0b111, (4, 2)) for _ in range(2)]
+             for _ in range(3)] for _ in range(2)]
+    want_values = _row_by_row(nest, lambda jet: jet.value, 0)
+    want_grads = _row_by_row(nest, jets._gradient, 1)
+    calls = []
+    stack = np.stack
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counting)
+    values, grads = jets.stack_values(nest), jets.stack_gradients(nest)
+    assert len(calls) == 2
+    assert values.shape == (4, 2, 2, 3, 2) and values.flags.c_contiguous
+    assert grads.shape == (4, 2, 2, 3, 2, 3) and grads.flags.c_contiguous
+    assert np.array_equal(_bits(values), _bits(want_values))
+    assert np.array_equal(_bits(grads), _bits(want_grads))
+
+
+def test_ragged_nests_are_rejected():
+    jet = Jet.constant(np.ones(5), 2, 1)
+    # six leaves, as many as a 3 x 2 nest holds
+    with pytest.raises(ValueError, match="rectangular"):
+        jets.stack_values([[jet, jet], [jet, jet, jet], [jet]])
+
+
 # -- batch axes of different rank ---------------------------------------------
 #
 # Coefficients are stored coefficient-major, so an operand of lower batch rank

@@ -12,13 +12,14 @@ fresh process, and diffing the two files:
 the setup functions of ``ROOT/perfbench/workloads.py``, which it only reads.
 It writes one line per output: the three law sides (direct and right-hand
 side, m = 2..5) of the law sweep; every catalog case, negative control and
-cylinder grid member as a JSON report; the W3 and direct bitension residuals
-of every Weierstrass pool case; the ``custom verify`` (JSON), ``weierstrass
-check`` and ``check-transform`` (m = 2..5, text) outputs of the CLI over the
-shipped configs; and the ``first_variation`` dicts of the quadrature
-workload.  Arrays are written as their dtype, shape and raw bytes in hex, and
-floats by ``float.hex``, so two dumps are equal exactly when every output
-has the same bits.  ``diff`` exits 1 and names the first lines that differ.
+cylinder grid member as a JSON report; the ``catalog verify NAME`` text of
+every case and of the README's ``--param`` run; the W3 and direct bitension
+residuals of every Weierstrass pool case; the ``custom verify`` (JSON),
+``weierstrass check`` and ``check-transform`` (m = 2..5, text) outputs of the
+CLI over the shipped configs; and the ``first_variation`` dicts of the
+quadrature workload.  Arrays are written as their dtype, shape and raw bytes
+in hex, and floats by ``float.hex``, so two dumps are equal exactly when
+every output has the same bits.  ``diff`` exits 1 and names the first lines that differ.
 """
 import argparse
 import contextlib
@@ -70,12 +71,19 @@ def _dump(root, seed, out):
         emit(f"control {name} {key}", verify(control))
     for params, case in inputs.grid:
         emit(f"grid {sorted(params.items())}", verify(case))
+    seed_arg = ["--seed", str(inputs.sample_seed)]
+    for name, _ in inputs.cases:
+        emit(f"catalog verify {name}", _cli(cli, [
+            "catalog", "verify", name] + seed_arg))
+    readme_params = ["--param", "R=0.5", "--param", "C1=-1"]
+    emit("catalog verify cylinder_family " + " ".join(readme_params),
+         _cli(cli, ["catalog", "verify", "cylinder_family"] + readme_params
+              + seed_arg))
     for k, (case, pts) in enumerate(inputs.pool):
         ws = weierstrass.section(case.phi, case.g, case.h, pts)
         emit(f"pool {k} w3", _array(weierstrass.w3_residual(ws)))
         emit(f"pool {k} direct", _array(geometry.bitension_field(
             case.phi, case.g, case.h, pts)))
-    seed_arg = ["--seed", str(inputs.sample_seed)]
     for path in inputs.configs:
         emit(f"custom verify {path.name}", _cli(cli, [
             "custom", "verify", "--config", str(path), "--format", "json"]
