@@ -6,9 +6,10 @@ sample points.  ``CHECK_KINDS`` is the one table of check kinds: the mode,
 default tolerance, needed inputs and evaluator of each.  Every named case,
 negative control and ad-hoc ``custom_case`` is assembled from it by one step.
 Every case also has a deliberately broken variant whose key check fails
-loudly, so a green report can't be vacuous; ``build_case`` takes only a
-case's own parameters, so the switches that break it stay with
-``negative_control``.
+loudly, so a green report can't be vacuous.  ``build_case`` and
+``negative_control`` bind parameters by one step, which takes only the
+parameters a builder or control owns: the switches that break a case stay
+inside its control.
 """
 
 import functools
@@ -235,7 +236,7 @@ def _defaults(*kinds):
 
 # -- case builders -------------------------------------------------------------
 # Keyword-only arguments are the switches of the negative controls: they are
-# not case parameters, so build_case does not accept them.
+# not case parameters, so neither build_case nor negative_control accepts them.
 
 
 def _h5_inclusion(*, power=2.0):
@@ -282,7 +283,7 @@ def _cylinder_family(R=1.0, C1=0.0, C2=2.0, sign=-1):
                           params, phi, g, h, lam, bindings)
 
 
-def _broken_cylinder(R=1.0, **_ignored):
+def _broken_cylinder(R=1.0):
     """The cylinder with factor lambda^2 = exp(2z/R): twice the decay rate
     the solution family allows."""
     radius = float(R)
@@ -309,14 +310,6 @@ def _wrap_case(name, copies, *, exponent=1.0):
     return _assemble(name, {}, phi, g, h,
                      _defaults("w1_zero", "w3_zero", "nonholomorphic",
                                "bitension_zero"))
-
-
-def _r2_wrap_r3():
-    return _wrap_case("r2_wrap_r3", 1)
-
-
-def _r2_wrap_r6():
-    return _wrap_case("r2_wrap_r6", 2)
 
 
 def _plane_inclusion(*, bend=False):
@@ -371,24 +364,46 @@ _BUILDERS = {
     "h5_inclusion": _h5_inclusion,
     "s5_stereographic": _s5_stereographic,
     "cylinder_family": _cylinder_family,
-    "r2_wrap_r3": _r2_wrap_r3,
-    "r2_wrap_r6": _r2_wrap_r6,
+    "r2_wrap_r3": functools.partial(_wrap_case, "r2_wrap_r3", 1),
+    "r2_wrap_r6": functools.partial(_wrap_case, "r2_wrap_r6", 2),
     "plane_inclusion": _plane_inclusion,
     "identity": _identity,
     "isometric_cylinder": _isometric_cylinder,
 }
 
+# name -> (the callable that builds the negative control, the check it must
+# fail): the builder with its switch set, or a builder of its own
+_CONTROLS = {
+    "h5_inclusion": (functools.partial(_h5_inclusion, power=2.4),
+                     "bitension_zero"),
+    "s5_stereographic": (functools.partial(_s5_stereographic, bend=True),
+                         "bitension_zero"),
+    "cylinder_family": (_broken_cylinder, "bitension_zero"),
+    "r2_wrap_r3": (functools.partial(_BUILDERS["r2_wrap_r3"], exponent=2.0),
+                   "w3_zero"),
+    "r2_wrap_r6": (functools.partial(_BUILDERS["r2_wrap_r6"], exponent=2.0),
+                   "w3_zero"),
+    "plane_inclusion": (functools.partial(_plane_inclusion, bend=True),
+                        "tension_zero"),
+    "identity": (functools.partial(_identity, bend=True), "tension_zero"),
+    "isometric_cylinder": (functools.partial(_isometric_cylinder,
+                                             engine_scale=1.69),
+                           "chen_match"),
+}
+
 CASE_NAMES = tuple(sorted(_BUILDERS))
 
 
-def build_case(name, **params):
-    """Assemble a named case; unknown names and bad parameters raise."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
+def _build(name, params, control=False):
+    """Call the named case's builder, or its control's callable, with
+    ``params``.  An unknown name, a parameter the callable does not take
+    (keyword-only ones are switches, not parameters) and a value that is
+    not a number raise CaseError."""
+    if name not in _BUILDERS:
         known = ", ".join(CASE_NAMES)
         raise CaseError(f"unknown case '{name}' (choose from {known})")
-    signature = inspect.signature(builder)
+    build = _CONTROLS[name][0] if control else _BUILDERS[name]
+    signature = inspect.signature(build)
     own = [p for p in signature.parameters.values()
            if p.kind is not p.KEYWORD_ONLY]
     try:
@@ -399,29 +414,20 @@ def build_case(name, **params):
         if not isinstance(value, numbers.Real):
             raise CaseError(f"bad parameters for '{name}': {key} = "
                             f"{value!r} is not a number")
-    return builder(**params)
+    return build(**params)
+
+
+def build_case(name, **params):
+    """Assemble a named case; unknown names and bad parameters raise."""
+    return _build(name, params)
 
 
 def negative_control(name, **params):
     """A deliberately broken variant of the named case, plus the check it
-    must fail."""
-    if name == "h5_inclusion":
-        return _h5_inclusion(power=2.4), "bitension_zero"
-    if name == "s5_stereographic":
-        return _s5_stereographic(bend=True), "bitension_zero"
-    if name == "cylinder_family":
-        return _broken_cylinder(**params), "bitension_zero"
-    if name == "r2_wrap_r3":
-        return _wrap_case("r2_wrap_r3", 1, exponent=2.0), "w3_zero"
-    if name == "r2_wrap_r6":
-        return _wrap_case("r2_wrap_r6", 2, exponent=2.0), "w3_zero"
-    if name == "plane_inclusion":
-        return _plane_inclusion(bend=True), "tension_zero"
-    if name == "identity":
-        return _identity(bend=True, **params), "tension_zero"
-    if name == "isometric_cylinder":
-        return _isometric_cylinder(engine_scale=1.69, **params), "chen_match"
-    raise CaseError(f"no control registered for '{name}'")
+    must fail.  It takes the parameters its control keeps (``m`` for
+    identity, ``R`` for both cylinders) and raises as ``build_case`` does
+    on any other."""
+    return _build(name, params, control=True), _CONTROLS[name][1]
 
 
 def custom_case(name, phi, g, h, checks, induced=None, factor=None,

@@ -21,8 +21,7 @@ from . import catalog, conformal, cylinder, weierstrass
 from .charts import DomainError
 from .config import ConfigError, load_config
 from .cylinder import CylinderParams
-from .expr import ExprEvalError
-from .geometry import GeometryInputError, MetricError
+from .geometry import GeometryInputError
 from .report import (VERSION, VerificationReport, check_record, to_json,
                      to_text)
 
@@ -242,16 +241,6 @@ def _cmd_custom_verify(args):
 # -- parser --------------------------------------------------------------------
 
 
-def _add_sampling(sub, with_tol=True, with_format=True):
-    sub.add_argument("--samples", type=_positive_int, default=64)
-    sub.add_argument("--seed", type=int, default=None)
-    if with_tol:
-        sub.add_argument("--tol", type=float, default=None,
-                         help="override the tolerance of residual checks")
-    if with_format:
-        sub.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bitension",
@@ -266,7 +255,12 @@ def _build_parser():
     cat_verify = cat_tree.add_parser("verify", help="run one case")
     cat_verify.add_argument("name")
     cat_verify.add_argument("--param", action="append", metavar="KEY=VALUE")
-    _add_sampling(cat_verify)
+    cat_verify.add_argument("--samples", type=_positive_int, default=64)
+    cat_verify.add_argument("--seed", type=int, default=None)
+    cat_verify.add_argument("--tol", type=float, default=None,
+                            help="override the tolerance of residual checks")
+    cat_verify.add_argument("--format", choices=("text", "json"),
+                            default="text")
     cat_verify.set_defaults(handler=_cmd_catalog_verify)
 
     law = tree.add_parser(
@@ -334,8 +328,8 @@ def main(argv=None):
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ExprEvalError, GeometryInputError, MetricError,
-            FloatingPointError) as err:
+    except catalog._EVALUATION_ERRORS as err:
+        # the evaluation errors verify_case records as failed checks
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
     except (catalog.CaseError, cylinder.ParameterError) as err:

@@ -81,6 +81,22 @@ def _parse_int(where, key, raw):
         _fail(where, f"{key} must be an integer, got {raw!r}")
 
 
+def _take(where, body, *keys):
+    """The values of ``keys`` in a section body (None where absent); any
+    other key left in the body is an error."""
+    values = tuple(body.pop(key, None) for key in keys)
+    if body:
+        _fail(where, f"unknown key {sorted(body)[0]!r}")
+    return values
+
+
+def _ref(where, key, name, table, label):
+    """The entry of ``table`` that ``key = name`` refers to."""
+    if name not in table:
+        _fail(where, f"{key} = {name!r} does not name a [{label}] section")
+    return table[name]
+
+
 def _parse_expr(where, source, allowed, parameters):
     try:
         node = expr.parse(source)
@@ -109,12 +125,13 @@ def _split_header(raw, path):
 
 
 def _build_chart(where, body):
-    coords = tuple(body.pop("coords", "").split())
+    coords, raw_box, exclude = ((raw or "").split() for raw in _take(
+        where, body, "coords", "box", "exclude"))
+    coords = tuple(coords)
     if not coords:
         _fail(where, "coords is required")
     if len(set(coords)) != len(coords):
         _fail(where, "coordinate names must be distinct")
-    raw_box = body.pop("box", "").split()
     if len(raw_box) != len(coords):
         _fail(where, f"box needs {len(coords)} lo:hi intervals, "
               f"got {len(raw_box)}")
@@ -129,27 +146,20 @@ def _build_chart(where, body):
             _fail(where, f"box interval ({lo:g}, {hi:g}) is empty")
         box.append((lo, hi))
     excluded = []
-    for piece in body.pop("exclude", "").split():
+    for piece in exclude:
         name, colon, value = piece.partition(":")
         if not colon or name not in coords:
             _fail(where, f"exclude entry {piece!r} is not coord:value")
         excluded.append((coords.index(name),
                          _parse_float(where, "exclude", value)))
-    if body:
-        _fail(where, f"unknown key {sorted(body)[0]!r}")
     return ChartDomain(coords, tuple(box), tuple(excluded))
 
 
 def _build_metric(where, body, charts, parameters):
-    chart_name = body.pop("chart", None)
-    if chart_name not in charts:
-        _fail(where, f"chart = {chart_name!r} does not name a [chart] section")
-    dom = charts[chart_name]
-    identity = body.pop("identity", None)
-    conformal = body.pop("conformal", None)
     entries = {k: body.pop(k) for k in list(body) if k.startswith("g_")}
-    if body:
-        _fail(where, f"unknown key {sorted(body)[0]!r}")
+    chart_name, identity, conformal = _take(where, body, "chart", "identity",
+                                            "conformal")
+    dom = _ref(where, "chart", chart_name, charts, "chart")
     styles = sum(x is not None for x in (identity, conformal)) + bool(entries)
     if styles != 1:
         _fail(where, "give exactly one of identity, conformal, or g_i_j "
@@ -184,22 +194,17 @@ def _build_metric(where, body, charts, parameters):
 
 
 def _build_map(where, body, charts, parameters):
-    source_name = body.pop("from", None)
-    target_name = body.pop("to", None)
-    if source_name not in charts:
-        _fail(where, f"from = {source_name!r} does not name a [chart] section")
-    if target_name not in charts:
-        _fail(where, f"to = {target_name!r} does not name a [chart] section")
-    dom, tgt = charts[source_name], charts[target_name]
-    comps = [line.strip() for line in body.pop("components", "").splitlines()
+    source_name, target_name, components = _take(where, body, "from", "to",
+                                                 "components")
+    dom = _ref(where, "from", source_name, charts, "chart")
+    tgt = _ref(where, "to", target_name, charts, "chart")
+    comps = [line.strip() for line in (components or "").splitlines()
              if line.strip()]
     if len(comps) != tgt.dim:
         _fail(where, f"need {tgt.dim} components for chart "
               f"'{target_name}', got {len(comps)}")
     for source in comps:
         _parse_expr(where, source, dom.coords, parameters)
-    if body:
-        _fail(where, f"unknown key {sorted(body)[0]!r}")
     return (SmoothMap.from_components(dom, tgt, comps, dict(parameters)),
             source_name, target_name)
 
@@ -234,41 +239,30 @@ def load_config(path):
         if kind == "chart":
             charts[name] = _build_chart(f"{path} [chart {name}]", body)
 
-    metrics, metric_charts = {}, {}
-    maps = {}
-    factors, factor_charts = {}, {}
-    checks = []
+    # metrics and factors keep the name of their chart beside them
+    metrics, maps, factors, checks = {}, {}, {}, []
     for kind, name, body in sections:
         where = f"{path} [{kind} {name}]"
         if kind == "metric":
-            metrics[name], metric_charts[name] = _build_metric(
-                where, body, charts, parameters)
+            metrics[name] = _build_metric(where, body, charts, parameters)
         elif kind == "map":
             maps[name] = _build_map(where, body, charts, parameters)
         elif kind == "factor":
-            chart_name = body.pop("chart", None)
-            source = body.pop("expr", None)
-            if chart_name not in charts:
-                _fail(where, f"chart = {chart_name!r} does not name a "
-                      "[chart] section")
+            chart_name, source = _take(where, body, "chart", "expr")
+            dom = _ref(where, "chart", chart_name, charts, "chart")
             if source is None:
                 _fail(where, "expr is required")
-            if body:
-                _fail(where, f"unknown key {sorted(body)[0]!r}")
-            _parse_expr(where, source, charts[chart_name].coords, parameters)
-            factors[name] = source
-            factor_charts[name] = chart_name
+            _parse_expr(where, source, dom.coords, parameters)
+            factors[name] = source, chart_name
         elif kind == "check":
             if name not in catalog.CHECK_KINDS:
                 known = ", ".join(sorted(catalog.CHECK_KINDS))
                 _fail(where, f"unknown check kind (choose from {known})")
-            tol = body.pop("tol", None)
+            tol, = _take(where, body, "tol")
             if tol is not None:
                 tol = _parse_float(where, "tol", tol)
                 if not tol > 0:
                     _fail(where, "tol must be positive")
-            if body:
-                _fail(where, f"unknown key {sorted(body)[0]!r}")
             checks.append((name, tol))
 
     run = None
@@ -281,37 +275,35 @@ def load_config(path):
         raise ConfigError(f"{path}: at least one [check KIND] section is "
                           "required")
     where = f"{path} [run]"
+    (map_name, metric_name, target_name, induced_name, factor_name, samples,
+     seed, label) = _take(where, run, "map", "metric", "target", "induced",
+                          "factor", "samples", "seed", "name")
+    for key, name in (("map", map_name), ("metric", metric_name),
+                      ("target", target_name)):
+        if name is None:
+            _fail(where, f"{key} is required")
+    phi, from_chart, to_chart = _ref(where, "map", map_name, maps, "map")
+    metric, metric_chart = _ref(where, "metric", metric_name, metrics,
+                                "metric")
+    target, target_chart = _ref(where, "target", target_name, metrics,
+                                "metric")
+    induced, induced_chart = (None, None) if induced_name is None else _ref(
+        where, "induced", induced_name, metrics, "metric")
+    factor, factor_chart = (None, None) if factor_name is None else _ref(
+        where, "factor", factor_name, factors, "factor")
 
-    def pick(key, table, label, required=True):
-        value = run.pop(key, None)
-        if value is None:
-            if required:
-                _fail(where, f"{key} is required")
-            return None
-        if value not in table:
-            _fail(where, f"{key} = {value!r} does not name a [{label}] "
-                  "section")
-        return value
-
-    map_name = pick("map", maps, "map")
-    metric_name = pick("metric", metrics, "metric")
-    target_name = pick("target", metrics, "metric")
-    induced_name = pick("induced", metrics, "metric", required=False)
-    factor_name = pick("factor", factors, "factor", required=False)
-
-    phi, from_chart, to_chart = maps[map_name]
-    if metric_charts[metric_name] != from_chart:
+    if metric_chart != from_chart:
         _fail(where, f"metric '{metric_name}' lives on chart "
-              f"'{metric_charts[metric_name]}' but map '{map_name}' starts "
+              f"'{metric_chart}' but map '{map_name}' starts "
               f"from '{from_chart}'")
-    if metric_charts[target_name] != to_chart:
+    if target_chart != to_chart:
         _fail(where, f"target '{target_name}' lives on chart "
-              f"'{metric_charts[target_name]}' but map '{map_name}' lands "
+              f"'{target_chart}' but map '{map_name}' lands "
               f"in '{to_chart}'")
-    if induced_name and metric_charts[induced_name] != from_chart:
+    if induced_name and induced_chart != from_chart:
         _fail(where, f"induced '{induced_name}' must live on chart "
               f"'{from_chart}'")
-    if factor_name and factor_charts[factor_name] != from_chart:
+    if factor_name and factor_chart != from_chart:
         _fail(where, f"factor '{factor_name}' must live on chart "
               f"'{from_chart}'")
     given = {"induced": induced_name, "factor": factor_name}
@@ -320,19 +312,14 @@ def load_config(path):
             if given[key] is None:
                 _fail(where, f"check '{kind}' needs {key} = NAME")
 
-    samples, seed = (_parse_int(where, key, run.pop(key, None))
-                     for key in ("samples", "seed"))
-    label = run.pop("name", None)
-    if run:
-        _fail(where, f"unknown key {sorted(run)[0]!r}")
+    samples = _parse_int(where, "samples", samples)
+    seed = _parse_int(where, "seed", seed)
     if samples is not None and samples <= 0:
         _fail(where, "samples must be positive")
 
     default_label = os.path.splitext(os.path.basename(str(path)))[0]
     return RunConfig(
         path=str(path), name=label or default_label, phi=phi,
-        metric=metrics[metric_name], target=metrics[target_name],
-        induced=metrics[induced_name] if induced_name else None,
-        factor=factors[factor_name] if factor_name else None,
+        metric=metric, target=target, induced=induced, factor=factor,
         parameters=parameters, checks=tuple(checks),
         samples=samples, seed=seed)

@@ -9,12 +9,17 @@ Grammar (no implicit multiplication):
     atom    := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 so ``-x^2`` parses as ``neg(pow(x, 2))`` and ``x^-2`` as ``pow(x, neg(2))``.
+A NUMBER is ASCII digits with an optional fraction and exponent (``2``,
+``.5``, ``1e-3``); a NAME is a letter or '_' followed by letters, digits or
+'_'.  Besides these, operators, parentheses, commas and whitespace, any
+character is an :class:`ExprLexError`.
 Functions are fixed: exp, ln, sin, cos, sqrt take one argument, pow takes two.
 Names resolve through an :class:`EvalContext` at evaluation time — nothing in
 the grammar distinguishes a chart coordinate from a bound parameter.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -91,51 +96,23 @@ class Token:
     pos: int
 
 
+# leading whitespace is skipped; re has no class for letters alone, so
+# tokenize checks a NAME's first character itself
+_TOKEN = re.compile(r"\s*(?:(?P<NUM>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+                    r"(?:[eE][-+]?[0-9]+)?)|(?P<NAME>\w+)|(?P<OP>[-+*/^])"
+                    r"|(?P<LP>\()|(?P<RP>\))|(?P<COMMA>,)|(?P<BAD>\S))")
+
+
 def tokenize(source):
-    tokens, i, n = [], 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            tokens.append(Token("NUM", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", source[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(Token("OP", c, i))
-        elif c == "(":
-            tokens.append(Token("LP", c, i))
-        elif c == ")":
-            tokens.append(Token("RP", c, i))
-        elif c == ",":
-            tokens.append(Token("COMMA", c, i))
-        else:
-            raise ExprLexError(f"unexpected character {c!r}", i)
-        i += 1
-    tokens.append(Token("END", "", n))
+    tokens = []
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text, pos = match[kind], match.start(kind)
+        if kind == "BAD" or (kind == "NAME" and not (text[0].isalpha()
+                                                     or text[0] == "_")):
+            raise ExprLexError(f"unexpected character {text[0]!r}", pos)
+        tokens.append(Token(kind, text, pos))
+    tokens.append(Token("END", "", len(source)))
     return tokens
 
 

@@ -55,6 +55,8 @@ def test_json_matches_schema_and_text_numbers():
 def test_unknown_case_and_bad_params():
     with pytest.raises(ValueError, match="unknown case"):
         catalog.build_case("no_such_case")
+    with pytest.raises(catalog.CaseError, match="unknown case"):
+        catalog.negative_control("no_such_case")
     with pytest.raises(ValueError, match="bad parameters"):
         catalog.build_case("cylinder_family", bogus=1.0)
     with pytest.raises(ValueError, match="2..6"):
@@ -72,6 +74,26 @@ def test_build_case_takes_only_the_case_parameters(name, own):
     for switch in ("bend", "power", "engine_scale", "exponent"):
         with pytest.raises(catalog.CaseError, match="bad parameters"):
             catalog.build_case(name, **{switch: 1})
+
+
+@pytest.mark.parametrize("name", catalog.CASE_NAMES)
+def test_controls_reject_parameters_they_do_not_take(name):
+    for key in ("bogus", "bend", "power", "engine_scale", "exponent"):
+        with pytest.raises(catalog.CaseError, match="bad parameters"):
+            catalog.negative_control(name, **{key: 1})
+    with pytest.raises(catalog.CaseError, match="bad parameters"):
+        catalog.negative_control(name, C1=-1.0)
+
+
+@pytest.mark.parametrize("name,own", [
+    ("identity", {"m": 2}), ("isometric_cylinder", {"R": 2.0}),
+    ("cylinder_family", {"R": 2.0})])
+def test_controls_keep_their_own_parameters(name, own):
+    control, key = catalog.negative_control(name, **own)
+    assert control.params == own
+    assert key == catalog.negative_control(name)[1]
+    with pytest.raises(catalog.CaseError, match="is not a number"):
+        catalog.negative_control(name, **{k: "2" for k in own})
 
 
 def test_type_errors_inside_a_builder_propagate(monkeypatch):

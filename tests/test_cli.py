@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from bitension import catalog, cli, conformal, cylinder, report
+from bitension.charts import DomainError
 from bitension.cylinder import CylinderParams
+from bitension.expr import ExprEvalError
 
 CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.cfg"))
 
@@ -84,6 +86,24 @@ def test_plain_value_errors_from_a_handler_propagate(capsys, monkeypatch):
     with pytest.raises(ValueError, match="order-0 jet"):
         cli.main(["catalog", "verify", "identity"])
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error", catalog._EVALUATION_ERRORS)
+def test_evaluation_errors_exit_as_verify_case_records_them(capsys,
+                                                            monkeypatch,
+                                                            error):
+    def raising(case, samples, seed, tol):
+        where = ("at the sample points",)
+        raise error(*where, "x") if error is ExprEvalError else error(*where)
+
+    monkeypatch.setattr(catalog, "verify_case", raising)
+    code, _, err = run(capsys, "catalog", "verify", "identity")
+    # a domain violation keeps its own exit code
+    if error is DomainError:
+        assert code == cli.EXIT_DOMAIN and err.startswith("domain error")
+    else:
+        assert code == cli.EXIT_EVAL and err.startswith("evaluation error")
+    assert "at the sample points" in err
 
 
 @pytest.mark.parametrize("argv,message", [

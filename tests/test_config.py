@@ -95,6 +95,10 @@ def test_name_defaults_to_file_stem_and_label_overrides(tmp_path):
      "seed must be an integer"),
     (lambda t: t.replace("samples = 32", "samples = \u00b3"),
      "samples must be an integer"),
+    # numbers are ASCII digits: a superscript is a located lexing error
+    (lambda t: t.replace("a*v", "a*v^\u00b2"),
+     r"case\.cfg \[map slice\]: cannot parse 'a\*v\^\u00b2': unexpected "
+     r"character '\u00b2' \(offset 4\)"),
 ])
 def test_rejections_carry_a_reason(tmp_path, mangle, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -156,6 +160,50 @@ def test_r3_checks_need_induced_and_factor(tmp_path, kind, extra, missing):
     # the message names the file, the [run] section and the missing key
     with pytest.raises(ConfigError, match=rf"case\.cfg \[run\]: check "
                        rf"'{kind}' needs {missing} = NAME"):
+        load_config(write(tmp_path, text))
+
+
+# GOOD plus an unused [factor] section: one section of every kind that has
+# fixed keys
+FULL = GOOD.replace("\n[run]", FACTOR)
+
+
+def with_key(text, section, key, value):
+    """``text`` with ``key = value`` set in ``[section]``."""
+    blocks = text.split("\n\n")
+    for k, block in enumerate(blocks):
+        if block.startswith(f"[{section}]\n"):
+            head, *lines = block.splitlines()
+            lines = [line for line in lines if not line.startswith(f"{key} =")]
+            blocks[k] = "\n".join([head, f"{key} = {value}"] + lines)
+    return "\n\n".join(blocks)
+
+
+def test_full_config_loads(tmp_path):
+    assert load_config(write(tmp_path, FULL)).factor is None
+
+
+@pytest.mark.parametrize("section", [
+    "chart sheet", "metric flat2", "map slice", "factor lam",
+    "check tension_zero", "run"])
+def test_unknown_keys_are_named_in_every_section_kind(tmp_path, section):
+    text = with_key(FULL, section, "shape", "odd")
+    with pytest.raises(ConfigError, match=rf"case\.cfg \[{section}\]: "
+                       r"unknown key 'shape'"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("section,key,label", [
+    ("metric flat2", "chart", "chart"), ("map slice", "from", "chart"),
+    ("map slice", "to", "chart"), ("factor lam", "chart", "chart"),
+    ("run", "map", "map"), ("run", "metric", "metric"),
+    ("run", "target", "metric"), ("run", "induced", "metric"),
+    ("run", "factor", "factor")])
+def test_dangling_references_are_named(tmp_path, section, key, label):
+    text = with_key(FULL, section, key, "nowhere")
+    with pytest.raises(ConfigError, match=rf"case\.cfg \[{section}\]: "
+                       rf"{key} = 'nowhere' does not name a \[{label}\] "
+                       "section"):
         load_config(write(tmp_path, text))
 
 

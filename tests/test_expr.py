@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bitension import expr, jets
-from bitension.expr import (Binary, Call, Const, EvalContext, ExprEvalError,
-                            ExprLexError, ExprSyntaxError, Name, Unary,
-                            UnboundNameError, evaluate, parse, to_source, tokenize)
+from bitension.expr import (Binary, Call, Const, EvalContext, ExprError,
+                            ExprEvalError, ExprLexError, ExprSyntaxError,
+                            Name, Unary, UnboundNameError, evaluate, parse,
+                            to_source, tokenize)
 
 
 def test_tokenize_fixture():
@@ -21,6 +22,35 @@ def test_lex_error_offset():
     with pytest.raises(ExprLexError) as err:
         tokenize("2.5e-1@")
     assert err.value.offset == 6
+
+
+@pytest.mark.parametrize("source,offset", [
+    ("x^\u00b2", 2), ("\u0663", 0), ("1.\u0663", 2), ("2\u00bd", 1)])
+def test_numbers_are_ascii_digits(source, offset):
+    # a superscript or non-ASCII decimal digit is no number, nor a name start
+    with pytest.raises(ExprLexError) as err:
+        tokenize(source)
+    assert err.value.offset == offset
+
+
+def test_names_keep_any_letters_and_digits_after_the_first():
+    kinds = [(t.kind, t.text) for t in tokenize("x\u00b2 + \u00e9t\u00e9_1")]
+    assert kinds == [("NAME", "x\u00b2"), ("OP", "+"),
+                     ("NAME", "\u00e9t\u00e9_1"), ("END", "")]
+    assert [t.text for t in tokenize("1.e5 .5.3 1e 2.5e-1x")] == [
+        "1.e5", ".5", ".3", "1", "e", "2.5e-1", "x", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("\u00b2")
+@example("x^\u00b2")
+def test_parse_returns_a_tree_or_raises_an_expression_error(text):
+    try:
+        node = parse(text)
+    except ExprError:
+        return
+    assert isinstance(node, (Const, Name, Unary, Binary, Call))
 
 
 def test_precedence_fixtures():

@@ -12,11 +12,12 @@ fresh process, and diffing the two files:
 the setup functions of ``ROOT/perfbench/workloads.py``, which it only reads.
 It writes one line per output: the three law sides (direct and right-hand
 side, m = 2..5) of the law sweep; every catalog case, negative control and
-cylinder grid member as a JSON report; the ``catalog verify NAME`` text of
-every case and of the README's ``--param`` run; the W3 and direct bitension
-residuals of every Weierstrass pool case; the ``custom verify`` (JSON),
-``weierstrass check`` and ``check-transform`` (m = 2..5, text) outputs of the
-CLI over the shipped configs; and the ``first_variation`` dicts of the
+cylinder grid member as a JSON report, with the controls that take
+parameters also run at identity m = 2 and both cylinders at R = 2; the
+``catalog verify NAME`` text of every case and of the README's ``--param``
+run; the W3 and direct bitension residuals of every Weierstrass pool case;
+the ``custom verify`` (JSON), ``weierstrass check`` and ``check-transform``
+(m = 2..5, text) outputs of the CLI over the shipped configs; and the ``first_variation`` dicts of the
 quadrature workload.  Arrays are written as their dtype, shape and raw bytes
 in hex, and floats by ``float.hex``, so two dumps are equal exactly when
 every output has the same bits.  ``diff`` exits 1 and names the first lines that differ.
@@ -50,7 +51,7 @@ def _dump(root, seed, out):
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from bitension import cli, geometry, report, weierstrass
+    from bitension import catalog, cli, geometry, report, weierstrass
 
     def emit(name, text):
         out.write(f"{name}\t{text}\n")
@@ -69,6 +70,12 @@ def _dump(root, seed, out):
         emit(f"case {name}", verify(case))
     for name, control, key in inputs.controls:
         emit(f"control {name} {key}", verify(control))
+    for name, params in (("identity", {"m": 2}),
+                         ("isometric_cylinder", {"R": 2.0}),
+                         ("cylinder_family", {"R": 2.0})):
+        control, key = catalog.negative_control(name, **params)
+        emit(f"control {name} {sorted(params.items())} {key}",
+             verify(control))
     for params, case in inputs.grid:
         emit(f"grid {sorted(params.items())}", verify(case))
     seed_arg = ["--seed", str(inputs.sample_seed)]
