@@ -12,7 +12,10 @@ so ``-x^2`` parses as ``neg(pow(x, 2))`` and ``x^-2`` as ``pow(x, neg(2))``.
 A NUMBER is ASCII digits with an optional fraction and exponent (``2``,
 ``.5``, ``1e-3``); a NAME is a letter or '_' followed by letters, digits or
 '_'.  Besides these, operators, parentheses, commas and whitespace, any
-character is an :class:`ExprLexError`.
+character is an :class:`ExprLexError`.  Nesting is bounded: parentheses,
+call arguments and '-' and '^' chains nested more than ``MAX_DEPTH`` levels
+deep are an :class:`ExprSyntaxError` at the token that goes one level too
+deep.
 Functions are fixed: exp, ln, sin, cos, sqrt take one argument, pow takes two.
 Names resolve through an :class:`EvalContext` at evaluation time — nothing in
 the grammar distinguishes a chart coordinate from a bound parameter.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from . import jets
 
@@ -89,8 +92,7 @@ class Call:
 
 # -- lexer ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM NAME OP LP RP COMMA END
     text: str
     pos: int
@@ -118,10 +120,19 @@ def tokenize(source):
 
 # -- parser ---------------------------------------------------------------------
 
+# Deepest nesting parse accepts: parentheses, call arguments, '-' and '^'
+# chains each pass through _Parser.unary once per level, which costs about
+# five Python frames, so the bound keeps parse (and the recursive evaluate,
+# free_names and to_source on its trees) well inside the default recursion
+# limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -153,10 +164,17 @@ class _Parser:
         return node
 
     def unary(self):
+        if self.depth == MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} "
+                                  "levels", self.peek().pos)
+        self.depth += 1  # a raise ends the parse, so it needs no unwinding
         if self.peek().kind == "OP" and self.peek().text == "-":
             self.next()
-            return Unary("neg", self.unary())
-        return self.power()
+            node = Unary("neg", self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()

@@ -20,13 +20,16 @@ Every index contraction (Christoffel symbols, the pull-back connection, the
 tension field, traces against g^-1) goes through :func:`jets.contract`, whose
 docstring fixes the zero-skipping rule and the summation order.
 
-A :class:`MapState` caches all per-point data for one (map, domain metric,
-target metric, batch of points, derivative order) tuple.  The module-level
-functions are thin wrappers that build a state and extract one quantity.
+A :class:`MapState` holds the per-point data for one (map, domain metric,
+target metric, batch of points, derivative order) tuple.  It validates its
+inputs when built and derives every other stage on first read, so a reader
+pays only for the stages it uses.  The module-level functions are thin
+wrappers that build a state and extract one quantity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,15 +76,32 @@ def _eval_components(components, variables, parameters, batch_shape, num_vars, o
     return out
 
 
+def _by_identity(build):
+    """``build`` of one argument, run once per distinct argument object.
+
+    Keys are ``id``s: use it within one call that holds every argument it
+    passes, so no id is reused while the memo lives."""
+    done = {}
+
+    def once(obj):
+        if id(obj) not in done:
+            done[id(obj)] = build(obj)
+        return done[id(obj)]
+    return once
+
+
 def _sym_matrix_jets(metric, variables, batch_shape, order, what):
-    """Component jets of a metric; entries (i, j) and (j, i) with the same
-    expression share one jet, others are evaluated and compared."""
+    """Component jets of a metric.  Each expression object is evaluated once
+    (a conformally flat metric repeats one factor down its diagonal), and
+    entries (i, j) and (j, i) with equal expressions share one jet; other
+    mirror pairs are evaluated and compared."""
     m, comps = metric.dim, metric.components
+    jet = _by_identity(lambda comp: _eval_components(
+        [comp], variables, metric.parameters, batch_shape, m, order)[0])
     rows = []
     for i in range(m):
         rows.append([rows[j][i] if j < i and comps[i][j] == comps[j][i] else
-                     _eval_components([comps[i][j]], variables, metric.parameters,
-                                      batch_shape, m, order)[0] for j in range(m)])
+                     jet(comps[i][j]) for j in range(m)])
     for i in range(m):
         for j in range(i + 1, m):
             a, b = rows[i][j], rows[j][i]
@@ -165,13 +185,10 @@ def _jet_matrix_inverse(rows):
 def _christoffel_jets(gj, ginv):
     """gamma[i][j][k] = Gamma^k_ij, one jet order below the metric jets."""
     m = len(gj)
-    # each distinct entry is differentiated once: mirror entries that share
-    # a jet (see _sym_matrix_jets) share its derivatives
-    dg = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            dg[i][j] = (dg[j][i] if j < i and gj[i][j] is gj[j][i] else
-                        [gj[i][j].derivative(l) for l in range(m)])
+    # each distinct jet is differentiated once: entries that share a jet
+    # (see _sym_matrix_jets) share its derivatives
+    partials = _by_identity(lambda e: [e.derivative(l) for l in range(m)])
+    dg = [[partials(e) for e in row] for row in gj]
     out = [[[None] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
@@ -189,9 +206,24 @@ def _curvature_values(gamma):
     dg = jets.stack_gradients(gamma)  # d_l Gamma^k_ij at [..., i, j, k, l]
     t1 = np.einsum("...jkli->...lkij", dg)
     t2 = np.einsum("...iklj->...lkij", dg)
-    t3 = np.einsum("...ipl,...jkp->...lkij", gv, gv, optimize=True)
-    t4 = np.einsum("...jpl,...ikp->...lkij", gv, gv, optimize=True)
+    t3 = _einsum("...ipl,...jkp->...lkij", gv, gv)
+    t4 = _einsum("...jpl,...ikp->...lkij", gv, gv)
     return t1 - t2 + t3 - t4
+
+
+def _einsum(subscripts, *operands):
+    """``np.einsum(subscripts, *operands, optimize=True)``, bit for bit, with
+    the contraction path searched once per subscripts and operand shapes."""
+    path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+@lru_cache(maxsize=128)
+def _einsum_path(subscripts, *shapes):
+    # the search reads shapes only: zero-stride stand-ins allocate nothing;
+    # a tuple, so no caller can change the path the cache hands out
+    stand_ins = [np.broadcast_to(0.0, s) for s in shapes]
+    return tuple(np.einsum_path(subscripts, *stand_ins, optimize=True)[0])
 
 
 # -- the per-point engine -------------------------------------------------------
@@ -204,6 +236,31 @@ class MapState:
     tension fields, 3 for the Jacobi operator, 4 for bitension fields.  The
     target metric is expanded to ``order - 1`` around the image points and
     its Christoffel symbols are pulled back through the map.
+
+    Building a state evaluates and validates its inputs, in this order: the
+    points (``domain.require``); the domain metric ``g_jets``/``g_val``
+    (symmetric and positive definite); the map ``phi_jets`` and its image
+    ``y0`` (``codomain.require``); the target metric ``h_yjets``/``hN_val``
+    at the image (symmetric and positive definite).  Every other stage is
+    built on first read and then kept; a stage that raises is not kept, so
+    reading it again raises again.  The stages and their readers:
+
+    * ``ginv_jets``/``ginv_val``, the domain inverse: metric traces,
+      gradients, ``gammaM``, the rough Laplacian, the curvature trace;
+    * ``sqrt_det_g``, the volume density: the integral functionals;
+    * ``gammaM``/``gammaM_val``, the domain Christoffel symbols: the tension
+      field, the scalar and rough Laplacians;
+    * ``Dphi``/``dphi``, the differential: the tension field, ``Q_jets``,
+      the curvature trace, :meth:`conformality`, the surface machinery;
+    * ``gammaN_y``, the target Christoffel symbols at the image: ``Q_jets``
+      and ``RN``;
+    * ``Q_jets``/``Q_val``, the target Christoffel symbols pulled back and
+      contracted with dphi: covariant derivatives of sections;
+    * ``RN``, the target curvature (``None`` below order 3): the curvature
+      trace.
+
+    So a reader of the inputs alone (the complex-coordinate lane) builds no
+    Christoffel symbols, and an error in a stage fails only its readers.
 
     Other jets are carried at the order they are read at: the domain metric
     ``g_jets`` (evaluated from seeds truncated to that order) and
@@ -237,44 +294,77 @@ class MapState:
                                        "domain metric")
         self.g_val = jets.stack_values(self.g_jets)
         _require_spd(self.g_val, x, "domain metric")
-        self.ginv_jets = _jet_matrix_inverse(self.g_jets)
-        self.ginv_val = jets.stack_values(self.ginv_jets)
-        self.sqrt_det_g = np.sqrt(np.linalg.det(self.g_val))
-        self.gammaM = _christoffel_jets(self.g_jets, self.ginv_jets)
-        self.gammaM_val = jets.stack_values(self.gammaM)
 
         self.phi_jets = _eval_components(phi.components, xvars, phi.parameters,
                                          batch, m, order)
         self.y0 = jets.stack_values(self.phi_jets)
         phi.codomain.require(self.y0)
-        self.Dphi = [[self.phi_jets[a].derivative(i) for a in range(n)]
-                     for i in range(m)]
-        self.dphi = jets.stack_values(self.Dphi)
 
-        yorder = order - 1
-        yvars = {c: jets.Jet.variable(a, self.y0[..., a], n, yorder)
+        yvars = {c: jets.Jet.variable(a, self.y0[..., a], n, order - 1)
                  for a, c in enumerate(phi.codomain.coords)}
-        self.h_yjets = _sym_matrix_jets(h, yvars, batch, yorder, "target metric")
+        self.h_yjets = _sym_matrix_jets(h, yvars, batch, order - 1,
+                                        "target metric")
         self.hN_val = jets.stack_values(self.h_yjets)
         _require_spd(self.hN_val, self.y0, "target metric")
-        hinv_y = _jet_matrix_inverse(_truncated(self.h_yjets, yorder - 1))
-        self.gammaN_y = _christoffel_jets(self.h_yjets, hinv_y)
-
-        monos = jets.Monomials(self.phi_jets, yorder - 1)
-        gnx = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                gnx[a][b] = gnx[b][a] = [jets.compose(j, monos) for j in self.gammaN_y[a][b]]
-
-        self.Q_jets = [[[jets.contract((gnx[a][b][c], self.Dphi[i][a])
-                                       for a in range(n))
-                         for b in range(n)] for c in range(n)] for i in range(m)]
-        self.Q_val = jets.stack_values(self.Q_jets)
-
-        self.RN = _curvature_values(self.gammaN_y) if order >= 3 else None
         self._tension = None
         self._tension_ds = None
         self._bitension = None
+
+    # -- stages, built on first read ----------------------------------------------
+
+    @cached_property
+    def ginv_jets(self):
+        return _jet_matrix_inverse(self.g_jets)
+
+    @cached_property
+    def ginv_val(self):
+        return jets.stack_values(self.ginv_jets)
+
+    @cached_property
+    def sqrt_det_g(self):
+        return np.sqrt(np.linalg.det(self.g_val))
+
+    @cached_property
+    def gammaM(self):
+        return _christoffel_jets(self.g_jets, self.ginv_jets)
+
+    @cached_property
+    def gammaM_val(self):
+        return jets.stack_values(self.gammaM)
+
+    @cached_property
+    def Dphi(self):
+        return [[self.phi_jets[a].derivative(i) for a in range(self.n)]
+                for i in range(self.m)]
+
+    @cached_property
+    def dphi(self):
+        return jets.stack_values(self.Dphi)
+
+    @cached_property
+    def gammaN_y(self):
+        hinv_y = _jet_matrix_inverse(_truncated(self.h_yjets, self.order - 2))
+        return _christoffel_jets(self.h_yjets, hinv_y)
+
+    @cached_property
+    def Q_jets(self):
+        n, D = self.n, self.Dphi
+        monos = jets.Monomials(self.phi_jets, self.order - 2)
+        gnx = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                gnx[a][b] = gnx[b][a] = [jets.compose(j, monos)
+                                         for j in self.gammaN_y[a][b]]
+        return [[[jets.contract((gnx[a][b][c], D[i][a]) for a in range(n))
+                  for b in range(n)] for c in range(n)] for i in range(self.m)]
+
+    @cached_property
+    def Q_val(self):
+        return jets.stack_values(self.Q_jets)
+
+    @cached_property
+    def RN(self):
+        return _curvature_values(self.gammaN_y) if self.order >= 3 else None
 
     # -- scalar helpers ---------------------------------------------------------
 
@@ -368,8 +458,8 @@ class MapState:
         dds = np.moveaxis(jets.stack_gradients(ds), -1, -3)
         full = dds + np.einsum("...icb,...jb->...ijc", self.Q_val, dsval)
         return (np.einsum("...ij,...ijc->...c", self.ginv_val, full)
-                - np.einsum("...ij,...ijk,...kc->...c", self.ginv_val,
-                            self.gammaM_val, dsval, optimize=True))
+                - _einsum("...ij,...ijk,...kc->...c", self.ginv_val,
+                          self.gammaM_val, dsval))
 
     def trace_laplacian(self, section):
         """Values of Trace_g (nabla^phi)^2 S (the rough Laplacian on sections)."""
@@ -379,11 +469,11 @@ class MapState:
         """Values of Trace_g R^N(dphi, S) dphi."""
         if self.RN is None:
             raise GeometryInputError("curvature trace needs jet order >= 3")
-        # optimize=True picks a pairwise contraction order; the default
-        # loops over all six summed indices at once, about 40x slower here
-        return np.einsum("...ij,...ia,...b,...jk,...ckab->...c", self.ginv_val,
-                         self.dphi, section_values, self.dphi, self.RN,
-                         optimize=True)
+        # contracted pairwise, in the order np.einsum's optimize=True picks
+        # (searched once per batch shape, see _einsum); the unoptimized
+        # einsum loops over all six summed indices at once, about 40x slower
+        return _einsum("...ij,...ia,...b,...jk,...ckab->...c", self.ginv_val,
+                       self.dphi, section_values, self.dphi, self.RN)
 
     def _jacobi(self, section, ds):
         return (self.curvature_trace(jets.stack_values(section))

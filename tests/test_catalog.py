@@ -274,3 +274,18 @@ def test_conformal_recovery_reads_the_shared_state(monkeypatch):
     rep = catalog.verify_case(catalog.build_case("cylinder_family"))
     rec = next(c for c in rep.checks if c.name == "conformal_recovery")
     assert rec.passed and rec.error is None
+
+
+def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
+    def refuse(*args):
+        raise FloatingPointError("Christoffel stage refused")
+
+    monkeypatch.setattr(geometry, "_christoffel_jets", refuse)
+    rep = catalog.verify_case(catalog.build_case("r2_wrap_r3"))
+    records = {c.name: c for c in rep.checks}
+    # the complex-coordinate checks read the state's inputs only
+    for name in ("w1_zero", "w3_zero", "nonholomorphic"):
+        assert records[name].passed and records[name].max_abs is not None
+    bad = records["bitension_zero"]
+    assert bad.max_abs is None and not bad.passed
+    assert bad.error == "FloatingPointError: Christoffel stage refused"

@@ -284,6 +284,20 @@ def test_custom_config_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("deep", ["(" * 1000 + "u" + ")" * 1000,
+                                  "-" * 1000 + "u", "^".join(["u"] * 1000),
+                                  "sin(" * 1000 + "u" + ")" * 1000],
+                         ids=["parentheses", "minus chain", "power chain",
+                              "call arguments"])
+def test_deeply_nested_config_line_exits_as_bad_input(capsys, tmp_path, deep):
+    bad = tmp_path / "deep.cfg"
+    source = next(p for p in CONFIGS if p.stem == "plane_inclusion").read_text()
+    bad.write_text(source.replace("    u\n", f"    {deep}\n"))
+    code, out, err = run(capsys, "custom", "verify", "--config", str(bad))
+    assert code == 2 and out == ""
+    assert "nested deeper than 100 levels" in err
+
+
 def test_custom_tolerance_override(capsys):
     path = next(p for p in CONFIGS if p.stem == "h5_inclusion")
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path),

@@ -210,3 +210,9 @@ def test_dangling_references_are_named(tmp_path, section, key, label):
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_deeply_nested_component_is_a_config_error(tmp_path):
+    text = GOOD.replace("    a*v\n", "    " + "(" * 1000 + "v" + ")" * 1000 + "\n")
+    with pytest.raises(ConfigError, match="nested deeper than 100 levels"):
+        load_config(write(tmp_path, text))

@@ -94,6 +94,31 @@ def test_trailing_garbage():
         parse("1 + 2 )")
 
 
+# 1000 levels of each kind of nesting that passes through _Parser.unary
+DEEP = {"parentheses": "(" * 1000 + "x" + ")" * 1000,
+        "minus chain": "-" * 1000 + "x",
+        "power chain": "^".join(["x"] * 1000),
+        "call arguments": "sin(" * 1000 + "x" + ")" * 1000}
+
+
+@pytest.mark.parametrize("source", DEEP.values(), ids=DEEP.keys())
+def test_deep_nesting_is_an_expression_error(source):
+    with pytest.raises(ExprError, match="nested deeper than 100 levels"):
+        parse(source)
+
+
+def test_nesting_bound_is_exact_and_located():
+    limit = expr.MAX_DEPTH
+    # the outermost unary is level 1; each '(' adds one level
+    assert parse("(" * (limit - 1) + "x" + ")" * (limit - 1)) == Name("x")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("(" * limit + "x" + ")" * limit)
+    assert err.value.offset == limit  # the 'x' one level too deep
+    nested = parse("-" * (limit - 1) + "x")
+    assert to_source(nested) == "-" * (limit - 1) + "x"
+    assert expr.free_names(nested) == {"x"}
+
+
 def _random_tree(rng, depth, names=("x", "y", "R")):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:

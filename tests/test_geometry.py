@@ -211,6 +211,7 @@ def test_tension_makes_no_product_with_a_zero_inverse_entry(monkeypatch):
     state = MapState(phi, met, RiemannianMetric.euclidean(tgt),
                      dom.sample(8, 3), 4)
     assert _structurally_zero(state.ginv_jets[0][1])
+    state.gammaM, state.Q_jets  # built on first read: not measured here
     calls = _jet_products(monkeypatch)
     state.tension_jets
     assert not any(_structurally_zero(a) or _structurally_zero(b)
@@ -399,10 +400,11 @@ def test_target_pullback_products_do_not_grow_with_nonconstant_jets(
     pts = dom.sample(5, 3)
     nonconstant, products = [], []
     for h in (fewer, more):
-        calls = _pullback_products(monkeypatch)
         state = MapState(phi, g, h, pts, 4)
         nonconstant.append(sum(not e.is_constant() for ab in state.gammaN_y
                                for b in ab for e in b))
+        calls = _pullback_products(monkeypatch)
+        state.Q_jets
         products.append(len(calls))
         monkeypatch.undo()
     assert nonconstant == [2, 7]
@@ -802,3 +804,98 @@ def test_zero_jets_of_an_order_four_slab_chunk_hold_no_memory():
     # allocated the peak is about 150 jets of the chunk (79 MB), without
     # them about 70 (37 MB)
     assert peak < 100 * 936 * jets._ncoef(4, 4) * 8
+
+
+# -- stages built on first read ------------------------------------------------
+
+
+def _raising(monkeypatch, name):
+    """Replace geometry.<name> by a function that raises and counts calls."""
+    calls = []
+
+    def raising(*args):
+        calls.append(args)
+        raise FloatingPointError(f"{name} refused")
+
+    monkeypatch.setattr(geometry, name, raising)
+    return calls
+
+
+def test_conformally_flat_factor_is_evaluated_and_differentiated_once(
+        monkeypatch):
+    dom, g4, tgt, h5, phi = hyperbolic_inclusion()
+    g_factor, h_factor = g4.components[0][0], h5.components[0][0]
+    evaluated, evaluate = [], expr.evaluate
+
+    def recording(node, ctx):
+        evaluated.append(node)
+        return evaluate(node, ctx)
+
+    monkeypatch.setattr(expr, "evaluate", recording)
+    state = MapState(phi, g4, h5, dom.sample(6, 5), 4)
+    assert sum(node is g_factor for node in evaluated) == 1
+    assert sum(node is h_factor for node in evaluated) == 1
+    assert all(state.g_jets[i][i] is state.g_jets[0][0] for i in range(4))
+    state.ginv_jets  # the inverse takes no derivatives
+    differentiated, derivative = [], jets.Jet.derivative
+
+    def differentiating(self, axis):
+        differentiated.append((self, axis))
+        return derivative(self, axis)
+
+    monkeypatch.setattr(jets.Jet, "derivative", differentiating)
+    state.gammaM
+    # one factor jet and one zero jet, each differentiated along each axis
+    assert len(differentiated) == 2 * 4
+    assert sum(e is state.g_jets[0][0] for e, _ in differentiated) == 4
+
+
+def test_a_stage_that_raises_is_not_kept(monkeypatch):
+    phi, g, h, _ = small_slab()
+    x = phi.domain.sample(5, 3)
+    calls = _raising(monkeypatch, "_christoffel_jets")
+    state = MapState(phi, g, h, x, 4)  # validation reads no Christoffel stage
+    for attempt in (1, 2):
+        with pytest.raises(FloatingPointError):
+            state.gammaM
+        assert len(calls) == attempt
+    monkeypatch.undo()
+    assert np.array_equal(state.gammaM_val,
+                          MapState(phi, g, h, x, 4).gammaM_val)
+
+
+def test_codomain_error_comes_before_a_failing_stage(monkeypatch):
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "5*u"))
+    g = RiemannianMetric.conformally_flat(dom, "2+u")
+    _raising(monkeypatch, "_christoffel_jets")
+    with pytest.raises(DomainError):
+        MapState(phi, g, RiemannianMetric.euclidean(tgt), dom.sample(8, 1), 4)
+
+
+@pytest.mark.parametrize("subscripts,shapes", [
+    ("...ipl,...jkp->...lkij", [(7, 3, 3, 3)] * 2),
+    ("...jpl,...ikp->...lkij", [(2, 5, 4, 4, 4), (2, 5, 4, 4, 4)]),
+    ("...ij,...ijk,...kc->...c", [(9, 4, 4), (9, 4, 4, 4), (9, 4, 5)]),
+    ("...ij,...ia,...b,...jk,...ckab->...c",
+     [(3, 6, 2, 2), (3, 6, 2, 3), (3, 6, 3), (3, 6, 2, 3), (3, 6, 3, 3, 3, 3)]),
+])
+def test_einsum_helper_matches_optimized_einsum_bitwise(subscripts, shapes):
+    rng = np.random.default_rng(len(subscripts))
+    operands = [rng.normal(size=s) for s in shapes]
+    want = np.einsum(subscripts, *operands, optimize=True)
+    for _ in range(2):  # a searched path, then a cached one
+        got = geometry._einsum(subscripts, *operands)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_einsum_path_cache_is_bounded():
+    limit = geometry._einsum_path.cache_info().maxsize
+    assert limit is not None
+    operand = np.ones((1, 2, 2, 2))
+    for batch in range(1, limit + 11):
+        geometry._einsum("...ipl,...jkp->...lkij", operand,
+                         np.ones((batch, 2, 2, 2)))
+    assert geometry._einsum_path.cache_info().currsize <= limit

@@ -107,6 +107,8 @@ def test_flat_target_surface_makes_no_product_with_a_zero_entry(monkeypatch):
     # the wrap is isometric for the flat metric of its parameter plane
     state = MapState(phi, RiemannianMetric.euclidean(case.domain), h,
                      case.domain.sample(8, 3), 4)
+    # the stages SurfaceData reads are built on first read: not measured here
+    state.dphi, state.ginv_jets, state.Q_jets
     inverses, invert = [], geometry._jet_matrix_inverse
 
     def recording_inverse(rows):

@@ -261,3 +261,17 @@ def test_flat_target_check_reads_each_entry_without_a_copy(monkeypatch):
     with pytest.raises(GeometryInputError, match="flat"):
         weierstrass.section(phi, RiemannianMetric.euclidean(dom), sheared,
                             pts)
+
+
+def test_section_builds_no_christoffel_symbols_or_curvature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a stage the complex lane does not read")
+
+    monkeypatch.setattr(geometry, "_christoffel_jets", refuse)
+    monkeypatch.setattr(geometry, "_curvature_values", refuse)
+    dom, phi, g, h = wrap_case(radius=1.3)
+    ws = weierstrass.section(phi, g, h, dom.sample(12, 8))
+    assert np.max(np.abs(weierstrass.w3_residual(ws))) < 1e-12
+    assert np.max(np.abs(weierstrass.conformality_sums(ws)[0])) < 1e-13
+    assert np.min(weierstrass.nonholomorphicity(ws)) > 0.1
+    weierstrass.tension_complex(ws)
