@@ -49,9 +49,9 @@ class ChartDomain:
     def dim(self):
         return len(self.coords)
 
-    def sample(self, count, seed, margin=1e-3):
+    def sample(self, count, seed):
         """Low-discrepancy interior points: Halton stream offset by the seed,
-        box shrunk 5% per side, excluded hyperplanes avoided by ``margin``."""
+        box shrunk 5% per side, excluded hyperplanes avoided by 1e-3."""
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         span = hi - lo
@@ -66,7 +66,7 @@ class ChartDomain:
             cand = lo_s + u * (hi_s - lo_s)
             keep = np.ones(len(cand), dtype=bool)
             for axis, value in self.excluded:
-                keep &= np.abs(cand[:, axis] - value) > margin
+                keep &= np.abs(cand[:, axis] - value) > 1e-3
             cand = cand[keep][:need]
             pts.append(cand)
             need -= len(cand)

@@ -50,7 +50,7 @@ class RunConfig:
     metric: RiemannianMetric
     target: RiemannianMetric
     induced: RiemannianMetric = None
-    factor: str = None
+    factor: object = None    # expression tree of the conformal scale
     parameters: dict = field(default_factory=dict)
     checks: tuple = ()       # ordered (kind, tol-or-None)
     samples: int = None
@@ -98,6 +98,8 @@ def _ref(where, key, name, table, label):
 
 
 def _parse_expr(where, source, allowed, parameters):
+    """The tree of ``source``, once its free names are checked: callers pass
+    it on, so each config expression is parsed once."""
     try:
         node = expr.parse(source)
     except expr.ExprError as err:
@@ -106,7 +108,7 @@ def _parse_expr(where, source, allowed, parameters):
     if loose:
         name = sorted(loose)[0]
         _fail(where, f"unbound name '{name}' in {source!r}")
-    return source
+    return node
 
 
 def _split_header(raw, path):
@@ -169,12 +171,13 @@ def _build_metric(where, body, charts, parameters):
             _fail(where, f"identity = {identity!r} (say yes)")
         return RiemannianMetric.euclidean(dom), chart_name
     if conformal is not None:
-        _parse_expr(where, conformal, dom.coords, parameters)
-        return (RiemannianMetric.conformally_flat(dom, conformal,
-                                                  dict(parameters)),
+        node = _parse_expr(where, conformal, dom.coords, parameters)
+        return (RiemannianMetric.conformally_flat(dom, node, dict(parameters)),
                 chart_name)
     m = dom.dim
-    rows = [["0"] * m for _ in range(m)]
+    # an entry and its mirror share one tree, as do the missing entries
+    zero = expr.parse("0")
+    rows = [[zero] * m for _ in range(m)]
     for key, source in entries.items():
         parts = key.split("_")
         try:
@@ -183,11 +186,10 @@ def _build_metric(where, body, charts, parameters):
             _fail(where, f"entry key {key!r} is not of the form g_i_j")
         if not (1 <= i <= m and 1 <= j <= m):
             _fail(where, f"entry {key} is outside a {m}x{m} metric")
-        _parse_expr(where, source, dom.coords, parameters)
-        rows[i - 1][j - 1] = source
-        rows[j - 1][i - 1] = source
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = _parse_expr(
+            where, source, dom.coords, parameters)
     for i in range(m):
-        if rows[i][i] == "0":
+        if rows[i][i] is zero:
             _fail(where, f"diagonal entry g_{i+1}_{i+1} is required")
     return (RiemannianMetric.from_components(dom, rows, dict(parameters)),
             chart_name)
@@ -203,8 +205,8 @@ def _build_map(where, body, charts, parameters):
     if len(comps) != tgt.dim:
         _fail(where, f"need {tgt.dim} components for chart "
               f"'{target_name}', got {len(comps)}")
-    for source in comps:
-        _parse_expr(where, source, dom.coords, parameters)
+    comps = [_parse_expr(where, source, dom.coords, parameters)
+             for source in comps]
     return (SmoothMap.from_components(dom, tgt, comps, dict(parameters)),
             source_name, target_name)
 
@@ -252,8 +254,8 @@ def load_config(path):
             dom = _ref(where, "chart", chart_name, charts, "chart")
             if source is None:
                 _fail(where, "expr is required")
-            _parse_expr(where, source, dom.coords, parameters)
-            factors[name] = source, chart_name
+            factors[name] = (_parse_expr(where, source, dom.coords,
+                                         parameters), chart_name)
         elif kind == "check":
             if name not in catalog.CHECK_KINDS:
                 known = ", ".join(sorted(catalog.CHECK_KINDS))

@@ -83,16 +83,17 @@ def _tension_rhs(state, fac):
 
 def _jacobi_rhs(state, fac, fld):
     section = state.section_from_field(fld)
-    jac, slide = state.jacobi_and_directional(section, fac.grad)
-    return fac.values[..., None] ** 2 * (jac + (state.m - 2.0) * slide)
+    return fac.values[..., None] ** 2 * (
+        state.jacobi_of(section)
+        + (state.m - 2.0) * state.directional_covariant(fac.grad, section))
 
 
 def _bitension_rhs(state, fac):
     m = state.m
     tau_jets = state.tension_jets
     tau = state.tension_values
-    jac_pushed, slide_pushed = state.jacobi_and_directional(fac.pushed,
-                                                            fac.grad)
+    jac_pushed = state.jacobi_of(fac.pushed)
+    slide_pushed = state.directional_covariant(fac.grad, fac.pushed)
     slide_tau = state.directional_covariant(fac.grad, tau_jets)
     a = fac.laplacian - (m - 4.0) * fac.grad_norm_sq
     inner = (state.bitension_values
@@ -163,8 +164,7 @@ def law_sides(phi, g, h, fld, factor, x):
     }
 
 
-def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None,
-                                  harmonic_tol=1e-8):
+def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None):
     """Residual whose vanishing makes a g-harmonic map biharmonic for F^-2 g.
 
     J(dphi(grad ln F)) + (m-6) nabla_{grad ln F} dphi(grad ln F)
@@ -175,19 +175,24 @@ def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None,
         raise GeometryInputError("the harmonic-to-biharmonic criterion needs "
                                  "m != 2")
     worst = float(np.max(np.abs(state.tension_values)))
-    if worst >= harmonic_tol:
+    if worst >= 1e-8:
         raise GeometryInputError("input map is not harmonic for g "
                                  f"(|tension| up to {worst:g})")
     fac = _FactorData(state, factor, parameters)
     m = state.m
-    jac_pushed, slide_pushed = state.jacobi_and_directional(fac.pushed,
-                                                            fac.grad)
+    jac_pushed = state.jacobi_of(fac.pushed)
+    slide_pushed = state.directional_covariant(fac.grad, fac.pushed)
     a = fac.laplacian - (m - 4.0) * fac.grad_norm_sq
     return (jac_pushed + (m - 6.0) * slide_pushed
             - 2.0 * a[..., None] * fac.pushed_values)
 
 
-def _immersion_states(phi, g, h, lam, x, parameters, conformal_tol):
+# the conformal-immersion criterion's tolerance on the pullback residual and
+# on the given factor against the measured one
+_CONFORMAL_TOL = 1e-8
+
+
+def _immersion_states(phi, g, h, lam, x, parameters):
     """The order-4 states of a conformal immersion on g and on the isometric
     metric gbar = lambda^2 g, with the factor data of lambda and lambda^2.
 
@@ -195,7 +200,7 @@ def _immersion_states(phi, g, h, lam, x, parameters, conformal_tol):
     factor lambda matches the measured conformal factor.
     """
     state = MapState(phi, g, h, x, 4)
-    probe = state.conformality(tol=conformal_tol)
+    probe = state.conformality(tol=_CONFORMAL_TOL)
     if not probe.conformal:
         raise GeometryInputError("map is not a conformal immersion for g, h "
                                  f"(pullback residual {probe.max_residual:g})")
@@ -203,15 +208,14 @@ def _immersion_states(phi, g, h, lam, x, parameters, conformal_tol):
     lam_sq = data.values ** 2
     mismatch = np.max(np.abs(lam_sq - probe.lambda_sq)
                       / (1.0 + np.abs(probe.lambda_sq)))
-    if mismatch > conformal_tol:
+    if mismatch > _CONFORMAL_TOL:
         raise GeometryInputError("given factor disagrees with the measured "
                                  f"conformal factor (off by {mismatch:g})")
     gbar = conformal_metric(g, data.factor.reciprocal())
     return state, data, lam_sq, MapState(phi, gbar, h, x, 4)
 
 
-def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
-                              conformal_tol=1e-8):
+def conformal_immersion_sides(phi, g, h, lam, x, parameters=None):
     """Both sides of the biharmonicity criterion for a conformal immersion.
 
     For phi with pullback metric lambda^2 g the left side is
@@ -225,7 +229,7 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
     conformal immersion is biharmonic.
     """
     state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x,
-                                                  parameters, conformal_tol)
+                                                  parameters)
     m = state.m
     lhs = lam_sq[..., None] ** 2 * iso.bitension_values
     eta_jets = [t * (1.0 / m) for t in iso.tension_jets]
@@ -239,18 +243,15 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None,
     return lhs, rhs
 
 
-def conformal_immersion_residual(phi, g, h, lam, x, parameters=None,
-                                 conformal_tol=1e-8):
+def conformal_immersion_residual(phi, g, h, lam, x, parameters=None):
     """Left minus right of the conformal-immersion criterion; zero iff
     the conformal immersion is biharmonic."""
     lhs, rhs = conformal_immersion_sides(phi, g, h, lam, x,
-                                         parameters=parameters,
-                                         conformal_tol=conformal_tol)
+                                         parameters=parameters)
     return lhs - rhs
 
 
-def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None,
-                                      conformal_tol=1e-8):
+def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None):
     """Surface form of the criterion: lambda^2 tau^2(phi,gbar)
     + 4(Lap ln lambda + 2|grad ln lambda|^2) eta + 8 nabla_{grad ln lambda} eta.
 
@@ -260,7 +261,7 @@ def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None,
         raise GeometryInputError("surface criterion requires a 2d domain, "
                                  f"got m={phi.domain.dim}")
     state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x,
-                                                  parameters, conformal_tol)
+                                                  parameters)
     eta_jets = [t * 0.5 for t in iso.tension_jets]
     eta = jets.stack_values(eta_jets)
     slide_eta = state.directional_covariant(data.grad, eta_jets)

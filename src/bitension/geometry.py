@@ -307,8 +307,8 @@ class MapState:
         self.hN_val = jets.stack_values(self.h_yjets)
         _require_spd(self.hN_val, self.y0, "target metric")
         self._tension = None
-        self._tension_ds = None
         self._bitension = None
+        self._derivatives = {}  # id(section) -> (section, its derivative)
 
     # -- stages, built on first read ----------------------------------------------
 
@@ -423,21 +423,24 @@ class MapState:
     def covariant_derivative(self, section):
         """Pull-back connection derivative: DS[j][c] = (nabla^phi_j S)^c.
 
-        The derivative of the state's own tension field is built once and
-        kept: the bitension field and the conformal laws both read it."""
-        if section is self._tension and self._tension_ds is not None:
-            return self._tension_ds
-        ds = [[jets.contract([(section[c].derivative(j),)]
-                             + [(self.Q_jets[j][c][b], section[b])
-                                for b in range(self.n)])
-               for c in range(self.n)] for j in range(self.m)]
-        if section is self._tension:
-            self._tension_ds = ds
-        return ds
+        Each section object is differentiated once per state: the result is
+        kept beside the section itself, keyed by its ``id``, so the id cannot
+        be reused while the state lives and every later read (the Jacobi
+        operator, the trace Laplacian, directional derivatives) shares it.
+        Like a jet's coefficients, a section is not modified after it is
+        differentiated."""
+        kept = self._derivatives.get(id(section))
+        if kept is None:
+            kept = self._derivatives[id(section)] = (section, [
+                [jets.contract([(section[c].derivative(j),)]
+                               + [(self.Q_jets[j][c][b], section[b])
+                                  for b in range(self.n)])
+                 for c in range(self.n)] for j in range(self.m)])
+        return kept[1]
 
-    def _along(self, vec, ds):
-        """Values of Y^j DS[j] for a domain vector Y (jets or values)."""
-        dsval = jets.stack_values(ds)
+    def directional_covariant(self, vec, section):
+        """Values of nabla^phi_Y S for a domain vector Y (jets or values)."""
+        dsval = jets.stack_values(self.covariant_derivative(section))
         if isinstance(vec[0], jets.Jet):
             yv = jets.stack_values(vec)
         else:
@@ -445,12 +448,9 @@ class MapState:
                                            self.batch_shape) for v in vec], axis=-1)
         return np.einsum("...j,...jc->...c", yv, dsval)
 
-    def directional_covariant(self, vec, section):
-        """Values of nabla^phi_Y S for a domain vector Y."""
-        return self._along(vec, self.covariant_derivative(section))
-
-    def _rough_laplacian(self, ds):
-        """Values of Trace_g (nabla^phi)^2 S from DS = nabla^phi S."""
+    def trace_laplacian(self, section):
+        """Values of Trace_g (nabla^phi)^2 S (the rough Laplacian on sections)."""
+        ds = self.covariant_derivative(section)
         if min(d.order for row in ds for d in row) < 1:
             raise GeometryInputError("trace_laplacian needs order-2 section jets")
         dsval = jets.stack_values(ds)
@@ -460,10 +460,6 @@ class MapState:
         return (np.einsum("...ij,...ijc->...c", self.ginv_val, full)
                 - _einsum("...ij,...ijk,...kc->...c", self.ginv_val,
                           self.gammaM_val, dsval))
-
-    def trace_laplacian(self, section):
-        """Values of Trace_g (nabla^phi)^2 S (the rough Laplacian on sections)."""
-        return self._rough_laplacian(self.covariant_derivative(section))
 
     def curvature_trace(self, section_values):
         """Values of Trace_g R^N(dphi, S) dphi."""
@@ -475,18 +471,10 @@ class MapState:
         return _einsum("...ij,...ia,...b,...jk,...ckab->...c", self.ginv_val,
                        self.dphi, section_values, self.dphi, self.RN)
 
-    def _jacobi(self, section, ds):
-        return (self.curvature_trace(jets.stack_values(section))
-                - self._rough_laplacian(ds))
-
     def jacobi_of(self, section):
         """J(S) = -Trace nabla^2 S + Trace R^N(dphi, S) dphi, as values."""
-        return self._jacobi(section, self.covariant_derivative(section))
-
-    def jacobi_and_directional(self, section, vec):
-        """J(S) and nabla^phi_Y S, from one covariant derivative of S."""
-        ds = self.covariant_derivative(section)
-        return self._jacobi(section, ds), self._along(vec, ds)
+        return (self.curvature_trace(jets.stack_values(section))
+                - self.trace_laplacian(section))
 
     # -- tension and bitension ----------------------------------------------------
 
@@ -567,16 +555,17 @@ class ConformalityResult:
     max_residual: float
 
 
-def conformality_factor(phi, g, h, x, tol=1e-9):
+def conformality_factor(phi, g, h, x):
     """Fit lambda^2 = trace(g^-1 phi^*h)/m and measure the residual.
 
     ``max_residual`` is the largest entry of phi^*h - lambda^2 g over all
-    points, divided by 1 + the largest entry of phi^*h.  A caller holding a
+    points, divided by 1 + the largest entry of phi^*h; the map counts as
+    conformal when it is at most 1e-9 and lambda^2 > 0.  A caller holding a
     :class:`MapState` reads the same fit from :meth:`MapState.conformality`.
     """
     x = np.asarray(x, dtype=float)
     return _fit_conformality(pullback_metric(phi, h, x), _metric_values(g, x),
-                             tol)
+                             1e-9)
 
 
 def _fit_conformality(pb, gv, tol):

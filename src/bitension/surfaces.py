@@ -38,7 +38,7 @@ class SurfaceData:
     parametrized by (theta, z) it points outward, along +d/d rho.
     """
 
-    def __init__(self, state, iso_tol=1e-8):
+    def __init__(self, state):
         if state.m != 2 or state.n != 3:
             raise GeometryInputError("surface machinery needs a 2d domain "
                                      f"and a 3d target, got {state.m} -> "
@@ -47,7 +47,7 @@ class SurfaceData:
                              state.hN_val, state.dphi)
         gap = np.max(np.abs(pullback - state.g_val)
                      / (1.0 + np.abs(state.g_val)))
-        if gap > iso_tol:
+        if gap > 1e-8:
             raise GeometryInputError("declared induced metric differs from "
                                      f"the immersion pullback (off by {gap:g})")
         self.state = state
@@ -121,10 +121,9 @@ class SurfaceData:
         return jets.stack_values(self.state.dphi_apply(vec))
 
 
-def surface_data(phi, induced, target_metric, x, iso_tol=1e-8):
+def surface_data(phi, induced, target_metric, x):
     """Assemble normal/shape/curvature data for an isometric immersion."""
-    return SurfaceData(MapState(phi, induced, target_metric, x, 4),
-                       iso_tol=iso_tol)
+    return SurfaceData(MapState(phi, induced, target_metric, x, 4))
 
 
 def chen_bitension(sd):

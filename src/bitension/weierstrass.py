@@ -35,7 +35,7 @@ class WSection:
     mu_sq: object  # jet of the isothermal factor
 
 
-def section_of(state, isothermal_tol=1e-9):
+def section_of(state):
     """The derivative section phi_sec = d phi/dz, read from a map state.
 
     Requires a 2d domain, an isothermal domain metric g = mu^2 (du^2+dv^2),
@@ -56,16 +56,16 @@ def section_of(state, isothermal_tol=1e-9):
     scale = state.g_jets[0][0].max_abs()
     off = state.g_jets[0][1].max_abs()
     gap = (state.g_jets[0][0] - state.g_jets[1][1]).max_abs()
-    if max(off, gap) > isothermal_tol * max(1.0, scale):
+    if max(off, gap) > 1e-9 * max(1.0, scale):
         raise GeometryInputError("domain metric must be isothermal, "
                                  "g = mu^2 (du^2 + dv^2)")
     comps = tuple(wirtinger_dz(pj) for pj in state.phi_jets)
     return WSection(state, comps, state.g_jets[0][0])
 
 
-def section(phi, g, h, x, isothermal_tol=1e-9):
+def section(phi, g, h, x):
     """Build the derivative section phi_sec = (phi_u - i phi_v)/2."""
-    return section_of(MapState(phi, g, h, x, 4), isothermal_tol)
+    return section_of(MapState(phi, g, h, x, 4))
 
 
 def conformality_sums(ws):
@@ -131,16 +131,16 @@ _IM_W = "(ai*u + ar*v + br*2*u*v + bi*(u^2-v^2))"
 _DW_SQ = "((ar + 2*(br*u - bi*v))^2 + (ai + 2*(bi*u + br*v))^2)"
 
 
-def random_wrapped_pool(count, seed, radius=1.0):
+def random_wrapped_pool(count, seed):
     """Conformal immersions: wrap a random holomorphic W(z) = a z + b z^2
-    around a radius-R cylinder, with domain metric
+    around the cylinder of radius R = 1, with domain metric
     |W'|^2 exp(c Im W / R) |dz|^2.  The metric makes the immersion proper
     biharmonic exactly for exponent c = 1; other exponents give controls.
     """
     rng = np.random.default_rng(seed)
     dom = ChartDomain(("u", "v"), ((-0.5, 0.5), (-0.5, 0.5)))
     target = ChartDomain(("p", "q", "r"),
-                         ((-radius - 0.5, radius + 0.5),) * 2 + ((-3.0, 3.0),))
+                         ((-1.5, 1.5),) * 2 + ((-3.0, 3.0),))
     flat = RiemannianMetric.euclidean(target)
     cases = []
     for k in range(count):
@@ -149,7 +149,7 @@ def random_wrapped_pool(count, seed, radius=1.0):
             "ai": rng.uniform(-0.4, 0.4),
             "br": rng.uniform(-0.12, 0.12),
             "bi": rng.uniform(-0.12, 0.12),
-            "R": radius,
+            "R": 1.0,
         }
         exponent = (1.0, 0.0, 1.7)[k % 3]
         phi = SmoothMap.from_components(

@@ -2,6 +2,7 @@
 import numpy as np
 
 from bitension import jets
+from bitension.geometry import MapState
 
 # 7-point central stencils on offsets -3..3, 4th-order accurate for k <= 4.
 _OFFSETS = np.arange(-3, 4)
@@ -40,6 +41,19 @@ def scanned_support(jet):
         if used:
             mask |= sum(1 << k for k, e in enumerate(mi) if e)
     return mask
+
+
+def record_covariant_derivatives(monkeypatch):
+    """Record (section, result) of every covariant derivative from now on."""
+    calls, nabla = [], MapState.covariant_derivative
+
+    def recording(self, section):
+        out = nabla(self, section)
+        calls.append((section, out))
+        return out
+
+    monkeypatch.setattr(MapState, "covariant_derivative", recording)
+    return calls
 
 
 def relative_error(a, b):

@@ -298,6 +298,19 @@ def test_deeply_nested_config_line_exits_as_bad_input(capsys, tmp_path, deep):
     assert "nested deeper than 100 levels" in err
 
 
+def test_long_flat_metric_entry_yields_a_report(capsys, tmp_path):
+    # each config expression is parsed once, so g_1_2 and its mirror are one
+    # tree and the metric symmetry test never compares two 600-term sums
+    wide = tmp_path / "wide.cfg"
+    source = next(p for p in CONFIGS if p.stem == "plane_inclusion").read_text()
+    entry = " + ".join(["0.0001*u"] * 600)
+    wide.write_text(source.replace(
+        "identity = yes", f"g_1_1 = 1\ng_2_2 = 1\ng_1_2 = {entry}", 1))
+    code, out, err = run(capsys, "custom", "verify", "--config", str(wide))
+    assert code in (0, 1) and err == ""
+    assert "overall:" in out
+
+
 def test_custom_tolerance_override(capsys):
     path = next(p for p in CONFIGS if p.stem == "h5_inclusion")
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path),

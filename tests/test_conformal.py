@@ -270,17 +270,7 @@ def test_surface_form_checks_the_given_factor():
     assert res.shape == (8, 3) and np.all(np.isfinite(res))
 
 
-def _derivatives(monkeypatch):
-    """Record (section, result) of every covariant derivative from now on."""
-    calls, nabla = [], MapState.covariant_derivative
-
-    def recording(self, section):
-        out = nabla(self, section)
-        calls.append((section, out))
-        return out
-
-    monkeypatch.setattr(MapState, "covariant_derivative", recording)
-    return calls
+_derivatives = support.record_covariant_derivatives
 
 
 # law -> sections it differentiates: X; tau and dphi(grad ln F); dphi(grad ln F)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -520,6 +521,55 @@ def test_jacobi_matches_finite_difference_of_tension():
     vv = field_values(vcomps, dom.coords, pts)
     corr = np.einsum("...abc,...a,...b->...c", gam_n, vv, tau0)
     assert support.relative_error(fd + corr, -jac) < 5e-6
+
+
+# every public read of a section's covariant derivative
+_SECTION_READS = {
+    "covariant_derivative": lambda st, s, y: st.covariant_derivative(s),
+    "directional_covariant": lambda st, s, y: st.directional_covariant(y, s),
+    "trace_laplacian": lambda st, s, y: st.trace_laplacian(s),
+    "jacobi_of": lambda st, s, y: st.jacobi_of(s),
+}
+
+
+def test_any_mix_of_reads_differentiates_a_section_once(monkeypatch):
+    dom, g, tgt, h, phi = curved_test_setup()
+    pts = dom.sample(6, 29)
+    fld = VectorFieldAlongMap.from_components(
+        ("0.3*cos(x2)", "0.2*x1", "0.1+0.1*x1*x2"))
+    calls = support.record_covariant_derivatives(monkeypatch)
+    for reads in itertools.permutations(_SECTION_READS):
+        st = MapState(phi, g, h, pts, 3)
+        section = st.section_from_field(fld)
+        y = st.gradient_jets(st.scalar_jet("x1*x2"))
+        del calls[:]
+        for read in reads + reads:
+            _SECTION_READS[read](st, section, y)
+        # ``calls`` holds every result, so a second derivative would have
+        # an id of its own
+        assert all(s is section for s, _ in calls)
+        assert len({id(ds) for _, ds in calls}) == 1, reads
+
+
+def test_sections_with_reused_ids_get_their_own_derivatives():
+    dom, g, tgt, h, phi = curved_test_setup()
+    pts = dom.sample(6, 31)
+    fld = VectorFieldAlongMap.from_components(
+        ("0.3*cos(x2)", "0.2*x1", "0.1+0.1*x1*x2"))
+
+    def reads(st, k):
+        # the caller keeps no section, so CPython may hand the next one the
+        # id of the last
+        base = st.section_from_field(fld)
+        return (st.jacobi_of([c * (1.0 + k) for c in base]),
+                st.directional_covariant([0.5, -1.0],
+                                         [c * -(1.0 + k) for c in base]))
+
+    shared = MapState(phi, g, h, pts, 3)
+    got = [reads(shared, k) for k in range(6)]
+    for k, pair in enumerate(got):
+        want = reads(MapState(phi, g, h, pts, 3), k)
+        assert [a.tobytes() for a in pair] == [b.tobytes() for b in want]
 
 
 def test_jacobi_product_rule():

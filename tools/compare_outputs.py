@@ -11,16 +11,24 @@ fresh process, and diffing the two files:
 ``dump`` imports ``bitension`` from ``ROOT/src`` and builds its inputs with
 the setup functions of ``ROOT/perfbench/workloads.py``, which it only reads.
 It writes one line per output: the three law sides (direct and right-hand
-side, m = 2..5) of the law sweep; every catalog case, negative control and
-cylinder grid member as a JSON report, with the controls that take
-parameters also run at identity m = 2 and both cylinders at R = 2; the
-``catalog verify NAME`` text of every case and of the README's ``--param``
-run; the W3 and direct bitension residuals of every Weierstrass pool case;
-the ``custom verify`` (JSON), ``weierstrass check`` and ``check-transform``
-(m = 2..5, text) outputs of the CLI over the shipped configs; and the ``first_variation`` dicts of the
-quadrature workload.  Arrays are written as their dtype, shape and raw bytes
-in hex, and floats by ``float.hex``, so two dumps are equal exactly when
-every output has the same bits.  ``diff`` exits 1 and names the first lines that differ.
+side, m = 2..5) of the law sweep, one-shot and from ``conformal.law_sides``;
+every catalog case, negative control and cylinder grid member as a JSON
+report, with the controls that take parameters also run at identity m = 2
+and both cylinders at R = 2; the ``catalog verify NAME`` text of every case
+and of the README's ``--param`` run; the W3 and direct bitension residuals
+of every Weierstrass pool case; the ``custom verify`` (JSON), ``weierstrass
+check`` and ``check-transform`` (m = 2..5, text) outputs of the CLI over the
+shipped configs; the ``first_variation`` dicts of the quadrature workload;
+and, on fixed inputs with sample points drawn from the seed,
+``harmonic_biharmonic_condition`` (the totally geodesic inclusion of
+hyperbolic 4-space in hyperbolic 5-space), both conformal-immersion
+residuals (a cylinder with domain metric exp(y) flat),
+``bitension_transform_rhs_dim2`` (a seeded m = 2 transform family) and
+``surfaces.normal_field_covariant_derivative`` (the isometric cylinder of
+the catalog).  Arrays are written as their dtype, shape and raw bytes in
+hex, and floats by ``float.hex``, so two dumps are equal exactly when every
+output has the same bits.  ``diff`` exits 1 and names the first lines that
+differ.
 """
 import argparse
 import contextlib
@@ -51,7 +59,7 @@ def _dump(root, seed, out):
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from bitension import catalog, cli, geometry, report, weierstrass
+    from bitension import catalog, cli, conformal, geometry, report, weierstrass
 
     def emit(name, text):
         out.write(f"{name}\t{text}\n")
@@ -60,6 +68,11 @@ def _dump(root, seed, out):
         for law, (direct, via) in workloads._LAWS.items():
             emit(f"law {law} m={fam.m} direct", _array(direct(fam)))
             emit(f"law {law} m={fam.m} rhs", _array(via(fam)))
+        sides = conformal.law_sides(fam.phi, fam.g, fam.h, fam.fld, fam.fac,
+                                    fam.x)
+        for law, pair in sides.items():
+            for side, value in zip(("direct", "rhs"), pair):
+                emit(f"law_sides {law} m={fam.m} {side}", _array(value))
 
     inputs = workloads.catalog_setup(seed, root)
 
@@ -102,12 +115,58 @@ def _dump(root, seed, out):
             "check-transform", "--dims", f"{m},{m + 1}", "--cases", "10"]
             + seed_arg))
 
+    _dump_fixed(seed, emit)
+
     quad = workloads.quadrature_setup(seed, root)
     emit("quadrature slab", _floats(geometry.first_variation(
         *quad.slab, eps=0.1, nodes=8)))
     for eps in (1e-2, 5e-3):
         emit(f"quadrature pair eps={eps}", _floats(geometry.first_variation(
             *quad.pair, eps=eps, nodes=24)))
+
+
+def _dump_fixed(seed, emit):
+    """The conformal criteria and surface derivatives on fixed geometries."""
+    from bitension import catalog, conformal, surfaces
+    from bitension.charts import ChartDomain, RiemannianMetric, SmoothMap
+
+    cube = ChartDomain(("x1", "x2", "x3", "x4"), ((-1.5, 1.5),) * 3
+                       + ((0.5, 2.0),))
+    half = ChartDomain(("y1", "y2", "y3", "y4", "y5"), ((-3.0, 3.0),) * 4
+                       + ((0.1, 3.0),))
+    inclusion = SmoothMap.from_components(cube, half,
+                                          ("1", "x1", "x2", "x3", "x4"))
+    emit("harmonic_biharmonic_condition", _array(
+        conformal.harmonic_biharmonic_condition(
+            inclusion, RiemannianMetric.conformally_flat(cube, "1/x4^2"),
+            RiemannianMetric.conformally_flat(half, "1/y5^2"),
+            "exp(0.2*x1 + 0.1*x4^2)", cube.sample(8, 43 + seed))))
+
+    strip = ChartDomain(("x", "y"), ((-2.0, 2.0), (-1.0, 1.0)))
+    space = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    wrap = SmoothMap.from_components(
+        strip, space, ("R*cos(x/R)", "R*sin(x/R)", "y"), {"R": 1.3})
+    args = (wrap, RiemannianMetric.conformally_flat(strip, "exp(y)"),
+            RiemannianMetric.euclidean(space), "exp(-y/2)",
+            strip.sample(12, 47 + seed))
+    emit("conformal_immersion_residual", _array(
+        conformal.conformal_immersion_residual(*args)))
+    emit("conformal_immersion_residual_dim2", _array(
+        conformal.conformal_immersion_residual_dim2(*args)))
+
+    dom, g, h, phi, _, fac = conformal.random_transform_family(
+        2, 4, np.random.default_rng(seed))
+    pts = dom.sample(6, 22 + seed)
+    emit("bitension_transform_rhs_dim2", _array(
+        conformal.bitension_transform_rhs_dim2(
+            phi, g, h, fac, np.broadcast_to(pts, (4,) + pts.shape))))
+
+    phi, induced, h = catalog.build_case("isometric_cylinder").geometry
+    sd = surfaces.surface_data(phi, induced, h, phi.domain.sample(10, seed))
+    nd = surfaces.normal_field_covariant_derivative(sd, ("1", "0.5*z"))
+    emit("normal_field_covariant_derivative", _array(nd.derivative))
+    emit("normal_field_covariant_derivative split", _array(
+        nd.split_residual))
 
 
 def _diff(a, b):
