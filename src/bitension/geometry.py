@@ -211,6 +211,29 @@ def _curvature_values(gamma):
     return t1 - t2 + t3 - t4
 
 
+def _curvature_map(gamma, pull):
+    """K[..., b, c] = P^ak R^c_kab for P = ``pull``; with P = dphi^T g^-1 dphi
+    this makes Trace_g R(dphi, S) dphi = S^b K[b, c].
+
+    R^c_kab = d_a Gamma^c_bk - d_b Gamma^c_ak + Gamma^c_ap Gamma^p_bk
+    - Gamma^c_bp Gamma^p_ak, the terms t1..t4 of :func:`_curvature_values`
+    with the same sign.  Each term is contracted with P in batched matrix
+    products (t1 and t4 through the symmetry of Gamma's lower pair), so no
+    array of n^4 values per point is formed beyond the first partials of
+    Gamma.  ``@`` rather than einsum, which parses its subscripts on every
+    call."""
+    n, batch = len(gamma), pull.shape[:-2]
+    gv = jets.stack_values(gamma).reshape(batch + (n, n * n))
+    dg = jets.stack_gradients(gamma)  # d_l Gamma^k_ij at [..., i, j, k, l]
+    flat = pull.reshape(batch + (1, n * n))
+    t1 = (dg.reshape(batch + (n, n * n, n)) @ pull.mT[..., None]).sum(axis=-3)
+    t2 = (flat @ dg.reshape(batch + (n * n, n * n))).reshape(batch + (n, n))
+    t3 = gv @ (pull.mT @ gv).reshape(batch + (n * n, n))
+    t4 = flat @ gv.reshape(batch + (n * n, n)) @ gv
+    return (t1.reshape(batch + (n, n)) - t2.mT + t3
+            - t4.reshape(batch + (n, n)))
+
+
 def _einsum(subscripts, *operands):
     """``np.einsum(subscripts, *operands, optimize=True)``, bit for bit, with
     the contraction path searched once per subscripts and operand shapes."""
@@ -246,18 +269,22 @@ class MapState:
     reading it again raises again.  The stages and their readers:
 
     * ``ginv_jets``/``ginv_val``, the domain inverse: metric traces,
-      gradients, ``gammaM``, the rough Laplacian, the curvature trace;
+      gradients, ``gammaM``, the rough Laplacian, ``curvature_map``;
     * ``sqrt_det_g``, the volume density: the integral functionals;
     * ``gammaM``/``gammaM_val``, the domain Christoffel symbols: the tension
       field, the scalar and rough Laplacians;
     * ``Dphi``/``dphi``, the differential: the tension field, ``Q_jets``,
-      the curvature trace, :meth:`conformality`, the surface machinery;
-    * ``gammaN_y``, the target Christoffel symbols at the image: ``Q_jets``
-      and ``RN``;
+      ``curvature_map``, :meth:`conformality`, the surface machinery;
+    * ``gammaN_y``, the target Christoffel symbols at the image: ``Q_jets``,
+      ``curvature_map`` and ``RN``;
     * ``Q_jets``/``Q_val``, the target Christoffel symbols pulled back and
       contracted with dphi: covariant derivatives of sections;
-    * ``RN``, the target curvature (``None`` below order 3): the curvature
-      trace.
+    * ``curvature_map``, the n x n map K[b, c] = P^ak R^c_kab with
+      P = dphi^T g^-1 dphi (``None`` below order 3), built from ``gammaN_y``
+      and its first partials without forming R^N: the curvature trace, so
+      the Jacobi operator and the bitension field;
+    * ``RN``, the target curvature R^N itself (``None`` below order 3): no
+      check reads it; it is kept for inspection and the symbolic tests.
 
     So a reader of the inputs alone (the complex-coordinate lane) builds no
     Christoffel symbols, and an error in a stage fails only its readers.
@@ -366,6 +393,11 @@ class MapState:
     def RN(self):
         return _curvature_values(self.gammaN_y) if self.order >= 3 else None
 
+    @cached_property
+    def curvature_map(self):
+        pull = self.dphi.mT @ (self.ginv_val @ self.dphi)
+        return _curvature_map(self.gammaN_y, pull) if self.order >= 3 else None
+
     # -- scalar helpers ---------------------------------------------------------
 
     def scalar_jet(self, source, parameters=None):
@@ -462,14 +494,16 @@ class MapState:
                           self.gammaM_val, dsval))
 
     def curvature_trace(self, section_values):
-        """Values of Trace_g R^N(dphi, S) dphi."""
-        if self.RN is None:
+        """Values of Trace_g R^N(dphi, S) dphi = S^b K[b, c].
+
+        K = ``curvature_map``, with K[b, c] = P^ak R^c_kab and
+        P = dphi^T g^-1 dphi, is built once per state from the target
+        Christoffel symbols and their first partials (see
+        :func:`_curvature_map`); the curvature tensor R^N itself is not
+        formed."""
+        if self.curvature_map is None:
             raise GeometryInputError("curvature trace needs jet order >= 3")
-        # contracted pairwise, in the order np.einsum's optimize=True picks
-        # (searched once per batch shape, see _einsum); the unoptimized
-        # einsum loops over all six summed indices at once, about 40x slower
-        return _einsum("...ij,...ia,...b,...jk,...ckab->...c", self.ginv_val,
-                       self.dphi, section_values, self.dphi, self.RN)
+        return (section_values[..., None, :] @ self.curvature_map)[..., 0, :]
 
     def jacobi_of(self, section):
         """J(S) = -Trace nabla^2 S + Trace R^N(dphi, S) dphi, as values."""

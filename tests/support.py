@@ -1,7 +1,7 @@
 """Shared test helpers: random safe function trees and finite-difference oracles."""
 import numpy as np
 
-from bitension import jets
+from bitension import geometry, jets
 from bitension.geometry import MapState
 
 # 7-point central stencils on offsets -3..3, 4th-order accurate for k <= 4.
@@ -54,6 +54,20 @@ def record_covariant_derivatives(monkeypatch):
 
     monkeypatch.setattr(MapState, "covariant_derivative", recording)
     return calls
+
+
+def overflow_curvature_map(monkeypatch):
+    """From now on, build the curvature map stage from Christoffel jets
+    scaled by 1e10 and from the largest float in every entry of
+    dphi^T g^-1 dphi, so the stage's own products overflow."""
+    build = geometry._curvature_map
+
+    def overflowing(gamma, pull):
+        return build([[[e * 1e10 for e in row] for row in plane]
+                      for plane in gamma],
+                     np.full_like(pull, np.finfo(float).max))
+
+    monkeypatch.setattr(geometry, "_curvature_map", overflowing)
 
 
 def relative_error(a, b):

@@ -9,6 +9,8 @@ from bitension.charts import ChartDomain, DomainError, RiemannianMetric, \
     SmoothMap
 from bitension.geometry import MapState
 
+import support
+
 
 def test_every_builtin_passes_at_defaults():
     for name in catalog.CASE_NAMES:
@@ -176,6 +178,18 @@ def test_overflow_is_reported_as_a_floating_point_error():
     for check in rep.checks:
         assert check.max_abs is None and not check.passed
         assert check.error == "FloatingPointError: overflow encountered in exp"
+
+
+def test_overflow_in_the_curvature_map_is_an_errored_record(monkeypatch):
+    support.overflow_curvature_map(monkeypatch)
+    rep = catalog.verify_case(catalog.build_case("h5_inclusion"))
+    records = {c.name: c for c in rep.checks}
+    # matmul honours np.errstate, so the overflow raises inside the stage
+    bad = records["bitension_zero"]
+    assert bad.max_abs is None and not bad.passed
+    assert bad.error == "FloatingPointError: overflow encountered in matmul"
+    assert records["tension_nonzero"].passed  # it does not read the stage
+    assert not rep.passed
 
 
 def test_r3_checks_share_one_residual(monkeypatch):

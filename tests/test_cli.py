@@ -13,6 +13,8 @@ from bitension.charts import DomainError
 from bitension.cylinder import CylinderParams
 from bitension.expr import ExprEvalError
 
+import support
+
 CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.cfg"))
 
 
@@ -169,6 +171,16 @@ def test_check_transform_reports_overflow_as_an_evaluation_error(
                          "--cases", "2")
     assert code == cli.EXIT_EVAL
     assert err == "evaluation error: overflow encountered in exp\n"
+    assert out == ""
+
+
+def test_check_transform_reports_a_curvature_map_overflow_as_an_evaluation_error(
+        capsys, monkeypatch):
+    support.overflow_curvature_map(monkeypatch)
+    code, out, err = run(capsys, "check-transform", "--dims", "2,3",
+                         "--cases", "2")
+    assert code == cli.EXIT_EVAL
+    assert err == "evaluation error: overflow encountered in matmul\n"
     assert out == ""
 
 

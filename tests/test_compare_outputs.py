@@ -1,0 +1,59 @@
+"""The ``diff`` half of tools/compare_outputs.py: how far apart two dumps are."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
+
+
+def _dump(path, lines):
+    path.write_text("".join(f"{name}\t{text}\n" for name, text in lines))
+    return str(path)
+
+
+def test_diff_reports_how_far_each_differing_line_moved(tmp_path, capsys):
+    a = np.array([[1.0, -2.0], [0.0, 4.0]])
+    b = a.copy()
+    b[0, 1] = np.nextafter(-2.0, 0.0)
+    b[1, 0] = 1e-20
+    before = [("same", compare_outputs._array(a)),
+              ("array", compare_outputs._array(a)),
+              ("floats", compare_outputs._floats({"p": 0.5, "q": 3.0})),
+              ("text", repr((0, '{"max_abs": 6e-14, "pass": true}', "")))]
+    after = [("same", compare_outputs._array(a)),
+             ("array", compare_outputs._array(b)),
+             ("floats", compare_outputs._floats({"p": 0.5, "q": 3.5})),
+             ("text", repr((0, '{"max_abs": 5e-14, "pass": true}', "")))]
+    code = compare_outputs.main(["diff", _dump(tmp_path / "a", before),
+                                 _dump(tmp_path / "b", after)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out == [
+        "differs: array: max abs 2.22e-16 (5.55e-17 of the largest "
+        "magnitude), max rel 1",
+        "differs: floats: q 3.0 -> 3.5 (abs 0.5, rel 0.143)",
+        "differs: text: text differs from offset 17, in 1 numbers only; the "
+        "largest move is 6e-14 -> 5e-14 (abs 1e-14), the largest relative "
+        "one 0.167",
+        "1 of 4 outputs bitwise equal"]
+
+
+def test_diff_of_equal_dumps_exits_0(tmp_path, capsys):
+    lines = [("x", compare_outputs._array(np.arange(3.0)))]
+    assert compare_outputs.main(["diff", _dump(tmp_path / "a", lines),
+                                 _dump(tmp_path / "b", lines)]) == 0
+    assert capsys.readouterr().out == "1 of 1 outputs bitwise equal\n"
+
+
+def test_text_lines_that_differ_in_words_report_only_the_offset(tmp_path,
+                                                                 capsys):
+    code = compare_outputs.main([
+        "diff", _dump(tmp_path / "a", [("t", "pass: true 1.5")]),
+        _dump(tmp_path / "b", [("t", "pass: false 1.5")])])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "differs: t: text differs from offset 6")

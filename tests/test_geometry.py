@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -318,6 +319,55 @@ def test_curvature_reads_every_partial_in_one_gather(n, monkeypatch):
     # the first-partial terms are gathered exactly; only the einsum path of
     # the Gamma * Gamma terms may reorder a sum, by a few ulps of the tensor
     assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+
+
+def _first_case(obj):
+    """A family member (chart map or metric) with its (count, 1) parameters
+    replaced by the first case's scalars."""
+    return dataclasses.replace(obj, parameters={
+        k: v[0, 0] for k, v in obj.parameters.items()})
+
+
+# (m, n): n = m + 1 for m = 2..5, then a target below the domain dimension
+# and one two above it
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 5), (5, 6), (3, 2),
+                                 (2, 4)])
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("single", [False, True])
+def test_curvature_trace_matches_the_riemann_tensor_route(m, n, order, single):
+    dom, g, h, phi, _, _ = conformal.random_transform_family(
+        m, 3, np.random.default_rng(60 + 7 * m + n), n=n)
+    pts = dom.sample(5, 61 + m)
+    if single:
+        state = MapState(_first_case(phi), _first_case(g), _first_case(h),
+                         pts[0], order)
+    else:
+        state = MapState(phi, g, h, np.broadcast_to(pts, (3,) + pts.shape),
+                         order)
+    section = np.random.default_rng(m * n).normal(
+        size=state.batch_shape + (n,))
+    want = geometry._einsum("...ij,...ia,...b,...jk,...ckab->...c",
+                            state.ginv_val, state.dphi, section, state.dphi,
+                            state.RN)
+    got = state.curvature_trace(section)
+    assert got.shape == want.shape == state.batch_shape + (n,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bitension_and_jacobi_never_form_the_curvature_tensor(monkeypatch):
+    _raising(monkeypatch, "_curvature_values")
+    dom, g, h, phi, fld, fac = conformal.random_transform_family(
+        3, 2, np.random.default_rng(5))
+    pts = dom.sample(4, 6)
+    x = np.broadcast_to(pts, (2,) + pts.shape)
+    state = MapState(phi, g, h, x, 4)
+    assert np.all(np.isfinite(state.bitension_values))
+    jac = state.jacobi_of(state.section_from_field(fld))
+    assert jac.shape == x.shape[:-1] + (4,)
+    sides = conformal.law_sides(phi, g, h, fld, fac, x)
+    assert sorted(sides) == ["bitension", "jacobi", "tension"]
+    with pytest.raises(FloatingPointError):  # it is still there to inspect
+        state.RN
 
 
 def test_metric_symmetry_violation_raises():

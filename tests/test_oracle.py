@@ -1,13 +1,15 @@
 """Independent symbolic oracle for the jet engine.
 
-The Christoffel symbols, target curvature, tension field and bitension
-field are derived exactly with sympy from the coordinate formulas and
+The Christoffel symbols, target curvature, its trace along the map,
+tension field and bitension field are derived exactly with sympy from the coordinate formulas and
 conventions in ``geometry``'s docstring, evaluated in 30-digit arithmetic at
 dyadic points (exact in binary, so both sides see the same inputs) and
 compared with the engine.  Unlike the conformal-law checks, which compare
 the engine with itself, this catches an order mistake that cancels between
 the two sides of a law.
 """
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -122,17 +124,23 @@ class _Oracle:
                                             for k in range(m)))
                    for i in range(m) for j in range(m) if self.ginv[i, j] != 0)
                for c in range(n)]
+        trace_r = [sum(self.tau[b] * self.curvature_map[b][c]
+                       for b in range(n)) for c in range(n)]
+        return [lap[c] - trace_r[c] for c in range(n)]
+
+    @cached_property
+    def curvature_map(self):
+        """K[b][c] = P^ak R^c_kab along the map, P^ak = g^ij dphi_i^a
+        dphi_j^k, so that Trace R^N(dphi, S) dphi = S^b K[b][c]."""
+        m, n = len(self.xs), len(self.ys)
         on_map = dict(zip(self.ys, self.phi))
-        # sum_ij g^ij dphi_i^a dphi_j^k, then contracted with R^c_kab tau^b
         pull = [[sum(self.ginv[i, j] * self.dphi[i][a] * self.dphi[j][k]
                      for i in range(m) for j in range(m))
                  for k in range(n)] for a in range(n)]
-        trace_r = [sum(pull[a][k] * self.tau[b]
-                       * self.curv_n[c][k][a][b].subs(on_map)
-                       for a in range(n) for b in range(n) for k in range(n)
-                       if self.curv_n[c][k][a][b] != 0)
-                   for c in range(n)]
-        return [lap[c] - trace_r[c] for c in range(n)]
+        return [[sum((pull[a][k] * self.curv_n[c][k][a][b].subs(on_map)
+                      for a in range(n) for k in range(n)
+                      if self.curv_n[c][k][a][b] != 0), sp.S.Zero)
+                 for c in range(n)] for b in range(n)]
 
 
 def _values(exprs, symbols, point):
@@ -192,6 +200,7 @@ def test_engine_matches_exact_derivation(name):
     gamma_n = [e for jj in oracle.gamma_n for kk in jj for e in kk]
     curv_n = [e for ll in oracle.curv_n for kk in ll for ii in kk for e in ii]
     tau2 = oracle.bitension()
+    curv_map = [e for row in oracle.curvature_map for e in row]
     state = MapState(phi, g, h, pts, 4)
     for p, x in enumerate(pts):
         want = _values(gamma, oracle.xs, x)
@@ -203,6 +212,8 @@ def test_engine_matches_exact_derivation(name):
                _values(gamma_n, oracle.ys, y), f"{name} Gamma_N")
         _close(state.RN[p].reshape(-1), _values(curv_n, oracle.ys, y),
                f"{name} R^N")
+        _close(state.curvature_map[p].reshape(-1),
+               _values(curv_map, oracle.xs, x), f"{name} K")
         _close(state.tension_values[p], _values(oracle.tau, oracle.xs, x),
                f"{name} tau")
         _close(state.bitension_values[p], _values(tau2, oracle.xs, x),

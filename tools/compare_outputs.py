@@ -27,12 +27,20 @@ residuals (a cylinder with domain metric exp(y) flat),
 ``surfaces.normal_field_covariant_derivative`` (the isometric cylinder of
 the catalog).  Arrays are written as their dtype, shape and raw bytes in
 hex, and floats by ``float.hex``, so two dumps are equal exactly when every
-output has the same bits.  ``diff`` exits 1 and names the first lines that
-differ.
+output has the same bits.  ``diff`` exits 1 if any line differs and prints,
+for each, how far apart the two sides are: for an array, the largest
+absolute difference, that difference over the array's largest magnitude and
+the largest relative difference; for ``float.hex`` values, both differences
+key by key; for a text line, the first offset at which it differs and, when
+the texts differ in numbers only, the largest move among them.  The relative
+difference of two numbers is |a - b| / max(|a|, |b|), which is large for
+values that are zero up to rounding.
 """
 import argparse
+import ast
 import contextlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -169,18 +177,79 @@ def _dump_fixed(seed, emit):
         nd.split_residual))
 
 
+def _decode(text):
+    """An array line as its array, a ``float.hex`` line as a dict, else None."""
+    dtype, _, rest = text.partition(" ")
+    shape, _, data = rest.rpartition(" ")
+    try:
+        return np.frombuffer(bytes.fromhex(data), dtype).reshape(
+            ast.literal_eval(shape))
+    except (ValueError, TypeError, SyntaxError):
+        pass
+    try:
+        return {k: float.fromhex(v) for k, v in
+                (item.split("=", 1) for item in text.split(" "))}
+    except ValueError:
+        return None
+
+
+def _moves(a, b):
+    """|a - b| and |a - b| / max(|a|, |b|) elementwise, 0 where the two are
+    equal (NaN to NaN included) and inf where only one is NaN."""
+    a, b = np.ravel(a), np.ravel(b)
+    with np.errstate(all="ignore"):
+        d = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0,
+                     np.abs(a - b))
+        rel = np.where(d == 0, 0.0, d / np.fmax(np.abs(a), np.abs(b)))
+    return np.nan_to_num(d, nan=np.inf), np.nan_to_num(rel, nan=np.inf)
+
+
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def _describe(x, y):
+    """How two differing dump lines (without their names) differ."""
+    u, v = _decode(x), _decode(y)
+    if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
+        if u.shape != v.shape or u.dtype != v.dtype:
+            return f"array {u.dtype}{u.shape} -> {v.dtype}{v.shape}"
+        d, rel = _moves(u, v)
+        top = d.max(initial=0.0)
+        scale = max(np.abs(u).max(initial=0.0), np.abs(v).max(initial=0.0))
+        return (f"max abs {top:.3g} ({top / (scale or 1.0):.3g} of the "
+                f"largest magnitude), max rel {rel.max(initial=0.0):.3g}")
+    if isinstance(u, dict) and isinstance(v, dict) and u.keys() == v.keys():
+        keys = sorted(u)
+        d, rel = _moves([u[k] for k in keys], [v[k] for k in keys])
+        return ", ".join(f"{k} {u[k]!r} -> {v[k]!r} (abs {dk:.3g}, rel "
+                         f"{rk:.3g})" for k, dk, rk in zip(keys, d, rel) if dk)
+    at = next((k for k, (c, e) in enumerate(zip(x, y)) if c != e),
+              min(len(x), len(y)))
+    text = f"text differs from offset {at}"
+    nx, ny = _NUMBER.findall(x), _NUMBER.findall(y)
+    if _NUMBER.sub("#", x) != _NUMBER.sub("#", y):
+        return text
+    d, rel = _moves(np.array(nx, dtype=float), np.array(ny, dtype=float))
+    k = int(np.argmax(d))
+    return (f"{text}, in {np.count_nonzero(d)} numbers only; the largest "
+            f"move is {nx[k]} -> {ny[k]} (abs {d[k]:.3g}), the largest "
+            f"relative one {rel.max():.3g}")
+
+
 def _diff(a, b):
     with open(a) as fa, open(b) as fb:
-        la, lb = fa.read().splitlines(), fb.read().splitlines()
-    names = [line.split("\t", 1)[0] for line in la]
-    if names != [line.split("\t", 1)[0] for line in lb]:
+        la = [line.split("\t", 1) for line in fa.read().splitlines()]
+        lb = [line.split("\t", 1) for line in fb.read().splitlines()]
+    if [n for n, _ in la] != [n for n, _ in lb]:
         print(f"the dumps list different outputs ({len(la)} and {len(lb)} "
               f"lines)")
         return 1
-    differ = [n for n, x, y in zip(names, la, lb) if x != y]
-    for name in differ[:20]:
-        print(f"differs: {name}")
-    print(f"{len(la) - len(differ)} of {len(la)} outputs bitwise equal")
+    differ = 0
+    for (name, x), (_, y) in zip(la, lb):
+        if x != y:
+            differ += 1
+            print(f"differs: {name}: {_describe(x, y)}")
+    print(f"{len(la) - differ} of {len(la)} outputs bitwise equal")
     return 1 if differ else 0
 
 
