@@ -7,6 +7,7 @@ carried out with the rescaled metric.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +63,16 @@ class _FactorData:
         self.laplacian = state.scalar_laplacian(lnf).value
         self.grad_norm_sq = state.domain_inner(self.grad_values,
                                                self.grad_values)
-        self.pushed = state.dphi_apply(self.grad)
-        self.pushed_values = jets.stack_values(self.pushed)
+        self._state = state
+
+    @cached_property
+    def pushed(self):
+        """dphi(grad ln F), as target-frame jets."""
+        return self._state.dphi_apply(self.grad)
+
+    @cached_property
+    def pushed_values(self):
+        return jets.stack_values(self.pushed)
 
 
 def conformal_metric(g, factor, parameters=None):

@@ -15,13 +15,15 @@ A NUMBER is ASCII digits with an optional fraction and exponent (``2``,
 character is an :class:`ExprLexError`.  Nesting is bounded: parentheses,
 call arguments and '-' and '^' chains nested more than ``MAX_DEPTH`` levels
 deep are an :class:`ExprSyntaxError` at the token that goes one level too
-deep.
+deep.  Evaluating, printing and collecting names walk a tree with one loop,
+so long flat sums and products of any length pass through them.
 Functions are fixed: exp, ln, sin, cos, sqrt take one argument, pow takes two.
 Names resolve through an :class:`EvalContext` at evaluation time — nothing in
 the grammar distinguishes a chart coordinate from a bound parameter.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
@@ -122,9 +124,9 @@ def tokenize(source):
 
 # Deepest nesting parse accepts: parentheses, call arguments, '-' and '^'
 # chains each pass through _Parser.unary once per level, which costs about
-# five Python frames, so the bound keeps parse (and the recursive evaluate,
-# free_names and to_source on its trees) well inside the default recursion
-# limit of 1000.
+# five Python frames, so the bound keeps parse, the one recursion over user
+# expressions, well inside the default recursion limit of 1000.  Its trees
+# are walked by the loop of _postorder, which no depth or length stops.
 MAX_DEPTH = 100
 
 
@@ -219,63 +221,84 @@ def parse(source):
     return node
 
 
+# -- walking --------------------------------------------------------------------
+
+def _postorder(root):
+    """(node, name, arity) for every node of a tree, each node after its
+    children and children left to right: the order in which evaluate
+    computes them.  name is the node's operator or function (None for a
+    leaf) and arity its number of children.  A loop, so no tree is too deep
+    to walk."""
+    walk, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary):
+            walk.append((node, node.op, 2))
+            stack += node.left, node.right
+        elif isinstance(node, Unary):
+            walk.append((node, node.op, 1))
+            stack.append(node.child)
+        elif isinstance(node, Call):
+            walk.append((node, node.fn, len(node.args)))
+            stack += node.args
+        else:
+            walk.append((node, None, 0))
+    # with the right child popped first, each node comes before its
+    # children and the right subtree before the left: postorder, reversed
+    return walk[::-1]
+
+
 # -- printing ---------------------------------------------------------------------
 
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 15, "^": 30}
 
 
 def _prec(node):
-    if isinstance(node, Binary):
-        return _PREC[node.op]
-    if isinstance(node, Unary):
-        return _PREC["neg"]
-    return 100
+    return _PREC.get(getattr(node, "op", None), 100)  # Unary's op is 'neg'
 
 
-def to_source(node):
+def to_source(root):
     """Canonical source with minimal parentheses; reparsing gives the same tree."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(to_source(a) for a in node.args)})"
-    if isinstance(node, Unary):
-        child = to_source(node.child)
-        # after '-' the grammar resumes at unary level: only +,-,*,/ need grouping
-        if isinstance(node.child, Binary) and node.child.op != "^":
-            child = f"({child})"
-        return f"-{child}"
-    left, right = to_source(node.left), to_source(node.right)
-    p = _PREC[node.op]
-    if node.op == "^":
-        # right-associative and tightest: group any structured left child,
-        # and any right child not reachable from the unary level
-        if _prec(node.left) <= p:
-            left = f"({left})"
-        if isinstance(node.right, Binary) and node.right.op != "^":
-            right = f"({right})"
-        return f"{left}^{right}"
-    if _prec(node.left) < p:
-        left = f"({left})"
-    if _prec(node.right) <= p:
-        right = f"({right})"
-    return f"{left} {node.op} {right}"
+    texts = []
+    for node, _, arity in _postorder(root):
+        args = texts[len(texts) - arity:]  # texts[-0:] would take all
+        del texts[len(texts) - arity:]
+        if isinstance(node, Const):
+            texts.append(repr(node.value))
+        elif isinstance(node, Name):
+            texts.append(node.ident)
+        elif isinstance(node, Call):
+            texts.append(f"{node.fn}({', '.join(args)})")
+        elif isinstance(node, Unary):
+            # after '-' the grammar resumes at unary level: only +,-,*,/
+            # need grouping
+            child, = args
+            if isinstance(node.child, Binary) and node.child.op != "^":
+                child = f"({child})"
+            texts.append(f"-{child}")
+        elif node.op == "^":
+            # right-associative and tightest: group any structured left
+            # child, and any right child not reachable from the unary level
+            left, right = args
+            if _prec(node.left) <= _PREC["^"]:
+                left = f"({left})"
+            if isinstance(node.right, Binary) and node.right.op != "^":
+                right = f"({right})"
+            texts.append(f"{left}^{right}")
+        else:
+            left, right = args
+            p = _PREC[node.op]
+            if _prec(node.left) < p:
+                left = f"({left})"
+            if _prec(node.right) <= p:
+                right = f"({right})"
+            texts.append(f"{left} {node.op} {right}")
+    return texts[0]
 
 
-def free_names(node):
-    if isinstance(node, Const):
-        return set()
-    if isinstance(node, Name):
-        return {node.ident}
-    if isinstance(node, Unary):
-        return free_names(node.child)
-    if isinstance(node, Binary):
-        return free_names(node.left) | free_names(node.right)
-    out = set()
-    for a in node.args:
-        out |= free_names(a)
-    return out
+def free_names(root):
+    return {node.ident for node, _, _ in _postorder(root)
+            if isinstance(node, Name)}
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -294,36 +317,25 @@ class EvalContext:
         raise UnboundNameError(name)
 
 
-_CALLS = {"exp": jets.exp, "ln": jets.ln, "sin": jets.sin, "cos": jets.cos,
-          "sqrt": jets.sqrt}
+# every operator and function, by the name _postorder gives its nodes
+_CALLS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "neg": operator.neg, "/": jets.divide, "^": jets.power,
+          "pow": jets.power, "exp": jets.exp, "ln": jets.ln, "sin": jets.sin,
+          "cos": jets.cos, "sqrt": jets.sqrt}
 
 
-def evaluate(node, ctx):
+def evaluate(root, ctx):
     """Evaluate over whatever scalar kind the context supplies (jets, arrays, floats)."""
+    values = []
     try:
-        return _eval(node, ctx)
+        for node, name, arity in _postorder(root):
+            if name is None:
+                values.append(node.value if isinstance(node, Const)
+                              else ctx.resolve(node.ident))
+            else:
+                args = values[-arity:]
+                del values[-arity:]
+                values.append(_CALLS[name](*args))
     except jets.JetDomainError as err:
-        raise ExprEvalError(str(err), to_source(node)) from err
-
-
-def _eval(node, ctx):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Name):
-        return ctx.resolve(node.ident)
-    if isinstance(node, Unary):
-        return -_eval(node.child, ctx)
-    if isinstance(node, Binary):
-        left = _eval(node.left, ctx)
-        if node.op == "+":
-            return left + _eval(node.right, ctx)
-        if node.op == "-":
-            return left - _eval(node.right, ctx)
-        if node.op == "*":
-            return left * _eval(node.right, ctx)
-        if node.op == "/":
-            return jets.divide(left, _eval(node.right, ctx))
-        return jets.power(left, _eval(node.right, ctx))
-    if node.fn == "pow":
-        return jets.power(_eval(node.args[0], ctx), _eval(node.args[1], ctx))
-    return _CALLS[node.fn](_eval(node.args[0], ctx))
+        raise ExprEvalError(str(err), to_source(root)) from err
+    return values[0]

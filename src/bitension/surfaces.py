@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, jets
-from .conformal import ConformalFactor
+from .conformal import _FactorData
 from .geometry import GeometryInputError, MapState
 
 # (d, a, b, sign) with epsilon_{dab} = sign
@@ -154,29 +154,22 @@ def r3_system_residual(sd, lam, stg, parameters=None):
 
     Returns (tangential, normal): A(grad H) + grad(H^2)/2 + 2H A(grad ln lam)
     as domain-vector values, and Lap H - H|B|^2 + 2H(Lap ln lam
-    + 2|grad ln lam|^2) + 4 g(grad ln lam, grad H) as a scalar.
+    + 2|grad ln lam|^2) + 4 g(grad ln lam, grad H) as a scalar.  A factor
+    that is not positive at every point raises DomainError.
     """
-    fac = ConformalFactor.of(lam, parameters)
-    lam_jet = stg.scalar_jet(fac.ast, fac.parameters)
-    if np.any(lam_jet.value <= 0.0):
-        raise GeometryInputError("conformal factor must stay positive")
-    ln_lam = jets.ln(lam_jet)
-    grad_l = stg.gradient_jets(ln_lam)
-    grad_l_val = jets.stack_values(grad_l)
-    lap_l = stg.scalar_laplacian(ln_lam).value
-    norm_l = stg.domain_inner(grad_l_val, grad_l_val)
-
+    fac = _FactorData(stg, lam, parameters)
     H = sd.mean_curvature
     hv = H.value
     grad_h = stg.gradient_jets(H)
     tangential = (jets.stack_values(sd.apply_shape(grad_h))
                   + 0.5 * jets.stack_values(stg.gradient_jets(H * H))
                   + 2.0 * hv[..., None]
-                  * jets.stack_values(sd.apply_shape(grad_l)))
-    b2 = lam_jet.value ** 2 * sd.second_form_sq.value
-    cross = stg.domain_inner(grad_l_val, jets.stack_values(grad_h))
+                  * jets.stack_values(sd.apply_shape(fac.grad)))
+    b2 = fac.values ** 2 * sd.second_form_sq.value
+    cross = stg.domain_inner(fac.grad_values, jets.stack_values(grad_h))
     normal = (stg.scalar_laplacian(H).value - hv * b2
-              + 2.0 * hv * (lap_l + 2.0 * norm_l) + 4.0 * cross)
+              + 2.0 * hv * (fac.laplacian + 2.0 * fac.grad_norm_sq)
+              + 4.0 * cross)
     return tangential, normal
 
 

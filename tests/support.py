@@ -1,8 +1,19 @@
-"""Shared test helpers: random safe function trees and finite-difference oracles."""
+"""Shared test helpers: random safe function trees, finite-difference
+oracles, the recursive expression walkers as a reference and the parity
+tool."""
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
-from bitension import geometry, jets
+from bitension import expr, geometry, jets
+from bitension.expr import Binary, Const, Name, Unary
 from bitension.geometry import MapState
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
 
 # 7-point central stencils on offsets -3..3, 4th-order accurate for k <= 4.
 _OFFSETS = np.arange(-3, 4)
@@ -128,3 +139,114 @@ def random_program(rng, num_vars, depth):
         return lambda v: jets.power(0.7 * a(v), k)
     pos = _positive(a)
     return lambda v: jets.power(pos(v), -2)
+
+
+# -- the recursive expression walkers -------------------------------------------
+#
+# evaluate, free_names and to_source as they were written before one loop
+# walked every tree: one recursion each, left child before right.  They hit
+# Python's recursion limit on long sums, so they serve as a reference on
+# trees of ordinary size only.
+
+_REFERENCE_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 15, "^": 30}
+_REFERENCE_CALLS = {"exp": jets.exp, "ln": jets.ln, "sin": jets.sin,
+                    "cos": jets.cos, "sqrt": jets.sqrt}
+
+
+def _reference_prec(node):
+    if isinstance(node, Binary):
+        return _REFERENCE_PREC[node.op]
+    if isinstance(node, Unary):
+        return _REFERENCE_PREC["neg"]
+    return 100
+
+
+def reference_to_source(node):
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Name):
+        return node.ident
+    if isinstance(node, expr.Call):
+        return f"{node.fn}({', '.join(reference_to_source(a) for a in node.args)})"
+    if isinstance(node, Unary):
+        child = reference_to_source(node.child)
+        if isinstance(node.child, Binary) and node.child.op != "^":
+            child = f"({child})"
+        return f"-{child}"
+    left, right = reference_to_source(node.left), reference_to_source(node.right)
+    p = _REFERENCE_PREC[node.op]
+    if node.op == "^":
+        if _reference_prec(node.left) <= p:
+            left = f"({left})"
+        if isinstance(node.right, Binary) and node.right.op != "^":
+            right = f"({right})"
+        return f"{left}^{right}"
+    if _reference_prec(node.left) < p:
+        left = f"({left})"
+    if _reference_prec(node.right) <= p:
+        right = f"({right})"
+    return f"{left} {node.op} {right}"
+
+
+def reference_free_names(node):
+    if isinstance(node, Const):
+        return set()
+    if isinstance(node, Name):
+        return {node.ident}
+    if isinstance(node, Unary):
+        return reference_free_names(node.child)
+    if isinstance(node, Binary):
+        return reference_free_names(node.left) | reference_free_names(node.right)
+    out = set()
+    for a in node.args:
+        out |= reference_free_names(a)
+    return out
+
+
+def reference_evaluate(node, ctx):
+    try:
+        return _reference_eval(node, ctx)
+    except jets.JetDomainError as err:
+        raise expr.ExprEvalError(str(err), reference_to_source(node)) from err
+
+
+def _reference_eval(node, ctx):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Name):
+        return ctx.resolve(node.ident)
+    if isinstance(node, Unary):
+        return -_reference_eval(node.child, ctx)
+    if isinstance(node, Binary):
+        left = _reference_eval(node.left, ctx)
+        if node.op == "+":
+            return left + _reference_eval(node.right, ctx)
+        if node.op == "-":
+            return left - _reference_eval(node.right, ctx)
+        if node.op == "*":
+            return left * _reference_eval(node.right, ctx)
+        if node.op == "/":
+            return jets.divide(left, _reference_eval(node.right, ctx))
+        return jets.power(left, _reference_eval(node.right, ctx))
+    if node.fn == "pow":
+        return jets.power(_reference_eval(node.args[0], ctx),
+                          _reference_eval(node.args[1], ctx))
+    return _REFERENCE_CALLS[node.fn](_reference_eval(node.args[0], ctx))
+
+
+def bits(value):
+    """A float, array or jet as its type and raw bytes (a jet's
+    coefficients), so two values compare equal exactly when every bit,
+    zero signs and NaN payloads included, is the same."""
+    if isinstance(value, jets.Jet):
+        return (type(value), value.num_vars, value.order, bits(value.coeffs))
+    a = np.ascontiguousarray(value)
+    return (type(value), a.dtype.str, a.shape, a.tobytes())
+
+
+def outcome(fn, *args):
+    """bits of fn(*args), or the type and message of what it raised."""
+    try:
+        return bits(fn(*args))
+    except (expr.ExprError, ArithmeticError) as err:
+        return type(err), str(err)

@@ -310,17 +310,29 @@ def test_deeply_nested_config_line_exits_as_bad_input(capsys, tmp_path, deep):
     assert "nested deeper than 100 levels" in err
 
 
-def test_long_flat_metric_entry_yields_a_report(capsys, tmp_path):
-    # each config expression is parsed once, so g_1_2 and its mirror are one
-    # tree and the metric symmetry test never compares two 600-term sums
+LONG_SUM = " + ".join(["0.00001*u"] * 10 ** 4)  # 0.1*u, in 10^4 terms
+
+
+def _verify_plane_inclusion_with(capsys, tmp_path, old, new):
     wide = tmp_path / "wide.cfg"
     source = next(p for p in CONFIGS if p.stem == "plane_inclusion").read_text()
-    entry = " + ".join(["0.0001*u"] * 600)
-    wide.write_text(source.replace(
-        "identity = yes", f"g_1_1 = 1\ng_2_2 = 1\ng_1_2 = {entry}", 1))
+    wide.write_text(source.replace(old, new, 1))
     code, out, err = run(capsys, "custom", "verify", "--config", str(wide))
     assert code in (0, 1) and err == ""
     assert "overall:" in out
+
+
+def test_long_flat_metric_entry_yields_a_report(capsys, tmp_path):
+    # each config expression is parsed once, so g_1_2 and its mirror are one
+    # tree and the metric symmetry test never compares two long sums; name
+    # checks and evaluation walk the sum with a loop
+    _verify_plane_inclusion_with(capsys, tmp_path, "identity = yes",
+                                 f"g_1_1 = 1\ng_2_2 = 1\ng_1_2 = {LONG_SUM}")
+
+
+def test_long_flat_map_component_yields_a_report(capsys, tmp_path):
+    _verify_plane_inclusion_with(capsys, tmp_path, "    v\n    0\n",
+                                 f"    v\n    {LONG_SUM}\n")
 
 
 def test_custom_tolerance_override(capsys):

@@ -1,13 +1,7 @@
 """The ``diff`` half of tools/compare_outputs.py: how far apart two dumps are."""
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
-_SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
-compare_outputs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_outputs)
+from support import compare_outputs
 
 
 def _dump(path, lines):

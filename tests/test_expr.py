@@ -1,9 +1,13 @@
+import functools
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import support
 from bitension import expr, jets
 from bitension.expr import (Binary, Call, Const, EvalContext, ExprError,
                             ExprEvalError, ExprLexError, ExprSyntaxError,
@@ -192,3 +196,77 @@ def test_integer_exponent_specialization_on_negative_base():
 def test_free_names():
     ast = parse("exp(y/R) + pow(z, 2)")
     assert expr.free_names(ast) == {"y", "R", "z"}
+
+
+def _contexts(names, rng):
+    """Every name bound as a float, then as one variable of order-4 jets at
+    three points, both drawn from rng."""
+    names = sorted(names)
+    values = rng.uniform(0.6, 1.4, size=(len(names), 3))
+    return (EvalContext({n: float(v[0]) for n, v in zip(names, values)}),
+            EvalContext({n: jets.Jet.variable(k, v, len(names), 4)
+                         for k, (n, v) in enumerate(zip(names, values))}))
+
+
+def _assert_walks_as_the_recursion(tree, contexts):
+    # bitwise equal values, or the same exception type and message
+    assert to_source(tree) == support.reference_to_source(tree)
+    assert expr.free_names(tree) == support.reference_free_names(tree)
+    for ctx in contexts:
+        assert (support.outcome(evaluate, tree, ctx)
+                == support.outcome(support.reference_evaluate, tree, ctx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_walkers_match_the_recursion_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    tree = _random_tree(rng, depth=int(rng.integers(1, 6)))
+    # "y" and "R" unbound: the first name reached in evaluation order raises
+    partial = EvalContext({"x": 0.9})
+    _assert_walks_as_the_recursion(
+        tree, _contexts(("x", "y", "R"), rng) + (partial,))
+
+
+def test_walkers_match_the_recursion_on_catalog_and_config_expressions():
+    root = Path(__file__).resolve().parent.parent
+    rng = np.random.default_rng(20)
+    trees = list(support.compare_outputs._expressions(root))
+    # the 8 cases, their 8 controls and the 8 shipped configs
+    assert len({tuple(label.split()[:2]) for label, _ in trees}) == 3 * 8
+    for _, tree in trees:
+        _assert_walks_as_the_recursion(
+            tree, _contexts(support.reference_free_names(tree), rng))
+
+
+@pytest.mark.parametrize("source,variables", [
+    ("x + y*z", {"x": 1.0}),
+    ("sin(x) + ln(x - 2)", {"x": jets.Jet.variable(0, [0.5, 1.5], 1, 4)}),
+    ("exp(x) * y / ln(-x)", {"x": 0.5, "y": 2.0}),
+    ("ln(-x) + y", {"x": 0.5})])  # the domain error comes before 'y'
+def test_raising_trees_raise_as_the_recursion(source, variables):
+    tree, ctx = parse(source), EvalContext(variables)
+    raised = support.outcome(evaluate, tree, ctx)
+    assert raised[0] in (UnboundNameError, ExprEvalError)
+    assert raised == support.outcome(support.reference_evaluate, tree, ctx)
+
+
+LONG = 10 ** 4  # terms, ten times what the recursion limit allowed
+
+
+@pytest.mark.parametrize("op,fold", [
+    ("+", operator.add), ("-", operator.sub), ("*", operator.mul),
+    ("/", jets.divide)])
+def test_long_chains_walk_without_recursion(op, fold):
+    source = f" {op} ".join(["x", "y"] * (LONG // 2))
+    tree = parse(source)
+    # strings, since dataclass == recurses down the chain itself
+    assert to_source(tree) == source
+    assert expr.free_names(tree) == {"x", "y"}
+    floats = {"x": 0.999, "y": 1.001}
+    points = {"x": jets.Jet.variable(0, [0.999, 1.002], 2, 4),
+              "y": jets.Jet.variable(1, [1.001, 0.998], 2, 4)}
+    for variables in (floats, points):
+        terms = [variables["x"], variables["y"]] * (LONG // 2)
+        assert (support.bits(evaluate(tree, EvalContext(variables)))
+                == support.bits(functools.reduce(fold, terms)))

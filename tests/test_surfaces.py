@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bitension import catalog, conformal, geometry, jets, surfaces
-from bitension.charts import ChartDomain, RiemannianMetric, SmoothMap
+from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
+                              SmoothMap)
 from bitension.geometry import GeometryInputError, MapState
 
 import support
@@ -253,7 +254,7 @@ def test_r3_requires_positive_factor():
     pts = dom.sample(8, 13)
     sd = surfaces.surface_data(phi, induced, h, pts)
     g = RiemannianMetric.euclidean(dom)
-    with pytest.raises(GeometryInputError, match="positive"):
+    with pytest.raises(DomainError, match="positive"):
         surfaces.r3_system_residual(sd, "z", MapState(phi, g, h, pts, 3))
 
 

@@ -25,7 +25,9 @@ hyperbolic 4-space in hyperbolic 5-space), both conformal-immersion
 residuals (a cylinder with domain metric exp(y) flat),
 ``bitension_transform_rhs_dim2`` (a seeded m = 2 transform family) and
 ``surfaces.normal_field_covariant_derivative`` (the isometric cylinder of
-the catalog).  Arrays are written as their dtype, shape and raw bytes in
+the catalog); and ``expr.to_source`` with the sorted ``expr.free_names`` of
+every expression of the catalog cases, their negative controls and the
+shipped configs.  Arrays are written as their dtype, shape and raw bytes in
 hex, and floats by ``float.hex``, so two dumps are equal exactly when every
 output has the same bits.  ``diff`` exits 1 if any line differs and prints,
 for each, how far apart the two sides are: for an array, the largest
@@ -125,6 +127,11 @@ def _dump(root, seed, out):
 
     _dump_fixed(seed, emit)
 
+    from bitension import expr
+    for label, node in _expressions(root):
+        emit(f"expr {label}", repr((expr.to_source(node),
+                                    sorted(expr.free_names(node)))))
+
     quad = workloads.quadrature_setup(seed, root)
     emit("quadrature slab", _floats(geometry.first_variation(
         *quad.slab, eps=0.1, nodes=8)))
@@ -175,6 +182,34 @@ def _dump_fixed(seed, emit):
     emit("normal_field_covariant_derivative", _array(nd.derivative))
     emit("normal_field_covariant_derivative split", _array(
         nd.split_residual))
+
+
+def _expressions(root):
+    """(label, tree) of every expression of the catalog cases, their
+    negative controls and the configs under ``ROOT/configs``: map and
+    metric components in order, then the conformal factor."""
+    from bitension import catalog, config, expr
+
+    def inputs(case):  # what the case's checks read
+        return case._entries[0][1].args[0]
+
+    owners = [(f"case {n}", inputs(catalog.build_case(n)))
+              for n in catalog.CASE_NAMES]
+    owners += [(f"control {n}", inputs(catalog.negative_control(n)[0]))
+               for n in catalog.CASE_NAMES]
+    owners += [(f"config {path.name}", config.load_config(path))
+               for path in sorted(Path(root, "configs").glob("*.cfg"))]
+    for label, owner in owners:
+        for key in ("phi", "g", "metric", "h", "target", "induced", "engine"):
+            comps = getattr(getattr(owner, key, None), "components", ())
+            flat = [c for row in comps
+                    for c in (row if isinstance(row, tuple) else (row,))]
+            for k, node in enumerate(flat):
+                yield f"{label} {key}[{k}]", node
+        if owner.factor is not None:
+            yield f"{label} factor", (expr.parse(owner.factor)
+                                      if isinstance(owner.factor, str)
+                                      else owner.factor)
 
 
 def _decode(text):
