@@ -398,7 +398,7 @@ def _build(name, params, control=False):
     """Call the named case's builder, or its control's callable, with
     ``params``.  An unknown name, a parameter the callable does not take
     (keyword-only ones are switches, not parameters) and a value that is
-    not a number raise CaseError."""
+    not a number (a bool is not) raise CaseError."""
     if name not in _BUILDERS:
         known = ", ".join(CASE_NAMES)
         raise CaseError(f"unknown case '{name}' (choose from {known})")
@@ -411,7 +411,7 @@ def _build(name, params, control=False):
     except TypeError as err:
         raise CaseError(f"bad parameters for '{name}': {err}")
     for key, value in params.items():
-        if not isinstance(value, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise CaseError(f"bad parameters for '{name}': {key} = "
                             f"{value!r} is not a number")
     return build(**params)

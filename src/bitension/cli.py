@@ -50,8 +50,6 @@ def _resolve_seed(flag, config_value=None):
 
 
 def _coerce(raw):
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
     for kind in (int, float):
         try:
             return kind(raw)

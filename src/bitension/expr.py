@@ -259,6 +259,18 @@ def _prec(node):
 
 def to_source(root):
     """Canonical source with minimal parentheses; reparsing gives the same tree."""
+    return _source(root, None)
+
+
+# the longest source text an ExprEvalError quotes
+_ERROR_CHARS = 200
+
+
+def _source(root, limit):
+    """to_source, with every partial text longer than ``limit`` characters
+    (None: no bound) cut to its first ``limit`` and ``...`` as it is built.
+    So the result is the full text cut the same way, made in time linear in
+    the size of the tree."""
     texts = []
     for node, _, arity in _postorder(root):
         args = texts[len(texts) - arity:]  # texts[-0:] would take all
@@ -293,6 +305,8 @@ def to_source(root):
             if _prec(node.right) <= p:
                 right = f"({right})"
             texts.append(f"{left} {node.op} {right}")
+        if limit is not None and len(texts[-1]) > limit:
+            texts[-1] = texts[-1][:limit] + "..."
     return texts[0]
 
 
@@ -325,7 +339,10 @@ _CALLS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def evaluate(root, ctx):
-    """Evaluate over whatever scalar kind the context supplies (jets, arrays, floats)."""
+    """Evaluate over whatever scalar kind the context supplies (jets, arrays, floats).
+
+    A domain fault raises :class:`ExprEvalError` quoting the source of the
+    node that raised, cut after 200 characters."""
     values = []
     try:
         for node, name, arity in _postorder(root):
@@ -337,5 +354,6 @@ def evaluate(root, ctx):
                 del values[-arity:]
                 values.append(_CALLS[name](*args))
     except jets.JetDomainError as err:
-        raise ExprEvalError(str(err), to_source(root)) from err
+        # quote the node that raised, not the root
+        raise ExprEvalError(str(err), _source(node, _ERROR_CHARS)) from err
     return values[0]

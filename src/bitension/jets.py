@@ -2,8 +2,8 @@
 
 A :class:`Jet` stores the Taylor coefficients ``c[alpha] = d^alpha f / alpha!``
 of a smooth function at a base point, for every multi-index ``alpha`` of total
-degree <= ``order`` (at most :data:`MAX_ORDER`).  Coefficients live in a dense
-float or complex array stored coefficient-major: its first axis enumerates
+degree <= ``order`` (at most :data:`MAX_ORDER`).  Coefficients are real
+float64, in a dense array stored coefficient-major: its first axis enumerates
 multi-indices in graded lexicographic order, so indices of degree <= k always
 form a prefix of rows and truncation is a slice, and the axes after it are
 broadcastable batch axes: one jet object can carry a whole batch of
@@ -19,24 +19,26 @@ operation builds a new array (or a view it does not write), and code that
 fills an array in place does so before handing it to :class:`Jet`.
 :meth:`Jet.is_zero` relies on this to test each jet once and keep the answer.
 
-Sums, differences and products accept complex scalars and jets, so a
-complex-valued function is one jet (``u + 1j*v``); divisors and the arguments
-of the elementary functions stay real.
+Complex input to :class:`Jet`, :meth:`Jet.constant`, :meth:`Jet.variable`, a
+scalar operation or the functions of this module that take plain numbers
+(:func:`ln`, :func:`sqrt`, :func:`divide`, :func:`power`) raises
+``TypeError``: a complex-valued function is a pair of real jets (see
+:mod:`bitension.weierstrass`).
 
 Arithmetic truncates to the smaller operand order; differentiating drops the
 order by one.  Products are convolutions driven by a precomputed pair table:
 gather the pairs of every output coefficient, multiply, and sum each output's
 segment of terms with the grouping of ``np.add.reduceat``.  Every gather
-takes whole rows of the coefficient-major storage.  Small products and
-complex ones call ``reduceat`` itself over the row axis, which loops once per
-batch point and output coefficient.  A real product of at least
-``_RANK_MIN_TERMS`` gathered terms (batch points times table length) sums
-rank by rank instead (:func:`_rank_plan`, :func:`_rank_sum`): the ``k``-th
-terms of all outputs form one contiguous block of rows, so a handful of
-numpy calls cover the whole batch whatever its size, and the rank-0 rows are
-the result in the stored layout, with no transpose.  Both give the same
-bits, signed zeros included, so the choice never makes a result depend on
-batch size or chunking.
+takes whole rows of the coefficient-major storage.  Small products call
+``reduceat`` itself over the row axis, which loops once per batch point and
+output coefficient.  A product of at least ``_RANK_MIN_TERMS`` gathered
+terms (batch points times table length) sums rank by rank instead
+(:func:`_rank_plan`, :func:`_rank_sum`): the ``k``-th terms of all outputs
+form one contiguous block of rows, so a handful of numpy calls cover the
+whole batch whatever its size, and the rank-0 rows are the result in the
+stored layout, with no transpose.  Both give the same bits, signed zeros
+included, so the choice never makes a result depend on batch size or
+chunking.
 
 Every jet carries a variable support: a bitmask that contains every variable
 used by a multi-index whose coefficient is nonzero at some batch point (a
@@ -55,17 +57,17 @@ the sign of a zero.
 
 A jet can also be known to be zero from how it was built, and then it holds
 no memory: its coefficients are one shared read-only zero array per
-coefficient shape and dtype (``np.broadcast_to``), and :meth:`Jet.is_zero`
+coefficient shape (``np.broadcast_to``), and :meth:`Jet.is_zero`
 answers without a scan.  Known zeros come from :meth:`Jet.constant` of an
 all-zero value (so the all-skipped :func:`contract`, zero fills and literal
 ``0`` components), a derivative along a variable outside the support (every
 derivative of a constant), a product with a known zero factor, the centred
 monomials of a constant inner jet and :func:`compose` of a known zero outer
 jet.  A sum or difference with a known zero returns the other operand
-(negated for ``0 - x``) at the order, batch shape and dtype of the dense
-result; negation and truncation keep the flag.  Results equal the dense ones
-except possibly in the sign of a zero, and ``x * 0`` is ``0`` even where
-``x`` holds inf or NaN, as in :func:`contract`.
+(negated for ``0 - x``) at the order and batch shape of the dense result;
+negation and truncation keep the flag.  Results equal the dense ones except
+possibly in the sign of a zero, and ``x * 0`` is ``0`` even where ``x``
+holds inf or NaN, as in :func:`contract`.
 
 Taylor composition (the elementary functions, target-side jets pulled back
 through a map) is done in one place: :func:`compose` sums the outer
@@ -149,21 +151,21 @@ def _var_masks(num_vars, order):
 
 
 @lru_cache(maxsize=None)
-def _support_table(num_vars, order, sa, sb, blocked):
+def _support_table(num_vars, order, sa, sb):
     """The pairs of :func:`_mul_table` to gather when the factors have the
     supports ``sa`` and ``sb``: a restriction that sums to the same bits.
 
     ``np.add.reduceat`` adds a segment's first term to the sum of the rest,
-    and sums the rest left to right while it is shorter than ``blocked``
-    terms (8 for float64, 4 for complex128 sums), in interleaved blocks
-    beyond.  So every output position keeps, in dense order, the pairs whose
-    factors lie in ``sa`` and ``sb``, and these exact zeros: its first dense
-    pair when more than two pairs of the rest are kept (they are summed
-    after it) or when nothing else is (a filler, for a position outside
-    ``sa | sb``), and a block-summed rest whole when it keeps more than two
-    pairs.  Two terms and zeros add to the same bits in any order.  The
-    float64 tables are also the input of :func:`_rank_plan`, which repeats
-    this grouping without ``reduceat``, so the same rules hold on both paths.
+    and sums the rest left to right while it is shorter than 8 terms, in
+    interleaved blocks beyond.  So every output position keeps, in dense
+    order, the pairs whose factors lie in ``sa`` and ``sb``, and these exact
+    zeros: its first dense pair when more than two pairs of the rest are
+    kept (they are summed after it) or when nothing else is (a filler, for a
+    position outside ``sa | sb``), and a block-summed rest whole when it
+    keeps more than two pairs.  Two terms and zeros add to the same bits in
+    any order.  The tables are also the input of :func:`_rank_plan`, which
+    repeats this grouping without ``reduceat``, so the same rules hold on
+    both paths.
     """
     ia, ib, seg = _mul_table(num_vars, order)
     masks = _var_masks(num_vars, order)
@@ -173,14 +175,14 @@ def _support_table(num_vars, order, sa, sb, blocked):
     first[seg] = True
     rest = np.add.reduceat((inside & ~first).astype(np.intp), seg)
     keep = (inside | first & np.repeat((rest > 2) | (rest == 0), sizes)
-            | np.repeat((sizes - 1 >= blocked) & (rest > 2), sizes))
+            | np.repeat((sizes - 1 >= 8) & (rest > 2), sizes))
     if keep.all():
         return ia, ib, seg
     counts = np.add.reduceat(keep.astype(np.intp), seg)
     return ia[keep], ib[keep], np.concatenate(([0], np.cumsum(counts)[:-1]))
 
 
-# a real product gathering at least this many terms (batch points times table
+# a product gathering at least this many terms (batch points times table
 # length) is summed by _rank_sum; below it the fixed cost of that path's numpy
 # calls outweighs what it saves, and reduceat sums it to the same bits
 _RANK_MIN_TERMS = 2048
@@ -188,7 +190,7 @@ _RANK_MIN_TERMS = 2048
 
 @lru_cache(maxsize=None)
 def _rank_plan(num_vars, order, sa, sb):
-    """The float64 :func:`_support_table` of supports ``sa``, ``sb`` laid out
+    """The :func:`_support_table` of supports ``sa``, ``sb`` laid out
     rank by rank for :func:`_rank_sum`: ``(ia, ib, adds, inverse)``.
 
     The outputs are sorted by segment length, longest first, and the pairs
@@ -196,7 +198,7 @@ def _rank_plan(num_vars, order, sa, sb):
     that has one, so it is a block of rows whose outputs are a prefix of the
     sorted ones.  ``adds`` lists in-place row-block sums ``t[a:b] += t[c:d]``
     that leave in the rank-0 rows exactly what ``np.add.reduceat`` computes
-    for float64 segments ``t0, t1, ...``: ``t0 + S``, where ``S`` sums the
+    for segments ``t0, t1, ...``: ``t0 + S``, where ``S`` sums the
     rest left to right below 8 terms (numpy starts from ``-0.0``, which adds
     to ``t1`` exactly) and, from 8 to 15, is the 8-accumulator block
     ``((t1+t2) + (t3+t4)) + ((t5+t6) + (t7+t8))`` followed by the remaining
@@ -204,7 +206,7 @@ def _rank_plan(num_vars, order, sa, sb):
     after its first up to order 4.  ``inverse`` maps each output to its
     sorted row, or is ``None`` when the sort kept the order.
     """
-    ia, ib, seg = _support_table(num_vars, order, sa, sb, 8)
+    ia, ib, seg = _support_table(num_vars, order, sa, sb)
     sizes = np.diff(seg, append=len(ia))
     assert sizes.max() <= 16, "rest sums beyond one pairwise block"
     perm = np.argsort(-sizes, kind="stable")
@@ -235,7 +237,7 @@ def _rank_plan(num_vars, order, sa, sb):
 
 
 def _rank_sum(ca, cb, plan):
-    """The product of real coefficient arrays ``ca``, ``cb`` (stored
+    """The product of coefficient arrays ``ca``, ``cb`` (stored
     coefficient-major, batch axes aligned) by a :func:`_rank_plan`: the bits
     of ``np.add.reduceat`` over the plan's support table, from a handful of
     numpy calls whatever the batch size.
@@ -286,19 +288,24 @@ def _jet(num_vars, order, coeffs, support, zero=None):
     return out
 
 
-_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
-
-
 @lru_cache(maxsize=256)
-def _zeros(shape, dtype):
+def _zeros(shape):
     # the read-only coefficients shared by every known zero of this shape
-    return np.broadcast_to(np.zeros((), dtype), shape)
+    return np.broadcast_to(np.zeros(()), shape)
 
 
-def _zero_jet(num_vars, order, batch, dtype):
+def _zero_jet(num_vars, order, batch):
     """A known zero jet: no allocation, and never scanned."""
-    return _jet(num_vars, order, _zeros((_ncoef(num_vars, order),) + batch,
-                                        dtype), 0, True)
+    return _jet(num_vars, order, _zeros((_ncoef(num_vars, order),) + batch),
+                0, True)
+
+
+def _real(a):
+    """The array ``a`` as float64; complex input raises ``TypeError``, as
+    every jet coefficient is real."""
+    if a.dtype.kind == "c":
+        raise TypeError(f"jets take real numbers, not {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def _aligned(c, ndim):
@@ -320,10 +327,6 @@ def _batch(ca, cb):
     # the broadcast batch shape of two coefficient arrays
     a, b = ca.shape[1:], cb.shape[1:]
     return a if a == b else np.broadcast_shapes(a, b)
-
-
-def _dtype(a, b):
-    return a if a == b else np.result_type(a, b)
 
 
 def _union(sa, sb):
@@ -363,7 +366,7 @@ class Jet:
     def __init__(self, num_vars, order, coeffs):
         self.num_vars = num_vars
         self.order = order
-        self._c = np.moveaxis(np.asanyarray(coeffs), -1, 0)
+        self._c = np.moveaxis(_real(np.asanyarray(coeffs)), -1, 0)
         self._zero = None
         self._support = None
 
@@ -373,7 +376,7 @@ class Jet:
     def variable(cls, index, value, num_vars, order=MAX_ORDER):
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-        value = np.asarray(value, dtype=float)
+        value = _real(np.asarray(value))
         coeffs = np.zeros((_ncoef(num_vars, order),) + value.shape)
         coeffs[0] = value
         coeffs[_positions(num_vars, order)[
@@ -382,9 +385,9 @@ class Jet:
 
     @classmethod
     def constant(cls, value, num_vars, order=MAX_ORDER):
-        value = np.asarray(value, dtype=float)
+        value = _real(np.asarray(value))
         if not value.any():
-            return _zero_jet(num_vars, order, value.shape, _FLOAT)
+            return _zero_jet(num_vars, order, value.shape)
         coeffs = np.zeros((_ncoef(num_vars, order),) + value.shape)
         coeffs[0] = value
         return _jet(num_vars, order, coeffs, 0)
@@ -462,10 +465,7 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         c, support = self._c, self._support
         if self._zero or support is not None and not support >> axis & 1:
-            # the dense derivative multiplies by float weights
-            return _zero_jet(self.num_vars, self.order - 1, c.shape[1:],
-                             c.dtype if c.dtype == _COMPLEX
-                             else _dtype(c.dtype, _FLOAT))
+            return _zero_jet(self.num_vars, self.order - 1, c.shape[1:])
         idx, wgt = _diff_table(self.num_vars, self.order)
         # a row gather, each row scaled by its weight
         weights = wgt[axis].reshape((-1,) + (1,) * (c.ndim - 1))
@@ -486,17 +486,13 @@ class Jet:
 
     def _plus_zero(self, zero):
         """The sum of this jet and the known zero ``zero``: this jet at the
-        order, broadcast batch shape and dtype of the dense sum."""
+        order and broadcast batch shape of the dense sum."""
         order = min(self.order, zero.order)
-        c, z = self._c, zero._c
+        c, batch = self._c, _batch(self._c, zero._c)
         if self._zero:
-            return _zero_jet(self.num_vars, order, _batch(c, z),
-                             _dtype(c.dtype, z.dtype))
+            return _zero_jet(self.num_vars, order, batch)
         if order < self.order:
             c = c[:_ncoef(self.num_vars, order)]
-        dtype, batch = _dtype(c.dtype, z.dtype), _batch(c, z)
-        if dtype != c.dtype:
-            c = c.astype(dtype)
         if batch != c.shape[1:]:
             c = np.broadcast_to(_aligned(c, len(batch) + 1),
                                 c.shape[:1] + batch)
@@ -506,9 +502,9 @@ class Jet:
 
     def _shifted(self, value):
         # this jet with the value row of its sum or difference with a scalar,
-        # whose dtype and batch shape are those of the result
-        c = self._c
-        out = np.empty(c.shape[:1] + value.shape, value.dtype)
+        # whose batch shape is that of the result
+        c, value = self._c, _real(value)
+        out = np.empty(c.shape[:1] + value.shape)
         out[0] = value
         out[1:] = _aligned(c[1:], out.ndim)
         return _jet(self.num_vars, self.order, out, self._support)
@@ -548,9 +544,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             if self._zero or other._zero:
-                c, d = self._c, other._c
                 return _zero_jet(self.num_vars, min(self.order, other.order),
-                                 _batch(c, d), _dtype(c.dtype, d.dtype))
+                                 _batch(self._c, other._c))
             order, ca, cb = self._pair(other)
             sa, sb = self._variables(), other._variables()
             if sa == 0:
@@ -558,27 +553,22 @@ class Jet:
             elif sb == 0:
                 out = ca * cb[:1]
             else:
-                # reduceat sums complex terms in blocks from 4 on, real from 8
-                blocked = 4 if "c" in (ca.dtype.kind, cb.dtype.kind) else 8
-                ia, ib, seg = _support_table(self.num_vars, order, sa, sb,
-                                             blocked)
+                ia, ib, seg = _support_table(self.num_vars, order, sa, sb)
                 # each operand is gathered at its own batch shape; the
                 # multiply broadcasts them, as parameter-only jets are often
                 # narrower
-                if (blocked == 8 and len(ia) * math.prod(_batch(ca, cb))
-                        >= _RANK_MIN_TERMS):
+                if len(ia) * math.prod(_batch(ca, cb)) >= _RANK_MIN_TERMS:
                     out = _rank_sum(ca, cb, _rank_plan(self.num_vars, order,
                                                        sa, sb))
                 else:
                     out = np.add.reduceat(ca[ia] * cb[ib], seg, axis=0)
             return _jet(self.num_vars, order, out, sa | sb)
-        other = np.asarray(other)
+        other = _real(np.asarray(other))
         c = self._c
         if self._zero:
             batch = (c.shape[1:] if other.ndim == 0
                      else np.broadcast_shapes(c.shape[1:], other.shape))
-            return _zero_jet(self.num_vars, self.order, batch,
-                             _dtype(c.dtype, other.dtype))
+            return _zero_jet(self.num_vars, self.order, batch)
         return _jet(self.num_vars, self.order, _aligned(c, other.ndim + 1)
                     * other, self._support)
 
@@ -587,7 +577,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        arr = np.asarray(other, dtype=float)
+        arr = _real(np.asarray(other))
         if np.any(arr == 0.0):
             raise JetDomainError("division by zero", value=arr)
         return self * (1.0 / arr)
@@ -691,8 +681,7 @@ class Monomials(dict):
         # per variable [None, u - u(0), (u - u(0))^2, ...], grown on demand;
         # a constant inner jet (support 0) centres to a known zero
         self._powers = [[None, u.truncated(order) - u.value if s else
-                         _zero_jet(self.num_vars, order, u._c.shape[1:],
-                                   u._c.dtype)]
+                         _zero_jet(self.num_vars, order, u._c.shape[1:])]
                         for u, s in zip(inner, self.supports)]
 
     def __missing__(self, pos):
@@ -724,7 +713,7 @@ def compose(outer, monos):
     if shape != monos.batch_shape:
         shape = np.broadcast_shapes(shape, monos.batch_shape)
     if outer._zero:
-        return _zero_jet(monos.num_vars, monos.order, shape, _FLOAT)
+        return _zero_jet(monos.num_vars, monos.order, shape)
     out = np.zeros((_ncoef(monos.num_vars, monos.order),) + shape)
     out[0] = c[0]
     nonzero = c.any(axis=tuple(range(1, c.ndim)))
@@ -779,7 +768,7 @@ def contract(terms):
         shapes = {f._c.shape[1:] for f in skipped}
         shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         return _zero_jet(skipped[0].num_vars, min(f.order for f in skipped),
-                         shape, _FLOAT)
+                         shape)
     for p in products:
         total = total + p
     return total
@@ -831,7 +820,7 @@ def exp(x):
 def ln(x):
     if isinstance(x, Jet):
         return x.ln()
-    x = np.asarray(x, dtype=float)
+    x = _real(np.asarray(x))
     if np.any(x <= 0.0):
         raise JetDomainError("ln of a nonpositive value", value=x)
     return np.log(x)
@@ -848,7 +837,7 @@ def cos(x):
 def sqrt(x):
     if isinstance(x, Jet):
         return x.sqrt()
-    x = np.asarray(x, dtype=float)
+    x = _real(np.asarray(x))
     if np.any(x <= 0.0):
         raise JetDomainError("sqrt of a nonpositive value", value=x)
     return np.sqrt(x)
@@ -859,10 +848,10 @@ def divide(num, den):
         if not isinstance(num, Jet):
             return den.__rtruediv__(num)
         return num / den
-    den = np.asarray(den, dtype=float)
+    den = _real(np.asarray(den))
     if np.any(den == 0.0):
         raise JetDomainError("division by zero", value=den)
-    return np.asarray(num, dtype=float) / den
+    return _real(np.asarray(num)) / den
 
 
 def power(base, exponent):
@@ -876,18 +865,18 @@ def power(base, exponent):
             exponent = exponent.value
         else:
             return exp(exponent * ln(base))
-    e = np.asarray(exponent, dtype=float)
+    e = _real(np.asarray(exponent))
     if e.ndim == 0 and float(e) == int(e):
         k = int(e)
         if isinstance(base, Jet):
             return base._pow_int(k)
-        base = np.asarray(base, dtype=float)
+        base = _real(np.asarray(base))
         if k < 0 and np.any(base == 0.0):
             raise JetDomainError("zero base with negative exponent", value=base)
         return np.power(base, k)
     if isinstance(base, Jet):
         return base._pow_real(e)
-    base = np.asarray(base, dtype=float)
+    base = _real(np.asarray(base))
     if np.any(base <= 0.0):
         raise JetDomainError("non-integer power of a nonpositive base", value=base)
     return np.power(base, e)

@@ -10,11 +10,13 @@ asserting a quantity is bounded AWAY from zero — reuse the same fields for
 the binding (smallest) value and pass when it exceeds the tolerance.
 A check whose evaluation raised stores null residuals, fails, and carries
 the exception's type and text in ``error``; the field is rendered only when
-it is set, so reports of evaluable checks do not change.
+it is set, so reports of evaluable checks do not change.  A check whose
+values hold inf or NaN is recorded the same way, located at its first
+non-finite sample, so no report carries a non-finite number.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,13 +40,22 @@ def check_record(name, values, normalized, pts, tol, mode="max"):
     ``values`` and ``normalized`` share a shape; ``pts`` has that shape plus
     a trailing coordinate axis.  The binding point is the largest value of a
     residual ("max") check and the smallest of a magnitude ("min") check.
+    An inf or NaN in either array makes an errored record instead: its
+    ``error`` names the value, and ``worst_point`` is the first sample (in
+    C order) holding one.
     """
+    finite = np.isfinite(values) & np.isfinite(normalized)
     pick, beats = ((np.argmax, np.less) if mode == "max"
                    else (np.argmin, np.greater))
-    idx = np.unravel_index(pick(values), np.shape(values))
+    idx = np.unravel_index(pick(values) if finite.all() else np.argmin(finite),
+                           finite.shape)
+    point = tuple(float(c) for c in pts[idx])
+    if not finite[idx]:
+        bad = normalized[idx] if np.isfinite(values[idx]) else values[idx]
+        return CheckRecord(name, None, None, tol, False, point,
+                           f"non-finite value {float(bad)!r}")
     return CheckRecord(name, float(values[idx]), float(normalized[idx]), tol,
-                       bool(beats(values[idx], tol)),
-                       tuple(float(c) for c in pts[idx]))
+                       bool(beats(values[idx], tol)), point)
 
 
 @dataclass(frozen=True)
@@ -92,18 +103,14 @@ REPORT_SCHEMA = {
 }
 
 
+# the JSON keys of the CheckRecord fields, in order; "error" only when set
+_CHECK_KEYS = ("name", "max_abs", "max_norm", "tol", "pass", "worst_point",
+               "error")
+
+
 def _check_json(c):
-    out = {
-        "name": c.name,
-        "max_abs": c.max_abs,
-        "max_norm": c.max_norm,
-        "tol": c.tol,
-        "pass": c.passed,
-        "worst_point": None if c.worst_point is None else list(c.worst_point),
-    }
-    if c.error is not None:
-        out["error"] = c.error
-    return out
+    return {key: value for key, value in zip(_CHECK_KEYS, astuple(c))
+            if key != "error" or value is not None}
 
 
 def to_json(rep):

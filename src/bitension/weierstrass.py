@@ -6,6 +6,12 @@ biharmonicity residual d/dzbar d/dz (mu^-2 d/dzbar phi_sec) where mu^2 is
 the isothermal factor of the domain metric g = mu^2 |dz|^2.  For maps into
 flat Cartesian targets this residual vanishes exactly when the map is
 biharmonic, and 16 mu^-2 times it reproduces the bitension field.
+
+A complex-valued function a + ib is held as the pair ``(a, b)`` of real
+jets, so every jet here is real: the section's components are the pairs
+``(phi_u * 0.5, phi_v * -0.5)``, and the Wirtinger operators take and return
+pairs.  The public functions return complex arrays, formed from the values
+of a pair as ``a + 1j*b``.
 """
 
 from dataclasses import dataclass
@@ -17,21 +23,33 @@ from .geometry import GeometryInputError, MapState
 
 
 def wirtinger_dz(f):
-    """d/dz = (d/du - i d/dv)/2."""
-    return (f.derivative(0) - 1j * f.derivative(1)) * 0.5
+    """d/dz = (d/du - i d/dv)/2 of the pair f = (a, b):
+    ((a_u + b_v)/2, (b_u - a_v)/2)."""
+    a, b = f
+    return ((a.derivative(0) + b.derivative(1)) * 0.5,
+            (b.derivative(0) - a.derivative(1)) * 0.5)
 
 
 def wirtinger_dzbar(f):
-    """d/dzbar = (d/du + i d/dv)/2."""
-    return (f.derivative(0) + 1j * f.derivative(1)) * 0.5
+    """d/dzbar = (d/du + i d/dv)/2 of the pair f = (a, b):
+    ((a_u - b_v)/2, (b_u + a_v)/2)."""
+    a, b = f
+    return ((a.derivative(0) - b.derivative(1)) * 0.5,
+            (b.derivative(0) + a.derivative(1)) * 0.5)
+
+
+def _value(f):
+    """The complex value of the pair f = (a, b)."""
+    return f[0].value + 1j * f[1].value
 
 
 @dataclass(frozen=True)
 class WSection:
-    """The complex derivative section of a map, with the isothermal factor
-    of the domain metric it was computed for."""
+    """The complex derivative section of a map, one pair of real jets per
+    component, with the isothermal factor of the domain metric it was
+    computed for."""
     state: MapState
-    components: tuple
+    components: tuple  # (re, im) jet pairs
     mu_sq: object  # jet of the isothermal factor
 
 
@@ -59,7 +77,8 @@ def section_of(state):
     if max(off, gap) > 1e-9 * max(1.0, scale):
         raise GeometryInputError("domain metric must be isothermal, "
                                  "g = mu^2 (du^2 + dv^2)")
-    comps = tuple(wirtinger_dz(pj) for pj in state.phi_jets)
+    comps = tuple((pj.derivative(0) * 0.5, pj.derivative(1) * -0.5)
+                  for pj in state.phi_jets)
     return WSection(state, comps, state.g_jets[0][0])
 
 
@@ -75,7 +94,7 @@ def conformality_sums(ws):
     conformal factor of the pullback metric and must stay positive for an
     immersion.
     """
-    values = [c.value for c in ws.components]
+    values = [_value(c) for c in ws.components]
     return (sum(v * v for v in values),
             sum(v.real ** 2 + v.imag ** 2 for v in values))
 
@@ -86,7 +105,7 @@ def tension_complex(ws):
     Real up to rounding; returned complex so the cancellation is visible.
     """
     inv = (1.0 / ws.mu_sq).value
-    return np.stack([(wirtinger_dzbar(c).value * inv) * 4.0
+    return np.stack([(_value(wirtinger_dzbar(c)) * inv) * 4.0
                      for c in ws.components], axis=-1)
 
 
@@ -96,8 +115,8 @@ def w3_residual(ws):
     inv = 1.0 / ws.mu_sq
     out = []
     for c in ws.components:
-        inner = wirtinger_dzbar(c) * inv
-        out.append(wirtinger_dzbar(wirtinger_dz(inner)).value)
+        inner = tuple(part * inv for part in wirtinger_dzbar(c))
+        out.append(_value(wirtinger_dzbar(wirtinger_dz(inner))))
     return np.stack(out, axis=-1)
 
 
@@ -110,7 +129,7 @@ def bitension_complex(ws):
 def nonholomorphicity(ws):
     """Norm of d phi_sec/dzbar at each point: the section's distance from
     holomorphic, zero exactly where the map is harmonic."""
-    return np.linalg.norm(np.stack([wirtinger_dzbar(c).value
+    return np.linalg.norm(np.stack([_value(wirtinger_dzbar(c))
                                     for c in ws.components], axis=-1),
                           axis=-1)
 

@@ -2,6 +2,7 @@
 oracles, the recursive expression walkers as a reference and the parity
 tool."""
 import importlib.util
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,8 @@ def random_program(rng, num_vars, depth):
 # evaluate, free_names and to_source as they were written before one loop
 # walked every tree: one recursion each, left child before right.  They hit
 # Python's recursion limit on long sums, so they serve as a reference on
-# trees of ordinary size only.
+# trees of ordinary size only.  The reference evaluate quotes the node that
+# raised a domain fault, cut after 200 characters, as evaluate does.
 
 _REFERENCE_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 15, "^": 30}
 _REFERENCE_CALLS = {"exp": jets.exp, "ln": jets.ln, "sin": jets.sin,
@@ -204,10 +206,11 @@ def reference_free_names(node):
 
 
 def reference_evaluate(node, ctx):
-    try:
-        return _reference_eval(node, ctx)
-    except jets.JetDomainError as err:
-        raise expr.ExprEvalError(str(err), reference_to_source(node)) from err
+    return _reference_eval(node, ctx)
+
+
+_REFERENCE_BINARY = {"+": operator.add, "-": operator.sub,
+                     "*": operator.mul, "/": jets.divide, "^": jets.power}
 
 
 def _reference_eval(node, ctx):
@@ -218,20 +221,20 @@ def _reference_eval(node, ctx):
     if isinstance(node, Unary):
         return -_reference_eval(node.child, ctx)
     if isinstance(node, Binary):
-        left = _reference_eval(node.left, ctx)
-        if node.op == "+":
-            return left + _reference_eval(node.right, ctx)
-        if node.op == "-":
-            return left - _reference_eval(node.right, ctx)
-        if node.op == "*":
-            return left * _reference_eval(node.right, ctx)
-        if node.op == "/":
-            return jets.divide(left, _reference_eval(node.right, ctx))
-        return jets.power(left, _reference_eval(node.right, ctx))
-    if node.fn == "pow":
-        return jets.power(_reference_eval(node.args[0], ctx),
-                          _reference_eval(node.args[1], ctx))
-    return _REFERENCE_CALLS[node.fn](_reference_eval(node.args[0], ctx))
+        fn = _REFERENCE_BINARY[node.op]
+        args = (_reference_eval(node.left, ctx),
+                _reference_eval(node.right, ctx))
+    else:
+        fn = jets.power if node.fn == "pow" else _REFERENCE_CALLS[node.fn]
+        args = tuple(_reference_eval(a, ctx) for a in node.args)
+    try:
+        return fn(*args)
+    except jets.JetDomainError as err:
+        # the node that raised, its full source cut after 200 characters
+        source = reference_to_source(node)
+        if len(source) > 200:
+            source = source[:200] + "..."
+        raise expr.ExprEvalError(str(err), source) from err
 
 
 def bits(value):

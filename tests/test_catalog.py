@@ -98,6 +98,14 @@ def test_controls_keep_their_own_parameters(name, own):
         catalog.negative_control(name, **{k: "2" for k in own})
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_not_a_number(value):
+    with pytest.raises(catalog.CaseError, match=f"R = {value} is not a "):
+        catalog.build_case("cylinder_family", R=value)
+    with pytest.raises(catalog.CaseError, match="is not a number"):
+        catalog.negative_control("isometric_cylinder", R=value)
+
+
 def test_type_errors_inside_a_builder_propagate(monkeypatch):
     def broken(R=1.0):
         return len(R)  # a TypeError from the builder's own code

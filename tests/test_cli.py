@@ -10,6 +10,7 @@ import pytest
 
 from bitension import catalog, cli, conformal, cylinder, report
 from bitension.charts import DomainError
+from bitension.config import load_config
 from bitension.cylinder import CylinderParams
 from bitension.expr import ExprEvalError
 
@@ -18,9 +19,17 @@ import support
 CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.cfg"))
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def run(capsys, *argv):
+    """Run the CLI; a ``--format json`` report must parse as strict JSON
+    (no ``Infinity`` or ``NaN``) in every test that asks for one."""
     code = cli.main(list(argv))
     captured = capsys.readouterr()
+    if "json" in argv and captured.out:
+        json.loads(captured.out, parse_constant=_not_json)
     return code, captured.out, captured.err
 
 
@@ -119,6 +128,9 @@ def test_evaluation_errors_exit_as_verify_case_records_them(capsys,
     # a negative control's switch is not a parameter of the case
     (("catalog", "verify", "plane_inclusion", "--param", "bend=1"),
      "bad parameters for 'plane_inclusion'"),
+    # a value must be a number, and true is not one
+    (("catalog", "verify", "cylinder_family", "--param", "R=true"),
+     "R = 'true' is not a number"),
 ])
 def test_named_input_errors_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)
@@ -333,6 +345,78 @@ def test_long_flat_metric_entry_yields_a_report(capsys, tmp_path):
 def test_long_flat_map_component_yields_a_report(capsys, tmp_path):
     _verify_plane_inclusion_with(capsys, tmp_path, "    v\n    0\n",
                                  f"    v\n    {LONG_SUM}\n")
+
+
+HUGE_SHEET = """
+[chart sheet]
+coords = u v
+box = 0.5:1 0.5:1
+
+[chart space]
+coords = p q r
+box = -2:2 -2:2 -2e155:2e155
+
+[metric flat2]
+chart = sheet
+identity = yes
+
+[metric flat3]
+chart = space
+identity = yes
+
+[map lift]
+from = sheet
+to = space
+components =
+    u
+    v
+    1e155*u^2
+
+[check tension_nonzero]
+
+[run]
+map = lift
+metric = flat2
+target = flat3
+samples = 8
+"""
+
+
+def test_a_non_finite_value_is_an_errored_record(capsys, tmp_path):
+    # |tau| = 2e155 is representable, but its squared norm overflows in the
+    # target inner product, which is a plain einsum
+    path = tmp_path / "huge.cfg"
+    path.write_text(HUGE_SHEET)
+    code, out, _ = run(capsys, "custom", "verify", "--config", str(path),
+                       "--format", "json")
+    check, = json.loads(out)["checks"]
+    assert code == cli.EXIT_CHECK_FAIL
+    assert check["error"] == "non-finite value inf"
+    assert not check["pass"] and check["max_abs"] is None
+    pts = load_config(path).phi.domain.sample(8, 7)
+    assert check["worst_point"] == list(pts[0])
+    code, out, _ = run(capsys, "custom", "verify", "--config", str(path))
+    assert code == cli.EXIT_CHECK_FAIL
+    assert "error: non-finite value inf" in out
+
+
+def test_an_expression_error_quotes_the_failing_node_cut_short(capsys,
+                                                               tmp_path):
+    # ln's argument is negative on the box; the error quotes ln(...) and
+    # not the whole component, in at most 200 characters of source
+    far = tmp_path / "far.cfg"
+    source = next(p for p in CONFIGS if p.stem == "plane_inclusion").read_text()
+    far.write_text(source.replace("box = -1:1 -1:1", "box = 0.5:1 0.5:1")
+                   .replace("    u\n", f"    ln(u - 2 + {LONG_SUM})\n", 1))
+    code, out, _ = run(capsys, "custom", "verify", "--config", str(far),
+                       "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == cli.EXIT_CHECK_FAIL and len(checks) == 2
+    for check in checks:
+        head, quoted = check["error"].split(" in ", 1)
+        assert head == "ExprEvalError: ln of a nonpositive value"
+        assert quoted.startswith("'ln(u - 2.0 + 1e-05 * u + 1e-05 * u")
+        assert len(quoted) == 1 + 200 + len("...") + 1
 
 
 def test_custom_tolerance_override(capsys):

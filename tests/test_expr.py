@@ -187,6 +187,24 @@ def test_domain_error_carries_expression_source():
     assert "ln" in str(err.value)
 
 
+def test_domain_error_quotes_the_node_that_raised():
+    ast = parse("sin(x) + 3*ln(x - 2)")
+    with pytest.raises(ExprEvalError) as err:
+        evaluate(ast, EvalContext(variables={"x": jets.Jet.variable(0, 0.0, 1)}))
+    assert str(err.value) == "ln of a nonpositive value in 'ln(x - 2.0)'"
+    assert err.value.source == "ln(x - 2.0)"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.integers(min_value=1, max_value=40))
+def test_sources_cut_while_printing_are_the_full_source_cut(seed, limit):
+    tree = _random_tree(np.random.default_rng(seed), depth=5)
+    full = to_source(tree)
+    want = full if len(full) <= limit else full[:limit] + "..."
+    assert expr._source(tree, limit) == want
+
+
 def test_integer_exponent_specialization_on_negative_base():
     ast = parse("x^-2 + x^3")
     val = evaluate(ast, EvalContext(variables={"x": -2.0}))

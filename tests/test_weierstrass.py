@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bitension import geometry, jets, weierstrass
+from bitension import catalog, geometry, jets, weierstrass
 from bitension.charts import ChartDomain, RiemannianMetric, SmoothMap
 from bitension.geometry import GeometryInputError
 from bitension.weierstrass import wirtinger_dz, wirtinger_dzbar
@@ -16,8 +16,20 @@ def coordinate_jets(pts, order=4):
 
 
 def complex_coordinates(pts):
+    """z = u + iv and zbar = u - iv as (re, im) pairs of real jets."""
     u, v = coordinate_jets(pts)
-    return u + 1j * v, u - 1j * v
+    return (u, v), (u, -v)
+
+
+def value(pair):
+    re, im = pair
+    return re.value + 1j * im.value
+
+
+def times(f, g):
+    """The product of two pairs, (a + ib)(c + id)."""
+    (a, b), (c, d) = f, g
+    return a * c - b * d, a * d + b * c
 
 
 def square(lo=-0.5, hi=0.5):
@@ -39,22 +51,29 @@ def wrap_case(radius=1.0):
     return dom, phi, g, h
 
 
-# -- complex jets and Wirtinger operators ------------------------------------------
+# -- real jet pairs and Wirtinger operators -----------------------------------
 
 
 def test_complex_jet_arithmetic():
-    pts = square().sample(30, 1)
-    z, zbar = complex_coordinates(pts)
-    zc = pts[:, 0] + 1j * pts[:, 1]
-    assert np.max(np.abs((z * z).value - zc ** 2)) < 1e-14
-    assert np.max(np.abs((z * zbar).value - np.abs(zc) ** 2)) < 1e-14
-    assert np.max(np.abs((1j * z + 2.0).value - (1j * zc + 2.0))) < 1e-14
-    assert np.max(np.abs((2.0 - 1j * z).value - (2.0 - 1j * zc))) < 1e-14
-    real_part = (z + zbar) * 0.5
-    assert np.max(np.abs(real_part.value - pts[:, 0])) < 1e-14
-    # d/du (z zbar) = 2u, carried exactly by the complex coefficients
-    assert np.max(np.abs((z * zbar).derivative(0).value
-                         - 2.0 * pts[:, 0])) < 1e-14
+    # jets hold real coefficients only: a complex-valued function is a pair
+    # of real jets, and complex input raises instead of dropping its
+    # imaginary part
+    u, v = coordinate_jets(square().sample(4, 1))
+    refused = [lambda: jets.Jet.constant(1 + 2j, 2),
+               lambda: jets.Jet.constant(np.full(4, 1j), 2),
+               lambda: jets.Jet.variable(0, 0.5 + 1j, 2),
+               lambda: jets.Jet(2, 1, np.ones((4, 3)) * 1j),
+               lambda: u + 1j * v, lambda: u + 1j, lambda: 1j + u,
+               lambda: u - 1j, lambda: 1j - u, lambda: u * 1j,
+               lambda: 1j * u, lambda: u * np.full(4, 2j), lambda: u / 1j,
+               lambda: jets.ln(np.full(4, 1j)),
+               lambda: jets.sqrt(np.full(4, 1j)),
+               lambda: jets.divide(1.0, np.full(4, 2j)),
+               lambda: jets.power(np.full(4, 2j), 0.5),
+               lambda: jets.power(u, np.array(2 + 1j))]
+    for build in refused:
+        with pytest.raises(TypeError, match="complex"):
+            build()
 
 
 def test_real_jet_arithmetic_stays_real():
@@ -68,13 +87,15 @@ def test_wirtinger_on_powers_of_z():
     pts = square().sample(20, 2)
     z, zbar = complex_coordinates(pts)
     zc = pts[:, 0] + 1j * pts[:, 1]
-    assert np.max(np.abs(wirtinger_dz(z).value - 1.0)) < 1e-14
-    assert np.max(np.abs(wirtinger_dzbar(z).value)) < 1e-14
-    assert np.max(np.abs(wirtinger_dz(zbar).value)) < 1e-14
-    assert np.max(np.abs(wirtinger_dzbar(zbar).value - 1.0)) < 1e-14
-    assert np.max(np.abs(wirtinger_dz(z * z).value - 2.0 * zc)) < 1e-14
+    assert np.max(np.abs(value(wirtinger_dz(z)) - 1.0)) < 1e-14
+    assert np.max(np.abs(value(wirtinger_dzbar(z)))) < 1e-14
+    assert np.max(np.abs(value(wirtinger_dz(zbar)))) < 1e-14
+    assert np.max(np.abs(value(wirtinger_dzbar(zbar)) - 1.0)) < 1e-14
+    z_sq = times(z, z)
+    assert np.max(np.abs(value(wirtinger_dz(z_sq)) - 2.0 * zc)) < 1e-14
     # product rule: d/dzbar (z zbar) = z
-    assert np.max(np.abs(wirtinger_dzbar(z * zbar).value - zc)) < 1e-14
+    modulus_sq = times(z, zbar)
+    assert np.max(np.abs(value(wirtinger_dzbar(modulus_sq)) - zc)) < 1e-14
 
 
 def test_wirtinger_factorizes_the_laplacian():
@@ -83,9 +104,9 @@ def test_wirtinger_factorizes_the_laplacian():
     f = jets.sin(u) * jets.exp(v) + u * u * u * v
     flat_lap = (f.derivative(0).derivative(0)
                 + f.derivative(1).derivative(1)).value
-    mixed = wirtinger_dzbar(wirtinger_dz(f))
-    assert np.max(np.abs(4.0 * mixed.value.real - flat_lap)) < 1e-12
-    assert np.max(np.abs(mixed.value.imag)) < 1e-12
+    mixed = value(wirtinger_dzbar(wirtinger_dz((f, f * 0.0))))
+    assert np.max(np.abs(4.0 * mixed.real - flat_lap)) < 1e-12
+    assert np.max(np.abs(mixed.imag)) < 1e-12
 
 
 # -- sections of concrete maps ------------------------------------------------------
@@ -98,7 +119,7 @@ def test_wrapped_plane_section_components():
     x = pts[:, 0]
     want = np.stack([-0.5 * np.sin(x / 1.3), 0.5 * np.cos(x / 1.3),
                      np.zeros_like(x)], axis=-1)
-    got = np.stack([c.value for c in ws.components], axis=-1)
+    got = np.stack([value(c) for c in ws.components], axis=-1)
     assert np.max(np.abs(got.real - want)) < 1e-13
     third = np.array([0.0, 0.0, -0.5])
     assert np.max(np.abs(got.imag - third)) < 1e-13
@@ -275,3 +296,21 @@ def test_section_builds_no_christoffel_symbols_or_curvature(monkeypatch):
     assert np.max(np.abs(weierstrass.conformality_sums(ws)[0])) < 1e-13
     assert np.min(weierstrass.nonholomorphicity(ws)) > 0.1
     weierstrass.tension_complex(ws)
+
+
+def test_the_lane_builds_only_float64_jets(monkeypatch):
+    made, build = [], jets._jet
+
+    def recording(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(jets, "_jet", recording)
+    case = catalog.build_case("r2_wrap_r6")
+    phi, g, h = case.geometry
+    ws = weierstrass.section(phi, g, h, phi.domain.sample(16, 18))
+    residual = weierstrass.w3_residual(ws)
+    assert len(made) > 100 and residual.dtype == complex
+    assert {jet._c.dtype for jet in made} == {np.dtype(np.float64)}
+    assert all(part._c.dtype == np.float64
+               for pair in ws.components for part in pair)

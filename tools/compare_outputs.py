@@ -15,8 +15,12 @@ side, m = 2..5) of the law sweep, one-shot and from ``conformal.law_sides``;
 every catalog case, negative control and cylinder grid member as a JSON
 report, with the controls that take parameters also run at identity m = 2
 and both cylinders at R = 2; the ``catalog verify NAME`` text of every case
-and of the README's ``--param`` run; the W3 and direct bitension residuals
-of every Weierstrass pool case; the ``custom verify`` (JSON), ``weierstrass
+and of the README's ``--param`` run; the complex-coordinate lane (both
+conformality sums, the tension, the W3 residual, the bitension and the
+nonholomorphicity of ``weierstrass``) and the direct bitension residual of
+every Weierstrass pool case, and the same lane for ``r2_wrap_r3``,
+``r2_wrap_r6``, ``plane_inclusion`` and their negative controls at the
+catalog's sample points; the ``custom verify`` (JSON), ``weierstrass
 check`` and ``check-transform`` (m = 2..5, text) outputs of the CLI over the
 shipped configs; the ``first_variation`` dicts of the quadrature workload;
 and, on fixed inputs with sample points drawn from the seed,
@@ -109,11 +113,29 @@ def _dump(root, seed, out):
     emit("catalog verify cylinder_family " + " ".join(readme_params),
          _cli(cli, ["catalog", "verify", "cylinder_family"] + readme_params
               + seed_arg))
+
+    def lane(label, phi, g, h, pts):
+        ws = weierstrass.section(phi, g, h, pts)
+        w1, w2 = weierstrass.conformality_sums(ws)
+        for key, value in (("w1", w1), ("w2", w2),
+                           ("tension", weierstrass.tension_complex(ws)),
+                           ("w3", weierstrass.w3_residual(ws)),
+                           ("bitension", weierstrass.bitension_complex(ws)),
+                           ("nonholomorphicity",
+                            weierstrass.nonholomorphicity(ws))):
+            emit(f"{label} {key}", _array(value))
+
     for k, (case, pts) in enumerate(inputs.pool):
-        ws = weierstrass.section(case.phi, case.g, case.h, pts)
-        emit(f"pool {k} w3", _array(weierstrass.w3_residual(ws)))
+        lane(f"pool {k}", case.phi, case.g, case.h, pts)
         emit(f"pool {k} direct", _array(geometry.bitension_field(
             case.phi, case.g, case.h, pts)))
+    for name in ("r2_wrap_r3", "r2_wrap_r6", "plane_inclusion"):
+        for label, case in ((f"lane {name}", catalog.build_case(name)),
+                            (f"lane control {name}",
+                             catalog.negative_control(name)[0])):
+            phi, g, h = case.geometry
+            lane(label, phi, g, h, phi.domain.sample(
+                workloads.CATALOG_SAMPLES, inputs.sample_seed))
     for path in inputs.configs:
         emit(f"custom verify {path.name}", _cli(cli, [
             "custom", "verify", "--config", str(path), "--format", "json"]
