@@ -455,6 +455,18 @@ _EVALUATION_ERRORS = (DomainError, GeometryInputError, MetricError,
                       np.linalg.LinAlgError, FloatingPointError)
 
 
+def _fault_point(err, pts):
+    """The first sample (in C order) outside the domain of the elementary
+    function behind a :class:`jets.JetDomainError`, from the argument mask
+    it carries; None for other errors or a mask of another shape."""
+    fault = err if isinstance(err, jets.JetDomainError) else err.__cause__
+    outside = fault.outside if isinstance(fault, jets.JetDomainError) else None
+    if outside is None or np.shape(outside) != pts.shape[:-1]:
+        return None
+    idx = np.unravel_index(np.argmax(outside), outside.shape)
+    return tuple(float(c) for c in pts[idx])
+
+
 def verify_case(case, samples=64, seed=7, tol=None):
     """Evaluate every expectation at low-discrepancy points.
 
@@ -462,7 +474,11 @@ def verify_case(case, samples=64, seed=7, tol=None):
     magnitude checks keep their own bounds.  The checks share one map state
     per (map, domain metric, target metric), so a state that cannot be built
     fails every check that reads it.  Evaluation errors, overflow included,
-    become failed checks; the record's ``error`` says what was raised.
+    become failed checks; the record's ``error`` says what was raised.  A
+    jet domain fault (raised directly or behind an expression error) is
+    located at the first sample whose argument lies outside the function's
+    domain, read from the error; its ``worst_point`` stays None when that
+    argument does not have the samples' batch shape.
     """
     pts = case.domain.sample(samples, seed)
     states = _SharedStates(pts)
@@ -474,7 +490,8 @@ def verify_case(case, samples=64, seed=7, tol=None):
                 val_abs, val_norm = evaluate(states)
         except _EVALUATION_ERRORS as err:
             records.append(CheckRecord(exp.check, None, None, use_tol, False,
-                                       None, f"{type(err).__name__}: {err}"))
+                                       _fault_point(err, pts),
+                                       f"{type(err).__name__}: {err}"))
             continue
         records.append(check_record(exp.check, val_abs, val_norm, pts,
                                     use_tol, exp.mode))

@@ -79,14 +79,14 @@ def _eval_components(components, variables, parameters, batch_shape, num_vars, o
 def _by_identity(build):
     """``build`` of one argument, run once per distinct argument object.
 
-    Keys are ``id``s: use it within one call that holds every argument it
-    passes, so no id is reused while the memo lives."""
+    Keys are ``id``s; each argument is kept beside its result, so no id is
+    reused while the memo lives."""
     done = {}
 
     def once(obj):
         if id(obj) not in done:
-            done[id(obj)] = build(obj)
-        return done[id(obj)]
+            done[id(obj)] = (obj, build(obj))
+        return done[id(obj)][1]
     return once
 
 
@@ -128,6 +128,20 @@ def _metric_values(metric, y):
 
 
 def _require_spd(values, x, what):
+    """Raise DomainError naming the point of the smallest eigenvalue when a
+    metric value matrix is not positive definite.
+
+    A batched Cholesky factorization decides; ``eigvalsh`` runs only when it
+    fails or a value is not finite, and names the point.  So a matrix whose
+    factorization succeeds passes even if its smallest eigenvalue rounds to
+    zero or below, one that fails passes only if every eigenvalue is
+    positive, and a NaN matrix passes, as no eigenvalue compares <= 0."""
+    if np.isfinite(values).all():
+        try:
+            np.linalg.cholesky(values)
+            return
+        except np.linalg.LinAlgError:
+            pass
     eig = np.linalg.eigvalsh(values)
     smallest = eig[..., 0]
     if np.any(smallest <= 0.0):
@@ -142,7 +156,9 @@ def _require_spd(values, x, what):
 
 
 def _truncated(rows, order):
-    return [[e.truncated(order) for e in row] for row in rows]
+    # entries that share a jet share its truncation
+    cut = _by_identity(lambda e: e.truncated(order))
+    return [[cut(e) for e in row] for row in rows]
 
 
 def _jet_matrix_inverse(rows):
@@ -151,22 +167,25 @@ def _jet_matrix_inverse(rows):
     Gauss-Jordan in its symmetric form (the sweep operator), without
     pivoting: every caller has checked that the value part is positive
     definite, so each pivot has a nonzero value.  Structurally zero entries
-    are skipped, so a diagonal matrix costs one reciprocal per diagonal entry
-    and its inverse has exactly zero off-diagonal jets.  The result carries
-    the smallest order among the entries: truncate the input to the order
-    the inverse is read at.
+    are skipped, so a diagonal matrix costs one reciprocal per distinct
+    diagonal jet (one for a conformally flat metric, whose diagonal shares
+    one jet) and its inverse has exactly zero off-diagonal jets.  The result
+    carries the smallest order among the entries: truncate the input to the
+    order the inverse is read at.
     """
     m = len(rows)
     order = min(e.order for row in rows for e in row)
+    cut = _by_identity(lambda e: e.truncated(order))
+    reciprocal = _by_identity(lambda e: e._reciprocal())
     a = {}  # the nonzero entries, each symmetric pair sharing one jet
     for i in range(m):
         for j in range(i, m):
             if not rows[i][j].is_zero():
-                a[i, j] = a[j, i] = rows[i][j].truncated(order)
+                a[i, j] = a[j, i] = cut(rows[i][j])
     # sweeping pivot k maps a_ij to a_ij - a_ik a_kj / a_kk, the pivot row
     # to a_kj / a_kk and the pivot to -1 / a_kk; sweeping all leaves -A^-1
     for k in range(m):
-        r = a[k, k]._reciprocal()
+        r = reciprocal(a[k, k])
         s = {j: a[k, j] * r for j in range(m) if j != k and (k, j) in a}
         for i in s:
             for j in s:
@@ -636,40 +655,54 @@ def bitension_field(phi, g, h, x):
 # -- integral functionals ----------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
+def _gauss_rule(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per
+    ``nodes``; read-only, so no caller can change the cached rule."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _gauss_axes(box, nodes):
     """Gauss-Legendre nodes and weights of each axis of a box."""
+    t, w = _gauss_rule(nodes)
     axes, wts = [], []
     for lo, hi in box:
-        t, w = np.polynomial.legendre.leggauss(nodes)
         axes.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * t)
         wts.append(0.5 * (hi - lo) * w)
     return axes, wts
 
 
 # Jet coefficients per point times points per chunk of a quadrature integrand
-# (see _integrate): on a 4-D grid, order-4 jets run in chunks of 936 points
-# and order-2 jets in chunks of 4369.
+# (see _integrate): on a 4-D grid, order-4 jets run in chunks of 936 points,
+# order-2 jets in chunks of 4369, and the four-member first-variation family
+# of order-2 jets in chunks of 1092 points.
 _CHUNK_COEFFS = 65536
 
 
-def _integrate(integrand, box, nodes, order):
-    """Sum of ``integrand(points, weights)`` over the tensor Gauss-Legendre
-    grid of a box, ``nodes`` per axis.
+def _integrate(integrand, box, nodes, order, width=1):
+    """Sums of ``integrand(points, weights)`` over the tensor Gauss-Legendre
+    grid of a box, ``nodes`` per axis, one per member of a family of
+    ``width`` integrands evaluated together.
 
     The grid is flattened with the last axis fastest and cut into
     consecutive slices of ``_CHUNK_COEFFS`` divided by the jet width per
-    point (at least one point); the integrand returns the weighted per-point
-    terms of one slice.  Each slice's points and weights are built from its
-    flat indices, the weight as the left-to-right product ``(1 * w0) * w1
-    ...`` of the axis weights, so neither the grid nor the weight vector is
-    ever held whole and memory stays bounded whatever ``nodes`` is.  The
-    terms are concatenated and summed once, so the sum sees the same array
-    as one batch would.
+    point and by ``width`` (at least one point), so a chunk holds as many
+    jets whatever the family width; the integrand returns the weighted
+    per-point terms of one slice, of shape ``(points,)`` for width 1 and
+    ``(width, points)`` for a family.  Each slice's points and weights are
+    built from its flat indices, the weight as the left-to-right product
+    ``(1 * w0) * w1 ...`` of the axis weights, so neither the grid nor the
+    weight vector is ever held whole and memory stays bounded whatever
+    ``nodes`` is.  The terms are concatenated along the point axis and
+    summed once per member, so each member's sum sees the same array as one
+    batch of that member alone would, and gives the same bits.
     """
     axes, wts = _gauss_axes(box, nodes)
     shape = (nodes,) * len(axes)
     size = nodes ** len(axes)
-    step = max(1, _CHUNK_COEFFS // jets._ncoef(len(axes), order))
+    step = max(1, _CHUNK_COEFFS // (width * jets._ncoef(len(axes), order)))
     terms = []
     for k in range(0, size, step):
         idx = np.unravel_index(np.arange(k, min(k + step, size)), shape)
@@ -678,7 +711,7 @@ def _integrate(integrand, box, nodes, order):
             weight = weight * w[i]
         terms.append(integrand(np.stack([a[i] for a, i in zip(axes, idx)],
                                         axis=-1), weight))
-    return np.sum(np.concatenate(terms))
+    return np.sum(np.concatenate(terms, axis=-1), axis=-1)
 
 
 def bienergy(phi, g, h, nodes=32):
@@ -689,12 +722,15 @@ def bienergy(phi, g, h, nodes=32):
     must therefore not carry the grid axis (scalars or arrays broadcasting
     against one chunk of points).
     """
-    def terms(x, w):
-        state = MapState(phi, g, h, x, 2)
-        tau = state.tension_values
-        return w * state.target_inner(tau, tau) * state.sqrt_det_g
+    return float(0.5 * _integrate(lambda x, w: _energy_terms(phi, g, h, x, w),
+                                  phi.domain.box, nodes, 2))
 
-    return float(0.5 * _integrate(terms, phi.domain.box, nodes, 2))
+
+def _energy_terms(phi, g, h, x, w):
+    # the weighted |tau|^2 dv_g of the points x, for _integrate
+    state = MapState(phi, g, h, x, 2)
+    tau = state.tension_values
+    return w * state.target_inner(tau, tau) * state.sqrt_det_g
 
 
 def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
@@ -703,9 +739,16 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
     Returns a dict with the central-difference slope at ``eps``, the slope at
     ``eps/2``, and the integral of <tau2, V> dv_g.  For fields vanishing to
     high order on the boundary, slope = VARIATION_SIGN * pairing up to
-    O(eps^2).  Both integrals run chunk by chunk, as in :func:`bienergy`, so
-    memory is bounded by the chunk budget and parameters must not carry the
-    grid axis.
+    O(eps^2).
+
+    The four energies E2(phi + t V), t = eps, -eps, eps/2, -eps/2, are one
+    family: the reserved parameter ``t`` is bound to the ``(4, 1)`` array of
+    those values and each chunk builds one state over its points broadcast
+    to ``(4, points)``, so the grid is walked once for all four and each
+    energy has the bits of a :func:`bienergy` call on its moved map.  Both
+    integrals run chunk by chunk (the family's chunks hold a quarter of the
+    points), so memory is bounded by the chunk budget and parameters must
+    not carry the grid axis.
     """
     field = _as_field(field)
     tname = "__fv_t__"
@@ -718,10 +761,12 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
         merged[k] = v
     comps = tuple(expr.Binary("+", pc, expr.Binary("*", expr.Name(tname), vc))
                   for pc, vc in zip(phi.components, field.components))
+    ts = np.array([[eps], [-eps], [eps / 2.0], [-eps / 2.0]])
+    moved = SmoothMap(phi.domain, phi.codomain, comps, {**merged, tname: ts})
 
-    def energy(t):
-        moved = SmoothMap(phi.domain, phi.codomain, comps, {**merged, tname: t})
-        return bienergy(moved, g, h, nodes=nodes)
+    def energy_terms(x, w):
+        return _energy_terms(moved, g, h,
+                             np.broadcast_to(x, (len(ts),) + x.shape), w)
 
     def pairing_terms(x, w):
         state = MapState(phi, g, h, x, 4)
@@ -730,8 +775,10 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
         return (w * state.target_inner(state.bitension_values, vvals)
                 * state.sqrt_det_g)
 
-    slope = (energy(eps) - energy(-eps)) / (2.0 * eps)
-    slope_half = (energy(eps / 2.0) - energy(-eps / 2.0)) / eps
+    energy = [float(e) for e in 0.5 * _integrate(
+        energy_terms, phi.domain.box, nodes, 2, width=len(ts))]
+    slope = (energy[0] - energy[1]) / (2.0 * eps)
+    slope_half = (energy[2] - energy[3]) / eps
     pairing = float(_integrate(pairing_terms, phi.domain.box, nodes, 4))
     return {"slope": float(slope), "slope_half": float(slope_half),
             "pairing": pairing}

@@ -86,11 +86,23 @@ MAX_ORDER = 4
 
 
 class JetDomainError(ArithmeticError):
-    """An elementary function was evaluated outside its smooth domain."""
+    """An elementary function was evaluated outside its smooth domain.
 
-    def __init__(self, message, value=None):
+    ``value`` is the argument array it was given and ``outside`` the boolean
+    array that is True where that argument lies outside the domain, so the
+    offending entries are known without evaluating again (either may be
+    None)."""
+
+    def __init__(self, message, value=None, outside=None):
         super().__init__(message)
         self.value = value
+        self.outside = outside
+
+
+def _require_domain(value, outside, message):
+    # raise JetDomainError when any entry of value is outside the domain
+    if np.any(outside):
+        raise JetDomainError(message, value=value, outside=outside)
 
 
 def _degree_block(num_vars, deg):
@@ -320,7 +332,12 @@ def _aligned(c, ndim):
 
 def _batch_major(c):
     # the coefficient-major array c with its coefficient axis last (a view)
-    return c.transpose(*range(1, c.ndim), 0)
+    return c.transpose(_batch_major_axes(c.ndim))
+
+
+@lru_cache(maxsize=None)
+def _batch_major_axes(ndim):
+    return tuple(range(1, ndim)) + (0,)
 
 
 def _batch(ca, cb):
@@ -578,8 +595,7 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         arr = _real(np.asarray(other))
-        if np.any(arr == 0.0):
-            raise JetDomainError("division by zero", value=arr)
+        _require_domain(arr, arr == 0.0, "division by zero")
         return self * (1.0 / arr)
 
     def __rtruediv__(self, other):
@@ -598,8 +614,7 @@ class Jet:
 
     def _reciprocal(self):
         v = self.value
-        if np.any(v == 0.0):
-            raise JetDomainError("division by a jet with zero value", value=v)
+        _require_domain(v, v == 0.0, "division by a jet with zero value")
         r = 1.0 / v
         return self._compose([r, -r * r, r ** 3, -(r ** 4), r ** 5][: self.order + 1])
 
@@ -609,8 +624,7 @@ class Jet:
 
     def ln(self):
         v = self.value
-        if np.any(v <= 0.0):
-            raise JetDomainError("ln of a nonpositive value", value=v)
+        _require_domain(v, v <= 0.0, "ln of a nonpositive value")
         r = 1.0 / v
         return self._compose([np.log(v), r, -r * r / 2.0, r ** 3 / 3.0,
                               -(r ** 4) / 4.0][: self.order + 1])
@@ -625,8 +639,7 @@ class Jet:
 
     def sqrt(self):
         v = self.value
-        if np.any(v <= 0.0):
-            raise JetDomainError("sqrt of a nonpositive value", value=v)
+        _require_domain(v, v <= 0.0, "sqrt of a nonpositive value")
         s = np.sqrt(v)
         return self._compose([s, 0.5 / s, -1.0 / (8.0 * s * v),
                               1.0 / (16.0 * s * v * v),
@@ -634,8 +647,7 @@ class Jet:
 
     def _pow_real(self, p):
         v = self.value
-        if np.any(v <= 0.0):
-            raise JetDomainError("non-integer power of a nonpositive base", value=v)
+        _require_domain(v, v <= 0.0, "non-integer power of a nonpositive base")
         p = np.asarray(p, dtype=float)
         taylor, coeff = [], np.ones(np.broadcast(v, p).shape)
         for k in range(self.order + 1):
@@ -774,17 +786,33 @@ def contract(terms):
     return total
 
 
+_ZERO_FLAG = operator.attrgetter("_zero")
+
+
 def _stack(nested, leaf, leaf_axes):
     # leaf(jet) is batch-major: batch axes, then leaf_axes axes.  The leaves
-    # are stacked in one call on one axis, which is then split into the
-    # nest's axes.
+    # are stacked on one axis, which is then split into the nest's axes.  A
+    # nest without known zeros is stacked in one np.stack call; otherwise
+    # only the other leaves are written into a zero buffer, which gives the
+    # same array (a known zero holds +0.0), and a known zero is never read.
+    # Leaves of different shapes go to np.stack, which rejects them.
     shape, leaves = (), [nested]
     while not isinstance(leaves[0], Jet):
         shape += (len(leaves[0]),)
         if any(len(row) != shape[-1] for row in leaves):
             raise ValueError("a nest of jets must be rectangular")
         leaves = [e for row in leaves for e in row]
-    out = np.stack([leaf(jet) for jet in leaves], axis=-1 - leaf_axes)
+    values = [leaf(jet) for jet in leaves]
+    if any(map(_ZERO_FLAG, leaves)) and len({v.shape for v in values}) == 1:
+        cut = values[0].ndim - leaf_axes
+        out = np.zeros(values[0].shape[:cut] + (len(values),)
+                       + values[0].shape[cut:], dtype=values[0].dtype)
+        tail = (slice(None),) * leaf_axes
+        for k, (jet, v) in enumerate(zip(leaves, values)):
+            if not jet._zero:
+                out[(Ellipsis, k) + tail] = v
+    else:
+        out = np.stack(values, axis=-1 - leaf_axes)
     cut = out.ndim - 1 - leaf_axes
     return out.reshape(out.shape[:cut] + shape + out.shape[cut + 1:])
 
@@ -792,7 +820,7 @@ def _stack(nested, leaf, leaf_axes):
 def stack_values(nested):
     """Values of a nested list of jets as one array: ``gamma[i][j][k]`` is
     read at ``[..., i, j, k]``, after the batch axes."""
-    return _stack(nested, lambda jet: jet.value, 0)
+    return _stack(nested, lambda jet: jet._c[0], 0)
 
 
 def _gradient(jet):
@@ -821,8 +849,7 @@ def ln(x):
     if isinstance(x, Jet):
         return x.ln()
     x = _real(np.asarray(x))
-    if np.any(x <= 0.0):
-        raise JetDomainError("ln of a nonpositive value", value=x)
+    _require_domain(x, x <= 0.0, "ln of a nonpositive value")
     return np.log(x)
 
 
@@ -838,8 +865,7 @@ def sqrt(x):
     if isinstance(x, Jet):
         return x.sqrt()
     x = _real(np.asarray(x))
-    if np.any(x <= 0.0):
-        raise JetDomainError("sqrt of a nonpositive value", value=x)
+    _require_domain(x, x <= 0.0, "sqrt of a nonpositive value")
     return np.sqrt(x)
 
 
@@ -849,8 +875,7 @@ def divide(num, den):
             return den.__rtruediv__(num)
         return num / den
     den = _real(np.asarray(den))
-    if np.any(den == 0.0):
-        raise JetDomainError("division by zero", value=den)
+    _require_domain(den, den == 0.0, "division by zero")
     return _real(np.asarray(num)) / den
 
 
@@ -871,12 +896,13 @@ def power(base, exponent):
         if isinstance(base, Jet):
             return base._pow_int(k)
         base = _real(np.asarray(base))
-        if k < 0 and np.any(base == 0.0):
-            raise JetDomainError("zero base with negative exponent", value=base)
+        if k < 0:
+            _require_domain(base, base == 0.0,
+                            "zero base with negative exponent")
         return np.power(base, k)
     if isinstance(base, Jet):
         return base._pow_real(e)
     base = _real(np.asarray(base))
-    if np.any(base <= 0.0):
-        raise JetDomainError("non-integer power of a nonpositive base", value=base)
+    _require_domain(base, base <= 0.0,
+                    "non-integer power of a nonpositive base")
     return np.power(base, e)

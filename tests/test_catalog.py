@@ -220,6 +220,21 @@ def _single_check_case(run):
         "probe", dom, {}, [(catalog.Expectation("probe", 1e-7, "max"), run)])
 
 
+@pytest.mark.parametrize("outside,where", [
+    (np.arange(4) >= 2, 2), (np.array(True), None), (None, None),
+    (np.ones((1, 4), dtype=bool), None)])
+def test_a_jet_domain_error_is_located_by_its_mask(outside, where):
+    def run(states):
+        raise jets.JetDomainError("ln of a nonpositive value", outside=outside)
+
+    case = _single_check_case(run)
+    (check,) = catalog.verify_case(case, samples=4).checks
+    pts = case.domain.sample(4, 7)
+    assert check.worst_point == (None if where is None
+                                 else tuple(pts[where].tolist()))
+    assert check.error == "JetDomainError: ln of a nonpositive value"
+
+
 def test_plain_value_errors_in_an_evaluator_propagate():
     def run(states):
         # what Jet.partial raises when asked for more order than it carries

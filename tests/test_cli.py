@@ -419,6 +419,26 @@ def test_an_expression_error_quotes_the_failing_node_cut_short(capsys,
         assert len(quoted) == 1 + 200 + len("...") + 1
 
 
+def test_a_jet_domain_fault_is_located_at_its_first_sample(capsys, tmp_path):
+    # ln's argument is negative where u < 0.75: the records name the first
+    # such sample, found from the error's argument mask without bisection
+    near = tmp_path / "near.cfg"
+    source = next(p for p in CONFIGS if p.stem == "plane_inclusion").read_text()
+    near.write_text(source.replace("box = -1:1 -1:1", "box = 0.5:1 0.5:1")
+                    .replace("    u\n", "    ln(u - 0.75)\n", 1))
+    code, out, _ = run(capsys, "custom", "verify", "--config", str(near),
+                       "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == cli.EXIT_CHECK_FAIL and len(checks) == 2
+    pts = load_config(near).phi.domain.sample(64, 7)
+    first = int(np.argmax(pts[:, 0] <= 0.75))
+    assert first > 0  # not the first sample by accident
+    for check in checks:
+        assert check["error"] == ("ExprEvalError: ln of a nonpositive value "
+                                  "in 'ln(u - 0.75)'")
+        assert check["worst_point"] == list(pts[first])
+
+
 def test_custom_tolerance_override(capsys):
     path = next(p for p in CONFIGS if p.stem == "h5_inclusion")
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path),

@@ -394,6 +394,54 @@ def test_metric_not_positive_definite_raises():
         geometry.christoffel(met, dom.sample(8, 2))
 
 
+def test_not_positive_definite_names_the_point_and_smallest_eigenvalue():
+    dom = ChartDomain(("x1", "x2"), ((-2.0, 2.0),) * 2)
+    met = RiemannianMetric.from_components(
+        dom, [["1", "1.25*x1"], ["1.25*x1", "1"]])
+    # smallest eigenvalues 1, 0.375, -0.25 and -0.875: the most negative wins
+    pts = np.array([[0.0, 0.0], [0.5, 0.1], [-1.0, 0.5], [1.5, -1.0]])
+    want = ("metric is not positive definite at [1.5, -1.0] "
+            "(smallest eigenvalue -0.875)")
+    with pytest.raises(DomainError) as err:
+        geometry.metric_jets(met, pts)
+    assert str(err.value) == want
+    # a batched factorization decides; the eigenvalues only locate a failure
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", counting)
+        geometry.metric_jets(met, pts[:2])
+        assert calls == []
+        with pytest.raises(DomainError, match="smallest eigenvalue -0.875"):
+            geometry.metric_jets(met, pts)
+        assert calls == [(4, 2, 2)]
+    # a NaN matrix is not rejected here, as before: the non-finite gate of
+    # the report locates it
+    geometry._require_spd(np.full((3, 2, 2), np.nan), pts[:3], "metric")
+
+
+def test_a_conformally_flat_inverse_takes_one_reciprocal(monkeypatch):
+    dom, g4, tgt, h5, phi = hyperbolic_inclusion()
+    state = MapState(phi, g4, h5, dom.sample(6, 5), 4)
+    calls, reciprocal = [], jets.Jet._reciprocal
+
+    def counting(self):
+        calls.append(self)
+        return reciprocal(self)
+
+    monkeypatch.setattr(jets.Jet, "_reciprocal", counting)
+    state.gammaN_y  # the target inverse: one diagonal jet, five pivots
+    assert len(calls) == 1
+    state.ginv_jets  # the domain inverse: one diagonal jet, four pivots
+    assert len(calls) == 2
+    assert np.allclose(state.ginv_val, np.linalg.inv(state.g_val),
+                       rtol=1e-14, atol=0.0)
+
+
 # -- composition of target-side jets with the map --------------------------------
 
 
@@ -798,25 +846,30 @@ def _count_states(monkeypatch):
 
     class Counting(cls):
         def __init__(self, phi, g, h, x, order):
-            sizes.append((order, len(x)))
+            sizes.append((order, np.shape(x)[:-1]))
             super().__init__(phi, g, h, x, order)
 
     monkeypatch.setattr(geometry, "MapState", Counting)
     return sizes
 
 
-# budget, nodes: the 2-D pair (36 points) runs order-4 chunks of 8 points and
-# order-2 chunks of 21; the slab (81 points) order-4 chunks of 7 and order-2
-# chunks of 33; every grid ends in a shorter chunk
+def _quadrature_case(geom):
+    """phi, g, h and the variation field of the 2-D pair or the 4-D slab."""
+    if geom == "slab":
+        return small_slab()
+    _, g, _, h, phi = reference_variation_setup()
+    bump = "100*(x*(1-x)*y*(1-y))^3"
+    return phi, g, h, VectorFieldAlongMap.from_components((bump, bump))
+
+
+# budget, nodes: the 2-D pair (36 points) runs order-4 chunks of 8 points,
+# order-2 chunks of 21 and order-2 family chunks of 4 x 5; the slab (81
+# points) order-4 chunks of 7, order-2 chunks of 33 and family chunks of
+# 4 x 8; every grid ends in a shorter chunk
 @pytest.mark.parametrize("geom,budget,nodes", [("pair", 130, 6),
                                                ("slab", 500, 3)])
 def test_chunked_quadrature_is_bit_identical(monkeypatch, geom, budget, nodes):
-    if geom == "pair":
-        _, g, _, h, phi = reference_variation_setup()
-        bump = "100*(x*(1-x)*y*(1-y))^3"
-        field = VectorFieldAlongMap.from_components((bump, bump))
-    else:
-        phi, g, h, field = small_slab()
+    phi, g, h, field = _quadrature_case(geom)
     whole = (geometry.bienergy(phi, g, h, nodes=nodes),
              geometry.first_variation(phi, g, h, field, eps=0.1, nodes=nodes))
     monkeypatch.setattr(geometry, "_CHUNK_COEFFS", budget)
@@ -828,14 +881,51 @@ def test_chunked_quadrature_is_bit_identical(monkeypatch, geom, budget, nodes):
         {k: v.hex() for k, v in whole[1].items()}
     points = nodes ** phi.domain.dim
 
-    def chunks(order):
-        step = budget // jets._ncoef(phi.domain.dim, order)
+    def chunks(order, width=1):
+        step = budget // (width * jets._ncoef(phi.domain.dim, order))
         assert points % step, "the grid must end in a shorter chunk"
-        return [step] * (points // step) + [points % step]
+        family = (width,) if width > 1 else ()
+        return [family + (n,) for n in
+                [step] * (points // step) + [points % step]]
 
-    # five energies (one above, four in first_variation) and one pairing
-    assert [n for o, n in sizes if o == 2] == chunks(2) * 5
+    # one energy above, then the family of four energies in first_variation
+    # and one pairing
+    assert [n for o, n in sizes if o == 2] == chunks(2) + chunks(2, width=4)
     assert [n for o, n in sizes if o == 4] == chunks(4)
+
+
+@pytest.mark.parametrize("geom,budget,nodes", [("pair", 130, 6),
+                                               ("slab", 500, 3)])
+def test_first_variation_energies_are_one_by_one_bienergies(
+        monkeypatch, geom, budget, nodes):
+    phi, g, h, field = _quadrature_case(geom)
+    eps = 0.1
+    # the family of four runs in 8 (pair) and 11 (slab) chunks
+    monkeypatch.setattr(geometry, "_CHUNK_COEFFS", budget)
+    sums, integrate = [], geometry._integrate
+
+    def recording(integrand, box, nodes, order, width=1):
+        out = integrate(integrand, box, nodes, order, width)
+        sums.append((width, out))
+        return out
+
+    monkeypatch.setattr(geometry, "_integrate", recording)
+    got = geometry.first_variation(phi, g, h, field, eps=eps, nodes=nodes)
+    (width, family), = [(w, out) for w, out in sums if w > 1]
+    assert width == 4 and family.shape == (4,)
+    monkeypatch.undo()
+    t = "__fv_t__"
+    comps = tuple(expr.Binary("+", pc, expr.Binary("*", expr.Name(t), vc))
+                  for pc, vc in zip(phi.components, field.components))
+    one_by_one = [geometry.bienergy(SmoothMap(phi.domain, phi.codomain, comps,
+                                              {t: s}), g, h, nodes=nodes)
+                  for s in (eps, -eps, eps / 2.0, -eps / 2.0)]
+    assert [float(0.5 * e).hex() for e in family] == \
+        [e.hex() for e in one_by_one]
+    assert got["slope"].hex() == \
+        ((one_by_one[0] - one_by_one[1]) / (2.0 * eps)).hex()
+    assert got["slope_half"].hex() == \
+        ((one_by_one[2] - one_by_one[3]) / eps).hex()
 
 
 def test_bienergy_memory_is_bounded_by_one_chunk(monkeypatch):

@@ -155,6 +155,21 @@ def test_batched_domain_error_reports_offender():
     assert np.any(np.asarray(err.value.value) <= 0)
 
 
+@pytest.mark.parametrize("fn,outside", [
+    (jets.ln, [False, True, True, False]),
+    (jets.sqrt, [False, True, True, False]),
+    (lambda u: jets.power(u, 0.5), [False, True, True, False]),
+    (lambda u: jets.divide(1.0, u), [False, True, False, False]),
+    (lambda u: jets.divide(u, u), [False, True, False, False])])
+def test_domain_errors_mark_the_entries_outside_the_domain(fn, outside):
+    values = np.array([1.0, 0.0, -3.0, 2.0])
+    for arg in (values, Jet.variable(0, values, 1)):
+        with pytest.raises(JetDomainError) as err:
+            fn(arg)
+        assert err.value.outside.tolist() == outside
+        assert np.array_equal(err.value.value, values)
+
+
 def test_general_power_and_jet_exponent():
     x = Jet.variable(0, 1.7, 1)
     f = jets.power(x, 0.5)
@@ -695,6 +710,37 @@ def test_stacks_are_one_np_stack_and_the_row_by_row_bits(monkeypatch):
     assert grads.shape == (4, 2, 2, 3, 2, 3) and grads.flags.c_contiguous
     assert np.array_equal(_bits(values), _bits(want_values))
     assert np.array_equal(_bits(grads), _bits(want_grads))
+
+
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+@pytest.mark.parametrize("nest", ["mixed", "all_zero", "one_leaf",
+                                  "broadcast"])
+def test_stacks_with_known_zeros_are_the_np_stack_bits(monkeypatch, batch,
+                                                       nest):
+    rng = np.random.default_rng(29)
+    zero = jets._zero_jet(3, 2, batch)
+    # coefficients with zeros of both signs, some at a broadcast batch
+    live = [_signed_jet(rng, 3, 2, 0b111, batch) for _ in range(3)]
+    wide = _signed_jet(rng, 3, 2, 0b101, batch[-1:])
+    leaves = {"mixed": [[zero, live[0]], [live[1], zero], [zero, live[2]]],
+              "all_zero": [[zero, zero], [zero, zero]],
+              "one_leaf": [zero],
+              "broadcast": [[wide + zero, zero], [zero, live[0] * wide]]}
+    nested = leaves[nest]
+    want_values = _row_by_row(nested, lambda jet: jet.value, 0)
+    want_grads = _row_by_row(nested, jets._gradient, 1)
+    # only the zero flags are read: no jet is scanned, and np.stack is not
+    # called on a nest holding a known zero
+    monkeypatch.setattr(Jet, "_scan", None)
+    monkeypatch.setattr(np, "stack", None)
+    values, grads = jets.stack_values(nested), jets.stack_gradients(nested)
+    assert values.flags.c_contiguous and grads.flags.c_contiguous
+    assert values.shape == want_values.shape
+    assert grads.shape == want_grads.shape
+    assert np.array_equal(_bits(values), _bits(want_values))
+    assert np.array_equal(_bits(grads), _bits(want_grads))
+    if nest in ("mixed", "broadcast"):
+        assert np.signbit(want_grads).any()  # a -0.0 was copied
 
 
 def test_ragged_nests_are_rejected():
