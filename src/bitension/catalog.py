@@ -24,7 +24,7 @@ from . import expr as expr_mod
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
 from .cylinder import CylinderParams
 from .expr import ExprEvalError
-from .geometry import GeometryInputError, MapState, MetricError
+from .geometry import GeometryInputError, MapState, MetricError, error_text
 from .report import (VERSION, CheckRecord, VerificationReport,
                      check_record)
 
@@ -474,11 +474,12 @@ def verify_case(case, samples=64, seed=7, tol=None):
     magnitude checks keep their own bounds.  The checks share one map state
     per (map, domain metric, target metric), so a state that cannot be built
     fails every check that reads it.  Evaluation errors, overflow included,
-    become failed checks; the record's ``error`` says what was raised.  A
-    jet domain fault (raised directly or behind an expression error) is
-    located at the first sample whose argument lies outside the function's
-    domain, read from the error; its ``worst_point`` stays None when that
-    argument does not have the samples' batch shape.
+    become failed checks; the record's ``error`` says what was raised, and
+    the map-state stage that raised it, if one did (``... in stage
+    curvature_map``).  A jet domain fault (raised directly or behind an
+    expression error) is located at the first sample whose argument lies
+    outside the function's domain, read from the error; its ``worst_point``
+    stays None when that argument does not have the samples' batch shape.
     """
     pts = case.domain.sample(samples, seed)
     states = _SharedStates(pts)
@@ -491,7 +492,8 @@ def verify_case(case, samples=64, seed=7, tol=None):
         except _EVALUATION_ERRORS as err:
             records.append(CheckRecord(exp.check, None, None, use_tol, False,
                                        _fault_point(err, pts),
-                                       f"{type(err).__name__}: {err}"))
+                                       f"{type(err).__name__}: "
+                                       f"{error_text(err)}"))
             continue
         records.append(check_record(exp.check, val_abs, val_norm, pts,
                                     use_tol, exp.mode))

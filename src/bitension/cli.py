@@ -21,7 +21,7 @@ from . import catalog, conformal, cylinder, weierstrass
 from .charts import DomainError
 from .config import ConfigError, load_config
 from .cylinder import CylinderParams
-from .geometry import GeometryInputError
+from .geometry import GeometryInputError, error_text
 from .report import (VERSION, VerificationReport, check_record, to_json,
                      to_text)
 
@@ -328,7 +328,7 @@ def main(argv=None):
         return EXIT_DOMAIN
     except catalog._EVALUATION_ERRORS as err:
         # the evaluation errors verify_case records as failed checks
-        print(f"evaluation error: {err}", file=sys.stderr)
+        print(f"evaluation error: {error_text(err)}", file=sys.stderr)
         return EXIT_EVAL
     except (catalog.CaseError, cylinder.ParameterError) as err:
         # input errors by name: any other exception is a bug and keeps its

@@ -29,7 +29,7 @@ wrappers that build a state and extract one quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -63,11 +63,17 @@ def _seeds(coords, x, order):
 
 
 def _eval_components(components, variables, parameters, batch_shape, num_vars, order):
-    """Evaluate expression components to jets, coercing constants."""
+    """Evaluate expression components to jets, coercing constants.
+
+    A subtree that several components share (the F^2 of every entry of
+    :func:`conformal.conformal_metric`) is evaluated once, through one
+    :class:`expr.Memo` that lives for this call; a single component is
+    evaluated without one."""
     ctx = expr.EvalContext(variables, parameters)
+    memo = expr.Memo(components) if len(components) > 1 else None
     out = []
     for comp in components:
-        v = expr.evaluate(comp, ctx)
+        v = expr.evaluate(comp, ctx, memo)
         if isinstance(v, jets.Jet):
             out.append(v)
         else:
@@ -91,17 +97,23 @@ def _by_identity(build):
 
 
 def _sym_matrix_jets(metric, variables, batch_shape, order, what):
-    """Component jets of a metric.  Each expression object is evaluated once
-    (a conformally flat metric repeats one factor down its diagonal), and
-    entries (i, j) and (j, i) with equal expressions share one jet; other
-    mirror pairs are evaluated and compared."""
+    """Component jets of a metric.  The distinct expression objects are
+    evaluated in one call, so each is evaluated once (a conformally flat
+    metric repeats one factor down its diagonal) and so is each subtree they
+    share; entries (i, j) and (j, i) with equal expressions share one jet;
+    other mirror pairs are evaluated and compared."""
     m, comps = metric.dim, metric.components
-    jet = _by_identity(lambda comp: _eval_components(
-        [comp], variables, metric.parameters, batch_shape, m, order)[0])
+    mirrored = {(i, j) for i in range(m) for j in range(i)
+                if comps[i][j] == comps[j][i]}
+    distinct = {id(comps[i][j]): comps[i][j] for i in range(m)
+                for j in range(m) if (i, j) not in mirrored}
+    jet = dict(zip(distinct, _eval_components(
+        list(distinct.values()), variables, metric.parameters, batch_shape,
+        m, order)))
     rows = []
     for i in range(m):
-        rows.append([rows[j][i] if j < i and comps[i][j] == comps[j][i] else
-                     jet(comps[i][j]) for j in range(m)])
+        rows.append([rows[j][i] if (i, j) in mirrored else
+                     jet[id(comps[i][j])] for j in range(m)])
     for i in range(m):
         for j in range(i + 1, m):
             a, b = rows[i][j], rows[j][i]
@@ -169,14 +181,13 @@ def _jet_matrix_inverse(rows):
     definite, so each pivot has a nonzero value.  Structurally zero entries
     are skipped, so a diagonal matrix costs one reciprocal per distinct
     diagonal jet (one for a conformally flat metric, whose diagonal shares
-    one jet) and its inverse has exactly zero off-diagonal jets.  The result
-    carries the smallest order among the entries: truncate the input to the
-    order the inverse is read at.
+    one jet, which keeps its reciprocal) and its inverse has exactly zero
+    off-diagonal jets.  The result carries the smallest order among the
+    entries: truncate the input to the order the inverse is read at.
     """
     m = len(rows)
     order = min(e.order for row in rows for e in row)
     cut = _by_identity(lambda e: e.truncated(order))
-    reciprocal = _by_identity(lambda e: e._reciprocal())
     a = {}  # the nonzero entries, each symmetric pair sharing one jet
     for i in range(m):
         for j in range(i, m):
@@ -185,7 +196,7 @@ def _jet_matrix_inverse(rows):
     # sweeping pivot k maps a_ij to a_ij - a_ik a_kj / a_kk, the pivot row
     # to a_kj / a_kk and the pivot to -1 / a_kk; sweeping all leaves -A^-1
     for k in range(m):
-        r = reciprocal(a[k, k])
+        r = a[k, k]._reciprocal()
         s = {j: a[k, j] * r for j in range(m) if j != k and (k, j) in a}
         for i in s:
             for j in s:
@@ -271,6 +282,33 @@ def _einsum_path(subscripts, *shapes):
 # -- the per-point engine -------------------------------------------------------
 
 
+def _named(build):
+    """``build``, a stage of :class:`MapState`, with its errors carrying the
+    note "in stage <its name>" unless an inner stage noted itself first
+    (see :func:`error_text`)."""
+    @wraps(build)
+    def named(*args):
+        try:
+            return build(*args)
+        except Exception as err:
+            if not any(note.startswith("in stage ")
+                       for note in getattr(err, "__notes__", ())):
+                err.add_note(f"in stage {build.__name__}")
+            raise
+    return named
+
+
+def _stage(build):
+    # a named stage built on first read and kept
+    return cached_property(_named(build))
+
+
+def error_text(err):
+    """The text of an error followed by its notes: the stage of a
+    :class:`MapState` it was raised in, if any."""
+    return " ".join([str(err), *getattr(err, "__notes__", ())])
+
+
 class MapState:
     """Jets of one map between metric charts at a batch of points.
 
@@ -306,12 +344,17 @@ class MapState:
       check reads it; it is kept for inspection and the symbolic tests.
 
     So a reader of the inputs alone (the complex-coordinate lane) builds no
-    Christoffel symbols, and an error in a stage fails only its readers.
+    Christoffel symbols, and an error in a stage fails only its readers.  An
+    error raised in a stage, or in the tension, the bitension or a covariant
+    derivative, carries the note "in stage <name>" naming the innermost one
+    (:func:`error_text` renders it).
 
-    Other jets are carried at the order they are read at: the domain metric
-    ``g_jets`` (evaluated from seeds truncated to that order) and
-    ``ginv_jets`` at ``order - 1``; ``gammaM``, ``Q_jets`` and the target
-    inverse at ``order - 2``.
+    Other jets are carried at the lowest order any reader keeps: the domain
+    metric ``g_jets`` at ``order - 1`` (evaluated from seeds truncated to
+    that order); ``ginv_jets`` at ``min(order - 1, 2)``, as the Christoffel
+    symbols and the metric traces keep ``order - 2`` and the Jacobi operator
+    of a pushed gradient (:meth:`gradient_jets`) needs order 2;
+    ``gammaM``, ``Q_jets`` and the target inverse at ``order - 2``.
 
     Points ``x`` may carry arbitrary leading batch axes; every derived value
     keeps those axes.
@@ -358,41 +401,42 @@ class MapState:
 
     # -- stages, built on first read ----------------------------------------------
 
-    @cached_property
+    @_stage
     def ginv_jets(self):
-        return _jet_matrix_inverse(self.g_jets)
+        return _jet_matrix_inverse(_truncated(self.g_jets,
+                                              min(self.order - 1, 2)))
 
-    @cached_property
+    @_stage
     def ginv_val(self):
         return jets.stack_values(self.ginv_jets)
 
-    @cached_property
+    @_stage
     def sqrt_det_g(self):
         return np.sqrt(np.linalg.det(self.g_val))
 
-    @cached_property
+    @_stage
     def gammaM(self):
         return _christoffel_jets(self.g_jets, self.ginv_jets)
 
-    @cached_property
+    @_stage
     def gammaM_val(self):
         return jets.stack_values(self.gammaM)
 
-    @cached_property
+    @_stage
     def Dphi(self):
         return [[self.phi_jets[a].derivative(i) for a in range(self.n)]
                 for i in range(self.m)]
 
-    @cached_property
+    @_stage
     def dphi(self):
         return jets.stack_values(self.Dphi)
 
-    @cached_property
+    @_stage
     def gammaN_y(self):
         hinv_y = _jet_matrix_inverse(_truncated(self.h_yjets, self.order - 2))
         return _christoffel_jets(self.h_yjets, hinv_y)
 
-    @cached_property
+    @_stage
     def Q_jets(self):
         n, D = self.n, self.Dphi
         monos = jets.Monomials(self.phi_jets, self.order - 2)
@@ -404,15 +448,15 @@ class MapState:
         return [[[jets.contract((gnx[a][b][c], D[i][a]) for a in range(n))
                   for b in range(n)] for c in range(n)] for i in range(self.m)]
 
-    @cached_property
+    @_stage
     def Q_val(self):
         return jets.stack_values(self.Q_jets)
 
-    @cached_property
+    @_stage
     def RN(self):
         return _curvature_values(self.gammaN_y) if self.order >= 3 else None
 
-    @cached_property
+    @_stage
     def curvature_map(self):
         pull = self.dphi.mT @ (self.ginv_val @ self.dphi)
         return _curvature_map(self.gammaN_y, pull) if self.order >= 3 else None
@@ -435,7 +479,9 @@ class MapState:
             if not self.ginv_jets[i][j].is_zero())
 
     def gradient_jets(self, f):
-        """Metric gradient of a scalar jet, one component jet per axis."""
+        """Metric gradient of a scalar jet, one component jet per axis, at
+        the order of ``ginv_jets`` or one below ``f``'s, whichever is lower
+        (order 2 at most)."""
         df = [f.derivative(j) for j in range(self.m)]
         return [jets.contract((self.ginv_jets[i][j], df[j]) for j in range(self.m))
                 for i in range(self.m)]
@@ -471,6 +517,7 @@ class MapState:
         return [jets.contract((vec[i], self.Dphi[i][a]) for i in range(self.m))
                 for a in range(self.n)]
 
+    @_named
     def covariant_derivative(self, section):
         """Pull-back connection derivative: DS[j][c] = (nabla^phi_j S)^c.
 
@@ -479,12 +526,17 @@ class MapState:
         be reused while the state lives and every later read (the Jacobi
         operator, the trace Laplacian, directional derivatives) shares it.
         Like a jet's coefficients, a section is not modified after it is
-        differentiated."""
+        differentiated.  The products with Q are formed at one order below
+        the section's, the order the derivative terms keep, which gives the
+        same coefficients as the full products."""
         kept = self._derivatives.get(id(section))
         if kept is None:
+            # an order-0 section is kept whole, for derivative to reject
+            top = max(max(s.order for s in section) - 1, 0)
+            cut = [s.truncated(top) for s in section]
             kept = self._derivatives[id(section)] = (section, [
                 [jets.contract([(section[c].derivative(j),)]
-                               + [(self.Q_jets[j][c][b], section[b])
+                               + [(self.Q_jets[j][c][b], cut[b])
                                   for b in range(self.n)])
                  for c in range(self.n)] for j in range(self.m)])
         return kept[1]
@@ -532,6 +584,7 @@ class MapState:
     # -- tension and bitension ----------------------------------------------------
 
     @property
+    @_named
     def tension_jets(self):
         if self._tension is None:
             m, n, D = self.m, self.n, self.Dphi
@@ -549,6 +602,7 @@ class MapState:
         return jets.stack_values(self.tension_jets)
 
     @property
+    @_named
     def bitension_values(self):
         """tau2 = Trace nabla^2 tau - Trace R^N(dphi, tau) dphi = -J(tau)."""
         if self._bitension is None:

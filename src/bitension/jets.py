@@ -17,7 +17,8 @@ broadcasting of batch-shaped arrays: an operand of lower batch rank gets
 A coefficient array is never written after its jet is constructed: every
 operation builds a new array (or a view it does not write), and code that
 fills an array in place does so before handing it to :class:`Jet`.
-:meth:`Jet.is_zero` relies on this to test each jet once and keep the answer.
+:meth:`Jet.is_zero` relies on this to test each jet once and keep the answer,
+and division to compose each jet's reciprocal once and keep it on the jet.
 
 Complex input to :class:`Jet`, :meth:`Jet.constant`, :meth:`Jet.variable`, a
 scalar operation or the functions of this module that take plain numbers
@@ -296,7 +297,7 @@ def _jet(num_vars, order, coeffs, support, zero=None):
     # operation comes through here
     out = object.__new__(Jet)
     out.num_vars, out.order, out._c = num_vars, order, coeffs
-    out._zero, out._support = zero, support
+    out._zero, out._support, out._recip = zero, support, None
     return out
 
 
@@ -373,8 +374,8 @@ class Jet:
     arithmetic, so ``x * 0`` is ``0`` even where ``x`` is inf or NaN.
     """
 
-    # _c is the coefficient-major storage
-    __slots__ = ("num_vars", "order", "_c", "_zero", "_support")
+    # _c is the coefficient-major storage, _recip the kept reciprocal
+    __slots__ = ("num_vars", "order", "_c", "_zero", "_support", "_recip")
 
     # keep ndarray operands from absorbing jets elementwise; with ufuncs
     # disabled, ndarray <op> Jet falls through to the reflected methods
@@ -386,6 +387,7 @@ class Jet:
         self._c = np.moveaxis(_real(np.asanyarray(coeffs)), -1, 0)
         self._zero = None
         self._support = None
+        self._recip = None
 
     # -- construction ------------------------------------------------------
 
@@ -613,10 +615,15 @@ class Jet:
         return compose(outer, Monomials([self], self.order))
 
     def _reciprocal(self):
-        v = self.value
-        _require_domain(v, v == 0.0, "division by a jet with zero value")
-        r = 1.0 / v
-        return self._compose([r, -r * r, r ** 3, -(r ** 4), r ** 5][: self.order + 1])
+        """1 / this jet, composed on the first call and kept on the jet, so
+        every quotient by one jet object shares one composition."""
+        if self._recip is None:
+            v = self.value
+            _require_domain(v, v == 0.0, "division by a jet with zero value")
+            r = 1.0 / v
+            self._recip = self._compose(
+                [r, -r * r, r ** 3, -(r ** 4), r ** 5][: self.order + 1])
+        return self._recip
 
     def exp(self):
         v = np.exp(self.value)

@@ -192,7 +192,8 @@ def test_check_transform_reports_a_curvature_map_overflow_as_an_evaluation_error
     code, out, err = run(capsys, "check-transform", "--dims", "2,3",
                          "--cases", "2")
     assert code == cli.EXIT_EVAL
-    assert err == "evaluation error: overflow encountered in matmul\n"
+    assert err == ("evaluation error: overflow encountered in matmul"
+                   " in stage curvature_map\n")
     assert out == ""
 
 

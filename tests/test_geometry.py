@@ -237,7 +237,7 @@ def test_map_state_carries_each_jet_at_the_order_it_is_read():
     pts = dom.sample(6, 13)
     state = MapState(phi, met, h, pts, 4)
     assert all(e.order == 3 for row in state.g_jets for e in row)
-    assert all(e.order == 3 for row in state.ginv_jets for e in row)
+    assert all(e.order == 2 for row in state.ginv_jets for e in row)
     assert all(e.order == 2 for jj in state.gammaM for kk in jj for e in kk)
     # the truncated inputs reproduce a prefix of the untruncated Christoffel
     # jets bit for bit: no coefficient that is read depends on a dropped one
@@ -427,13 +427,14 @@ def test_not_positive_definite_names_the_point_and_smallest_eigenvalue():
 def test_a_conformally_flat_inverse_takes_one_reciprocal(monkeypatch):
     dom, g4, tgt, h5, phi = hyperbolic_inclusion()
     state = MapState(phi, g4, h5, dom.sample(6, 5), 4)
-    calls, reciprocal = [], jets.Jet._reciprocal
+    calls, compose = [], jets.compose
 
-    def counting(self):
-        calls.append(self)
-        return reciprocal(self)
+    def counting(outer, monos):
+        calls.append(outer)
+        return compose(outer, monos)
 
-    monkeypatch.setattr(jets.Jet, "_reciprocal", counting)
+    # a reciprocal is one composition; nothing else in an inverse composes
+    monkeypatch.setattr(jets, "compose", counting)
     state.gammaN_y  # the target inverse: one diagonal jet, five pivots
     assert len(calls) == 1
     state.ginv_jets  # the domain inverse: one diagonal jet, four pivots
@@ -1017,9 +1018,9 @@ def test_conformally_flat_factor_is_evaluated_and_differentiated_once(
     g_factor, h_factor = g4.components[0][0], h5.components[0][0]
     evaluated, evaluate = [], expr.evaluate
 
-    def recording(node, ctx):
+    def recording(node, ctx, memo=None):
         evaluated.append(node)
-        return evaluate(node, ctx)
+        return evaluate(node, ctx, memo)
 
     monkeypatch.setattr(expr, "evaluate", recording)
     state = MapState(phi, g4, h5, dom.sample(6, 5), 4)
@@ -1089,3 +1090,163 @@ def test_einsum_path_cache_is_bounded():
         geometry._einsum("...ipl,...jkp->...lkij", operand,
                          np.ones((batch, 2, 2, 2)))
     assert geometry._einsum_path.cache_info().currsize <= limit
+
+
+# -- each jet built once, at the order it is read --------------------------------
+
+
+def _compositions(monkeypatch):
+    """Record every Taylor composition (elementary function or reciprocal)
+    from now on."""
+    calls, compose = [], jets.compose
+
+    def counting(outer, monos):
+        calls.append(outer)
+        return compose(outer, monos)
+
+    monkeypatch.setattr(jets, "compose", counting)
+    return calls
+
+
+def test_a_rescaled_metric_expands_its_factor_once(monkeypatch):
+    dom, g, _, _, _, factor = conformal.random_transform_family(
+        5, 3, np.random.default_rng(105))
+    gbar = conformal.conformal_metric(g, factor)
+    pts = np.broadcast_to(dom.sample(2, 205), (3, 2, 5))
+    calls = _compositions(monkeypatch)
+    plain = geometry.metric_jets(g, pts, order=4)
+    sines = len(calls)  # down the diagonal of g
+    assert sines == 5
+    rows = geometry.metric_jets(gbar, pts, order=4)
+    # the sines again, then exp for F and 1 / F^2, once for all 15
+    # distinct entries
+    assert len(calls) == 2 * sines + 2
+    seeds = {c: jets.Jet.variable(a, pts[..., a], 5, 4)
+             for a, c in enumerate(dom.coords)}
+    fsq = expr.evaluate(gbar.components[0][0].right,
+                        expr.EvalContext(seeds, gbar.parameters))
+    for i in range(5):
+        for j in range(5):
+            want = plain[i][j] / fsq
+            assert np.array_equal(rows[i][j].coeffs, want.coeffs)
+
+
+def test_a_jet_keeps_its_reciprocal(monkeypatch):
+    x = jets.Jet.variable(0, np.array([0.5, 2.0]), 2, 3) + 1.0
+    calls = _compositions(monkeypatch)
+    first = 1.0 / x
+    assert (2.0 / x).coeffs.tobytes() == (first * 2.0).coeffs.tobytes()
+    assert (x / x).value.tolist() == [1.0, 1.0]
+    assert len(calls) == 1
+
+
+def test_the_domain_inverse_is_carried_at_the_order_read():
+    dom, met = wiggly_metric()
+    tgt = ChartDomain(("y1", "y2", "y3"), ((-1.0, 1.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("x1+0.1*x2^2", "x2", "x3"))
+    for order, kept in ((2, 1), (3, 2), (4, 2)):
+        state = MapState(phi, met, RiemannianMetric.euclidean(tgt),
+                         dom.sample(6, 13), order)
+        assert {e.order for row in state.ginv_jets for e in row} == {kept}
+        # the inverse at order - 1 reproduces it as a prefix, bit for bit
+        full = geometry._jet_matrix_inverse(state.g_jets)
+        for row, full_row in zip(state.ginv_jets, full):
+            for e, f in zip(row, full_row):
+                assert np.array_equal(e.coeffs, f.truncated(kept).coeffs)
+
+
+def test_gradients_and_covariant_derivatives_match_the_full_orders():
+    dom, g, h, phi, fld, factor = conformal.random_transform_family(
+        4, 3, np.random.default_rng(104))
+    pts = np.broadcast_to(dom.sample(3, 204), (3, 3, 4))
+    state = MapState(phi, g, h, pts, 4)
+    f = jets.ln(state.scalar_jet(factor.ast, factor.parameters))
+    grad = state.gradient_jets(f)
+    assert {e.order for e in grad} == {2}  # one below f would be 3
+    ginv = geometry._jet_matrix_inverse(state.g_jets)
+    df = [f.derivative(j) for j in range(4)]
+    for i in range(4):
+        full = jets.contract((ginv[i][j], df[j]) for j in range(4))
+        assert full.order == 3
+        assert np.array_equal(grad[i].coeffs, full.truncated(2).coeffs)
+    for section in (state.section_from_field(fld), state.tension_jets):
+        nabla = state.covariant_derivative(section)
+        for j in range(4):
+            for c in range(5):
+                full = jets.contract(
+                    [(section[c].derivative(j),)]
+                    + [(state.Q_jets[j][c][b], section[b]) for b in range(5)])
+                assert nabla[j][c].order == full.order
+                assert np.array_equal(nabla[j][c].coeffs, full.coeffs)
+    # an order-3 state reads its gradient at order 2, as the Jacobi operator
+    # of the pushed gradient needs, and agrees with an order-4 state
+    dom, g4, tgt, h5, phi = hyperbolic_inclusion()
+    args = (phi, g4, h5, "exp(0.2*x1 + 0.1*x4^2)", dom.sample(8, 43))
+    got = conformal.harmonic_biharmonic_condition(*args)
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got)) > 1e-3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conformal, "MapState", lambda phi, g, h, x, order:
+                      MapState(phi, g, h, x, 4))
+        assert conformal.harmonic_biharmonic_condition(*args).tobytes() \
+            == got.tobytes()
+
+
+def _memos(monkeypatch):
+    """Record the memo of every expression evaluation from now on."""
+    memos, evaluate = [], expr.evaluate
+
+    def recording(node, ctx, memo=None):
+        value = evaluate(node, ctx, memo)
+        memos.append((node, memo))
+        return value
+
+    monkeypatch.setattr(expr, "evaluate", recording)
+    return memos
+
+
+def _reached_twice(roots):
+    """ids of the nodes that more than one of the roots' paths reach."""
+    counts = {}
+    for root in roots:
+        for node, _, _ in expr._postorder(root):
+            counts[id(node)] = counts.get(id(node), 0) + 1
+    return {key for key, n in counts.items() if n > 1}
+
+
+@pytest.mark.parametrize("share", [False, True])
+def test_the_memo_keeps_only_shared_nodes(monkeypatch, share):
+    phi, g, h, field = small_slab()
+    if share:  # one bump tree in both components
+        bump = field.components[0]
+        field = VectorFieldAlongMap((bump,) + field.components[1:4] + (bump,))
+    # the moved map of first_variation: one name t in every component
+    t, ts = expr.Name("t"), np.array([[0.1], [-0.1]])
+    moved = SmoothMap(phi.domain, phi.codomain, tuple(
+        expr.Binary("+", p, expr.Binary("*", t, v))
+        for p, v in zip(phi.components, field.components)), {"t": ts})
+    x = phi.domain.sample(16, 3)
+    memos = _memos(monkeypatch)
+    geometry._energy_terms(moved, g, h, np.broadcast_to(x, (2,) + x.shape),
+                           np.ones(16))
+    memo, = {id(m): m for node, m in memos
+             if any(node is c for c in moved.components)}.values()
+    assert set(memo.values) <= _reached_twice(moved.components)
+    assert all(v is not None for v in memo.values.values())
+    bump_id = {id(field.components[0])} if share else set()
+    assert {k for k in memo.values
+            if isinstance(memo.values[k], jets.Jet)} == bump_id
+
+
+def test_an_error_names_the_innermost_stage(monkeypatch):
+    phi, g, h, _ = small_slab()
+    state = MapState(phi, g, h, phi.domain.sample(5, 3), 4)
+    _raising(monkeypatch, "_christoffel_jets")
+    # the curvature map reads the target Christoffel stage, which raises
+    with pytest.raises(FloatingPointError) as info:
+        state.curvature_map
+    assert info.value.__notes__ == ["in stage gammaN_y"]
+    assert geometry.error_text(info.value) == \
+        "_christoffel_jets refused in stage gammaN_y"
+    with pytest.raises(FloatingPointError) as info:
+        state.tension_jets
+    assert geometry.error_text(info.value).endswith(" in stage gammaM")
