@@ -102,10 +102,16 @@ class RiemannianMetric:
 
     @classmethod
     def from_components(cls, domain, rows, parameters=None):
-        comps = tuple(tuple(_as_ast(c) for c in row) for row in rows)
+        """Components from expressions or source strings; a mirror entry
+        whose source text equals its entry's shares that entry's tree."""
+        comps = [[_as_ast(c) for c in row] for row in rows]
         if len(comps) != domain.dim or any(len(r) != domain.dim for r in comps):
             raise ValueError("metric component matrix must be dim x dim")
-        return cls(domain, comps, dict(parameters or {}))
+        for i in range(domain.dim):
+            for j in range(i):
+                if isinstance(rows[i][j], str) and rows[i][j] == rows[j][i]:
+                    comps[i][j] = comps[j][i]
+        return cls(domain, tuple(map(tuple, comps)), dict(parameters or {}))
 
     @classmethod
     def euclidean(cls, domain):

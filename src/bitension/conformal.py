@@ -14,7 +14,7 @@ import numpy as np
 from . import expr, jets
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap, \
     VectorFieldAlongMap
-from .geometry import GeometryInputError, MapState
+from .geometry import GeometryInputError, MapState, _by_identity
 
 __all__ = [
     "ConformalFactor", "conformal_metric", "law_sides",
@@ -76,10 +76,13 @@ class _FactorData:
 
 
 def conformal_metric(g, factor, parameters=None):
-    """The metric with components F^-2 g_ij, as composed expressions."""
+    """The metric with components F^-2 g_ij, as composed expressions: one
+    quotient per distinct entry object, so entries that share a tree (mirror
+    entries, a conformally flat diagonal) share their quotient."""
     fac = ConformalFactor.of(factor, parameters)
     fsq = expr.Binary("^", fac.ast, expr.Const(2.0))
-    comps = tuple(tuple(expr.Binary("/", entry, fsq) for entry in row)
+    quotient = _by_identity(lambda entry: expr.Binary("/", entry, fsq))
+    comps = tuple(tuple(quotient(entry) for entry in row)
                   for row in g.components)
     merged = {**g.parameters, **fac.parameters}
     return RiemannianMetric(g.domain, comps, merged)

@@ -100,11 +100,13 @@ def _sym_matrix_jets(metric, variables, batch_shape, order, what):
     """Component jets of a metric.  The distinct expression objects are
     evaluated in one call, so each is evaluated once (a conformally flat
     metric repeats one factor down its diagonal) and so is each subtree they
-    share; entries (i, j) and (j, i) with equal expressions share one jet;
-    other mirror pairs are evaluated and compared."""
+    share; entries (i, j) and (j, i) holding one expression object share one
+    jet (:meth:`RiemannianMetric.from_components` gives mirror entries of
+    equal source text one object); other mirror pairs, equal trees
+    included, are evaluated and compared."""
     m, comps = metric.dim, metric.components
     mirrored = {(i, j) for i in range(m) for j in range(i)
-                if comps[i][j] == comps[j][i]}
+                if comps[i][j] is comps[j][i]}
     distinct = {id(comps[i][j]): comps[i][j] for i in range(m)
                 for j in range(m) if (i, j) not in mirrored}
     jet = dict(zip(distinct, _eval_components(
@@ -167,13 +169,7 @@ def _require_spd(values, x, what):
 # -- jet linear algebra --------------------------------------------------------
 
 
-def _truncated(rows, order):
-    # entries that share a jet share its truncation
-    cut = _by_identity(lambda e: e.truncated(order))
-    return [[cut(e) for e in row] for row in rows]
-
-
-def _jet_matrix_inverse(rows):
+def _jet_matrix_inverse(rows, order=None):
     """Inverse of a symmetric positive definite jet matrix.
 
     Gauss-Jordan in its symmetric form (the sweep operator), without
@@ -182,16 +178,19 @@ def _jet_matrix_inverse(rows):
     are skipped, so a diagonal matrix costs one reciprocal per distinct
     diagonal jet (one for a conformally flat metric, whose diagonal shares
     one jet, which keeps its reciprocal) and its inverse has exactly zero
-    off-diagonal jets.  The result carries the smallest order among the
-    entries: truncate the input to the order the inverse is read at.
+    off-diagonal jets.  The entries are read truncated to ``order`` (the
+    order the inverse is read at) or to the smallest order among them,
+    whichever is lower, and that is the result's order; entries that share
+    a jet share its truncation.
     """
     m = len(rows)
-    order = min(e.order for row in rows for e in row)
+    entries = min(e.order for row in rows for e in row)
+    order = entries if order is None else min(order, entries)
     cut = _by_identity(lambda e: e.truncated(order))
     a = {}  # the nonzero entries, each symmetric pair sharing one jet
     for i in range(m):
         for j in range(i, m):
-            if not rows[i][j].is_zero():
+            if not cut(rows[i][j]).is_zero():
                 a[i, j] = a[j, i] = cut(rows[i][j])
     # sweeping pivot k maps a_ij to a_ij - a_ik a_kj / a_kk, the pivot row
     # to a_kj / a_kk and the pivot to -1 / a_kk; sweeping all leaves -A^-1
@@ -331,17 +330,21 @@ class MapState:
     * ``gammaM``/``gammaM_val``, the domain Christoffel symbols: the tension
       field, the scalar and rough Laplacians;
     * ``Dphi``/``dphi``, the differential: the tension field, ``Q_jets``,
-      ``curvature_map``, :meth:`conformality`, the surface machinery;
-    * ``gammaN_y``, the target Christoffel symbols at the image: ``Q_jets``,
-      ``curvature_map`` and ``RN``;
+      ``curvature_map``, ``pullback``, the surface machinery;
+    * ``pullback``, the values of the pull-back metric phi^*h: the
+      conformality fit (:meth:`conformality`) and the surface machinery's
+      check of the induced metric;
+    * ``gammaN_y``, the target Christoffel symbols at the image: ``Q_jets``
+      and ``curvature_map``;
     * ``Q_jets``/``Q_val``, the target Christoffel symbols pulled back and
       contracted with dphi: covariant derivatives of sections;
     * ``curvature_map``, the n x n map K[b, c] = P^ak R^c_kab with
       P = dphi^T g^-1 dphi (``None`` below order 3), built from ``gammaN_y``
       and its first partials without forming R^N: the curvature trace, so
-      the Jacobi operator and the bitension field;
-    * ``RN``, the target curvature R^N itself (``None`` below order 3): no
-      check reads it; it is kept for inspection and the symbolic tests.
+      the Jacobi operator and the bitension field (the target curvature R^N
+      itself is :func:`curvature_tensor` of the target metric);
+    * ``tension_values``, the tension field's values: the tension checks
+      and the conformal-change laws, which read it several times.
 
     So a reader of the inputs alone (the complex-coordinate lane) builds no
     Christoffel symbols, and an error in a stage fails only its readers.  An
@@ -403,8 +406,7 @@ class MapState:
 
     @_stage
     def ginv_jets(self):
-        return _jet_matrix_inverse(_truncated(self.g_jets,
-                                              min(self.order - 1, 2)))
+        return _jet_matrix_inverse(self.g_jets, min(self.order - 1, 2))
 
     @_stage
     def ginv_val(self):
@@ -432,8 +434,13 @@ class MapState:
         return jets.stack_values(self.Dphi)
 
     @_stage
+    def pullback(self):
+        return np.einsum("...ia,...ab,...jb->...ij", self.dphi, self.hN_val,
+                         self.dphi)
+
+    @_stage
     def gammaN_y(self):
-        hinv_y = _jet_matrix_inverse(_truncated(self.h_yjets, self.order - 2))
+        hinv_y = _jet_matrix_inverse(self.h_yjets, self.order - 2)
         return _christoffel_jets(self.h_yjets, hinv_y)
 
     @_stage
@@ -451,10 +458,6 @@ class MapState:
     @_stage
     def Q_val(self):
         return jets.stack_values(self.Q_jets)
-
-    @_stage
-    def RN(self):
-        return _curvature_values(self.gammaN_y) if self.order >= 3 else None
 
     @_stage
     def curvature_map(self):
@@ -501,10 +504,8 @@ class MapState:
 
     def conformality(self, tol=1e-9):
         """:func:`conformality_factor` at the state's points, read from its
-        dphi and metric values instead of evaluating the map again."""
-        pb = np.einsum("...ia,...ab,...jb->...ij", self.dphi, self.hN_val,
-                       self.dphi)
-        return _fit_conformality(pb, self.g_val, tol)
+        ``pullback`` and metric values instead of evaluating the map again."""
+        return _fit_conformality(self.pullback, self.g_val, tol)
 
     # -- sections of the pulled-back bundle --------------------------------------
 
@@ -597,7 +598,7 @@ class MapState:
                 for c in range(n)]
         return self._tension
 
-    @property
+    @_stage
     def tension_values(self):
         return jets.stack_values(self.tension_jets)
 
@@ -629,14 +630,14 @@ def metric_jets(metric, x, order=2):
 def christoffel(metric, x):
     """Christoffel values; ``[..., i, j, k]`` is Gamma^k_ij."""
     rows = metric_jets(metric, x, order=2)
-    ginv = _jet_matrix_inverse(_truncated(rows, 1))
+    ginv = _jet_matrix_inverse(rows, 1)
     return jets.stack_values(_christoffel_jets(rows, ginv))
 
 
 def curvature_tensor(metric, x):
     """Curvature values R[..., l, k, i, j]; R(e_i,e_j)e_k = R^l_{kij} e_l."""
     rows = metric_jets(metric, x, order=2)
-    ginv = _jet_matrix_inverse(_truncated(rows, 1))
+    ginv = _jet_matrix_inverse(rows, 1)
     return _curvature_values(_christoffel_jets(rows, ginv))
 
 

@@ -47,8 +47,9 @@ superset; it may hold more).  Seeds get ``1 << index`` and constants ``0``;
 sums, differences, products, negation, scalar operations and truncation take
 the union of their operands' supports; :func:`compose` the union of the inner
 supports it reads; a derivative along a variable outside the support gets
-``0``.  A jet built from a raw coefficient array finds its support in the
-same scan that answers :meth:`Jet.is_zero`.  A product gathers its pairs
+``0``.  A jet built from a raw coefficient array scans it once, at
+construction, for its support and whether it is zero.  So every jet's
+support is known from how it was built.  A product gathers its pairs
 from :func:`_support_table`, a restriction of the dense :func:`_mul_table`
 (which stays the reference) to the pairs whose factors lie in the operands'
 supports, plus the exact-zero pairs that keep ``reduceat`` adding the rest
@@ -291,8 +292,7 @@ def _factorials(num_vars, order):
 
 def _jet(num_vars, order, coeffs, support, zero=None):
     # a jet over the coefficient-major array coeffs, whose variable support
-    # is known from how it was built (None: unknown, found by scanning the
-    # coefficients when first asked), and zero=True when it is known to be
+    # is known from how it was built, and zero=True when it is known to be
     # zero; the slots are set here rather than through __init__, as every
     # operation comes through here
     out = object.__new__(Jet)
@@ -347,10 +347,6 @@ def _batch(ca, cb):
     return a if a == b else np.broadcast_shapes(a, b)
 
 
-def _union(sa, sb):
-    return None if sa is None or sb is None else sa | sb
-
-
 class Jet:
     """Taylor expansion of a scalar function truncated at ``order``.
 
@@ -364,9 +360,10 @@ class Jet:
 
     The jet's variable support is a bitmask holding every variable that a
     nonzero coefficient's multi-index uses, and possibly more.  Operations
-    in this module record it from their operands; a jet built here from a
-    raw array finds it in the scan that answers :meth:`is_zero`.  Products
-    multiply only over the supports (see the module docstring).
+    in this module record it from their operands; ``Jet(...)`` finds it in
+    one scan of the array at construction, which also answers
+    :meth:`is_zero`.  Products multiply only over the supports (see the
+    module docstring).
 
     A jet known to be zero at construction (see the module docstring) has
     ``_zero`` set and shares a read-only zero coefficient array; sums with
@@ -385,9 +382,8 @@ class Jet:
         self.num_vars = num_vars
         self.order = order
         self._c = np.moveaxis(_real(np.asanyarray(coeffs)), -1, 0)
-        self._zero = None
-        self._support = None
         self._recip = None
+        self._scan()
 
     # -- construction ------------------------------------------------------
 
@@ -439,25 +435,20 @@ class Jet:
 
     def is_zero(self):
         """True when no coefficient is nonzero at any batch point (a
-        structurally zero jet).  Known zeros (see the module docstring)
-        answer at once; any other jet scans on the first call and keeps the
-        answer."""
+        structurally zero jet).  Known zeros (see the module docstring) and
+        jets built by ``Jet(...)`` answer at once; any other jet scans on the
+        first call and keeps the answer."""
         if self._zero is None:
-            if self._support is None:
-                self._scan()
-            else:
-                self._zero = not self._c.any()
+            self._zero = not self._c.any()
         return self._zero
 
     def _variables(self):
         """The variable support bitmask (see the class docstring)."""
-        if self._support is None:
-            self._scan()
         return self._support
 
     def _scan(self):
-        # a jet without a recorded support: one reduction over the batch axes
-        # answers both queries
+        # a jet built from a raw array: one reduction over the batch axes
+        # finds its support and whether it is zero
         c = self._c
         nonzero = c.any(axis=tuple(range(1, c.ndim)))
         self._zero = not nonzero.any()
@@ -483,7 +474,7 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         c, support = self._c, self._support
-        if self._zero or support is not None and not support >> axis & 1:
+        if self._zero or not support >> axis & 1:
             return _zero_jet(self.num_vars, self.order - 1, c.shape[1:])
         idx, wgt = _diff_table(self.num_vars, self.order)
         # a row gather, each row scaled by its weight
@@ -536,7 +527,7 @@ class Jet:
                 return other._plus_zero(self)
             order, ca, cb = self._pair(other)
             return _jet(self.num_vars, order, ca + cb,
-                        _union(self._support, other._support))
+                        self._support | other._support)
         return self._shifted(self._c[0] + other)
 
     __radd__ = __add__
@@ -554,7 +545,7 @@ class Jet:
                 return (-other)._plus_zero(self)
             order, ca, cb = self._pair(other)
             return _jet(self.num_vars, order, ca - cb,
-                        _union(self._support, other._support))
+                        self._support | other._support)
         return self._shifted(self._c[0] - other)
 
     def __rsub__(self, other):
@@ -610,8 +601,7 @@ class Jet:
 
     def _compose(self, taylor):
         """sum_k taylor[k] * (self - value)^k, taylor[k] ~ f^(k)(value)/k!."""
-        outer = _jet(1, self.order, np.stack(np.broadcast_arrays(*taylor)),
-                     None)
+        outer = _jet(1, self.order, np.stack(np.broadcast_arrays(*taylor)), 1)
         return compose(outer, Monomials([self], self.order))
 
     def _reciprocal(self):

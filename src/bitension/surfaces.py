@@ -43,9 +43,7 @@ class SurfaceData:
             raise GeometryInputError("surface machinery needs a 2d domain "
                                      f"and a 3d target, got {state.m} -> "
                                      f"{state.n}")
-        pullback = np.einsum("...ia,...ab,...jb->...ij", state.dphi,
-                             state.hN_val, state.dphi)
-        gap = np.max(np.abs(pullback - state.g_val)
+        gap = np.max(np.abs(state.pullback - state.g_val)
                      / (1.0 + np.abs(state.g_val)))
         if gap > 1e-8:
             raise GeometryInputError("declared induced metric differs from "

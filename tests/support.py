@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from bitension import expr, geometry, jets
+from bitension.charts import ChartDomain, RiemannianMetric
 from bitension.expr import Binary, Const, Name, Unary
 from bitension.geometry import MapState
 
@@ -253,3 +254,14 @@ def outcome(fn, *args):
         return bits(fn(*args))
     except (expr.ExprError, ArithmeticError) as err:
         return type(err), str(err)
+
+
+def long_mirror_metric():
+    """A metric on (u, v) in (0.5, 1)^2 whose two off-diagonal entries are
+    one long source text, a sum of 5000 terms: too deep a tree for a
+    recursive structural comparison."""
+    big = " + ".join(["0.00001*u"] * 5000)
+    off = "0.01*u*v + " + big
+    dom = ChartDomain(("u", "v"), ((0.5, 1.0), (0.5, 1.0)))
+    return dom, RiemannianMetric.from_components(
+        dom, [["2 + " + big, off], [off, "2"]])

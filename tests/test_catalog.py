@@ -132,6 +132,18 @@ def test_checks_share_map_states(monkeypatch, name, builds):
     assert len(calls) == builds
 
 
+def test_long_equal_mirror_entries_verify_to_a_report():
+    dom, g = support.long_mirror_metric()
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "0"))
+    case = catalog.custom_case("long_entries", phi, g,
+                               RiemannianMetric.euclidean(tgt),
+                               [("tension_nonzero", None)])
+    rep = catalog.verify_case(case, samples=8)
+    assert [c.name for c in rep.checks] == ["tension_nonzero"]
+    assert rep.checks[0].max_abs is not None
+
+
 def test_unbuildable_state_fails_every_check_that_reads_it():
     dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
     tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import itertools
 import tracemalloc
+import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from bitension import catalog, conformal, expr, geometry, jets
+from bitension import catalog, conformal, expr, geometry, jets, surfaces
 from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
                               SmoothMap, VectorFieldAlongMap)
 from bitension.geometry import MapState
@@ -348,7 +351,7 @@ def test_curvature_trace_matches_the_riemann_tensor_route(m, n, order, single):
         size=state.batch_shape + (n,))
     want = geometry._einsum("...ij,...ia,...b,...jk,...ckab->...c",
                             state.ginv_val, state.dphi, section, state.dphi,
-                            state.RN)
+                            geometry._curvature_values(state.gammaN_y))
     got = state.curvature_trace(section)
     assert got.shape == want.shape == state.batch_shape + (n,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -367,7 +370,7 @@ def test_bitension_and_jacobi_never_form_the_curvature_tensor(monkeypatch):
     sides = conformal.law_sides(phi, g, h, fld, fac, x)
     assert sorted(sides) == ["bitension", "jacobi", "tension"]
     with pytest.raises(FloatingPointError):  # it is still there to inspect
-        state.RN
+        geometry.curvature_tensor(h, state.y0)
 
 
 def test_metric_symmetry_violation_raises():
@@ -376,6 +379,21 @@ def test_metric_symmetry_violation_raises():
         dom, [["1", "x1"], ["0.5*x1", "1"]])
     with pytest.raises(geometry.MetricError):
         geometry.christoffel(met, dom.sample(4, 1))
+
+
+def test_long_equal_mirror_entries_are_matched_by_identity():
+    dom, met = support.long_mirror_metric()
+    assert met.components[1][0] is met.components[0][1]
+    assert geometry.christoffel(met, dom.sample(4, 1)).shape == (4, 2, 2, 2)
+
+
+def test_equal_mirror_trees_that_are_distinct_objects_are_compared():
+    dom = ChartDomain(("x1", "x2"), ((-1.0, 1.0),) * 2)
+    met = RiemannianMetric(dom, ((expr.parse("2"), expr.parse("x1*x2")),
+                                 (expr.parse("x1*x2"), expr.parse("2"))))
+    rows = geometry.metric_jets(met, dom.sample(4, 1))
+    assert rows[1][0] is not rows[0][1]
+    assert np.array_equal(rows[1][0].coeffs, rows[0][1].coeffs)
 
 
 def test_mirror_entries_with_one_expression_share_a_jet():
@@ -1250,3 +1268,97 @@ def test_an_error_names_the_innermost_stage(monkeypatch):
     with pytest.raises(FloatingPointError) as info:
         state.tension_jets
     assert geometry.error_text(info.value).endswith(" in stage gammaM")
+
+
+# -- one route per fact -------------------------------------------------------
+
+
+def test_target_curvature_is_not_a_map_state_stage():
+    assert not hasattr(MapState, "RN")
+
+
+def test_conformality_and_surface_data_share_one_pullback(monkeypatch):
+    dom = ChartDomain(("theta", "z"), ((0.1, 6.0), (-1.0, 1.0)))
+    tgt, h = cylindrical_chart()
+    phi = SmoothMap.from_components(dom, tgt, ("1.4", "theta", "z"))
+    induced = RiemannianMetric.from_components(dom, [["1.96", "0"],
+                                                     ["0", "1"]])
+    calls, einsum = [], np.einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    state = MapState(phi, induced, h, dom.sample(6, 2), 4)
+    assert state.conformality().conformal
+    surfaces.SurfaceData(state)
+    assert calls.count("...ia,...ab,...jb->...ij") == 1
+
+
+def test_tension_values_are_stacked_once_per_state(monkeypatch):
+    dom, g, h, phi, _, _ = conformal.random_transform_family(
+        3, 2, np.random.default_rng(70))
+    pts = dom.sample(4, 71)
+    state = MapState(phi, g, h, np.broadcast_to(pts, (2,) + pts.shape), 2)
+    stacked, stack_values = [], jets.stack_values
+
+    def counting(nested):
+        stacked.append(nested)
+        return stack_values(nested)
+
+    monkeypatch.setattr(jets, "stack_values", counting)
+    first = state.tension_values
+    assert state.tension_values is first and state.tension_values is first
+    assert [n is state.tension_jets for n in stacked].count(True) == 1
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_matrix_inverse_truncates_each_shared_entry_once(monkeypatch, order):
+    dom = ChartDomain(("x1", "x2", "x3"), ((-0.5, 0.5),) * 3)
+    met = RiemannianMetric.from_components(
+        dom, [["2 + x1^2", "0.1*x1*x2", "0"],
+              ["0.1*x1*x2", "2 + sin(x2)", "0.2*x3"],
+              ["0", "0.2*x3", "3"]])
+    rows = geometry.metric_jets(met, dom.sample(5, 72), order=3)
+    by_hand = [[e.truncated(order) for e in row] for row in rows]
+    want = geometry._jet_matrix_inverse(by_hand)
+    entries = {id(e) for row in rows for e in row}
+    cut, truncated = [], jets.Jet.truncated
+
+    def counting(jet, k):
+        cut.extend([id(jet)] if id(jet) in entries else [])
+        return truncated(jet, k)
+
+    monkeypatch.setattr(jets.Jet, "truncated", counting)
+    got = geometry._jet_matrix_inverse(rows, order)
+    assert sorted(cut) == sorted(entries)
+    for g_row, w_row in zip(got, want):
+        for a, b in zip(g_row, w_row):
+            assert a.order == b.order == order
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def test_a_map_state_is_freed_without_the_cycle_collector():
+    dom, g, h, phi, fld, fac = conformal.random_transform_family(
+        3, 2, np.random.default_rng(73))
+    pts = dom.sample(4, 74)
+    x = np.broadcast_to(pts, (2,) + pts.shape)
+    stages = [name for name, attr in vars(MapState).items()
+              if isinstance(attr, (cached_property, property))]
+    gc.collect()
+    gc.disable()
+    try:
+        state = MapState(phi, g, h, x, 4)
+        for name in stages:
+            getattr(state, name)
+        state.conformality()
+        state.jacobi_of(state.section_from_field(fld))
+        conformal.law_sides(phi, g, h, fld, fac, x)
+        catalog.verify_case(catalog.build_case("cylinder_family"))
+        ref = weakref.ref(state)
+        del state
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -518,6 +518,18 @@ def test_recorded_supports_cover_every_nonzero_coefficient(monkeypatch):
     assert narrower > 100
 
 
+@pytest.mark.parametrize("variables", [0b000, 0b010, 0b101, 0b111])
+def test_a_jet_from_a_raw_array_knows_its_support_from_construction(
+        variables):
+    rng = np.random.default_rng(56)
+    jet = _jet_over(rng, 3, 3, variables, (2, 5), float)
+    if variables == 0:
+        jet = Jet(3, 3, np.zeros((2, 5, jets._ncoef(3, 3))))
+    assert type(jet._support) is int
+    assert jet._support == support.scanned_support(jet)
+    assert jet.is_zero() == (variables == 0)
+
+
 # -- known zeros ------------------------------------------------------------------
 
 
@@ -966,6 +978,7 @@ def test_composition_tests_the_outer_coefficients_in_one_reduction():
     coeffs[1, 2, 5] = 1.0  # nonzero at one batch point: still composed
     counts = []
     outer = _counting_any(Jet(2, 4, coeffs), counts)
+    counts.clear()  # Jet(...) scans its array once, at construction
     got = jets.compose(outer, jets.Monomials(inner, 4))
     assert len(counts) == 1
     monos = jets.Monomials(inner, 4)

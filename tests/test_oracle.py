@@ -210,8 +210,8 @@ def test_engine_matches_exact_derivation(name):
         y = state.y0[p]
         _close(geometry.christoffel(h, y[None])[0].reshape(-1),
                _values(gamma_n, oracle.ys, y), f"{name} Gamma_N")
-        _close(state.RN[p].reshape(-1), _values(curv_n, oracle.ys, y),
-               f"{name} R^N")
+        _close(geometry.curvature_tensor(h, y[None])[0].reshape(-1),
+               _values(curv_n, oracle.ys, y), f"{name} R^N")
         _close(state.curvature_map[p].reshape(-1),
                _values(curv_map, oracle.xs, x), f"{name} K")
         _close(state.tension_values[p], _values(oracle.tau, oracle.xs, x),
