@@ -149,21 +149,19 @@ def _r3_normal(src, states):
     return _r3_scaled(src, states, np.abs(states.r3(src)[1]))
 
 
-def _w1(src, states):
-    ws = states.section(src.phi, src.g, src.h)
-    v = np.abs(weierstrass.conformality_sums(ws)[0])
-    return v, v
+def _lane(read):
+    """The evaluator of a figure that ``read`` takes from the section."""
+    def evaluate(src, states):
+        v = read(states.section(src.phi, src.g, src.h))
+        return v, v
+    return evaluate
 
 
-def _w3(src, states):
-    ws = states.section(src.phi, src.g, src.h)
-    v = np.max(np.abs(weierstrass.w3_residual(ws)), axis=-1)
-    return v, v
-
-
-def _nonholomorphic(src, states):
-    v = weierstrass.nonholomorphicity(states.section(src.phi, src.g, src.h))
-    return v, v
+# each reader looks its weierstrass function up when it runs
+_w1 = _lane(lambda ws: np.abs(weierstrass.conformality_sums(ws)[0]))
+_immersion_scale = _lane(lambda ws: weierstrass.conformality_sums(ws)[1])
+_w3 = _lane(lambda ws: np.max(np.abs(weierstrass.w3_residual(ws)), axis=-1))
+_nonholomorphic = _lane(lambda ws: weierstrass.nonholomorphicity(ws))
 
 
 def _chen(src, states):
@@ -467,35 +465,61 @@ def _fault_point(err, pts):
     return tuple(float(c) for c in pts[idx])
 
 
+def record(name, tol, mode, evaluate, pts):
+    """The record of one check at ``pts``, from ``evaluate()``'s pair of
+    per-point (values, normalized values): the one record step of every
+    verify-style command.
+
+    Evaluation runs with overflow, invalid values and division by zero
+    raised.  An evaluation error makes an errored record: ``error`` says
+    what was raised, and the map-state stage that raised it, if one did
+    (``... in stage curvature_map``).  A jet domain fault (raised directly
+    or behind an expression error) is located at the first sample whose
+    argument lies outside the function's domain, read from the error; its
+    ``worst_point`` stays None when that argument does not have the
+    samples' batch shape.  Otherwise :func:`report.check_record` makes the
+    record, which is errored too when a value is not finite.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return check_record(name, *evaluate(), pts, tol, mode)
+    except _EVALUATION_ERRORS as err:
+        return CheckRecord(name, None, None, tol, False, _fault_point(err, pts),
+                           f"{type(err).__name__}: {error_text(err)}")
+
+
 def verify_case(case, samples=64, seed=7, tol=None):
     """Evaluate every expectation at low-discrepancy points.
 
     ``tol`` overrides the tolerance of residual ("max") checks only;
     magnitude checks keep their own bounds.  The checks share one map state
     per (map, domain metric, target metric), so a state that cannot be built
-    fails every check that reads it.  Evaluation errors, overflow included,
-    become failed checks; the record's ``error`` says what was raised, and
-    the map-state stage that raised it, if one did (``... in stage
-    curvature_map``).  A jet domain fault (raised directly or behind an
-    expression error) is located at the first sample whose argument lies
-    outside the function's domain, read from the error; its ``worst_point``
-    stays None when that argument does not have the samples' batch shape.
+    errors every check that reads it.  Each check is recorded by
+    :func:`record`: evaluation errors, overflow and non-finite values
+    included, become errored checks.
     """
     pts = case.domain.sample(samples, seed)
     states = _SharedStates(pts)
-    records = []
-    for exp, evaluate in case._entries:
-        use_tol = exp.tol if (tol is None or exp.mode == "min") else float(tol)
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                val_abs, val_norm = evaluate(states)
-        except _EVALUATION_ERRORS as err:
-            records.append(CheckRecord(exp.check, None, None, use_tol, False,
-                                       _fault_point(err, pts),
-                                       f"{type(err).__name__}: "
-                                       f"{error_text(err)}"))
-            continue
-        records.append(check_record(exp.check, val_abs, val_norm, pts,
-                                    use_tol, exp.mode))
-    return VerificationReport(VERSION, case.name, seed, samples,
-                              tuple(records), all(r.passed for r in records))
+    records = tuple(
+        record(exp.check, float(tol) if tol is not None and exp.mode == "max"
+               else exp.tol, exp.mode, functools.partial(evaluate, states), pts)
+        for exp, evaluate in case._entries)
+    return VerificationReport(VERSION, case.name, seed, samples, records,
+                              all(r.passed for r in records))
+
+
+def lane_records(phi, g, h, pts, tol, conformal_tol):
+    """The four records of the complex-coordinate lane at ``pts``, all read
+    from one section: w1_zero below ``conformal_tol``, the immersion scale
+    min sum |phi_a|^2 above 0, w3_zero below ``tol`` and the holomorphy
+    defect max |d phi_sec/dzbar| below 1e-10, which holds for a harmonic
+    map.  The last two are figures of the lane, not check kinds."""
+    src = _Inputs(phi, g, h, None, None, None, None, g)
+    states = _SharedStates(pts)
+    return tuple(
+        record(name, bound, mode, functools.partial(evaluate, src, states), pts)
+        for name, bound, mode, evaluate in (
+            ("w1_zero", conformal_tol, "max", _w1),
+            ("immersion_scale", 0.0, "min", _immersion_scale),
+            ("w3_zero", tol, "max", _w3),
+            ("holomorphy", 1e-10, "max", _nonholomorphic)))

@@ -7,23 +7,28 @@ Subcommands:
   weierstrass check                    complex-coordinate verdict for surfaces
   custom verify                        user-configured geometry
 
-Exit codes: 0 pass, 1 check failure, 2 usage or config error, 3 evaluation
-error, 4 domain violation.  BITENSION_SEED overrides the default seed; an
-explicit --seed flag wins over the environment.
+Every handler runs with overflow, invalid values and division by zero
+raised.  The verify-style commands make their checks through
+``catalog.record`` and share one exit table: 0 every check passed, 1 a check
+failed and none errored, 3 a check could not be evaluated (an errored record,
+or an evaluation error outside any check), 2 bad input, 4 an inadmissible
+input (a DomainError before evaluation).  A bug is Python's own exit 1, with
+its traceback.  BITENSION_SEED overrides the default seed; an explicit
+--seed flag wins over the environment.
 """
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
-from . import catalog, conformal, cylinder, weierstrass
+from . import catalog, conformal, cylinder
 from .charts import DomainError
 from .config import ConfigError, load_config
 from .cylinder import CylinderParams
-from .geometry import GeometryInputError, error_text
-from .report import (VERSION, VerificationReport, check_record, to_json,
-                     to_text)
+from .geometry import error_text
+from .report import VERSION, VerificationReport, to_json, to_text
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -75,9 +80,39 @@ def _case_params(pairs):
     return out
 
 
+def _verdict_lines(rep):
+    """The five figures and the verdict of ``weierstrass check``, read from
+    the records of :func:`catalog.lane_records`."""
+    w1, scale, w3, holo = rep.checks
+    verdict = ("not conformal" if not w1.passed
+               else "not biharmonic" if not w3.passed
+               else "harmonic" if holo.passed else "proper biharmonic")
+    return (f"case: {rep.case}  samples: {rep.samples}  seed: {rep.seed}\n"
+            f"conformality defect  max |sum phi_a^2|   {w1.max_abs:.6e}\n"
+            f"immersion scale      min sum |phi_a|^2   {scale.max_abs:.6e}\n"
+            f"biharmonicity defect max |(W3)|          {w3.max_abs:.6e}\n"
+            f"anti-holomorphy      max |d phi/dzbar|   {holo.max_abs:.6e}\n"
+            f"verdict: {verdict}")
+
+
+_RENDERERS = {"text": to_text, "json": to_json, "lines": _verdict_lines}
+
+
 def _emit(rep, fmt):
-    print(to_json(rep) if fmt == "json" else to_text(rep))
-    return EXIT_PASS if rep.passed else EXIT_CHECK_FAIL
+    """Print a verify-style command's output in ``fmt`` and return its exit
+    code by the one table of these commands: 0 when every check passed, 1
+    when one failed and none errored, 3 when one could not be evaluated.
+    A report shows an errored record's ``error`` and ``worst_point``; the
+    verdict lines cannot, so the first errored record goes to stderr in
+    their place."""
+    bad = next((c for c in rep.checks if c.error is not None), None)
+    if bad is not None and fmt == "lines":
+        where = "" if bad.worst_point is None else f" at {bad.worst_point}"
+        print(f"evaluation error: {bad.error}{where}", file=sys.stderr)
+    else:
+        print(_RENDERERS[fmt](rep))
+    return (EXIT_EVAL if bad is not None
+            else EXIT_PASS if rep.passed else EXIT_CHECK_FAIL)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -119,20 +154,20 @@ def _cmd_check_transform(args):
         m, args.cases, rng, n=n)
     pts = dom.sample(4, seed + 1)
     x = np.broadcast_to(pts, (args.cases,) + pts.shape)
-    # overflow and invalid values raise, as in weierstrass check, so they
-    # exit as evaluation errors instead of yielding a nan verdict
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        records = []
-        for law, (direct, rhs) in conformal.law_sides(phi, g, h, fld, fac,
-                                                      x).items():
-            rel = np.max(np.abs(direct - rhs) / (
-                1.0 + np.maximum(np.abs(direct), np.abs(rhs))), axis=-1)
-            records.append(check_record(f"{law}_law_match", rel, rel, x,
-                                        args.tol))
-    rep = VerificationReport(
-        VERSION, f"transform_{m}to{n}", seed,
-        args.cases * len(pts),  # every case is evaluated at every point
-        tuple(records), all(r.passed for r in records))
+    both = functools.cache(lambda: conformal.law_sides(phi, g, h, fld, fac, x))
+
+    def gap(law):
+        direct, rhs = both()[law]
+        rel = np.max(np.abs(direct - rhs) / (
+            1.0 + np.maximum(np.abs(direct), np.abs(rhs))), axis=-1)
+        return rel, rel
+
+    records = tuple(catalog.record(f"{law}_law_match", args.tol, "max",
+                                   functools.partial(gap, law), x)
+                    for law in ("tension", "jacobi", "bitension"))
+    rep = VerificationReport(VERSION, f"transform_{m}to{n}", seed,
+                             args.cases * len(pts),  # every case, every point
+                             records, all(r.passed for r in records))
     return _emit(rep, args.format)
 
 
@@ -190,37 +225,12 @@ def _cmd_weierstrass_check(args):
         phi, g, h = cfg.phi, cfg.metric, cfg.target
         label = cfg.name
     seed = _resolve_seed(args.seed)
-    pts = phi.domain.sample(args.samples, seed)
-    # overflow and invalid values raise, as in verify_case, so they are
-    # reported as evaluation errors rather than as their downstream effects
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        try:
-            ws = weierstrass.section(phi, g, h, pts)
-        except GeometryInputError as err:
-            print(f"not checkable this way: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        w1, w2 = weierstrass.conformality_sums(ws)
-        w3 = weierstrass.w3_residual(ws)
-        w1_max = float(np.max(np.abs(w1)))
-        w2_min = float(np.min(w2))
-        w3_max = float(np.max(np.abs(w3)))
-        holo_max = float(np.max(weierstrass.nonholomorphicity(ws)))
-    print(f"case: {label}  samples: {args.samples}  seed: {seed}")
-    print(f"conformality defect  max |sum phi_a^2|   {w1_max:.6e}")
-    print(f"immersion scale      min sum |phi_a|^2   {w2_min:.6e}")
-    print(f"biharmonicity defect max |(W3)|          {w3_max:.6e}")
-    print(f"anti-holomorphy      max |d phi/dzbar|   {holo_max:.6e}")
-    if w1_max > args.conformal_tol:
-        print("verdict: not conformal")
-        return EXIT_CHECK_FAIL
-    if w3_max >= args.tol:
-        print("verdict: not biharmonic")
-        return EXIT_CHECK_FAIL
-    if holo_max < 1e-10:
-        print("verdict: harmonic")
-    else:
-        print("verdict: proper biharmonic")
-    return EXIT_PASS
+    w1, scale, w3, holo = catalog.lane_records(
+        phi, g, h, phi.domain.sample(args.samples, seed), args.tol,
+        args.conformal_tol)
+    rep = VerificationReport(VERSION, label, seed, args.samples,
+                             (w1, scale, w3, holo), w1.passed and w3.passed)
+    return _emit(rep, "lines")
 
 
 # -- custom configs ------------------------------------------------------------
@@ -319,7 +329,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.handler(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -327,7 +338,8 @@ def main(argv=None):
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except catalog._EVALUATION_ERRORS as err:
-        # the evaluation errors verify_case records as failed checks
+        # the evaluation errors that catalog.record makes errored records
+        # of, raised outside a check
         print(f"evaluation error: {error_text(err)}", file=sys.stderr)
         return EXIT_EVAL
     except (catalog.CaseError, cylinder.ParameterError) as err:

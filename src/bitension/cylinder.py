@@ -75,14 +75,17 @@ def lambda_expression(params):
 
 
 def check_positive(params):
-    """Verify lambda^2 > 0 across the z range; report the first crossing."""
+    """Verify 0 < lambda^2 < inf across the z range; report the first z
+    where lambda^2 is not positive or not finite (an overflowed exponential
+    reads inf, and 0 * inf reads nan)."""
     lo, hi = params.z_range
     z = np.linspace(lo, hi, _GRID)
     vals = lambda_sq_closed_form(params, z)
-    bad = np.nonzero(vals <= 0.0)[0]
+    bad = np.nonzero(~(np.isfinite(vals) & (vals > 0.0)))[0]
     if bad.size:
-        raise DomainError("conformal factor is not positive on the cylinder: "
-                          f"lambda^2 = {vals[bad[0]]:g} near z = {z[bad[0]]:g}")
+        raise DomainError("conformal factor is not positive and finite on the "
+                          f"cylinder: lambda^2 = {vals[bad[0]]:g} near "
+                          f"z = {z[bad[0]]:g}")
     return float(np.min(vals))
 
 

@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bitension import catalog, cli, conformal, cylinder, report
+from bitension import catalog, cli, conformal, cylinder, jets, report
+from bitension import weierstrass
 from bitension.charts import DomainError
 from bitension.config import load_config
 from bitension.cylinder import CylinderParams
@@ -182,8 +183,9 @@ def test_check_transform_reports_overflow_as_an_evaluation_error(
     code, out, err = run(capsys, "check-transform", "--dims", "2,3",
                          "--cases", "2")
     assert code == cli.EXIT_EVAL
-    assert err == "evaluation error: overflow encountered in exp\n"
-    assert out == ""
+    assert out.count("error: FloatingPointError: overflow encountered in "
+                     "exp\n") == 3
+    assert err == ""
 
 
 def test_check_transform_reports_a_curvature_map_overflow_as_an_evaluation_error(
@@ -192,9 +194,9 @@ def test_check_transform_reports_a_curvature_map_overflow_as_an_evaluation_error
     code, out, err = run(capsys, "check-transform", "--dims", "2,3",
                          "--cases", "2")
     assert code == cli.EXIT_EVAL
-    assert err == ("evaluation error: overflow encountered in matmul"
-                   " in stage curvature_map\n")
-    assert out == ""
+    assert out.count("error: FloatingPointError: overflow encountered in "
+                     "matmul in stage curvature_map\n") == 3
+    assert err == ""
 
 
 def test_check_transform_rejects_bad_dims(capsys):
@@ -251,10 +253,10 @@ def test_weierstrass_case_verdicts(capsys):
 def test_weierstrass_rejects_unsuitable_geometry(capsys):
     code, _, err = run(capsys, "weierstrass", "check",
                        "--case", "h5_inclusion")
-    assert code == 2 and "2d domain" in err
+    assert code == cli.EXIT_EVAL and "2d domain" in err
     code, _, err = run(capsys, "weierstrass", "check",
                        "--case", "isometric_cylinder")
-    assert code == 2 and "flat Cartesian" in err
+    assert code == cli.EXIT_EVAL and "flat Cartesian" in err
 
 
 def test_weierstrass_not_biharmonic_verdict(capsys, tmp_path):
@@ -274,7 +276,8 @@ def test_weierstrass_reports_overflow_as_an_evaluation_error(capsys,
     code, out, err = run(capsys, "weierstrass", "check",
                          "--config", str(huge))
     assert code == cli.EXIT_EVAL
-    assert err == "evaluation error: overflow encountered in exp\n"
+    assert err == ("evaluation error: FloatingPointError: overflow "
+                   "encountered in exp\n")
     assert out == ""
 
 
@@ -391,13 +394,13 @@ def test_a_non_finite_value_is_an_errored_record(capsys, tmp_path):
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path),
                        "--format", "json")
     check, = json.loads(out)["checks"]
-    assert code == cli.EXIT_CHECK_FAIL
+    assert code == cli.EXIT_EVAL
     assert check["error"] == "non-finite value inf"
     assert not check["pass"] and check["max_abs"] is None
     pts = load_config(path).phi.domain.sample(8, 7)
     assert check["worst_point"] == list(pts[0])
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path))
-    assert code == cli.EXIT_CHECK_FAIL
+    assert code == cli.EXIT_EVAL
     assert "error: non-finite value inf" in out
 
 
@@ -412,7 +415,7 @@ def test_an_expression_error_quotes_the_failing_node_cut_short(capsys,
     code, out, _ = run(capsys, "custom", "verify", "--config", str(far),
                        "--format", "json")
     checks = json.loads(out)["checks"]
-    assert code == cli.EXIT_CHECK_FAIL and len(checks) == 2
+    assert code == cli.EXIT_EVAL and len(checks) == 2
     for check in checks:
         head, quoted = check["error"].split(" in ", 1)
         assert head == "ExprEvalError: ln of a nonpositive value"
@@ -430,7 +433,7 @@ def test_a_jet_domain_fault_is_located_at_its_first_sample(capsys, tmp_path):
     code, out, _ = run(capsys, "custom", "verify", "--config", str(near),
                        "--format", "json")
     checks = json.loads(out)["checks"]
-    assert code == cli.EXIT_CHECK_FAIL and len(checks) == 2
+    assert code == cli.EXIT_EVAL and len(checks) == 2
     pts = load_config(near).phi.domain.sample(64, 7)
     first = int(np.argmax(pts[:, 0] <= 0.75))
     assert first > 0  # not the first sample by accident
@@ -438,6 +441,142 @@ def test_a_jet_domain_fault_is_located_at_its_first_sample(capsys, tmp_path):
         assert check["error"] == ("ExprEvalError: ln of a nonpositive value "
                                   "in 'ln(u - 0.75)'")
         assert check["worst_point"] == list(pts[first])
+
+
+def _nan_holomorphy(monkeypatch):
+    """Make every anti-holomorphy figure NaN."""
+    def nan(ws):
+        return np.full(ws.mu_sq.value.shape, np.nan)
+    monkeypatch.setattr(weierstrass, "nonholomorphicity", nan)
+
+
+def _huge_sheet(tmp_path, monkeypatch):
+    path = tmp_path / "huge.cfg"
+    path.write_text(HUGE_SHEET)
+    return ("custom", "verify", "--config", str(path), "--format", "json")
+
+
+def _overflowing_laws(tmp_path, monkeypatch):
+    def overflowing(phi, g, h, fld, factor, x):
+        side = np.exp(np.full(x.shape[:-1], 800.0))
+        return {law: (side, side)
+                for law in ("tension", "jacobi", "bitension")}
+
+    monkeypatch.setattr(conformal, "law_sides", overflowing)
+    return ("check-transform", "--dims", "2,3", "--cases", "2", "--format",
+            "json")
+
+
+def _nan_holomorphy_case(tmp_path, monkeypatch):
+    _nan_holomorphy(monkeypatch)
+    return ("catalog", "verify", "r2_wrap_r3", "--format", "json")
+
+
+def _argv(*argv):
+    return lambda tmp_path, monkeypatch: argv
+
+
+SHIPPED = {p.stem: str(p) for p in CONFIGS}
+CYLINDER = ("cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2")
+
+# command -> the argv of a run that passes, of one whose check fails, and of
+# one whose check cannot be evaluated, with the error that run reports: in
+# its errored records, or on stderr when the command prints no report
+EXIT_TABLE = {
+    "catalog verify": (
+        _argv("catalog", "verify", "identity", "--format", "json"),
+        _argv("catalog", "verify", "h5_inclusion", "--tol", "1e-20",
+              "--format", "json"),
+        (_nan_holomorphy_case, "non-finite value nan")),
+    "custom verify": (
+        _argv("custom", "verify", "--config", SHIPPED["plane_inclusion"],
+              "--format", "json"),
+        _argv("custom", "verify", "--config", SHIPPED["h5_inclusion"],
+              "--tol", "1e-20", "--format", "json"),
+        (_huge_sheet, "non-finite value inf")),
+    "check-transform": (
+        _argv("check-transform", "--dims", "2,3", "--cases", "2",
+              "--format", "json"),
+        _argv("check-transform", "--dims", "2,3", "--cases", "2",
+              "--tol", "0", "--format", "json"),
+        (_overflowing_laws,
+         "FloatingPointError: overflow encountered in exp")),
+    "weierstrass check": (
+        _argv("weierstrass", "check", "--case", "r2_wrap_r3"),
+        _argv("weierstrass", "check", "--case", "r2_wrap_r3", "--tol", "0"),
+        (_argv("weierstrass", "check", "--case", "h5_inclusion"),
+         "evaluation error: GeometryInputError: conformal-coordinate "
+         "calculus needs a 2d domain\n")),
+    # exp(z/R) overflows at R = 0.001: no nan deviation reaches a verdict
+    "cylinder solve": (
+        _argv(*CYLINDER, "--sign", "+"),
+        _argv(*CYLINDER, "--sign", "+", "--tol", "1e-16"),
+        (_argv("cylinder", "solve", "--radius", "0.001", "--c1", "0",
+               "--c2", "2"),
+         "evaluation error: overflow encountered in exp\n")),
+}
+
+
+@pytest.mark.parametrize("outcome,code", [("pass", cli.EXIT_PASS),
+                                          ("failed", cli.EXIT_CHECK_FAIL),
+                                          ("errored", cli.EXIT_EVAL)])
+@pytest.mark.parametrize("command", EXIT_TABLE)
+def test_the_exit_table(capsys, tmp_path, monkeypatch, command, outcome,
+                        code):
+    passing, failing, (errored, error) = EXIT_TABLE[command]
+    make = {"pass": passing, "failed": failing, "errored": errored}[outcome]
+    argv = make(tmp_path, monkeypatch)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if outcome != "errored":
+        # the report or the lines, on stdout only
+        assert out and err == ""
+        if "json" in argv:
+            assert json.loads(out)["pass"] is (outcome == "pass")
+    elif command in ("weierstrass check", "cylinder solve"):
+        # no report: the error, on stderr only
+        assert out == "" and err == error
+    else:
+        # the report carries the errored records, and stderr is empty
+        assert err == ""
+        rep = json.loads(out)
+        jsonschema.validate(rep, report.REPORT_SCHEMA)
+        bad = [c for c in rep["checks"] if "error" in c]
+        assert bad and rep["pass"] is False
+        for c in bad:
+            assert c["error"] == error
+            assert c["max_abs"] is None and not c["pass"]
+
+
+def test_a_nan_holomorphy_figure_is_an_errored_record(capsys, monkeypatch):
+    _nan_holomorphy(monkeypatch)
+    code, out, err = run(capsys, "weierstrass", "check",
+                         "--case", "r2_wrap_r3")
+    assert code == cli.EXIT_EVAL and out == ""
+    phi = catalog.build_case("r2_wrap_r3").geometry[0]
+    first = tuple(float(c) for c in phi.domain.sample(64, 7)[0])
+    assert err == f"evaluation error: non-finite value nan at {first}\n"
+
+
+def test_a_law_side_domain_fault_is_located_in_the_case_batch(
+        capsys, monkeypatch):
+    seen = {}
+
+    def faulty(phi, g, h, fld, factor, x):
+        outside = np.zeros(x.shape[:-1], dtype=bool)
+        outside[1, 2:] = True
+        seen["x"] = x
+        raise jets.JetDomainError("ln of a nonpositive value",
+                                  outside=outside)
+
+    monkeypatch.setattr(conformal, "law_sides", faulty)
+    code, out, err = run(capsys, "check-transform", "--dims", "2,3",
+                         "--cases", "3", "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == cli.EXIT_EVAL and err == "" and len(checks) == 3
+    for check in checks:
+        assert check["error"] == "JetDomainError: ln of a nonpositive value"
+        assert check["worst_point"] == list(seen["x"][1, 2])
 
 
 def test_custom_tolerance_override(capsys):

@@ -59,6 +59,20 @@ def test_positivity_reports_crossing():
     assert cylinder.check_positive(fine) > 1.0
 
 
+@pytest.mark.parametrize("sign,value", [(1, "inf"), (-1, "nan")])
+def test_positivity_rejects_a_non_finite_factor(sign, value):
+    # at R = 0.001, exp(z/R) overflows where z > 0.7098: with C1 = 0 the
+    # growing branch reads inf there and the decaying one 0 * inf = nan
+    params = CylinderParams(0.001, 0.0, 2.0, sign, (0.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = cylinder.lambda_sq_closed_form(params,
+                                              np.linspace(0.0, 1.0, 257))
+        first = np.linspace(0.0, 1.0, 257)[np.argmin(np.isfinite(vals))]
+        with pytest.raises(DomainError, match=f"lambda\\^2 = {value} near "
+                                              f"z = {first:g}"):
+            cylinder.check_positive(params)
+
+
 def test_rk4_matches_closed_form():
     params = CylinderParams(1.0, 0.0, 2.0, 1, (0.0, 1.0))
     run = cylinder.solve_ode(params, steps=256)

@@ -22,7 +22,11 @@ every Weierstrass pool case, and the same lane for ``r2_wrap_r3``,
 ``r2_wrap_r6``, ``plane_inclusion`` and their negative controls at the
 catalog's sample points; the ``custom verify`` (JSON), ``weierstrass
 check`` and ``check-transform`` (m = 2..5, text) outputs of the CLI over the
-shipped configs; the ``first_variation`` dicts of the quadrature workload;
+shipped configs, and the error paths and exit codes of the CLI: ``cylinder
+solve`` passing and failing its tolerance, and ``weierstrass check`` on
+``h5_inclusion`` (no 2d domain) and on the ``r2_wrap_r3`` config with its
+domain metric made to overflow; the ``first_variation`` dicts of the
+quadrature workload;
 and, on fixed inputs with sample points drawn from the seed,
 ``harmonic_biharmonic_condition`` (the totally geodesic inclusion of
 hyperbolic 4-space in hyperbolic 5-space), both conformal-immersion
@@ -48,6 +52,7 @@ import contextlib
 import io
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +151,18 @@ def _dump(root, seed, out):
         emit(f"check-transform {m},{m + 1}", _cli(cli, [
             "check-transform", "--dims", f"{m},{m + 1}", "--cases", "10"]
             + seed_arg))
+    for label, tol in (("passing", []), ("failing", ["--tol", "1e-16"])):
+        emit(f"cylinder solve {label}", _cli(cli, [
+            "cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2",
+            "--sign", "+"] + tol))
+    emit("weierstrass check --case h5_inclusion", _cli(cli, [
+        "weierstrass", "check", "--case", "h5_inclusion"] + seed_arg))
+    with tempfile.TemporaryDirectory() as tmp:
+        huge = Path(tmp, "overflow.cfg")
+        huge.write_text(Path(root, "configs", "r2_wrap_r3.cfg").read_text()
+                        .replace("exp(y/R)", "exp(800*y)"))
+        emit("weierstrass check overflow.cfg", _cli(cli, [
+            "weierstrass", "check", "--config", str(huge)] + seed_arg))
 
     _dump_fixed(seed, emit)
 
