@@ -79,8 +79,11 @@ class _SharedStates:
     """Order-4 map states at one batch of points, shared by a case's checks.
 
     States are keyed by the identity of their (map, domain metric, target
-    metric) objects, which hold dicts and so cannot be hashed.  A build that
-    raises is not kept: every check that needs it fails on its own.
+    metric) objects, which hold dicts and so cannot be hashed.  The states
+    of one (map, target metric) share one map side: the first that builds,
+    their kin, lends it to the others (:meth:`MapState.on`).  A build that
+    raises is not kept: every check that needs it fails on its own, and a
+    domain metric that cannot be built fails only the checks that read it.
     """
 
     def __init__(self, pts):
@@ -94,8 +97,10 @@ class _SharedStates:
         return self._built[key]
 
     def map(self, phi, g, h):
+        kin = self._get("kin", (phi, h),
+                        lambda: MapState(phi, g, h, self.pts, 4))
         return self._get("map", (phi, g, h),
-                         lambda: MapState(phi, g, h, self.pts, 4))
+                         lambda: kin if kin.g is g else kin.on(g))
 
     def surface(self, phi, g, h):
         return self._get("surface", (phi, g, h),

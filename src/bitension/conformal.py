@@ -159,14 +159,18 @@ def law_sides(phi, g, h, fld, factor, x):
     Returns ``{"tension": (direct, rhs), "jacobi": ..., "bitension": ...}``
     in that order.  Every direct side is read from one order-4 state on the
     rescaled metric conformal_metric(g, factor), every g-side from one
-    order-4 state on g; the two states stay apart because the laws compare
-    them.  ``fld`` is the section the Jacobi law is applied to.  Each side
-    is bitwise equal to its one-shot (geometry.tension_field etc. on the
-    rescaled metric, the *_transform_rhs functions), whose lower orders
-    give the same low-degree coefficients.
+    order-4 state on g.  The g-state is built with :meth:`MapState.on`, so
+    the two share their map side (the stages that read no domain metric,
+    which give the same bits either way) and keep their domain-metric
+    stages apart, as the laws compare them.  The rescaled state is built
+    first, so its errors come first.  ``fld`` is the section the Jacobi law
+    is applied to.  Each side is bitwise equal to its one-shot
+    (geometry.tension_field etc. on the rescaled metric, the
+    *_transform_rhs functions), whose lower orders give the same low-degree
+    coefficients.
     """
     bar = MapState(phi, conformal_metric(g, factor), h, x, 4)
-    state = MapState(phi, g, h, x, 4)
+    state = bar.on(g)
     fac = _FactorData(state, factor)
     return {
         "tension": (bar.tension_values, _tension_rhs(state, fac)),
@@ -206,7 +210,8 @@ _CONFORMAL_TOL = 1e-8
 
 def _immersion_states(phi, g, h, lam, x, parameters):
     """The order-4 states of a conformal immersion on g and on the isometric
-    metric gbar = lambda^2 g, with the factor data of lambda and lambda^2.
+    metric gbar = lambda^2 g, sharing one map side, with the factor data of
+    lambda and lambda^2.
 
     Raises GeometryInputError unless phi is conformal for g, h and the given
     factor lambda matches the measured conformal factor.
@@ -224,7 +229,7 @@ def _immersion_states(phi, g, h, lam, x, parameters):
         raise GeometryInputError("given factor disagrees with the measured "
                                  f"conformal factor (off by {mismatch:g})")
     gbar = conformal_metric(g, data.factor.reciprocal())
-    return state, data, lam_sq, MapState(phi, gbar, h, x, 4)
+    return state, data, lam_sq, state.on(gbar)
 
 
 def conformal_immersion_sides(phi, g, h, lam, x, parameters=None):

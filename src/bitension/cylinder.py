@@ -77,10 +77,13 @@ def lambda_expression(params):
 def check_positive(params):
     """Verify 0 < lambda^2 < inf across the z range; report the first z
     where lambda^2 is not positive or not finite (an overflowed exponential
-    reads inf, and 0 * inf reads nan)."""
+    reads inf, and 0 * inf reads nan).  Overflow and invalid values are
+    computed, not raised, whatever the caller's ``np.errstate``: this check
+    rejects them, with its DomainError."""
     lo, hi = params.z_range
     z = np.linspace(lo, hi, _GRID)
-    vals = lambda_sq_closed_form(params, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = lambda_sq_closed_form(params, z)
     bad = np.nonzero(~(np.isfinite(vals) & (vals > 0.0)))[0]
     if bad.size:
         raise DomainError("conformal factor is not positive and finite on the "

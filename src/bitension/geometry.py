@@ -21,15 +21,16 @@ tension field, traces against g^-1) goes through :func:`jets.contract`, whose
 docstring fixes the zero-skipping rule and the summation order.
 
 A :class:`MapState` holds the per-point data for one (map, domain metric,
-target metric, batch of points, derivative order) tuple.  It validates its
-inputs when built and derives every other stage on first read, so a reader
-pays only for the stages it uses.  The module-level functions are thin
+target metric, batch of points, derivative order) tuple, as a domain side
+and a map side that a second state of the same map can share.  It validates
+its inputs when built and derives every other stage on first read, so a
+reader pays only for the stages it uses.  The module-level functions are thin
 wrappers that build a state and extract one quantity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, partial, wraps
 
 import numpy as np
 
@@ -308,6 +309,111 @@ def error_text(err):
     return " ".join([str(err), *getattr(err, "__notes__", ())])
 
 
+class _Side(cached_property):
+    """An attribute of a :class:`MapState` that its side ``side`` holds:
+    read from that side on first read and kept on the state."""
+
+    def __init__(self, side):
+        super().__init__(lambda obj: getattr(vars(obj)[side], self.attrname))
+
+
+class _DomainSide:
+    """The stages of a :class:`MapState` that read the domain metric and no
+    map, for one (domain metric, points, order): ``g_jets``/``g_val``,
+    validated when built, then ``ginv_jets``/``ginv_val``, ``sqrt_det_g``
+    and ``gammaM``/``gammaM_val`` on first read.  Its batch shape is the
+    points'."""
+
+    def __init__(self, g, x, xvars, order):
+        self.g, self.order = g, order
+        gvars = {c: v.truncated(order - 1) for c, v in xvars.items()}
+        self.g_jets = _sym_matrix_jets(g, gvars, x.shape[:-1], order - 1,
+                                       "domain metric")
+        self.g_val = jets.stack_values(self.g_jets)
+        _require_spd(self.g_val, x, "domain metric")
+
+    @_stage
+    def ginv_jets(self):
+        return _jet_matrix_inverse(self.g_jets, min(self.order - 1, 2))
+
+    @_stage
+    def ginv_val(self):
+        return jets.stack_values(self.ginv_jets)
+
+    @_stage
+    def sqrt_det_g(self):
+        return np.sqrt(np.linalg.det(self.g_val))
+
+    @_stage
+    def gammaM(self):
+        return _christoffel_jets(self.g_jets, self.ginv_jets)
+
+    @_stage
+    def gammaM_val(self):
+        return jets.stack_values(self.gammaM)
+
+
+class _MapSide:
+    """The stages of a :class:`MapState` that read the map and the target
+    metric and no domain metric, for one (map, target metric, points,
+    order): ``phi_jets``/``y0`` and ``h_yjets``/``hN_val``, validated when
+    built, then ``Dphi``/``dphi``, ``pullback``, ``gammaN_y`` and
+    ``Q_jets``/``Q_val`` on first read.  Its batch shape is the points'
+    broadcast against the shapes of the map's parameters."""
+
+    def __init__(self, phi, h, x, xvars, order):
+        self.phi, self.h, self.x, self._xvars = phi, h, x, xvars
+        self.order, self.m, self.n = order, phi.domain.dim, phi.codomain.dim
+        batch = self.batch_shape = np.broadcast_shapes(
+            x.shape[:-1], *map(np.shape, phi.parameters.values()))
+        self.phi_jets = _eval_components(phi.components, xvars, phi.parameters,
+                                         batch, self.m, order)
+        self.y0 = jets.stack_values(self.phi_jets)
+        phi.codomain.require(self.y0)
+
+        yvars = {c: jets.Jet.variable(a, self.y0[..., a], self.n, order - 1)
+                 for a, c in enumerate(phi.codomain.coords)}
+        self.h_yjets = _sym_matrix_jets(h, yvars, batch, order - 1,
+                                        "target metric")
+        self.hN_val = jets.stack_values(self.h_yjets)
+        _require_spd(self.hN_val, self.y0, "target metric")
+
+    @_stage
+    def Dphi(self):
+        return [[self.phi_jets[a].derivative(i) for a in range(self.n)]
+                for i in range(self.m)]
+
+    @_stage
+    def dphi(self):
+        return jets.stack_values(self.Dphi)
+
+    @_stage
+    def pullback(self):
+        return np.einsum("...ia,...ab,...jb->...ij", self.dphi, self.hN_val,
+                         self.dphi)
+
+    @_stage
+    def gammaN_y(self):
+        hinv_y = _jet_matrix_inverse(self.h_yjets, self.order - 2)
+        return _christoffel_jets(self.h_yjets, hinv_y)
+
+    @_stage
+    def Q_jets(self):
+        n, D = self.n, self.Dphi
+        monos = jets.Monomials(self.phi_jets, self.order - 2)
+        gnx = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                gnx[a][b] = gnx[b][a] = [jets.compose(j, monos)
+                                         for j in self.gammaN_y[a][b]]
+        return [[[jets.contract((gnx[a][b][c], D[i][a]) for a in range(n))
+                  for b in range(n)] for c in range(n)] for i in range(self.m)]
+
+    @_stage
+    def Q_val(self):
+        return jets.stack_values(self.Q_jets)
+
+
 class MapState:
     """Jets of one map between metric charts at a batch of points.
 
@@ -315,6 +421,17 @@ class MapState:
     tension fields, 3 for the Jacobi operator, 4 for bitension fields.  The
     target metric is expanded to ``order - 1`` around the image points and
     its Christoffel symbols are pulled back through the map.
+
+    A state joins two sides.  The domain side holds the stages that read
+    the domain metric and no map (``g_jets`` through ``gammaM``), one per
+    (domain metric, points, order); the map side those that read the map
+    and the target metric and no domain metric (``phi_jets`` through
+    ``Q_jets``), one per (map, target metric, points, order).  Their stages
+    read as attributes of the state.  The stages that read both sides
+    (``curvature_map``, the tension, the bitension, covariant derivatives
+    and the Laplacians) are the state's own.  :meth:`on` builds the state of
+    the same map on another domain metric, sharing this state's map side:
+    the paper's conformal-change laws compare one map under two metrics.
 
     Building a state evaluates and validates its inputs, in this order: the
     points (``domain.require``); the domain metric ``g_jets``/``g_val``
@@ -360,8 +477,19 @@ class MapState:
     ``gammaM``, ``Q_jets`` and the target inverse at ``order - 2``.
 
     Points ``x`` may carry arbitrary leading batch axes; every derived value
-    keeps those axes.
+    keeps those axes.  The map side's batch shape, the state's
+    ``batch_shape``, is the points' broadcast against the shapes of the
+    map's parameters, and the domain side's is the points' own: a family
+    axis carried by a map parameter alone (the ``(4, 1)`` variation
+    parameter of :func:`first_variation`) leaves the domain side on the
+    points, and its values broadcast against the map side's.
     """
+
+    (g, g_jets, g_val, ginv_jets, ginv_val, sqrt_det_g, gammaM,
+     gammaM_val) = map(_Side, ["_domain"] * 8)
+    (phi, h, x, _xvars, order, m, n, batch_shape, phi_jets, y0, h_yjets,
+     hN_val, Dphi, dphi, pullback, gammaN_y, Q_jets, Q_val) = map(
+        _Side, ["_map"] * 18)
 
     def __init__(self, phi, g, h, x, order):
         if order not in (2, 3, 4):
@@ -370,94 +498,29 @@ class MapState:
             raise GeometryInputError("domain metric lives on a different chart")
         if h.domain.coords != phi.codomain.coords:
             raise GeometryInputError("target metric lives on a different chart")
-        self.phi, self.g, self.h = phi, g, h
-        self.order = order
-        m, n = phi.domain.dim, phi.codomain.dim
-        self.m, self.n = m, n
-
-        x, batch, xvars = _seeds(phi.domain.coords, x, order)
+        x, _, xvars = _seeds(phi.domain.coords, x, order)
         phi.domain.require(x)
-        self.x = x
-        self.batch_shape = batch
-        self._xvars = xvars
+        # arguments run left to right: the domain metric is validated first
+        self._join(_DomainSide(g, x, xvars, order),
+                   _MapSide(phi, h, x, xvars, order))
 
-        gvars = {c: v.truncated(order - 1) for c, v in xvars.items()}
-        self.g_jets = _sym_matrix_jets(g, gvars, batch, order - 1,
-                                       "domain metric")
-        self.g_val = jets.stack_values(self.g_jets)
-        _require_spd(self.g_val, x, "domain metric")
+    def on(self, g):
+        """The state of this map, target metric, points and order on the
+        domain metric ``g``.  It shares this state's map side, with every
+        stage built on it now or later, and builds and validates its own
+        domain side as the constructor does."""
+        if g.domain.coords != self.phi.domain.coords:
+            raise GeometryInputError("domain metric lives on a different chart")
+        state = object.__new__(type(self))
+        state._join(_DomainSide(g, self.x, self._xvars, self.order), self._map)
+        return state
 
-        self.phi_jets = _eval_components(phi.components, xvars, phi.parameters,
-                                         batch, m, order)
-        self.y0 = jets.stack_values(self.phi_jets)
-        phi.codomain.require(self.y0)
-
-        yvars = {c: jets.Jet.variable(a, self.y0[..., a], n, order - 1)
-                 for a, c in enumerate(phi.codomain.coords)}
-        self.h_yjets = _sym_matrix_jets(h, yvars, batch, order - 1,
-                                        "target metric")
-        self.hN_val = jets.stack_values(self.h_yjets)
-        _require_spd(self.hN_val, self.y0, "target metric")
-        self._tension = None
-        self._bitension = None
+    def _join(self, domain, side):
+        self._domain, self._map = domain, side
+        self._tension = self._bitension = None
         self._derivatives = {}  # id(section) -> (section, its derivative)
 
-    # -- stages, built on first read ----------------------------------------------
-
-    @_stage
-    def ginv_jets(self):
-        return _jet_matrix_inverse(self.g_jets, min(self.order - 1, 2))
-
-    @_stage
-    def ginv_val(self):
-        return jets.stack_values(self.ginv_jets)
-
-    @_stage
-    def sqrt_det_g(self):
-        return np.sqrt(np.linalg.det(self.g_val))
-
-    @_stage
-    def gammaM(self):
-        return _christoffel_jets(self.g_jets, self.ginv_jets)
-
-    @_stage
-    def gammaM_val(self):
-        return jets.stack_values(self.gammaM)
-
-    @_stage
-    def Dphi(self):
-        return [[self.phi_jets[a].derivative(i) for a in range(self.n)]
-                for i in range(self.m)]
-
-    @_stage
-    def dphi(self):
-        return jets.stack_values(self.Dphi)
-
-    @_stage
-    def pullback(self):
-        return np.einsum("...ia,...ab,...jb->...ij", self.dphi, self.hN_val,
-                         self.dphi)
-
-    @_stage
-    def gammaN_y(self):
-        hinv_y = _jet_matrix_inverse(self.h_yjets, self.order - 2)
-        return _christoffel_jets(self.h_yjets, hinv_y)
-
-    @_stage
-    def Q_jets(self):
-        n, D = self.n, self.Dphi
-        monos = jets.Monomials(self.phi_jets, self.order - 2)
-        gnx = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                gnx[a][b] = gnx[b][a] = [jets.compose(j, monos)
-                                         for j in self.gammaN_y[a][b]]
-        return [[[jets.contract((gnx[a][b][c], D[i][a]) for a in range(n))
-                  for b in range(n)] for c in range(n)] for i in range(self.m)]
-
-    @_stage
-    def Q_val(self):
-        return jets.stack_values(self.Q_jets)
+    # -- stages that read both sides, built on first read ----------------------
 
     @_stage
     def curvature_map(self):
@@ -798,9 +861,11 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
 
     The four energies E2(phi + t V), t = eps, -eps, eps/2, -eps/2, are one
     family: the reserved parameter ``t`` is bound to the ``(4, 1)`` array of
-    those values and each chunk builds one state over its points broadcast
-    to ``(4, points)``, so the grid is walked once for all four and each
-    energy has the bits of a :func:`bienergy` call on its moved map.  Both
+    those values and each chunk builds one state over its points, whose map
+    side broadcasts to ``(4, points)`` while its domain side stays on the
+    points, so the grid is walked once for all four, each domain stage is
+    built once per point, and each energy has the bits of a
+    :func:`bienergy` call on its moved map.  Both
     integrals run chunk by chunk (the family's chunks hold a quarter of the
     points), so memory is bounded by the chunk budget and parameters must
     not carry the grid axis.
@@ -819,10 +884,6 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
     ts = np.array([[eps], [-eps], [eps / 2.0], [-eps / 2.0]])
     moved = SmoothMap(phi.domain, phi.codomain, comps, {**merged, tname: ts})
 
-    def energy_terms(x, w):
-        return _energy_terms(moved, g, h,
-                             np.broadcast_to(x, (len(ts),) + x.shape), w)
-
     def pairing_terms(x, w):
         state = MapState(phi, g, h, x, 4)
         vvals = _float_values(field.components, phi.domain.coords,
@@ -830,8 +891,8 @@ def first_variation(phi, g, h, field, eps=1e-2, nodes=24):
         return (w * state.target_inner(state.bitension_values, vvals)
                 * state.sqrt_det_g)
 
-    energy = [float(e) for e in 0.5 * _integrate(
-        energy_terms, phi.domain.box, nodes, 2, width=len(ts))]
+    energy = 0.5 * _integrate(partial(_energy_terms, moved, g, h),
+                              phi.domain.box, nodes, 2, width=len(ts))
     slope = (energy[0] - energy[1]) / (2.0 * eps)
     slope_half = (energy[2] - energy[3]) / eps
     pairing = float(_integrate(pairing_terms, phi.domain.box, nodes, 4))

@@ -3,6 +3,8 @@ oracles, the recursive expression walkers as a reference and the parity
 tool."""
 import importlib.util
 import operator
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,51 @@ def record_covariant_derivatives(monkeypatch):
 
     monkeypatch.setattr(MapState, "covariant_derivative", recording)
     return calls
+
+
+def record_builds(monkeypatch):
+    """Record from now on what map states are built from, as (kind, detail)
+    pairs: ``("state", x)`` per ``MapState`` constructor call, ``("domain",
+    side)`` and ``("map", side)`` per domain or map side built, and
+    ``("gammaN_y", side)`` and ``("Q_jets", side)`` per build of those
+    map-side stages."""
+    built = []
+
+    def side_init(cls, kind):
+        init = cls.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            built.append((kind, self))
+        monkeypatch.setattr(cls, "__init__", recording)
+
+    def stage(name):
+        build = vars(geometry._MapSide)[name].func
+
+        def recording(side):
+            built.append((name, side))
+            return build(side)
+        counted = cached_property(recording)
+        counted.__set_name__(geometry._MapSide, name)
+        monkeypatch.setattr(geometry._MapSide, name, counted)
+
+    state_init = MapState.__init__
+
+    def state(self, phi, g, h, x, order):
+        built.append(("state", x))
+        state_init(self, phi, g, h, x, order)
+
+    monkeypatch.setattr(MapState, "__init__", state)
+    side_init(geometry._DomainSide, "domain")
+    side_init(geometry._MapSide, "map")
+    stage("gammaN_y")
+    stage("Q_jets")
+    return built
+
+
+def build_counts(built):
+    """How many of each kind :func:`record_builds` recorded."""
+    return dict(Counter(kind for kind, _ in built))
 
 
 def overflow_curvature_map(monkeypatch):

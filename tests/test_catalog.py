@@ -115,21 +115,43 @@ def test_type_errors_inside_a_builder_propagate(monkeypatch):
         catalog.build_case("cylinder_family", R=2.0)
 
 
-@pytest.mark.parametrize("name,builds", [
+# name, how many domain metrics its checks read
+@pytest.mark.parametrize("name,metrics", [
     ("cylinder_family", 2), ("r2_wrap_r3", 1), ("isometric_cylinder", 2),
     ("h5_inclusion", 1)])
-def test_checks_share_map_states(monkeypatch, name, builds):
+def test_checks_share_map_states(monkeypatch, name, metrics):
     case = catalog.build_case(name)
-    calls = []
-    init = MapState.__init__
-
-    def counting(self, *args):
-        calls.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(MapState, "__init__", counting)
+    built = support.record_builds(monkeypatch)
     assert catalog.verify_case(case).passed
-    assert len(calls) == builds
+    # one constructor call, one state per domain metric, and one map side
+    # for them all, whose target Christoffel symbols and Q are built once
+    assert support.build_counts(built) == {
+        "state": 1, "domain": metrics, "map": 1, "gammaN_y": 1, "Q_jets": 1}
+    sides = [side for kind, side in built if kind == "domain"]
+    assert len({id(side.g) for side in sides}) == metrics
+
+
+def test_a_bad_domain_metric_errors_only_its_own_state():
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "u*v"))
+    h = RiemannianMetric.euclidean(tgt)
+    bad = RiemannianMetric.from_components(dom, [["1", "0"], ["0", "-1"]])
+    good = RiemannianMetric.euclidean(dom)
+    scaled = RiemannianMetric.conformally_flat(dom, "2")
+    states = catalog._SharedStates(dom.sample(8, 3))
+    # before any state of the map is built, and after: the bad metric
+    # raises each time, and the others build and share one map side
+    with pytest.raises(DomainError, match="domain metric is not positive"):
+        states.map(phi, bad, h)
+    first = states.map(phi, good, h)
+    with pytest.raises(DomainError, match="domain metric is not positive"):
+        states.map(phi, bad, h)
+    second = states.map(phi, scaled, h)
+    assert states.map(phi, good, h) is first
+    assert second._map is first._map and second.g is scaled
+    assert np.array_equal(second.tension_values, MapState(
+        phi, scaled, h, states.pts, 4).tension_values)
 
 
 def test_long_equal_mirror_entries_verify_to_a_report():

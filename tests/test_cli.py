@@ -174,7 +174,10 @@ def test_check_transform_reports_points_evaluated(capsys):
 
 def test_check_transform_reports_overflow_as_an_evaluation_error(
         capsys, monkeypatch):
+    calls = []
+
     def overflowing(phi, g, h, fld, factor, x):
+        calls.append(x)
         side = np.exp(np.full(x.shape[:-1], 800.0))
         return {law: (side, side)
                 for law in ("tension", "jacobi", "bitension")}
@@ -186,6 +189,8 @@ def test_check_transform_reports_overflow_as_an_evaluation_error(
     assert out.count("error: FloatingPointError: overflow encountered in "
                      "exp\n") == 3
     assert err == ""
+    # evaluated once: the three errored records share its one error
+    assert len(calls) == 1
 
 
 def test_check_transform_reports_a_curvature_map_overflow_as_an_evaluation_error(
@@ -231,6 +236,19 @@ def test_cylinder_solve_degenerate_exit(capsys):
     assert "near z = 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("catalog", "verify", "cylinder_family", "--param", "R=0.001", "--param",
+     "C1=0"),
+    ("cylinder", "solve", "--radius", "0.001", "--c1", "0", "--c2", "2")])
+def test_an_overflowing_cylinder_member_is_inadmissible(capsys, argv):
+    # lambda^2 overflows to nan at R = 0.001; admissibility rejects it
+    # before any evaluation
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert err.startswith("domain error: conformal factor is not positive "
+                          "and finite on the cylinder")
+
+
 def test_cylinder_solve_failing_tolerance(capsys):
     code, out, _ = run(capsys, "cylinder", "solve", "--radius", "1",
                        "--c1", "0", "--c2", "2", "--sign", "+",
@@ -266,6 +284,24 @@ def test_weierstrass_not_biharmonic_verdict(capsys, tmp_path):
     code, out, _ = run(capsys, "weierstrass", "check",
                        "--config", str(broken))
     assert code == 1 and "verdict: not biharmonic" in out
+
+
+def constant_map_config(path):
+    """The r2_wrap_r3 config with its map made the constant (0, 0, 0),
+    written to ``path``: conformal and harmonic, but not an immersion."""
+    source = next(p for p in CONFIGS if p.stem == "r2_wrap_r3").read_text()
+    path.write_text(source.replace("    R*cos(x/R)\n    R*sin(x/R)\n    y",
+                                   "    0\n    0\n    0"))
+    return path
+
+
+def test_weierstrass_fails_a_map_that_is_not_an_immersion(capsys, tmp_path):
+    path = constant_map_config(tmp_path / "constant.cfg")
+    code, out, err = run(capsys, "weierstrass", "check", "--config",
+                         str(path))
+    assert code == cli.EXIT_CHECK_FAIL and err == ""
+    assert "immersion scale      min sum |phi_a|^2   0.000000e+00" in out
+    assert out.endswith("verdict: not an immersion\n")
 
 
 def test_weierstrass_reports_overflow_as_an_evaluation_error(capsys,
@@ -507,13 +543,15 @@ EXIT_TABLE = {
         (_argv("weierstrass", "check", "--case", "h5_inclusion"),
          "evaluation error: GeometryInputError: conformal-coordinate "
          "calculus needs a 2d domain\n")),
-    # exp(z/R) overflows at R = 0.001: no nan deviation reaches a verdict
+    # R = 0.002 is admissible, but the integrated lambda^2 grows like
+    # exp(z/R) and its first-integral drift overflows: no nan deviation
+    # reaches a verdict
     "cylinder solve": (
         _argv(*CYLINDER, "--sign", "+"),
         _argv(*CYLINDER, "--sign", "+", "--tol", "1e-16"),
-        (_argv("cylinder", "solve", "--radius", "0.001", "--c1", "0",
+        (_argv("cylinder", "solve", "--radius", "0.002", "--c1", "0",
                "--c2", "2"),
-         "evaluation error: overflow encountered in exp\n")),
+         "evaluation error: overflow encountered in square\n")),
 }
 
 

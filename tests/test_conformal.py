@@ -130,17 +130,16 @@ def test_law_sides_builds_one_state_per_geometry(monkeypatch):
     rng = np.random.default_rng(104)
     dom, g, h, phi, fld, fac = conformal.random_transform_family(4, 2, rng)
     x = broadcast_points(dom, 2, 2, 39)
-    built = []
-    init = MapState.__init__
-
-    def counting(self, phi, g, h, x, order):
-        built.append((g, order))
-        init(self, phi, g, h, x, order)
-
-    monkeypatch.setattr(MapState, "__init__", counting)
+    built = support.record_builds(monkeypatch)
     conformal.law_sides(phi, g, h, fld, fac, x)
-    assert [order for _, order in built] == [4, 4]
-    assert sum(metric is g for metric, _ in built) == 1
+    # one constructor call and one map side, whose target Christoffel
+    # symbols and Q both states read; one domain side per state
+    assert support.build_counts(built) == {
+        "state": 1, "domain": 2, "map": 1, "gammaN_y": 1, "Q_jets": 1}
+    # the rescaled metric's side first, so its errors come first, then g's
+    bar, own = [side.g for kind, side in built if kind == "domain"]
+    assert own is g and bar is not g
+    assert [side.order for kind, side in built if kind == "map"] == [4]
 
 
 def test_dim2_bitension_form_agrees_with_general():
@@ -220,6 +219,20 @@ def test_conformal_immersion_residual_identity():
         phi, g, h, "exp(-y/2)", pts)
     lam_sq = np.exp(-pts[:, 1])
     assert support.relative_error(lam_sq[:, None] * res2, res) < 1e-12
+
+
+def test_conformal_immersion_states_share_one_map_side(monkeypatch):
+    dom, tgt, h, phi = wrap_immersion()
+    g = RiemannianMetric.conformally_flat(dom, "exp(y)")
+    pts = dom.sample(12, 47)
+    built = support.record_builds(monkeypatch)
+    state, _, _, iso = conformal._immersion_states(phi, g, h, "exp(-y/2)",
+                                                   pts, None)
+    assert iso._map is state._map and iso.g is not g and state.g is g
+    for each in (state, iso):
+        each.bitension_values  # both read gammaN_y and Q
+    assert support.build_counts(built) == {
+        "state": 1, "domain": 2, "map": 1, "gammaN_y": 1, "Q_jets": 1}
 
 
 def test_conformal_immersion_tension_split():

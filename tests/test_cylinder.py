@@ -73,6 +73,18 @@ def test_positivity_rejects_a_non_finite_factor(sign, value):
             cylinder.check_positive(params)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_positivity_decides_under_raised_floating_errors(sign):
+    # the CLI raises overflow and invalid values: the check still rejects
+    # the member with its DomainError, and leaves the caller's errstate
+    params = CylinderParams(0.001, 0.0, 2.0, sign, (0.0, 1.0))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(DomainError, match="not positive and finite"):
+            cylinder.check_positive(params)
+        with pytest.raises(FloatingPointError):
+            np.exp(np.float64(800.0))
+
+
 def test_rk4_matches_closed_form():
     params = CylinderParams(1.0, 0.0, 2.0, 1, (0.0, 1.0))
     run = cylinder.solve_ode(params, steps=256)

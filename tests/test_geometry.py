@@ -11,7 +11,7 @@ import pytest
 from bitension import catalog, conformal, expr, geometry, jets, surfaces
 from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
                               SmoothMap, VectorFieldAlongMap)
-from bitension.geometry import MapState
+from bitension.geometry import GeometryInputError, MapState
 
 import support
 
@@ -861,12 +861,14 @@ def small_slab():
 
 
 def _count_states(monkeypatch):
+    """Record (order, batch shape, domain-side batch shape) of every state
+    built from now on."""
     sizes, cls = [], geometry.MapState
 
     class Counting(cls):
         def __init__(self, phi, g, h, x, order):
-            sizes.append((order, np.shape(x)[:-1]))
             super().__init__(phi, g, h, x, order)
+            sizes.append((order, self.batch_shape, self.g_val.shape[:-2]))
 
     monkeypatch.setattr(geometry, "MapState", Counting)
     return sizes
@@ -909,8 +911,25 @@ def test_chunked_quadrature_is_bit_identical(monkeypatch, geom, budget, nodes):
 
     # one energy above, then the family of four energies in first_variation
     # and one pairing
-    assert [n for o, n in sizes if o == 2] == chunks(2) + chunks(2, width=4)
-    assert [n for o, n in sizes if o == 4] == chunks(4)
+    assert [n for o, n, _ in sizes if o == 2] == \
+        chunks(2) + chunks(2, width=4)
+    assert [n for o, n, _ in sizes if o == 4] == chunks(4)
+    # every domain side on the chunk's points alone, the family's included
+    assert [d for _, _, d in sizes] == [n[-1:] for _, n, _ in sizes]
+
+
+def test_first_variation_builds_each_domain_side_on_the_chunk_points(
+        monkeypatch):
+    phi, g, h, field = _quadrature_case("pair")
+    built = support.record_builds(monkeypatch)
+    geometry.first_variation(phi, g, h, field, eps=0.1, nodes=6)
+    states = [np.shape(x) for kind, x in built if kind == "state"]
+    domains = [side.g_val.shape for kind, side in built if kind == "domain"]
+    maps = [side.batch_shape for kind, side in built if kind == "map"]
+    # one family state of 4 x 36 points and one pairing state of 36
+    assert states == [(36, 2), (36, 2)]
+    assert domains == [(36, 2, 2), (36, 2, 2)]
+    assert maps == [(4, 36), (36,)]
 
 
 @pytest.mark.parametrize("geom,budget,nodes", [("pair", 130, 6),
@@ -1071,6 +1090,33 @@ def test_a_stage_that_raises_is_not_kept(monkeypatch):
     monkeypatch.undo()
     assert np.array_equal(state.gammaM_val,
                           MapState(phi, g, h, x, 4).gammaM_val)
+
+
+def test_on_shares_the_map_side_and_builds_its_own_domain_side():
+    dom, g, h, phi, _, fac = conformal.random_transform_family(
+        3, 2, np.random.default_rng(81))
+    pts = dom.sample(5, 82)
+    x = np.broadcast_to(pts, (2,) + pts.shape)
+    gbar = conformal.conformal_metric(g, fac)
+    state = MapState(phi, g, h, x, 4)
+    state.Q_jets  # a map stage built before the sharing is shared too
+    other = state.on(gbar)
+    assert other._map is state._map and other._domain is not state._domain
+    assert other.g is gbar and other.Q_jets is state.Q_jets
+    assert other.gammaM is not state.gammaM
+    fresh = MapState(phi, gbar, h, x, 4)
+    for name in ("gammaM_val", "sqrt_det_g", "Q_val", "curvature_map",
+                 "tension_values", "bitension_values"):
+        assert support.bits(getattr(other, name)) == \
+            support.bits(getattr(fresh, name)), name
+    # the new domain metric is validated as the constructor validates it
+    bad = RiemannianMetric.from_components(
+        dom, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]])
+    with pytest.raises(DomainError, match="domain metric is not positive"):
+        state.on(bad)
+    elsewhere = ChartDomain(("a", "b", "c"), ((-1.0, 1.0),) * 3)
+    with pytest.raises(GeometryInputError, match="different chart"):
+        state.on(RiemannianMetric.euclidean(elsewhere))
 
 
 def test_codomain_error_comes_before_a_failing_stage(monkeypatch):

@@ -23,10 +23,12 @@ every Weierstrass pool case, and the same lane for ``r2_wrap_r3``,
 catalog's sample points; the ``custom verify`` (JSON), ``weierstrass
 check`` and ``check-transform`` (m = 2..5, text) outputs of the CLI over the
 shipped configs, and the error paths and exit codes of the CLI: ``cylinder
-solve`` passing and failing its tolerance, and ``weierstrass check`` on
-``h5_inclusion`` (no 2d domain) and on the ``r2_wrap_r3`` config with its
-domain metric made to overflow; the ``first_variation`` dicts of the
-quadrature workload;
+solve`` passing and failing its tolerance and overflowing at radius 0.002,
+``catalog verify cylinder_family`` on the inadmissible member R = 0.001,
+C1 = 0, and ``weierstrass check`` on ``h5_inclusion`` (no 2d domain), on
+the ``r2_wrap_r3`` config with its domain metric made to overflow and on
+that config with its map made the constant (0, 0, 0); the
+``first_variation`` dicts of the quadrature workload;
 and, on fixed inputs with sample points drawn from the seed,
 ``harmonic_biharmonic_condition`` (the totally geodesic inclusion of
 hyperbolic 4-space in hyperbolic 5-space), both conformal-immersion
@@ -163,6 +165,17 @@ def _dump(root, seed, out):
                         .replace("exp(y/R)", "exp(800*y)"))
         emit("weierstrass check overflow.cfg", _cli(cli, [
             "weierstrass", "check", "--config", str(huge)] + seed_arg))
+        constant = Path(tmp, "constant.cfg")
+        constant.write_text(
+            Path(root, "configs", "r2_wrap_r3.cfg").read_text().replace(
+                "    R*cos(x/R)\n    R*sin(x/R)\n    y", "    0\n    0\n    0"))
+        emit("weierstrass check constant.cfg", _cli(cli, [
+            "weierstrass", "check", "--config", str(constant)] + seed_arg))
+    emit("catalog verify cylinder_family --param R=0.001 --param C1=0",
+         _cli(cli, ["catalog", "verify", "cylinder_family", "--param",
+                    "R=0.001", "--param", "C1=0"] + seed_arg))
+    emit("cylinder solve --radius 0.002", _cli(cli, [
+        "cylinder", "solve", "--radius", "0.002", "--c1", "0", "--c2", "2"]))
 
     _dump_fixed(seed, emit)
 
