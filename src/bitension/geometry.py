@@ -68,10 +68,9 @@ def _eval_components(components, variables, parameters, batch_shape, num_vars, o
 
     A subtree that several components share (the F^2 of every entry of
     :func:`conformal.conformal_metric`) is evaluated once, through one
-    :class:`expr.Memo` that lives for this call; a single component is
-    evaluated without one."""
+    :class:`expr.Memo` that lives for this call."""
     ctx = expr.EvalContext(variables, parameters)
-    memo = expr.Memo(components) if len(components) > 1 else None
+    memo = expr.Memo(components)
     out = []
     for comp in components:
         v = expr.evaluate(comp, ctx, memo)
@@ -241,9 +240,11 @@ def _curvature_values(gamma):
     return t1 - t2 + t3 - t4
 
 
-def _curvature_map(gamma, pull):
+def _curvature_map(gv, dg, pull):
     """K[..., b, c] = P^ak R^c_kab for P = ``pull``; with P = dphi^T g^-1 dphi
-    this makes Trace_g R(dphi, S) dphi = S^b K[b, c].
+    this makes Trace_g R(dphi, S) dphi = S^b K[b, c].  ``gv`` holds
+    Gamma^k_ij at [..., i, j, k] and ``dg`` d_l Gamma^k_ij at
+    [..., i, j, k, l].
 
     R^c_kab = d_a Gamma^c_bk - d_b Gamma^c_ak + Gamma^c_ap Gamma^p_bk
     - Gamma^c_bp Gamma^p_ak, the terms t1..t4 of :func:`_curvature_values`
@@ -252,9 +253,8 @@ def _curvature_map(gamma, pull):
     array of n^4 values per point is formed beyond the first partials of
     Gamma.  ``@`` rather than einsum, which parses its subscripts on every
     call."""
-    n, batch = len(gamma), pull.shape[:-2]
-    gv = jets.stack_values(gamma).reshape(batch + (n, n * n))
-    dg = jets.stack_gradients(gamma)  # d_l Gamma^k_ij at [..., i, j, k, l]
+    n, batch = pull.shape[-1], pull.shape[:-2]
+    gv = gv.reshape(batch + (n, n * n))
     flat = pull.reshape(batch + (1, n * n))
     t1 = (dg.reshape(batch + (n, n * n, n)) @ pull.mT[..., None]).sum(axis=-3)
     t2 = (flat @ dg.reshape(batch + (n * n, n * n))).reshape(batch + (n, n))
@@ -357,7 +357,8 @@ class _MapSide:
     """The stages of a :class:`MapState` that read the map and the target
     metric and no domain metric, for one (map, target metric, points,
     order): ``phi_jets``/``y0`` and ``h_yjets``/``hN_val``, validated when
-    built, then ``Dphi``/``dphi``, ``pullback``, ``gammaN_y`` and
+    built, then ``Dphi``/``dphi``, ``pullback``, ``gammaN_y`` with its
+    stacked values and first partials ``gammaN_stacks``, and
     ``Q_jets``/``Q_val`` on first read.  Its batch shape is the points'
     broadcast against the shapes of the map's parameters."""
 
@@ -396,6 +397,11 @@ class _MapSide:
     def gammaN_y(self):
         hinv_y = _jet_matrix_inverse(self.h_yjets, self.order - 2)
         return _christoffel_jets(self.h_yjets, hinv_y)
+
+    @_stage
+    def gammaN_stacks(self):
+        return (jets.stack_values(self.gammaN_y),
+                jets.stack_gradients(self.gammaN_y))
 
     @_stage
     def Q_jets(self):
@@ -452,7 +458,8 @@ class MapState:
       conformality fit (:meth:`conformality`) and the surface machinery's
       check of the induced metric;
     * ``gammaN_y``, the target Christoffel symbols at the image: ``Q_jets``
-      and ``curvature_map``;
+      and the map side's ``gammaN_stacks`` (their values and first partials
+      as arrays, stacked once per map side), which ``curvature_map`` reads;
     * ``Q_jets``/``Q_val``, the target Christoffel symbols pulled back and
       contracted with dphi: covariant derivatives of sections;
     * ``curvature_map``, the n x n map K[b, c] = P^ak R^c_kab with
@@ -525,7 +532,8 @@ class MapState:
     @_stage
     def curvature_map(self):
         pull = self.dphi.mT @ (self.ginv_val @ self.dphi)
-        return _curvature_map(self.gammaN_y, pull) if self.order >= 3 else None
+        return (_curvature_map(*self._map.gammaN_stacks, pull)
+                if self.order >= 3 else None)
 
     # -- scalar helpers ---------------------------------------------------------
 

@@ -30,16 +30,14 @@ Arithmetic truncates to the smaller operand order; differentiating drops the
 order by one.  Products are convolutions driven by a precomputed pair table:
 gather the pairs of every output coefficient, multiply, and sum each output's
 segment of terms with the grouping of ``np.add.reduceat``.  Every gather
-takes whole rows of the coefficient-major storage.  Small products call
-``reduceat`` itself over the row axis, which loops once per batch point and
-output coefficient.  A product of at least ``_RANK_MIN_TERMS`` gathered
-terms (batch points times table length) sums rank by rank instead
-(:func:`_rank_plan`, :func:`_rank_sum`): the ``k``-th terms of all outputs
-form one contiguous block of rows, so a handful of numpy calls cover the
-whole batch whatever its size, and the rank-0 rows are the result in the
-stored layout, with no transpose.  Both give the same bits, signed zeros
-included, so the choice never makes a result depend on batch size or
-chunking.
+takes whole rows of the coefficient-major storage.  Every product of two
+jets that are neither constant nor known zeros takes one path, at every
+batch size: it sums rank by rank (:func:`_rank_plan`, :func:`_rank_sum`).
+The ``k``-th terms of all outputs form one contiguous block of rows, so a
+handful of numpy calls cover the whole batch whatever its size, and the
+rank-0 rows are the result in the stored layout, with no transpose.  The
+plan reproduces ``reduceat``'s grouping, signed zeros included (the tests
+compare the two), so no result depends on batch size or chunking.
 
 Every jet carries a variable support: a bitmask that contains every variable
 used by a multi-index whose coefficient is nonzero at some batch point (a
@@ -52,10 +50,10 @@ construction, for its support and whether it is zero.  So every jet's
 support is known from how it was built.  A product gathers its pairs
 from :func:`_support_table`, a restriction of the dense :func:`_mul_table`
 (which stays the reference) to the pairs whose factors lie in the operands'
-supports, plus the exact-zero pairs that keep ``reduceat`` adding the rest
-in the dense grouping; a factor of support ``0`` is a scale by its value
-column.  So a product equals the dense one bit for bit, except possibly in
-the sign of a zero.
+supports, plus the exact-zero pairs that keep the rest added in the dense
+grouping; a factor of support ``0`` is a scale by its value column.  So a
+product equals the dense one bit for bit, except possibly in the sign of a
+zero.
 
 A jet can also be known to be zero from how it was built, and then it holds
 no memory: its coefficients are one shared read-only zero array per
@@ -177,9 +175,9 @@ def _support_table(num_vars, order, sa, sb):
     kept (they are summed after it) or when nothing else is (a filler, for a
     position outside ``sa | sb``), and a block-summed rest whole when it
     keeps more than two pairs.  Two terms and zeros add to the same bits in
-    any order.  The tables are also the input of :func:`_rank_plan`, which
-    repeats this grouping without ``reduceat``, so the same rules hold on
-    both paths.
+    any order.  The one reader is :func:`_rank_plan`, which repeats this
+    grouping without ``reduceat``; the tests sum the table with ``reduceat``
+    as the reference.
     """
     ia, ib, seg = _mul_table(num_vars, order)
     masks = _var_masks(num_vars, order)
@@ -196,16 +194,12 @@ def _support_table(num_vars, order, sa, sb):
     return ia[keep], ib[keep], np.concatenate(([0], np.cumsum(counts)[:-1]))
 
 
-# a product gathering at least this many terms (batch points times table
-# length) is summed by _rank_sum; below it the fixed cost of that path's numpy
-# calls outweighs what it saves, and reduceat sums it to the same bits
-_RANK_MIN_TERMS = 2048
-
-
 @lru_cache(maxsize=None)
 def _rank_plan(num_vars, order, sa, sb):
     """The :func:`_support_table` of supports ``sa``, ``sb`` laid out
-    rank by rank for :func:`_rank_sum`: ``(ia, ib, adds, inverse)``.
+    rank by rank for :func:`_rank_sum`, which sums every product of two
+    non-constant jets: ``(ia, ib, adds, inverse)``.  Cached on the same keys
+    as the support table.
 
     The outputs are sorted by segment length, longest first, and the pairs
     ordered rank-major: rank ``k`` holds the ``k``-th term of every output
@@ -563,15 +557,11 @@ class Jet:
             elif sb == 0:
                 out = ca * cb[:1]
             else:
-                ia, ib, seg = _support_table(self.num_vars, order, sa, sb)
                 # each operand is gathered at its own batch shape; the
                 # multiply broadcasts them, as parameter-only jets are often
                 # narrower
-                if len(ia) * math.prod(_batch(ca, cb)) >= _RANK_MIN_TERMS:
-                    out = _rank_sum(ca, cb, _rank_plan(self.num_vars, order,
-                                                       sa, sb))
-                else:
-                    out = np.add.reduceat(ca[ia] * cb[ib], seg, axis=0)
+                out = _rank_sum(ca, cb, _rank_plan(self.num_vars, order,
+                                                   sa, sb))
             return _jet(self.num_vars, order, out, sa | sb)
         other = _real(np.asarray(other))
         c = self._c
@@ -783,16 +773,12 @@ def contract(terms):
     return total
 
 
-_ZERO_FLAG = operator.attrgetter("_zero")
-
-
 def _stack(nested, leaf, leaf_axes):
     # leaf(jet) is batch-major: batch axes, then leaf_axes axes.  The leaves
-    # are stacked on one axis, which is then split into the nest's axes.  A
-    # nest without known zeros is stacked in one np.stack call; otherwise
-    # only the other leaves are written into a zero buffer, which gives the
-    # same array (a known zero holds +0.0), and a known zero is never read.
-    # Leaves of different shapes go to np.stack, which rejects them.
+    # are stacked on one axis, which is then split into the nest's axes.
+    # One path: the leaves that are not known zeros are written into one
+    # zero buffer, which gives the bits of np.stack (a known zero holds
+    # +0.0), and a known zero is never read.
     shape, leaves = (), [nested]
     while not isinstance(leaves[0], Jet):
         shape += (len(leaves[0]),)
@@ -800,17 +786,15 @@ def _stack(nested, leaf, leaf_axes):
             raise ValueError("a nest of jets must be rectangular")
         leaves = [e for row in leaves for e in row]
     values = [leaf(jet) for jet in leaves]
-    if any(map(_ZERO_FLAG, leaves)) and len({v.shape for v in values}) == 1:
-        cut = values[0].ndim - leaf_axes
-        out = np.zeros(values[0].shape[:cut] + (len(values),)
-                       + values[0].shape[cut:], dtype=values[0].dtype)
-        tail = (slice(None),) * leaf_axes
-        for k, (jet, v) in enumerate(zip(leaves, values)):
-            if not jet._zero:
-                out[(Ellipsis, k) + tail] = v
-    else:
-        out = np.stack(values, axis=-1 - leaf_axes)
-    cut = out.ndim - 1 - leaf_axes
+    if len({v.shape for v in values}) > 1:
+        raise ValueError("the jets of a nest must have one batch shape")
+    cut = values[0].ndim - leaf_axes
+    out = np.zeros(values[0].shape[:cut] + (len(values),)
+                   + values[0].shape[cut:], dtype=values[0].dtype)
+    tail = (slice(None),) * leaf_axes
+    for k, (jet, v) in enumerate(zip(leaves, values)):
+        if not jet._zero:
+            out[(Ellipsis, k) + tail] = v
     return out.reshape(out.shape[:cut] + shape + out.shape[cut + 1:])
 
 

@@ -14,10 +14,18 @@ from bitension.charts import ChartDomain, RiemannianMetric
 from bitension.expr import Binary, Const, Name, Unary
 from bitension.geometry import MapState
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
-_SPEC = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
-compare_outputs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_outputs)
+
+def _tool(name):
+    # a script of tools/, imported as a module
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_outputs = _tool("compare_outputs")
+bench_pairs = _tool("bench_pairs")
 
 # 7-point central stencils on offsets -3..3, 4th-order accurate for k <= 4.
 _OFFSETS = np.arange(-3, 4)
@@ -117,14 +125,13 @@ def build_counts(built):
 
 
 def overflow_curvature_map(monkeypatch):
-    """From now on, build the curvature map stage from Christoffel jets
-    scaled by 1e10 and from the largest float in every entry of
-    dphi^T g^-1 dphi, so the stage's own products overflow."""
+    """From now on, build the curvature map stage from Christoffel values
+    and first partials scaled by 1e10 and from the largest float in every
+    entry of dphi^T g^-1 dphi, so the stage's own products overflow."""
     build = geometry._curvature_map
 
-    def overflowing(gamma, pull):
-        return build([[[e * 1e10 for e in row] for row in plane]
-                      for plane in gamma],
+    def overflowing(gv, dg, pull):
+        return build(gv * 1e10, dg * 1e10,
                      np.full_like(pull, np.finfo(float).max))
 
     monkeypatch.setattr(geometry, "_curvature_map", overflowing)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bitension import conformal, geometry
+from bitension import conformal, geometry, jets
 from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
                               SmoothMap, VectorFieldAlongMap)
 from bitension.geometry import GeometryInputError, MapState
@@ -140,6 +140,24 @@ def test_law_sides_builds_one_state_per_geometry(monkeypatch):
     bar, own = [side.g for kind, side in built if kind == "domain"]
     assert own is g and bar is not g
     assert [side.order for kind, side in built if kind == "map"] == [4]
+
+
+def test_law_sides_stacks_the_target_christoffel_symbols_once(monkeypatch):
+    rng = np.random.default_rng(104)
+    dom, g, h, phi, fld, fac = conformal.random_transform_family(4, 2, rng)
+    x = broadcast_points(dom, 2, 2, 39)
+    built = support.record_builds(monkeypatch)
+    stacked, stack = [], jets.stack_gradients
+
+    def recording(nested):
+        stacked.append(nested)
+        return stack(nested)
+
+    monkeypatch.setattr(jets, "stack_gradients", recording)
+    conformal.law_sides(phi, g, h, fld, fac, x)
+    # both states read the curvature map from the one map side's stacks
+    side, = [side for kind, side in built if kind == "map"]
+    assert sum(nest is side.gammaN_y for nest in stacked) == 1
 
 
 def test_dim2_bitension_form_agrees_with_general():

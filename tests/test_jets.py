@@ -379,10 +379,10 @@ def test_support_tables_drop_only_zero_pairs_in_dense_order(num_vars, blocked):
 
 # -- the rank-major product sum -------------------------------------------------
 #
-# Large real products sum their terms rank by rank instead of calling
-# np.add.reduceat; these tests hold the two to the same bits, signed zeros
-# included (int64 views), so they also guard the numpy grouping the rank sum
-# reproduces.
+# Every product of two non-constant jets sums its terms rank by rank, at every
+# batch size, in the grouping of np.add.reduceat; these tests hold the two to
+# the same bits, signed zeros included (int64 views), so they also guard the
+# numpy grouping the rank sum reproduces.
 
 
 def _reduceat_product(x, y):
@@ -419,11 +419,11 @@ def _counting_rank_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("num_vars", range(1, 7))
-@pytest.mark.parametrize("rank_min", [0, jets._RANK_MIN_TERMS])
-def test_rank_sums_are_the_reduceat_bits(monkeypatch, num_vars, rank_min):
-    # rank_min 0 sends every real product down the rank path; the default
-    # splits these batches across the threshold
-    monkeypatch.setattr(jets, "_RANK_MIN_TERMS", rank_min)
+@pytest.mark.parametrize("least_terms", [0, 2048])
+def test_rank_sums_are_the_reduceat_bits(monkeypatch, num_vars, least_terms):
+    # the products split at 2048 gathered terms (batch points times table
+    # length): least_terms 0 makes the smaller ones, down to a single point,
+    # and 2048 the wider ones; each of them is one rank sum
     calls = _counting_rank_sums(monkeypatch)
     rng = np.random.default_rng(57 + num_vars)
     full = (1 << num_vars) - 1
@@ -441,6 +441,12 @@ def test_rank_sums_are_the_reduceat_bits(monkeypatch, num_vars, rank_min):
                     if x.is_zero() or y.is_zero() or not (
                             x._variables() and y._variables()):
                         continue
+                    terms = len(jets._support_table(
+                        num_vars, min(x.order, y.order), x._variables(),
+                        y._variables())[0]) * math.prod(
+                            np.broadcast_shapes(ba, bb))
+                    if (terms >= 2048) != (least_terms == 2048):
+                        continue
                     prod = x * y
                     got, want = prod.coeffs, _reduceat_product(x, y)
                     # the stored coefficient-major array is the product's
@@ -450,10 +456,7 @@ def test_rank_sums_are_the_reduceat_bits(monkeypatch, num_vars, rank_min):
                     assert np.array_equal(_bits(got), _bits(want))
                     made += 1
     assert made > 0
-    if rank_min == 0:
-        assert len(calls) == made
-    else:
-        assert 0 < len(calls) < made
+    assert len(calls) == made
 
 
 def test_a_row_has_the_same_bits_in_any_batch(monkeypatch):
@@ -467,8 +470,8 @@ def test_a_row_has_the_same_bits_in_any_batch(monkeypatch):
             one = (Jet(5, 4, a.coeffs[row:row + 1])
                    * Jet(5, 4, b.coeffs[row:row + 1])).coeffs
             assert np.array_equal(_bits(one[0]), _bits(whole[row]))
-    # the batch of 1000 takes the rank path, the single rows do not
-    assert len(calls) == 2
+    # the batch of 1000 and each single row take the one rank sum
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("batch", [(2,), (500,)])
@@ -479,7 +482,7 @@ def test_an_overflowing_product_raises_under_errstate(monkeypatch, batch):
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             a * b
-    assert len(calls) == (batch[0] > 2)
+    assert len(calls) == 1
 
 
 def test_recorded_supports_cover_every_nonzero_coefficient(monkeypatch):
@@ -702,22 +705,15 @@ def _row_by_row(nested, leaf, leaf_axes):
                     axis=-depth)
 
 
-def test_stacks_are_one_np_stack_and_the_row_by_row_bits(monkeypatch):
+def test_stacks_fill_one_buffer_with_the_row_by_row_bits(monkeypatch):
     rng = np.random.default_rng(23)
     nest = [[[_signed_jet(rng, 3, 2, 0b111, (4, 2)) for _ in range(2)]
              for _ in range(3)] for _ in range(2)]
     want_values = _row_by_row(nest, lambda jet: jet.value, 0)
     want_grads = _row_by_row(nest, jets._gradient, 1)
-    calls = []
-    stack = np.stack
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return stack(*args, **kwargs)
-
-    monkeypatch.setattr(np, "stack", counting)
+    # a nest without known zeros fills the zero buffer too: no np.stack
+    monkeypatch.setattr(np, "stack", None)
     values, grads = jets.stack_values(nest), jets.stack_gradients(nest)
-    assert len(calls) == 2
     assert values.shape == (4, 2, 2, 3, 2) and values.flags.c_contiguous
     assert grads.shape == (4, 2, 2, 3, 2, 3) and grads.flags.c_contiguous
     assert np.array_equal(_bits(values), _bits(want_values))
@@ -742,7 +738,7 @@ def test_stacks_with_known_zeros_are_the_np_stack_bits(monkeypatch, batch,
     want_values = _row_by_row(nested, lambda jet: jet.value, 0)
     want_grads = _row_by_row(nested, jets._gradient, 1)
     # only the zero flags are read: no jet is scanned, and np.stack is not
-    # called on a nest holding a known zero
+    # called
     monkeypatch.setattr(Jet, "_scan", None)
     monkeypatch.setattr(np, "stack", None)
     values, grads = jets.stack_values(nested), jets.stack_gradients(nested)
@@ -760,6 +756,18 @@ def test_ragged_nests_are_rejected():
     # six leaves, as many as a 3 x 2 nest holds
     with pytest.raises(ValueError, match="rectangular"):
         jets.stack_values([[jet, jet], [jet, jet, jet], [jet]])
+
+
+@pytest.mark.parametrize("with_zero", [False, True])
+@pytest.mark.parametrize("stack", [jets.stack_values, jets.stack_gradients])
+def test_nests_of_jets_on_different_batches_are_rejected(stack, with_zero):
+    rng = np.random.default_rng(31)
+    narrow = _signed_jet(rng, 2, 2, 0b11, (3,))
+    wide = _signed_jet(rng, 2, 2, 0b11, (2, 3))
+    nest = [narrow, wide] + [jets._zero_jet(2, 2, (3,))] * with_zero
+    for leaves in (nest, nest[::-1]):
+        with pytest.raises(ValueError):
+            stack(leaves)
 
 
 # -- batch axes of different rank ---------------------------------------------
