@@ -30,7 +30,7 @@ wrappers that build a state and extract one quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, wraps
+from functools import cache, cached_property, lru_cache, partial, wraps
 
 import numpy as np
 
@@ -211,22 +211,46 @@ def _jet_matrix_inverse(rows, order=None):
             for i in range(m)]
 
 
-def _christoffel_jets(gj, ginv):
-    """gamma[i][j][k] = Gamma^k_ij, one jet order below the metric jets."""
+def _christoffel_sums(gj):
+    """``s(i, j)``, the jets s[l] = d_i g_jl + d_j g_il - d_l g_ij for every
+    l, formed on the first call for (i, j), so that Gamma^k_ij =
+    1/2 g^kl s(i, j)[l]."""
     m = len(gj)
     # each distinct jet is differentiated once: entries that share a jet
     # (see _sym_matrix_jets) share its derivatives
     partials = _by_identity(lambda e: [e.derivative(l) for l in range(m)])
     dg = [[partials(e) for e in row] for row in gj]
-    out = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            # d_i g_jl + d_j g_il - d_l g_ij, formed once for every k
-            s = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(m)]
-            for k in range(m):
-                out[i][j][k] = out[j][i][k] = jets.contract(
-                    (ginv[k][l], s[l]) for l in range(m)) * 0.5
-    return out
+    return cache(lambda i, j: [dg[j][l][i] + dg[i][l][j] - dg[i][j][l]
+                               for l in range(m)])
+
+
+def _christoffel_jets(gj, ginv):
+    """gamma[i][j][k] = Gamma^k_ij, one jet order below the metric jets."""
+    m, s = len(gj), _christoffel_sums(gj)
+    # the pairs i <= j, each read as (i, j) and as (j, i)
+    gamma = {(i, j): [jets.contract(zip(row, s(i, j))) * 0.5 for row in ginv]
+             for i in range(m) for j in range(i, m)}
+    return [[gamma[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+
+
+def _christoffel_trace_jets(gj, ginv):
+    """gamma[k] = Gamma^k = g^ij Gamma^k_ij, one jet order below the metric
+    jets, as g^kl v_l with v_l = 1/2 g^ij s(i, j)[l] (see
+    :func:`_christoffel_sums`): m^2 (m + 1) / 2 + m^2 products for a full
+    metric, where the symbols themselves take m^3 (m + 1) / 2."""
+    m, s = len(gj), _christoffel_sums(gj)
+    v = [_metric_trace(ginv, lambda i, j: s(i, j)[l]) * 0.5 for l in range(m)]
+    return [jets.contract(zip(row, v)) for row in ginv]
+
+
+def _metric_trace(ginv, hessian):
+    """g^ij H_ij over the symmetric pairs i <= j, off-diagonal ones twice;
+    ``hessian(i, j)`` builds H_ij, only where g^ij is not structurally zero
+    (the diagonal of an SPD inverse never is)."""
+    m = len(ginv)
+    return jets.contract(
+        (ginv[i][j], hessian(i, j)) + ((2.0,) if i != j else ())
+        for i in range(m) for j in range(i, m) if not ginv[i][j].is_zero())
 
 
 def _curvature_values(gamma):
@@ -279,6 +303,20 @@ def _einsum_path(subscripts, *shapes):
     return tuple(np.einsum_path(subscripts, *stand_ins, optimize=True)[0])
 
 
+def _plain_einsum(subscripts, *operands):
+    """``np.einsum(subscripts, *operands)``, bit for bit, which raises
+    ``FloatingPointError("overflow encountered in einsum")`` under
+    ``np.errstate(over="raise")`` when the result is not finite but every
+    operand is: a plain einsum does not honour ``np.errstate``, while ``@``
+    and ``optimize=True`` would change its summation order.  The operands
+    are scanned only when the result is not finite."""
+    out = np.einsum(subscripts, *operands)
+    if (np.geterr()["over"] == "raise" and not np.isfinite(out).all()
+            and all(np.isfinite(op).all() for op in operands)):
+        raise FloatingPointError("overflow encountered in einsum")
+    return out
+
+
 # -- the per-point engine -------------------------------------------------------
 
 
@@ -321,8 +359,13 @@ class _DomainSide:
     """The stages of a :class:`MapState` that read the domain metric and no
     map, for one (domain metric, points, order): ``g_jets``/``g_val``,
     validated when built, then ``ginv_jets``/``ginv_val``, ``sqrt_det_g``
-    and ``gammaM``/``gammaM_val`` on first read.  Its batch shape is the
-    points'."""
+    and ``gammaM_trace``/``gammaM_trace_val`` on first read.  Its batch
+    shape is the points'.
+
+    Every reader of the domain Christoffel symbols (the tension field, the
+    scalar and rough Laplacians) takes them only through the trace
+    Gamma^k = g^ij Gamma^k_ij, so that is the stage formed; the full
+    symbols of a metric are :func:`christoffel`."""
 
     def __init__(self, g, x, xvars, order):
         self.g, self.order = g, order
@@ -345,12 +388,12 @@ class _DomainSide:
         return np.sqrt(np.linalg.det(self.g_val))
 
     @_stage
-    def gammaM(self):
-        return _christoffel_jets(self.g_jets, self.ginv_jets)
+    def gammaM_trace(self):
+        return _christoffel_trace_jets(self.g_jets, self.ginv_jets)
 
     @_stage
-    def gammaM_val(self):
-        return jets.stack_values(self.gammaM)
+    def gammaM_trace_val(self):
+        return jets.stack_values(self.gammaM_trace)
 
 
 class _MapSide:
@@ -390,8 +433,8 @@ class _MapSide:
 
     @_stage
     def pullback(self):
-        return np.einsum("...ia,...ab,...jb->...ij", self.dphi, self.hN_val,
-                         self.dphi)
+        return _plain_einsum("...ia,...ab,...jb->...ij", self.dphi,
+                             self.hN_val, self.dphi)
 
     @_stage
     def gammaN_y(self):
@@ -429,9 +472,9 @@ class MapState:
     its Christoffel symbols are pulled back through the map.
 
     A state joins two sides.  The domain side holds the stages that read
-    the domain metric and no map (``g_jets`` through ``gammaM``), one per
-    (domain metric, points, order); the map side those that read the map
-    and the target metric and no domain metric (``phi_jets`` through
+    the domain metric and no map (``g_jets`` through ``gammaM_trace``), one
+    per (domain metric, points, order); the map side those that read the
+    map and the target metric and no domain metric (``phi_jets`` through
     ``Q_jets``), one per (map, target metric, points, order).  Their stages
     read as attributes of the state.  The stages that read both sides
     (``curvature_map``, the tension, the bitension, covariant derivatives
@@ -448,10 +491,12 @@ class MapState:
     reading it again raises again.  The stages and their readers:
 
     * ``ginv_jets``/``ginv_val``, the domain inverse: metric traces,
-      gradients, ``gammaM``, the rough Laplacian, ``curvature_map``;
+      gradients, ``gammaM_trace``, the rough Laplacian, ``curvature_map``;
     * ``sqrt_det_g``, the volume density: the integral functionals;
-    * ``gammaM``/``gammaM_val``, the domain Christoffel symbols: the tension
-      field, the scalar and rough Laplacians;
+    * ``gammaM_trace``/``gammaM_trace_val``, the contracted domain
+      Christoffel symbols Gamma^k = g^ij Gamma^k_ij: the tension field, the
+      scalar and rough Laplacians, which read the symbols only through this
+      trace (the full symbols are not a stage);
     * ``Dphi``/``dphi``, the differential: the tension field, ``Q_jets``,
       ``curvature_map``, ``pullback``, the surface machinery;
     * ``pullback``, the values of the pull-back metric phi^*h: the
@@ -481,7 +526,7 @@ class MapState:
     that order); ``ginv_jets`` at ``min(order - 1, 2)``, as the Christoffel
     symbols and the metric traces keep ``order - 2`` and the Jacobi operator
     of a pushed gradient (:meth:`gradient_jets`) needs order 2;
-    ``gammaM``, ``Q_jets`` and the target inverse at ``order - 2``.
+    ``gammaM_trace``, ``Q_jets`` and the target inverse at ``order - 2``.
 
     Points ``x`` may carry arbitrary leading batch axes; every derived value
     keeps those axes.  The map side's batch shape, the state's
@@ -492,8 +537,8 @@ class MapState:
     points, and its values broadcast against the map side's.
     """
 
-    (g, g_jets, g_val, ginv_jets, ginv_val, sqrt_det_g, gammaM,
-     gammaM_val) = map(_Side, ["_domain"] * 8)
+    (g, g_jets, g_val, ginv_jets, ginv_val, sqrt_det_g, gammaM_trace,
+     gammaM_trace_val) = map(_Side, ["_domain"] * 8)
     (phi, h, x, _xvars, order, m, n, batch_shape, phi_jets, y0, h_yjets,
      hN_val, Dphi, dphi, pullback, gammaN_y, Q_jets, Q_val) = map(
         _Side, ["_map"] * 18)
@@ -543,35 +588,34 @@ class MapState:
         return _eval_components([node], self._xvars, parameters or {},
                                 self.batch_shape, self.m, self.order)[0]
 
-    def _metric_trace(self, hessian):
-        """g^ij H_ij over the symmetric pairs i <= j, off-diagonal ones twice;
-        ``hessian(i, j)`` builds H_ij, only where g^ij is not structurally
-        zero (the diagonal of an SPD inverse never is)."""
-        return jets.contract(
-            (self.ginv_jets[i][j], hessian(i, j)) + ((2.0,) if i != j else ())
-            for i in range(self.m) for j in range(i, self.m)
-            if not self.ginv_jets[i][j].is_zero())
-
     def gradient_jets(self, f):
         """Metric gradient of a scalar jet, one component jet per axis, at
         the order of ``ginv_jets`` or one below ``f``'s, whichever is lower
         (order 2 at most)."""
         df = [f.derivative(j) for j in range(self.m)]
-        return [jets.contract((self.ginv_jets[i][j], df[j]) for j in range(self.m))
-                for i in range(self.m)]
+        return [jets.contract(zip(row, df)) for row in self.ginv_jets]
+
+    def _laplace(self, hessian, grad):
+        """g^ij H_ij - Gamma^k grad_k, with ``hessian(i, j)`` building H_ij
+        (see :func:`_metric_trace`).  Gamma^k is read first, so when the
+        domain Christoffel stage fails, that is the error reported, even
+        where a map stage read by ``hessian`` fails too."""
+        gam = self.gammaM_trace
+        return jets.contract(
+            [(_metric_trace(self.ginv_jets, hessian),)]
+            + [(gk, dk, -1.0) for gk, dk in zip(gam, grad)])
 
     def scalar_laplacian(self, f):
-        """Laplace-Beltrami of a scalar jet, as a jet two orders lower."""
+        """Laplace-Beltrami of a scalar jet, as a jet two orders lower:
+        g^ij d_i d_j f - Gamma^k d_k f."""
         df = [f.derivative(k) for k in range(self.m)]
-        return self._metric_trace(lambda i, j: jets.contract(
-            [(df[i].derivative(j),)]
-            + [(self.gammaM[i][j][k], df[k], -1.0) for k in range(self.m)]))
+        return self._laplace(lambda i, j: df[i].derivative(j), df)
 
     def domain_inner(self, u, v):
-        return np.einsum("...ij,...i,...j->...", self.g_val, u, v)
+        return _plain_einsum("...ij,...i,...j->...", self.g_val, u, v)
 
     def target_inner(self, a, b):
-        return np.einsum("...ab,...a,...b->...", self.hN_val, a, b)
+        return _plain_einsum("...ab,...a,...b->...", self.hN_val, a, b)
 
     def conformality(self, tol=1e-9):
         """:func:`conformality_factor` at the state's points, read from its
@@ -621,7 +665,7 @@ class MapState:
         else:
             yv = np.stack([np.broadcast_to(np.asarray(v, dtype=float),
                                            self.batch_shape) for v in vec], axis=-1)
-        return np.einsum("...j,...jc->...c", yv, dsval)
+        return _plain_einsum("...j,...jc->...c", yv, dsval)
 
     def trace_laplacian(self, section):
         """Values of Trace_g (nabla^phi)^2 S (the rough Laplacian on sections)."""
@@ -631,10 +675,10 @@ class MapState:
         dsval = jets.stack_values(ds)
         # d_i (nabla_j S)^c at [..., i, j, c]
         dds = np.moveaxis(jets.stack_gradients(ds), -1, -3)
-        full = dds + np.einsum("...icb,...jb->...ijc", self.Q_val, dsval)
-        return (np.einsum("...ij,...ijc->...c", self.ginv_val, full)
-                - _einsum("...ij,...ijk,...kc->...c", self.ginv_val,
-                          self.gammaM_val, dsval))
+        full = dds + _plain_einsum("...icb,...jb->...ijc", self.Q_val, dsval)
+        return (_plain_einsum("...ij,...ijc->...c", self.ginv_val, full)
+                - _plain_einsum("...k,...kc->...c", self.gammaM_trace_val,
+                                dsval))
 
     def curvature_trace(self, section_values):
         """Values of Trace_g R^N(dphi, S) dphi = S^b K[b, c].
@@ -659,14 +703,12 @@ class MapState:
     @_named
     def tension_jets(self):
         if self._tension is None:
-            m, n, D = self.m, self.n, self.Dphi
-            # (nabla dphi)_ij^c = d_j dphi_i^c - Gamma^k_ij dphi_k^c
-            #                     + Q_i^c_b dphi_j^b
-            self._tension = [self._metric_trace(lambda i, j: jets.contract(
+            n, D = self.n, self.Dphi
+            # tau^c = g^ij (d_j dphi_i^c + Q_i^c_b dphi_j^b) - Gamma^k dphi_k^c
+            self._tension = [self._laplace(lambda i, j: jets.contract(
                 [(D[i][c].derivative(j),)]
-                + [(self.gammaM[i][j][k], D[k][c], -1.0) for k in range(m)]
-                + [(self.Q_jets[i][c][b], D[j][b]) for b in range(n)]))
-                for c in range(n)]
+                + [(self.Q_jets[i][c][b], D[j][b]) for b in range(n)]),
+                [row[c] for row in D]) for c in range(n)]
         return self._tension
 
     @_stage
@@ -723,7 +765,7 @@ def pullback_metric(phi, h, x):
     dphi = jets.stack_values([[p.derivative(i) for p in pj]
                               for i in range(phi.domain.dim)])
     hv = _metric_values(h, y0)
-    return np.einsum("...ia,...ab,...jb->...ij", dphi, hv, dphi)
+    return _plain_einsum("...ia,...ab,...jb->...ij", dphi, hv, dphi)
 
 
 @dataclass(frozen=True)
@@ -748,7 +790,8 @@ def conformality_factor(phi, g, h, x):
 
 
 def _fit_conformality(pb, gv, tol):
-    lam2 = np.einsum("...ij,...ji->...", np.linalg.inv(gv), pb) / gv.shape[-1]
+    lam2 = (_plain_einsum("...ij,...ji->...", np.linalg.inv(gv), pb)
+            / gv.shape[-1])
     resid = pb - lam2[..., None, None] * gv
     scale = 1.0 + np.max(np.abs(pb))
     max_res = float(np.max(np.abs(resid)) / scale)

@@ -352,7 +352,7 @@ def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
     def refuse(*args):
         raise FloatingPointError("Christoffel stage refused")
 
-    monkeypatch.setattr(geometry, "_christoffel_jets", refuse)
+    monkeypatch.setattr(geometry, "_christoffel_trace_jets", refuse)
     rep = catalog.verify_case(catalog.build_case("r2_wrap_r3"))
     records = {c.name: c for c in rep.checks}
     # the complex-coordinate checks read the state's inputs only
@@ -360,6 +360,6 @@ def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
         assert records[name].passed and records[name].max_abs is not None
     bad = records["bitension_zero"]
     assert bad.max_abs is None and not bad.passed
-    # the tension reads the domain Christoffel symbols first
+    # the tension reads the contracted domain Christoffel symbols first
     assert bad.error == ("FloatingPointError: Christoffel stage refused"
-                         " in stage gammaM")
+                         " in stage gammaM_trace")

@@ -33,7 +33,9 @@ def test_diff_reports_how_far_each_differing_line_moved(tmp_path, capsys):
         "differs: text: text differs from offset 17, in 1 numbers only; the "
         "largest move is 6e-14 -> 5e-14 (abs 1e-14), the largest relative "
         "one 0.167",
-        "1 of 4 outputs bitwise equal"]
+        "1 of 4 outputs bitwise equal",
+        "largest absolute move among array and float.hex outputs: 0.5 in "
+        "floats"]
 
 
 def test_diff_of_equal_dumps_exits_0(tmp_path, capsys):
@@ -51,3 +53,38 @@ def test_text_lines_that_differ_in_words_report_only_the_offset(tmp_path,
     assert code == 1
     assert capsys.readouterr().out.splitlines()[0] == (
         "differs: t: text differs from offset 6")
+
+
+def test_diff_ends_with_the_largest_move_and_where_it_is(tmp_path, capsys):
+    a = np.array([1.0, 2.0, 3.0])
+    before = [("small", compare_outputs._array(a)),
+              ("big", compare_outputs._array(a)),
+              ("floats", compare_outputs._floats({"p": 1.0})),
+              ("text", "pass: true 1e-15"),
+              ("reshaped", compare_outputs._array(a))]
+    after = [("small", compare_outputs._array(a + [0.0, 1e-15, 0.0])),
+             ("big", compare_outputs._array(a + [0.0, 0.0, -3e-13])),
+             ("floats", compare_outputs._floats({"p": 1.0 + 1e-14})),
+             ("text", "pass: true 9e-12"),  # text moves are not counted
+             ("reshaped", compare_outputs._array(a[:2]))]
+    code = compare_outputs.main(["diff", _dump(tmp_path / "a", before),
+                                 _dump(tmp_path / "b", after)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[-2] == "0 of 5 outputs bitwise equal"
+    assert out[-1] == ("largest absolute move among array and float.hex "
+                       "outputs: 3e-13 in big")
+
+
+def test_diff_of_text_moves_only_reads_no_array_move(tmp_path, capsys):
+    code = compare_outputs.main([
+        "diff", _dump(tmp_path / "a", [("t", "max 1e-15"),
+                                       ("x", compare_outputs._array(
+                                           np.array([0.0])))]),
+        _dump(tmp_path / "b", [("t", "max 2e-15"),
+                               ("x", compare_outputs._array(
+                                   np.array([-0.0])))])])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "largest absolute move among array and float.hex outputs: 0 (none "
+        "moves)")

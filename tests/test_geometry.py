@@ -216,20 +216,25 @@ def test_tension_makes_no_product_with_a_zero_inverse_entry(monkeypatch):
     state = MapState(phi, met, RiemannianMetric.euclidean(tgt),
                      dom.sample(8, 3), 4)
     assert _structurally_zero(state.ginv_jets[0][1])
-    state.gammaM, state.Q_jets  # built on first read: not measured here
+    state.gammaM_trace, state.Q_jets  # built on first read: not measured here
     calls = _jet_products(monkeypatch)
     state.tension_jets
     assert not any(_structurally_zero(a) or _structurally_zero(b)
                    for a, b in calls)
     # flat target: Q vanishes, every dphi entry is nonzero, and g^-1 is
-    # diagonal, so H_ij is built only for i = j: each component costs one
-    # product per nonzero Gamma^k_ii plus one per diagonal g^ii
-    nonzero_gamma = sum(not _structurally_zero(state.gammaM[i][i][k])
-                        for i in range(2) for k in range(2))
-    assert nonzero_gamma == 2
-    assert len(calls) == state.n * (nonzero_gamma + state.m) == 8
+    # diagonal, so H_ij = d_j dphi_i^c is built only for i = j: component c
+    # costs one product per diagonal g^ii whose H_ii is not zero (d_x^2 of
+    # x*y + sin(y) is) plus one per nonzero Gamma^k = g^ij Gamma^k_ij, and
+    # those vanish for a conformally flat plane metric (their two terms
+    # cancel exactly, so no product is formed with them)
+    nonzero_gamma = sum(not gam.is_zero() for gam in state.gammaM_trace)
+    assert nonzero_gamma == 0
+    nonzero_hessian = sum(not state.Dphi[i][c].derivative(i).is_zero()
+                          for i in range(state.m) for c in range(state.n))
+    assert nonzero_hessian == 3
+    assert len(calls) == nonzero_hessian + state.n * nonzero_gamma == 3
     ginv = [e for row in state.ginv_jets for e in row]
-    assert sum(any(a is e for e in ginv) for a, _ in calls) == state.n * state.m
+    assert all(any(a is e for e in ginv) for a, _ in calls)
 
 
 def test_map_state_carries_each_jet_at_the_order_it_is_read():
@@ -241,17 +246,80 @@ def test_map_state_carries_each_jet_at_the_order_it_is_read():
     state = MapState(phi, met, h, pts, 4)
     assert all(e.order == 3 for row in state.g_jets for e in row)
     assert all(e.order == 2 for row in state.ginv_jets for e in row)
-    assert all(e.order == 2 for jj in state.gammaM for kk in jj for e in kk)
-    # the truncated inputs reproduce a prefix of the untruncated Christoffel
-    # jets bit for bit: no coefficient that is read depends on a dropped one
+    assert all(e.order == 2 for e in state.gammaM_trace)
+    # the truncated inputs reproduce a prefix of the untruncated contracted
+    # Christoffel jets bit for bit: no coefficient that is read depends on a
+    # dropped one
     rows = geometry.metric_jets(met, pts, order=4)
-    full = geometry._christoffel_jets(rows, geometry._jet_matrix_inverse(rows))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert full[i][j][k].order == 3
-                assert np.array_equal(state.gammaM[i][j][k].coeffs,
-                                      full[i][j][k].truncated(2).coeffs)
+    full = geometry._christoffel_trace_jets(
+        rows, geometry._jet_matrix_inverse(rows))
+    for k in range(3):
+        assert full[k].order == 3
+        assert np.array_equal(state.gammaM_trace[k].coeffs,
+                              full[k].truncated(2).coeffs)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_contracted_christoffel_jets_are_the_trace_of_the_symbols(order):
+    dom, met = wiggly_metric()  # every entry of g and of g^-1 is nonzero
+    tgt = ChartDomain(("y1", "y2", "y3"), ((-1.0, 1.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, dom.coords)
+    state = MapState(phi, met, RiemannianMetric.euclidean(tgt),
+                     dom.sample(7, 17), order)
+    ginv = state.ginv_jets
+    assert not any(e.is_zero() for row in ginv for e in row)
+    full = geometry._christoffel_jets(state.g_jets, ginv)
+    for k, got in enumerate(state.gammaM_trace):
+        want = jets.contract((ginv[i][j], full[i][j][k])
+                             for i in range(3) for j in range(3))
+        assert got.order == want.order == order - 2
+        a, b = got.coeffs, want.coeffs
+        assert np.all(np.abs(a - b)
+                      <= 1e-13 * np.maximum(np.abs(a), np.abs(b)))
+
+
+def _law_state(m, seed):
+    """An order-4 state of the law family of dimension m on F^-2 g, a full
+    domain metric."""
+    dom, g, h, phi, _, fac = conformal.random_transform_family(
+        m, 2, np.random.default_rng(seed))
+    pts = dom.sample(4, seed + 1)
+    return MapState(phi, conformal.conformal_metric(g, fac), h,
+                    np.broadcast_to(pts, (2,) + pts.shape), 4)
+
+
+def test_the_contracted_christoffel_stage_forms_fewer_products(monkeypatch):
+    built, christoffel = [], geometry._christoffel_jets
+
+    def recording(gj, ginv):
+        built.append(gj)
+        return christoffel(gj, ginv)
+
+    monkeypatch.setattr(geometry, "_christoffel_jets", recording)
+    state = _law_state(5, 105)
+    m = state.m
+    assert not any(e.is_zero() for row in state.ginv_jets for e in row)
+    state.Dphi, state.Q_jets  # built on first read: not measured here
+    calls = _jet_products(monkeypatch)
+    state.gammaM_trace
+    # v_l = 1/2 g^ij s(i, j)[l] over the pairs i <= j, one product per
+    # nonzero s(i, j)[l], then Gamma^k = g^kl v_l, m^2 products: at most
+    # m^2 (m + 1) / 2 + m^2 = 100, where the full symbols took
+    # m^3 (m + 1) / 2 = 375 (300 here, with the same zeros skipped)
+    s = geometry._christoffel_sums(state.g_jets)
+    nonzero = sum(not s(i, j)[l].is_zero() for i in range(m)
+                  for j in range(i, m) for l in range(m))
+    assert not any(v.is_zero() for v in state.gammaM_trace)
+    assert len(calls) == nonzero + m * m == 85
+    assert len(calls) <= m * m * (m + 1) // 2 + m * m == 100
+    calls.clear()
+    state.tension_jets
+    # 365 with the full symbols, each contracted with dphi inside the trace
+    assert len(calls) == 169
+    state.scalar_laplacian(state.scalar_jet("x1*x2"))
+    state.bitension_values
+    # the target's symbols, once; the domain's never
+    assert len(built) == 1 and built[0] is state.h_yjets
 
 
 def _every_jet(nest):
@@ -277,7 +345,7 @@ def _support_source(name):
                          + tuple(f"family m={m}" for m in range(2, 6)))
 def test_map_state_jets_record_supersets_of_their_supports(name):
     state = MapState(*_support_source(name), 4)
-    lists = (state.g_jets, state.ginv_jets, state.gammaM, state.phi_jets,
+    lists = (state.g_jets, state.ginv_jets, state.gammaM_trace, state.phi_jets,
              state.Dphi, state.Q_jets, state.tension_jets)
     every = [jet for nest in lists for jet in _every_jet(nest)]
     narrower = 0
@@ -1008,7 +1076,7 @@ def test_quadrature_grid_is_built_chunk_by_chunk(monkeypatch):
 def test_a_euclidean_slab_has_known_zero_christoffel_jets():
     phi, g, h, _ = small_slab()
     state = MapState(phi, g, h, phi.domain.sample(5, 3), 4)
-    for jet in _every_jet(state.gammaM):
+    for jet in _every_jet(state.gammaM_trace):
         # known when built: no is_zero() scan set the flag, and the
         # coefficients are the shared read-only zero, which holds no memory
         assert jet._zero is True
@@ -1072,7 +1140,7 @@ def test_conformally_flat_factor_is_evaluated_and_differentiated_once(
         return derivative(self, axis)
 
     monkeypatch.setattr(jets.Jet, "derivative", differentiating)
-    state.gammaM
+    state.gammaM_trace
     # one factor jet and one zero jet, each differentiated along each axis
     assert len(differentiated) == 2 * 4
     assert sum(e is state.g_jets[0][0] for e, _ in differentiated) == 4
@@ -1081,15 +1149,15 @@ def test_conformally_flat_factor_is_evaluated_and_differentiated_once(
 def test_a_stage_that_raises_is_not_kept(monkeypatch):
     phi, g, h, _ = small_slab()
     x = phi.domain.sample(5, 3)
-    calls = _raising(monkeypatch, "_christoffel_jets")
+    calls = _raising(monkeypatch, "_christoffel_trace_jets")
     state = MapState(phi, g, h, x, 4)  # validation reads no Christoffel stage
     for attempt in (1, 2):
         with pytest.raises(FloatingPointError):
-            state.gammaM
+            state.gammaM_trace
         assert len(calls) == attempt
     monkeypatch.undo()
-    assert np.array_equal(state.gammaM_val,
-                          MapState(phi, g, h, x, 4).gammaM_val)
+    assert np.array_equal(state.gammaM_trace_val,
+                          MapState(phi, g, h, x, 4).gammaM_trace_val)
 
 
 def test_on_shares_the_map_side_and_builds_its_own_domain_side():
@@ -1103,9 +1171,9 @@ def test_on_shares_the_map_side_and_builds_its_own_domain_side():
     other = state.on(gbar)
     assert other._map is state._map and other._domain is not state._domain
     assert other.g is gbar and other.Q_jets is state.Q_jets
-    assert other.gammaM is not state.gammaM
+    assert other.gammaM_trace is not state.gammaM_trace
     fresh = MapState(phi, gbar, h, x, 4)
-    for name in ("gammaM_val", "sqrt_det_g", "Q_val", "curvature_map",
+    for name in ("gammaM_trace_val", "sqrt_det_g", "Q_val", "curvature_map",
                  "tension_values", "bitension_values"):
         assert support.bits(getattr(other, name)) == \
             support.bits(getattr(fresh, name)), name
@@ -1125,6 +1193,7 @@ def test_codomain_error_comes_before_a_failing_stage(monkeypatch):
     phi = SmoothMap.from_components(dom, tgt, ("u", "v", "5*u"))
     g = RiemannianMetric.conformally_flat(dom, "2+u")
     _raising(monkeypatch, "_christoffel_jets")
+    _raising(monkeypatch, "_christoffel_trace_jets")
     with pytest.raises(DomainError):
         MapState(phi, g, RiemannianMetric.euclidean(tgt), dom.sample(8, 1), 4)
 
@@ -1154,6 +1223,37 @@ def test_einsum_path_cache_is_bounded():
         geometry._einsum("...ipl,...jkp->...lkij", operand,
                          np.ones((batch, 2, 2, 2)))
     assert geometry._einsum_path.cache_info().currsize <= limit
+
+
+@pytest.mark.parametrize("over", ["raise", "ignore"])
+def test_plain_einsum_raises_an_overflow_under_errstate(over):
+    big = np.full((2, 3), 1e200)
+    with np.errstate(over=over):
+        if over == "raise":
+            with pytest.raises(FloatingPointError) as info:
+                geometry._plain_einsum("...i,...i->...", big, big)
+            assert str(info.value) == "overflow encountered in einsum"
+        else:  # carried on as inf, as np.einsum does
+            assert np.all(geometry._plain_einsum("...i,...i->...", big, big)
+                          == np.inf)
+    # an operand that is already not finite is carried on, not raised
+    with np.errstate(over="raise"):
+        held = np.array([np.inf, 1.0])
+        assert geometry._plain_einsum("...i,...i->...", held,
+                                      np.ones(2)) == np.inf
+
+
+@pytest.mark.parametrize("subscripts,shapes", [
+    ("...ia,...ab,...jb->...ij", [(5, 3, 4), (5, 4, 4), (5, 3, 4)]),
+    ("...ij,...ijc->...c", [(2, 5, 3, 3), (2, 5, 3, 3, 4)]),
+    ("...k,...kc->...c", [(5, 3), (2, 5, 3, 4)]),
+])
+def test_plain_einsum_is_np_einsum_bitwise(subscripts, shapes):
+    rng = np.random.default_rng(len(shapes))
+    operands = [rng.normal(size=s) for s in shapes]
+    with np.errstate(over="raise"):
+        got = geometry._plain_einsum(subscripts, *operands)
+    assert support.bits(got) == support.bits(np.einsum(subscripts, *operands))
 
 
 # -- each jet built once, at the order it is read --------------------------------
@@ -1305,15 +1405,18 @@ def test_an_error_names_the_innermost_stage(monkeypatch):
     phi, g, h, _ = small_slab()
     state = MapState(phi, g, h, phi.domain.sample(5, 3), 4)
     _raising(monkeypatch, "_christoffel_jets")
+    _raising(monkeypatch, "_christoffel_trace_jets")
     # the curvature map reads the target Christoffel stage, which raises
     with pytest.raises(FloatingPointError) as info:
         state.curvature_map
     assert info.value.__notes__ == ["in stage gammaN_y"]
     assert geometry.error_text(info.value) == \
         "_christoffel_jets refused in stage gammaN_y"
+    # the tension reads the contracted domain Christoffel stage first
     with pytest.raises(FloatingPointError) as info:
         state.tension_jets
-    assert geometry.error_text(info.value).endswith(" in stage gammaM")
+    assert geometry.error_text(info.value) == \
+        "_christoffel_trace_jets refused in stage gammaM_trace"
 
 
 # -- one route per fact -------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent symbolic oracle for the jet engine.
 
-The Christoffel symbols, target curvature, its trace along the map,
-tension field and bitension field are derived exactly with sympy from the coordinate formulas and
-conventions in ``geometry``'s docstring, evaluated in 30-digit arithmetic at
+The Christoffel symbols and their trace g^ij Gamma^k_ij, target curvature,
+its trace along the map, tension field and bitension field are derived
+exactly with sympy from the coordinate formulas and conventions in
+``geometry``'s docstring, evaluated in 30-digit arithmetic at
 dyadic points (exact in binary, so both sides see the same inputs) and
 compared with the engine.  Unlike the conformal-law checks, which compare
 the engine with itself, this catches an order mistake that cancels between
@@ -88,6 +89,10 @@ class _Oracle:
         hmat = _metric(h, dict(zip(phi.codomain.coords, ys)))
         self.ginv = gmat.inv(method="LU")
         self.gamma = _christoffel(gmat, self.ginv, xs)
+        # Gamma^k = g^ij Gamma^k_ij, the contraction the engine forms
+        self.gamma_trace = [sum(self.ginv[i, j] * self.gamma[i][j][k]
+                                for i in range(m) for j in range(m))
+                            for k in range(m)]
         self.gamma_n = _christoffel(hmat, hmat.inv(method="LU"), ys)
         self.curv_n = _curvature(self.gamma_n, ys)
         self.phi = [_to_sympy(c, xsym, phi.parameters) for c in phi.components]
@@ -203,10 +208,10 @@ def test_engine_matches_exact_derivation(name):
     curv_map = [e for row in oracle.curvature_map for e in row]
     state = MapState(phi, g, h, pts, 4)
     for p, x in enumerate(pts):
-        want = _values(gamma, oracle.xs, x)
-        _close(state.gammaM_val[p].reshape(-1), want, f"{name} Gamma_M")
-        _close(geometry.christoffel(g, x[None])[0].reshape(-1), want,
-               f"{name} christoffel()")
+        _close(state.gammaM_trace_val[p],
+               _values(oracle.gamma_trace, oracle.xs, x), f"{name} Gamma_M")
+        _close(geometry.christoffel(g, x[None])[0].reshape(-1),
+               _values(gamma, oracle.xs, x), f"{name} christoffel()")
         y = state.y0[p]
         _close(geometry.christoffel(h, y[None])[0].reshape(-1),
                _values(gamma_n, oracle.ys, y), f"{name} Gamma_N")

@@ -289,6 +289,7 @@ def test_section_builds_no_christoffel_symbols_or_curvature(monkeypatch):
         raise AssertionError("a stage the complex lane does not read")
 
     monkeypatch.setattr(geometry, "_christoffel_jets", refuse)
+    monkeypatch.setattr(geometry, "_christoffel_trace_jets", refuse)
     monkeypatch.setattr(geometry, "_curvature_values", refuse)
     dom, phi, g, h = wrap_case(radius=1.3)
     ws = weierstrass.section(phi, g, h, dom.sample(12, 8))

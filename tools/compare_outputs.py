@@ -44,9 +44,11 @@ for each, how far apart the two sides are: for an array, the largest
 absolute difference, that difference over the array's largest magnitude and
 the largest relative difference; for ``float.hex`` values, both differences
 key by key; for a text line, the first offset at which it differs and, when
-the texts differ in numbers only, the largest move among them.  The relative
-difference of two numbers is |a - b| / max(|a|, |b|), which is large for
-values that are zero up to rounding.
+the texts differ in numbers only, the largest move among them.  When any
+line differs, its last line is the largest absolute difference over every
+array and ``float.hex`` output, with the output it is found in.  The
+relative difference of two numbers is |a - b| / max(|a|, |b|), which is
+large for values that are zero up to rounding.
 """
 import argparse
 import ast
@@ -295,32 +297,36 @@ _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
 def _describe(x, y):
-    """How two differing dump lines (without their names) differ."""
+    """How two differing dump lines (without their names) differ, and the
+    largest absolute move of an array or ``float.hex`` line of one shape
+    and key set (None for any other line)."""
     u, v = _decode(x), _decode(y)
     if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
         if u.shape != v.shape or u.dtype != v.dtype:
-            return f"array {u.dtype}{u.shape} -> {v.dtype}{v.shape}"
+            return f"array {u.dtype}{u.shape} -> {v.dtype}{v.shape}", None
         d, rel = _moves(u, v)
         top = d.max(initial=0.0)
         scale = max(np.abs(u).max(initial=0.0), np.abs(v).max(initial=0.0))
         return (f"max abs {top:.3g} ({top / (scale or 1.0):.3g} of the "
-                f"largest magnitude), max rel {rel.max(initial=0.0):.3g}")
+                f"largest magnitude), max rel {rel.max(initial=0.0):.3g}",
+                top)
     if isinstance(u, dict) and isinstance(v, dict) and u.keys() == v.keys():
         keys = sorted(u)
         d, rel = _moves([u[k] for k in keys], [v[k] for k in keys])
         return ", ".join(f"{k} {u[k]!r} -> {v[k]!r} (abs {dk:.3g}, rel "
-                         f"{rk:.3g})" for k, dk, rk in zip(keys, d, rel) if dk)
+                         f"{rk:.3g})" for k, dk, rk in zip(keys, d, rel)
+                         if dk), d.max()
     at = next((k for k, (c, e) in enumerate(zip(x, y)) if c != e),
               min(len(x), len(y)))
     text = f"text differs from offset {at}"
     nx, ny = _NUMBER.findall(x), _NUMBER.findall(y)
     if _NUMBER.sub("#", x) != _NUMBER.sub("#", y):
-        return text
+        return text, None
     d, rel = _moves(np.array(nx, dtype=float), np.array(ny, dtype=float))
     k = int(np.argmax(d))
     return (f"{text}, in {np.count_nonzero(d)} numbers only; the largest "
             f"move is {nx[k]} -> {ny[k]} (abs {d[k]:.3g}), the largest "
-            f"relative one {rel.max():.3g}")
+            f"relative one {rel.max():.3g}"), None
 
 
 def _diff(a, b):
@@ -331,12 +337,18 @@ def _diff(a, b):
         print(f"the dumps list different outputs ({len(la)} and {len(lb)} "
               f"lines)")
         return 1
-    differ = 0
+    differ, largest, where = 0, 0.0, None
     for (name, x), (_, y) in zip(la, lb):
         if x != y:
             differ += 1
-            print(f"differs: {name}: {_describe(x, y)}")
+            text, move = _describe(x, y)
+            print(f"differs: {name}: {text}")
+            if move is not None and move > largest:
+                largest, where = move, name
     print(f"{len(la) - differ} of {len(la)} outputs bitwise equal")
+    if differ:
+        print("largest absolute move among array and float.hex outputs: "
+              + (f"{largest:.3g} in {where}" if where else "0 (none moves)"))
     return 1 if differ else 0
 
 
