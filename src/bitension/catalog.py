@@ -400,8 +400,9 @@ CASE_NAMES = tuple(sorted(_BUILDERS))
 def _build(name, params, control=False):
     """Call the named case's builder, or its control's callable, with
     ``params``.  An unknown name, a parameter the callable does not take
-    (keyword-only ones are switches, not parameters) and a value that is
-    not a number (a bool is not) raise CaseError."""
+    (keyword-only ones are switches, not parameters), a value that is
+    not a number (a bool is not) and a non-integral value for a parameter
+    whose default is an int raise CaseError."""
     if name not in _BUILDERS:
         known = ", ".join(CASE_NAMES)
         raise CaseError(f"unknown case '{name}' (choose from {known})")
@@ -417,6 +418,10 @@ def _build(name, params, control=False):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise CaseError(f"bad parameters for '{name}': {key} = "
                             f"{value!r} is not a number")
+        if (isinstance(signature.parameters[key].default, int)
+                and not float(value).is_integer()):
+            raise CaseError(f"bad parameters for '{name}': {key} = "
+                            f"{value!r} is not an integer")
     return build(**params)
 
 
@@ -459,11 +464,12 @@ _EVALUATION_ERRORS = (DomainError, GeometryInputError, MetricError,
 
 
 def _fault_point(err, pts):
-    """The first sample (in C order) outside the domain of the elementary
-    function behind a :class:`jets.JetDomainError`, from the argument mask
-    it carries; None for other errors or a mask of another shape."""
-    fault = err if isinstance(err, jets.JetDomainError) else err.__cause__
-    outside = fault.outside if isinstance(fault, jets.JetDomainError) else None
+    """The first sample (in C order) where the mask ``outside`` that the
+    error (or the error behind it) carries is True: the argument mask of a
+    :class:`jets.JetDomainError`, or the non-finite mask of an overflow in
+    ``geometry._plain_einsum``.  None for other errors or a mask of another
+    shape."""
+    outside = getattr(err, "outside", getattr(err.__cause__, "outside", None))
     if outside is None or np.shape(outside) != pts.shape[:-1]:
         return None
     idx = np.unravel_index(np.argmax(outside), outside.shape)
@@ -480,10 +486,12 @@ def record(name, tol, mode, evaluate, pts):
     what was raised, and the map-state stage that raised it, if one did
     (``... in stage curvature_map``).  A jet domain fault (raised directly
     or behind an expression error) is located at the first sample whose
-    argument lies outside the function's domain, read from the error; its
-    ``worst_point`` stays None when that argument does not have the
-    samples' batch shape.  Otherwise :func:`report.check_record` makes the
-    record, which is errored too when a value is not finite.
+    argument lies outside the function's domain, and a plain einsum's
+    overflow at the first sample whose result is not finite, read from the
+    error (:func:`_fault_point`); its ``worst_point`` stays None when that
+    mask does not have the samples' batch shape.  Otherwise
+    :func:`report.check_record` makes the record, which is errored too when
+    a value is not finite.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -18,6 +18,7 @@ its traceback.  BITENSION_SEED overrides the default seed; an explicit
 """
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -68,6 +69,18 @@ def _positive_int(raw):
         raise argparse.ArgumentTypeError(
             f"wants a positive integer, got {raw!r}")
     return int(raw)
+
+
+def _tolerance(raw):
+    # a tolerance of inf or NaN passes every check it bounds
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not math.isfinite(tol):
+        raise argparse.ArgumentTypeError(
+            f"wants a finite number, got {raw!r}")
+    return tol
 
 
 def _case_params(pairs):
@@ -274,7 +287,7 @@ def _build_parser():
     cat_verify.add_argument("--param", action="append", metavar="KEY=VALUE")
     cat_verify.add_argument("--samples", type=_positive_int, default=64)
     cat_verify.add_argument("--seed", type=int, default=None)
-    cat_verify.add_argument("--tol", type=float, default=None,
+    cat_verify.add_argument("--tol", type=_tolerance, default=None,
                             help="override the tolerance of residual checks")
     cat_verify.add_argument("--format", choices=("text", "json"),
                             default="text")
@@ -286,7 +299,7 @@ def _build_parser():
     law.add_argument("--dims", type=_dims, required=True, metavar="M,N")
     law.add_argument("--cases", type=_positive_int, default=100)
     law.add_argument("--seed", type=int, default=None)
-    law.add_argument("--tol", type=float, default=1e-7)
+    law.add_argument("--tol", type=_tolerance, default=1e-7)
     law.add_argument("--format", choices=("text", "json"), default="text")
     law.set_defaults(handler=_cmd_check_transform)
 
@@ -300,9 +313,9 @@ def _build_parser():
     solve.add_argument("--z0", type=float, default=0.0)
     solve.add_argument("--z1", type=float, default=1.0)
     solve.add_argument("--steps", type=int, default=256)
-    solve.add_argument("--tol", type=float, default=1e-8,
+    solve.add_argument("--tol", type=_tolerance, default=1e-8,
                        help="bound for the RK4 vs closed-form deviation")
-    solve.add_argument("--drift-tol", type=float, default=1e-10)
+    solve.add_argument("--drift-tol", type=_tolerance, default=1e-10)
     solve.add_argument("--emit-csv", metavar="PATH")
     solve.set_defaults(handler=_cmd_cylinder_solve)
 
@@ -316,10 +329,10 @@ def _build_parser():
     check.add_argument("--param", action="append", metavar="KEY=VALUE")
     check.add_argument("--samples", type=_positive_int, default=64)
     check.add_argument("--seed", type=int, default=None)
-    check.add_argument("--tol", type=float, default=1e-9,
+    check.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="biharmonicity bound on the mixed third "
                             "derivative")
-    check.add_argument("--conformal-tol", type=float, default=1e-9)
+    check.add_argument("--conformal-tol", type=_tolerance, default=1e-9)
     check.set_defaults(handler=_cmd_weierstrass_check)
 
     custom = tree.add_parser("custom", help="user-configured geometry")
@@ -328,7 +341,7 @@ def _build_parser():
     run.add_argument("--config", required=True)
     run.add_argument("--samples", type=_positive_int, default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--tol", type=float, default=None)
+    run.add_argument("--tol", type=_tolerance, default=None)
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.set_defaults(handler=_cmd_custom_verify)
 

@@ -14,7 +14,8 @@ The format is INI-style with typed section headers::
                                                  off-diagonals are zero)
     [map NAME]      from = CHART   to = CHART   components = one EXPR per line
     [factor NAME]   chart = CHART  expr = EXPR  (a conformal scale lambda)
-    [check KIND]    tol = number   (optional; KIND names a known check)
+    [check KIND]    tol = number   (optional, positive and finite; KIND names
+                                    a known check)
     [run]           map = MAP, metric = METRIC, target = METRIC, and
                     optionally induced = METRIC, factor = FACTOR,
                     samples = int, seed = int, name = label
@@ -27,6 +28,7 @@ raise ConfigError with the file and section spelled out.
 from __future__ import annotations
 
 import configparser
+import math
 import os.path
 from dataclasses import dataclass, field
 
@@ -263,8 +265,8 @@ def load_config(path):
             tol, = _take(where, body, "tol")
             if tol is not None:
                 tol = _parse_float(where, "tol", tol)
-                if not tol > 0:
-                    _fail(where, "tol must be positive")
+                if not 0 < tol < math.inf:
+                    _fail(where, "tol must be positive and finite")
             checks.append((name, tol))
 
     run = None

@@ -308,12 +308,17 @@ def _plain_einsum(subscripts, *operands):
     ``FloatingPointError("overflow encountered in einsum")`` under
     ``np.errstate(over="raise")`` when the result is not finite but every
     operand is: a plain einsum does not honour ``np.errstate``, while ``@``
-    and ``optimize=True`` would change its summation order.  The operands
-    are scanned only when the result is not finite."""
+    and ``optimize=True`` would change its summation order.  The error's
+    ``outside`` is the result's non-finite mask, which locates the fault as
+    :class:`jets.JetDomainError`'s does.  The operands are scanned only when
+    the result is not finite."""
     out = np.einsum(subscripts, *operands)
-    if (np.geterr()["over"] == "raise" and not np.isfinite(out).all()
-            and all(np.isfinite(op).all() for op in operands)):
-        raise FloatingPointError("overflow encountered in einsum")
+    if np.geterr()["over"] == "raise":
+        outside = ~np.isfinite(out)
+        if outside.any() and all(np.isfinite(op).all() for op in operands):
+            err = FloatingPointError("overflow encountered in einsum")
+            err.outside = outside
+            raise err
     return out
 
 

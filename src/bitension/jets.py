@@ -29,15 +29,16 @@ scalar operation or the functions of this module that take plain numbers
 Arithmetic truncates to the smaller operand order; differentiating drops the
 order by one.  Products are convolutions driven by a precomputed pair table:
 gather the pairs of every output coefficient, multiply, and sum each output's
-segment of terms with the grouping of ``np.add.reduceat``.  Every gather
+terms left to right, ``((t0 + t1) + t2) + ...``, the one summation rule of
+the module (:func:`contract` sums its terms the same way).  Every gather
 takes whole rows of the coefficient-major storage.  Every product of two
 jets that are neither constant nor known zeros takes one path, at every
 batch size: it sums rank by rank (:func:`_rank_plan`, :func:`_rank_sum`).
 The ``k``-th terms of all outputs form one contiguous block of rows, so a
 handful of numpy calls cover the whole batch whatever its size, and the
-rank-0 rows are the result in the stored layout, with no transpose.  The
-plan reproduces ``reduceat``'s grouping, signed zeros included (the tests
-compare the two), so no result depends on batch size or chunking.
+rank-0 rows are the result in the stored layout, with no transpose.  Each
+batch point is summed alone, so no result depends on batch size or
+chunking.
 
 Every jet carries a variable support: a bitmask that contains every variable
 used by a multi-index whose coefficient is nonzero at some batch point (a
@@ -47,13 +48,13 @@ the union of their operands' supports; :func:`compose` the union of the inner
 supports it reads; a derivative along a variable outside the support gets
 ``0``.  A jet built from a raw coefficient array scans it once, at
 construction, for its support and whether it is zero.  So every jet's
-support is known from how it was built.  A product gathers its pairs
-from :func:`_support_table`, a restriction of the dense :func:`_mul_table`
-(which stays the reference) to the pairs whose factors lie in the operands'
-supports, plus the exact-zero pairs that keep the rest added in the dense
-grouping; a factor of support ``0`` is a scale by its value column.  So a
-product equals the dense one bit for bit, except possibly in the sign of a
-zero.
+support is known from how it was built.  A product gathers only the pairs
+of the dense :func:`_mul_table` (which stays the reference) whose factors
+lie in the operands' supports, in dense order; a factor of support ``0`` is
+a scale by its value column.  The skipped pairs are exact zeros, so a
+product equals the left-to-right sum over the dense table (what
+``np.add.accumulate`` computes, the tests' reference) bit for bit, except
+possibly in the sign of a zero.
 
 A jet can also be known to be zero from how it was built, and then it holds
 no memory: its coefficients are one shared read-only zero array per
@@ -136,7 +137,7 @@ def _ncoef(num_vars, order):
 
 @lru_cache(maxsize=None)
 def _mul_table(num_vars, order):
-    # pairs (ia, ib) grouped by output position, plus reduceat segment starts
+    # pairs (ia, ib) grouped by output position, plus segment starts
     mids = multi_indices(num_vars, order)
     pos = _positions(num_vars, order)
     degs = [sum(mi) for mi in mids]
@@ -163,92 +164,49 @@ def _var_masks(num_vars, order):
 
 
 @lru_cache(maxsize=None)
-def _support_table(num_vars, order, sa, sb):
-    """The pairs of :func:`_mul_table` to gather when the factors have the
-    supports ``sa`` and ``sb``: a restriction that sums to the same bits.
+def _rank_plan(num_vars, order, sa, sb):
+    """The pairs of :func:`_mul_table` that a product of factors with the
+    supports ``sa`` and ``sb`` gathers, laid out rank by rank for
+    :func:`_rank_sum`, which sums every product of two non-constant jets:
+    ``(ia, ib, adds, inverse)``.
 
-    ``np.add.reduceat`` adds a segment's first term to the sum of the rest,
-    and sums the rest left to right while it is shorter than 8 terms, in
-    interleaved blocks beyond.  So every output position keeps, in dense
-    order, the pairs whose factors lie in ``sa`` and ``sb``, and these exact
-    zeros: its first dense pair when more than two pairs of the rest are
-    kept (they are summed after it) or when nothing else is (a filler, for a
-    position outside ``sa | sb``), and a block-summed rest whole when it
-    keeps more than two pairs.  Two terms and zeros add to the same bits in
-    any order.  The one reader is :func:`_rank_plan`, which repeats this
-    grouping without ``reduceat``; the tests sum the table with ``reduceat``
-    as the reference.
+    Every output position keeps, in dense order, the pairs whose factors lie
+    in the supports; a position that keeps none (outside ``sa | sb``) keeps
+    its first dense pair, an exact zero, as a filler.  A left-to-right sum
+    that skips exact zeros changes at most the sign of a zero sum.
+
+    The outputs are sorted by their number of kept pairs, most first, and
+    the pairs ordered rank-major: rank ``k`` holds the ``k``-th term of every
+    output that has one, so it is a block of rows whose outputs are a prefix
+    of the sorted ones.  ``adds`` lists, for k = 1, 2, ..., the in-place sum
+    ``t[:n] += t[s:s + n]`` of rank ``k`` (its ``n`` rows start at ``s``)
+    into the first ``n`` rank-0 rows, which so hold every output summed left
+    to right, ``((t0 + t1) + t2) + ...``.  ``inverse`` maps each output to
+    its sorted row, or is ``None`` when the sort kept the order.
     """
     ia, ib, seg = _mul_table(num_vars, order)
     masks = _var_masks(num_vars, order)
-    inside = ((masks[ia] & ~sa) == 0) & ((masks[ib] & ~sb) == 0)
-    sizes = np.diff(seg, append=len(ia))
-    first = np.zeros(len(ia), dtype=bool)
-    first[seg] = True
-    rest = np.add.reduceat((inside & ~first).astype(np.intp), seg)
-    keep = (inside | first & np.repeat((rest > 2) | (rest == 0), sizes)
-            | np.repeat((sizes - 1 >= 8) & (rest > 2), sizes))
-    if keep.all():
-        return ia, ib, seg
-    counts = np.add.reduceat(keep.astype(np.intp), seg)
-    return ia[keep], ib[keep], np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-
-@lru_cache(maxsize=None)
-def _rank_plan(num_vars, order, sa, sb):
-    """The :func:`_support_table` of supports ``sa``, ``sb`` laid out
-    rank by rank for :func:`_rank_sum`, which sums every product of two
-    non-constant jets: ``(ia, ib, adds, inverse)``.  Cached on the same keys
-    as the support table.
-
-    The outputs are sorted by segment length, longest first, and the pairs
-    ordered rank-major: rank ``k`` holds the ``k``-th term of every output
-    that has one, so it is a block of rows whose outputs are a prefix of the
-    sorted ones.  ``adds`` lists in-place row-block sums ``t[a:b] += t[c:d]``
-    that leave in the rank-0 rows exactly what ``np.add.reduceat`` computes
-    for segments ``t0, t1, ...``: ``t0 + S``, where ``S`` sums the
-    rest left to right below 8 terms (numpy starts from ``-0.0``, which adds
-    to ``t1`` exactly) and, from 8 to 15, is the 8-accumulator block
-    ``((t1+t2) + (t3+t4)) + ((t5+t6) + (t7+t8))`` followed by the remaining
-    terms left to right (numpy's pairwise sum).  No output has more than 15
-    after its first up to order 4.  ``inverse`` maps each output to its
-    sorted row, or is ``None`` when the sort kept the order.
-    """
-    ia, ib, seg = _support_table(num_vars, order, sa, sb)
-    sizes = np.diff(seg, append=len(ia))
-    assert sizes.max() <= 16, "rest sums beyond one pairwise block"
+    keep = ((masks[ia] & ~sa) == 0) & ((masks[ib] & ~sb) == 0)
+    sizes = np.add.reduceat(keep.astype(np.intp), seg)
+    keep[seg[sizes == 0]] = True
+    sizes = np.maximum(sizes, 1)
+    ia, ib, seg = ia[keep], ib[keep], np.cumsum(sizes) - sizes
     perm = np.argsort(-sizes, kind="stable")
     counts = [int(np.count_nonzero(sizes > k)) for k in range(sizes.max())]
     starts = np.cumsum([0] + counts[:-1]).tolist()
     rows = np.concatenate([seg[perm[:n]] + k for k, n in enumerate(counts)])
-    counts += [0] * (16 - len(counts))
-    adds = []
-
-    def add(k, j, lo, hi):
-        # rank k rows lo:hi += rank j rows lo:hi
-        if hi > lo:
-            adds.append((starts[k] + lo, starts[k] + hi,
-                         starts[j] + lo, starts[j] + hi))
-
-    blocked = counts[8]  # the outputs with 8 or more terms after the first
-    for k, j in ((1, 2), (3, 4), (5, 6), (7, 8), (1, 3), (5, 7), (1, 5)):
-        add(k, j, 0, blocked)
-    for k in range(9, 16):
-        add(1, k, 0, counts[k])
-    for k in range(2, 8):
-        add(1, k, blocked, counts[k])
-    add(0, 1, 0, counts[1])
+    adds = tuple(zip(counts[1:], starts[1:]))
     inverse = np.argsort(perm)
     if (perm == np.arange(len(perm))).all():
         inverse = None
-    return ia[rows], ib[rows], tuple(adds), inverse
+    return ia[rows], ib[rows], adds, inverse
 
 
 def _rank_sum(ca, cb, plan):
     """The product of coefficient arrays ``ca``, ``cb`` (stored
-    coefficient-major, batch axes aligned) by a :func:`_rank_plan`: the bits
-    of ``np.add.reduceat`` over the plan's support table, from a handful of
-    numpy calls whatever the batch size.
+    coefficient-major, batch axes aligned) by a :func:`_rank_plan`: each
+    output's terms summed left to right, from a handful of numpy calls
+    whatever the batch size.
 
     The gathered terms are whole rows, so every rank is a contiguous block
     of rows and each add covers all its outputs and batch points at once.
@@ -257,9 +215,9 @@ def _rank_sum(ca, cb, plan):
     """
     ia, ib, adds, inverse = plan
     t = ca[ia] * cb[ib]
-    for a, b, c, d in adds:
-        rows = t[a:b]
-        np.add(rows, t[c:d], out=rows)
+    for n, s in adds:
+        rows = t[:n]
+        np.add(rows, t[s:s + n], out=rows)
     return t[:len(ca)].copy() if inverse is None else t[inverse]
 
 

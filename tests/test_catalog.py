@@ -363,3 +363,23 @@ def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
     # the tension reads the contracted domain Christoffel symbols first
     assert bad.error == ("FloatingPointError: Christoffel stage refused"
                          " in stage gammaM_trace")
+
+
+@pytest.mark.parametrize("subscripts,where", [
+    ("...a,...a->...", (3,)),  # the samples' batch shape: located
+    ("...a,...b->...ab", None),  # a mask of another shape: not located
+])
+def test_an_einsum_overflow_is_located_at_its_first_non_finite_sample(
+        subscripts, where):
+    pts = np.arange(12.0).reshape(6, 2)
+    big = np.ones((6, 2))
+    big[[3, 5]] = 1e200
+
+    def evaluate():
+        value = geometry._plain_einsum(subscripts, big, big)
+        return value, value
+
+    rec = catalog.record("overflow", 1e-9, "max", evaluate, pts)
+    assert rec.error == "FloatingPointError: overflow encountered in einsum"
+    assert rec.worst_point == (None if where is None
+                               else tuple(float(c) for c in pts[where]))

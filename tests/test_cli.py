@@ -132,6 +132,15 @@ def test_evaluation_errors_exit_as_verify_case_records_them(capsys,
     # a value must be a number, and true is not one
     (("catalog", "verify", "cylinder_family", "--param", "R=true"),
      "R = 'true' is not a number"),
+    # an integer parameter is not truncated
+    (("catalog", "verify", "identity", "--param", "m=2.5"),
+     "m = 2.5 is not an integer"),
+    (("catalog", "verify", "cylinder_family", "--param", "sign=1.5"),
+     "sign = 1.5 is not an integer"),
+    (("catalog", "verify", "identity", "--param", "m=inf"),
+     "m = inf is not an integer"),
+    (("weierstrass", "check", "--case", "cylinder_family", "--param",
+      "sign=0.5"), "sign = 0.5 is not an integer"),
 ])
 def test_named_input_errors_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)
@@ -148,6 +157,55 @@ def test_counts_must_be_positive(capsys, argv):
         cli.main(list(argv))
     assert excinfo.value.code == cli.EXIT_USAGE
     assert "wants a positive integer" in capsys.readouterr().err
+
+
+def test_an_integral_float_is_an_integer_parameter(capsys):
+    code, out, _ = run(capsys, "catalog", "verify", "identity", "--param",
+                       "m=2.0", "--samples", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == json.loads(run(
+        capsys, "catalog", "verify", "identity", "--param", "m=2",
+        "--samples", "4", "--format", "json")[1])
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--conformal-tol", "--drift-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "ten"])
+def test_a_tolerance_must_be_a_finite_number(capsys, flag, value):
+    # a tolerance of inf or NaN passes every check it bounds
+    commands = {
+        "--tol": [["catalog", "verify", "h5_inclusion"],
+                  ["check-transform", "--dims", "2,3"],
+                  ["cylinder", "solve", "--radius", "1", "--c1", "0",
+                   "--c2", "2"],
+                  ["weierstrass", "check", "--case", "r2_wrap_r3"],
+                  ["custom", "verify", "--config", str(CONFIGS[0])]],
+        "--conformal-tol": [["weierstrass", "check", "--case",
+                             "r2_wrap_r3"]],
+        "--drift-tol": [["cylinder", "solve", "--radius", "1", "--c1", "0",
+                         "--c2", "2"]]}
+    for argv in commands[flag]:
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + [f"{flag}={value}"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert f"wants a finite number, got '{value}'" in (
+            capsys.readouterr().err)
+
+
+def test_a_config_tolerance_of_inf_is_bad_input(capsys, tmp_path):
+    # the h5 inclusion under a factor that makes it fail its bitension
+    # check would pass it at tol = inf
+    source = next(p for p in CONFIGS if p.stem == "h5_inclusion").read_text()
+    assert "conformal = 1/y5^2\n" in source
+    failing = source.replace("conformal = 1/y5^2\n", "conformal = 1/y5^2.4\n")
+    bad = tmp_path / "failing.cfg"
+    bad.write_text(failing)
+    code, out, _ = run(capsys, "custom", "verify", "--config", str(bad))
+    assert code == cli.EXIT_CHECK_FAIL and "FAIL  bitension_zero" in out
+    bad.write_text(failing.replace("[check bitension_zero]\ntol = 1e-7",
+                                   "[check bitension_zero]\ntol = inf"))
+    code, out, err = run(capsys, "custom", "verify", "--config", str(bad))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "tol must be positive and finite" in err
 
 
 @pytest.mark.parametrize("dims", ["4,5", "2,3", "3,4"])
@@ -425,7 +483,8 @@ samples = 8
 def test_a_non_finite_value_is_an_errored_record(capsys, tmp_path):
     # |tau| = 2e155 is representable, but its squared norm overflows in the
     # target inner product, a plain einsum, which raises the overflow under
-    # the command's np.errstate rather than carry it on as inf
+    # the command's np.errstate rather than carry it on as inf; the error's
+    # non-finite mask locates it at the first sample, where it overflows
     path = tmp_path / "huge.cfg"
     path.write_text(HUGE_SHEET)
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path),
@@ -435,7 +494,8 @@ def test_a_non_finite_value_is_an_errored_record(capsys, tmp_path):
     assert check["error"] == ("FloatingPointError: overflow encountered in "
                               "einsum")
     assert not check["pass"] and check["max_abs"] is None
-    assert check["worst_point"] is None
+    pts = load_config(path).phi.domain.sample(8, 7)
+    assert check["worst_point"] == list(pts[0])
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path))
     assert code == cli.EXIT_EVAL
     assert "error: FloatingPointError: overflow encountered in einsum" in out

@@ -35,14 +35,19 @@ def test_diff_reports_how_far_each_differing_line_moved(tmp_path, capsys):
         "one 0.167",
         "1 of 4 outputs bitwise equal",
         "largest absolute move among array and float.hex outputs: 0.5 in "
-        "floats"]
+        "floats",
+        "0 outputs moved their verdict (an exit code, or text that differs in "
+        "words)"]
 
 
 def test_diff_of_equal_dumps_exits_0(tmp_path, capsys):
     lines = [("x", compare_outputs._array(np.arange(3.0)))]
     assert compare_outputs.main(["diff", _dump(tmp_path / "a", lines),
                                  _dump(tmp_path / "b", lines)]) == 0
-    assert capsys.readouterr().out == "1 of 1 outputs bitwise equal\n"
+    assert capsys.readouterr().out.splitlines() == [
+        "1 of 1 outputs bitwise equal",
+        "0 outputs moved their verdict (an exit code, or text that differs in "
+        "words)"]
 
 
 def test_text_lines_that_differ_in_words_report_only_the_offset(tmp_path,
@@ -51,11 +56,12 @@ def test_text_lines_that_differ_in_words_report_only_the_offset(tmp_path,
         "diff", _dump(tmp_path / "a", [("t", "pass: true 1.5")]),
         _dump(tmp_path / "b", [("t", "pass: false 1.5")])])
     assert code == 1
-    assert capsys.readouterr().out.splitlines()[0] == (
-        "differs: t: text differs from offset 6")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "differs: t: text differs from offset 6"
+    assert out[-1].startswith("1 outputs moved their verdict")
 
 
-def test_diff_ends_with_the_largest_move_and_where_it_is(tmp_path, capsys):
+def test_diff_reports_the_largest_move_and_where_it_is(tmp_path, capsys):
     a = np.array([1.0, 2.0, 3.0])
     before = [("small", compare_outputs._array(a)),
               ("big", compare_outputs._array(a)),
@@ -71,9 +77,10 @@ def test_diff_ends_with_the_largest_move_and_where_it_is(tmp_path, capsys):
                                  _dump(tmp_path / "b", after)])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert out[-2] == "0 of 5 outputs bitwise equal"
-    assert out[-1] == ("largest absolute move among array and float.hex "
+    assert out[-3] == "0 of 5 outputs bitwise equal"
+    assert out[-2] == ("largest absolute move among array and float.hex "
                        "outputs: 3e-13 in big")
+    assert out[-1].startswith("0 outputs moved their verdict")
 
 
 def test_diff_of_text_moves_only_reads_no_array_move(tmp_path, capsys):
@@ -85,6 +92,30 @@ def test_diff_of_text_moves_only_reads_no_array_move(tmp_path, capsys):
                                ("x", compare_outputs._array(
                                    np.array([-0.0])))])])
     assert code == 1
-    assert capsys.readouterr().out.splitlines()[-1] == (
+    assert capsys.readouterr().out.splitlines()[-2] == (
         "largest absolute move among array and float.hex outputs: 0 (none "
         "moves)")
+
+
+def test_an_exit_code_change_is_a_verdict_move_not_a_number_move(tmp_path,
+                                                                capsys):
+    assert compare_outputs._describe("(0, 'x', '')", "(1, 'x', '')") == (
+        "exit code 0 -> 1", None, True)
+    before = [("code", repr((0, "PASS 1.5", ""))),
+              ("both", repr((0, "PASS 1.5", ""))),
+              ("numbers", repr((1, "FAIL 2.5", "")))]
+    after = [("code", repr((3, "PASS 1.5", ""))),
+             ("both", repr((1, "FAIL 1.5", ""))),
+             ("numbers", repr((1, "FAIL 2.75", "")))]
+    code = compare_outputs.main(["diff", _dump(tmp_path / "a", before),
+                                 _dump(tmp_path / "b", after)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[:3] == [
+        "differs: code: exit code 0 -> 3",
+        "differs: both: exit code 0 -> 1; output text differs from offset 2",
+        "differs: numbers: text differs from offset 12, in 1 numbers only; "
+        "the largest move is 2.5 -> 2.75 (abs 0.25), the largest relative "
+        "one 0.0909"]
+    assert out[-1] == ("2 outputs moved their verdict (an exit code, or "
+                       "text that differs in words)")

@@ -88,6 +88,9 @@ def test_name_defaults_to_file_stem_and_label_overrides(tmp_path):
     (lambda t: t.replace("[check tension_zero]", "[check tension_small]"),
      "unknown check"),
     (lambda t: t.replace("tol = 1e-7", "tol = -2"), "positive"),
+    # a tolerance of inf or NaN would pass every check it bounds
+    (lambda t: t.replace("tol = 1e-7", "tol = inf"), "positive and finite"),
+    (lambda t: t.replace("tol = 1e-7", "tol = nan"), "positive and finite"),
     (lambda t: t.replace("metric = flat2", "metric = flat3"),
      "starts from"),
     (lambda t: t.replace("samples = 32", "samples = soon"), "integer"),

@@ -271,14 +271,23 @@ def test_a_shared_jet_is_tested_for_zero_once():
         [(shared, b) for b in others]).coeffs)
 
 
+def _left_to_right(terms, seg):
+    """Each segment of the last axis of ``terms`` summed left to right,
+    ``((t0 + t1) + t2) + ...``, by np.add.accumulate: the product's
+    summation rule."""
+    ends = list(seg[1:]) + [terms.shape[-1]]
+    return np.stack([np.add.accumulate(terms[..., lo:hi], axis=-1)[..., -1]
+                     for lo, hi in zip(seg, ends)], axis=-1)
+
+
 def _broadcast_product(a, b):
-    """The product with both operands broadcast before the gathers, as
-    Jet.__mul__ once formed it, kept as its reference."""
+    """The product with both operands broadcast before the gathers, summed
+    left to right over the dense table, kept as its reference."""
     order = min(a.order, b.order)
     nc = len(jets.multi_indices(a.num_vars, order))
     ia, ib, seg = jets._mul_table(a.num_vars, order)
     ca, cb = np.broadcast_arrays(a.coeffs[..., :nc], b.coeffs[..., :nc])
-    return np.add.reduceat(ca[..., ia] * cb[..., ib], seg, axis=-1)
+    return _left_to_right(ca[..., ia] * cb[..., ib], seg)
 
 
 @pytest.mark.parametrize("batches", [((3, 1), (3, 4)), ((4,), (2, 3, 4)),
@@ -336,62 +345,75 @@ def test_products_over_variable_supports_are_the_dense_form(num_vars, dtype):
                     assert np.array_equal(got, want)
 
 
+def _kept_table(num_vars, order, sa, sb):
+    """The dense table restricted to the pairs whose factors lie in the
+    supports ``sa`` and ``sb``, in dense order, with a position that keeps
+    none keeping its first dense pair: ``(ia, ib, seg)``."""
+    ia, ib, seg = jets._mul_table(num_vars, order)
+    used = np.array([sum(1 << k for k, e in enumerate(mi) if e)
+                     for mi in jets.multi_indices(num_vars, order)])
+    inside = ((used[ia] & ~sa) == 0) & ((used[ib] & ~sb) == 0)
+    kia, kib, kseg = [], [], []
+    for lo, hi in zip(seg, list(seg[1:]) + [len(ia)]):
+        kept = [p for p in range(lo, hi) if inside[p]] or [lo]
+        kseg.append(len(kia))
+        kia.extend(ia[kept])
+        kib.extend(ib[kept])
+    return np.array(kia), np.array(kib), np.array(kseg)
+
+
+def _plan_pairs(plan, ncoef):
+    """The pairs a rank plan sums into each output, in the order it adds
+    them."""
+    ia, ib, adds, inverse = plan
+    rows = range(ncoef) if inverse is None else inverse
+    ranks = [(ncoef, 0)] + list(adds)
+    return [[(ia[s + r], ib[s + r]) for n, s in ranks if r < n] for r in rows]
+
+
 @pytest.mark.parametrize("num_vars", range(1, 7))
-# np.add.reduceat sums a float64 rest in interleaved blocks from 8 terms on
-@pytest.mark.parametrize("blocked", [8])
-def test_support_tables_drop_only_zero_pairs_in_dense_order(num_vars, blocked):
+@pytest.mark.parametrize("draws", [8])
+def test_support_tables_drop_only_zero_pairs_in_dense_order(num_vars, draws):
+    # the rank plan of a pair of supports sums, for every output position,
+    # the dense pairs whose factors lie in the supports, in dense order, and
+    # a position that keeps none sums its first dense pair (an exact zero)
     rng = np.random.default_rng(53)
     order = 4
-    mids = jets.multi_indices(num_vars, order)
-    used = [sum(1 << k for k, e in enumerate(mi) if e) for mi in mids]
-    ia, ib, seg = jets._mul_table(num_vars, order)
-    dense = [list(zip(ia[lo:hi], ib[lo:hi]))
-             for lo, hi in zip(seg, list(seg[1:]) + [len(ia)])]
+    ncoef = jets._ncoef(num_vars, order)
     full = (1 << num_vars) - 1
-    for sa, sb in [(1, full), (full, 1)] + [
+    for sa, sb in [(1, full), (full, 1), (full, full)] + [
             tuple(int(s) for s in pair)
-            for pair in rng.integers(1, full + 1, size=(8, 2))]:
-        ra, rb, rseg = jets._support_table(num_vars, order, sa, sb)
-        assert len(rseg) == len(mids)
-        for pos, (lo, hi) in enumerate(zip(rseg, list(rseg[1:]) + [len(ra)])):
-            kept = list(zip(ra[lo:hi], rb[lo:hi]))
-            inside = [p for p in dense[pos]
-                      if not used[p[0]] & ~sa and not used[p[1]] & ~sb]
-            # a subsequence of the dense pairs holding every pair whose
-            # factors lie in the supports; where more than two of those
-            # follow the first dense pair, it is kept, and a block-summed
-            # position is kept whole
-            assert kept == [p for p in dense[pos] if p in kept]
-            assert set(inside) <= set(kept) and kept
-            rest = set(inside) - {dense[pos][0]}
-            if len(rest) > 2:
-                assert kept[0] == dense[pos][0]
-                if len(dense[pos]) > blocked:
-                    assert kept == dense[pos]
-            elif not inside:
-                assert kept == dense[pos][:1]
-            else:
-                assert kept == inside
+            for pair in rng.integers(1, full + 1, size=(draws, 2))]:
+        plan = jets._rank_plan(num_vars, order, sa, sb)
+        ka, kb, kseg = _kept_table(num_vars, order, sa, sb)
+        ends = list(kseg[1:]) + [len(ka)]
+        assert _plan_pairs(plan, ncoef) == [
+            list(zip(ka[lo:hi], kb[lo:hi])) for lo, hi in zip(kseg, ends)]
+        # one add per rank after the first, longest segment first
+        counts = [n for n, _ in plan[2]]
+        assert counts == sorted(counts, reverse=True)
+        assert len(plan[2]) == max(hi - lo for lo, hi in zip(kseg, ends)) - 1
         if sa == 1 and num_vars >= 3:
             # a factor in one variable: far fewer pairs than the dense table
-            assert 2 * len(ra) < len(ia)
+            assert 2 * len(ka) < len(jets._mul_table(num_vars, order)[0])
 
 
 # -- the rank-major product sum -------------------------------------------------
 #
 # Every product of two non-constant jets sums its terms rank by rank, at every
-# batch size, in the grouping of np.add.reduceat; these tests hold the two to
-# the same bits, signed zeros included (int64 views), so they also guard the
-# numpy grouping the rank sum reproduces.
+# batch size, left to right; these tests hold it to np.add.accumulate over the
+# pairs it keeps, signed zeros included (int64 views).  The name
+# test_rank_sums_are_the_reduceat_bits dates from when the reference was
+# np.add.reduceat's grouping.
 
 
-def _reduceat_product(x, y):
-    """x * y summed by np.add.reduceat over the support table."""
+def _accumulated_product(x, y):
+    """x * y summed left to right by np.add.accumulate over the pairs whose
+    factors lie in the supports."""
     order = min(x.order, y.order)
-    ia, ib, seg = jets._support_table(x.num_vars, order, x._variables(),
-                                      y._variables())
-    return np.add.reduceat(x.coeffs[..., ia] * y.coeffs[..., ib], seg,
-                           axis=-1)
+    ia, ib, seg = _kept_table(x.num_vars, order, x._variables(),
+                              y._variables())
+    return _left_to_right(x.coeffs[..., ia] * y.coeffs[..., ib], seg)
 
 
 def _bits(a):
@@ -441,14 +463,14 @@ def test_rank_sums_are_the_reduceat_bits(monkeypatch, num_vars, least_terms):
                     if x.is_zero() or y.is_zero() or not (
                             x._variables() and y._variables()):
                         continue
-                    terms = len(jets._support_table(
+                    terms = len(jets._rank_plan(
                         num_vars, min(x.order, y.order), x._variables(),
                         y._variables())[0]) * math.prod(
                             np.broadcast_shapes(ba, bb))
                     if (terms >= 2048) != (least_terms == 2048):
                         continue
                     prod = x * y
-                    got, want = prod.coeffs, _reduceat_product(x, y)
+                    got, want = prod.coeffs, _accumulated_product(x, y)
                     # the stored coefficient-major array is the product's
                     # own contiguous array, not a view of the term buffer
                     assert got.shape == want.shape

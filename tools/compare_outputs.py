@@ -43,12 +43,15 @@ output has the same bits.  ``diff`` exits 1 if any line differs and prints,
 for each, how far apart the two sides are: for an array, the largest
 absolute difference, that difference over the array's largest magnitude and
 the largest relative difference; for ``float.hex`` values, both differences
-key by key; for a text line, the first offset at which it differs and, when
-the texts differ in numbers only, the largest move among them.  When any
-line differs, its last line is the largest absolute difference over every
-array and ``float.hex`` output, with the output it is found in.  The
-relative difference of two numbers is |a - b| / max(|a|, |b|), which is
-large for values that are zero up to rounding.
+key by key; for a CLI line whose exit code moved, both codes (and where its
+output text differs); for any other text line, the first offset at which it
+differs and, when the texts differ in numbers only, the largest move among
+them.  When any line differs, it then prints the largest absolute
+difference over every array and ``float.hex`` output, with the output it is
+found in.  Its last line counts the outputs whose verdict moved: a CLI line
+whose exit code moved, or a text line that differs in words (anything but
+its numbers).  The relative difference of two numbers is |a - b| /
+max(|a|, |b|), which is large for values that are zero up to rounding.
 """
 import argparse
 import ast
@@ -296,37 +299,61 @@ def _moves(a, b):
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
-def _describe(x, y):
-    """How two differing dump lines (without their names) differ, and the
-    largest absolute move of an array or ``float.hex`` line of one shape
-    and key set (None for any other line)."""
-    u, v = _decode(x), _decode(y)
-    if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
-        if u.shape != v.shape or u.dtype != v.dtype:
-            return f"array {u.dtype}{u.shape} -> {v.dtype}{v.shape}", None
-        d, rel = _moves(u, v)
-        top = d.max(initial=0.0)
-        scale = max(np.abs(u).max(initial=0.0), np.abs(v).max(initial=0.0))
-        return (f"max abs {top:.3g} ({top / (scale or 1.0):.3g} of the "
-                f"largest magnitude), max rel {rel.max(initial=0.0):.3g}",
-                top)
-    if isinstance(u, dict) and isinstance(v, dict) and u.keys() == v.keys():
-        keys = sorted(u)
-        d, rel = _moves([u[k] for k in keys], [v[k] for k in keys])
-        return ", ".join(f"{k} {u[k]!r} -> {v[k]!r} (abs {dk:.3g}, rel "
-                         f"{rk:.3g})" for k, dk, rk in zip(keys, d, rel)
-                         if dk), d.max()
+def _cli_line(text):
+    """The exit code and the rest of a CLI output line, else None."""
+    try:
+        code, out, err = ast.literal_eval(text)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    if isinstance(code, int) and isinstance(out, str) and isinstance(err, str):
+        return code, repr((out, err))
+    return None
+
+
+def _text(x, y):
+    """How two differing texts differ, and whether they differ in words
+    (anything but their numbers)."""
     at = next((k for k, (c, e) in enumerate(zip(x, y)) if c != e),
               min(len(x), len(y)))
     text = f"text differs from offset {at}"
     nx, ny = _NUMBER.findall(x), _NUMBER.findall(y)
     if _NUMBER.sub("#", x) != _NUMBER.sub("#", y):
-        return text, None
+        return text, True
     d, rel = _moves(np.array(nx, dtype=float), np.array(ny, dtype=float))
     k = int(np.argmax(d))
     return (f"{text}, in {np.count_nonzero(d)} numbers only; the largest "
             f"move is {nx[k]} -> {ny[k]} (abs {d[k]:.3g}), the largest "
-            f"relative one {rel.max():.3g}"), None
+            f"relative one {rel.max():.3g}"), False
+
+
+def _describe(x, y):
+    """How two differing dump lines (without their names) differ, the
+    largest absolute move of an array or ``float.hex`` line of one shape
+    and key set (None for any other line), and whether the verdict moved:
+    a CLI line's exit code, or text that differs in words."""
+    u, v = _decode(x), _decode(y)
+    if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
+        if u.shape != v.shape or u.dtype != v.dtype:
+            return (f"array {u.dtype}{u.shape} -> {v.dtype}{v.shape}", None,
+                    False)
+        d, rel = _moves(u, v)
+        top = d.max(initial=0.0)
+        scale = max(np.abs(u).max(initial=0.0), np.abs(v).max(initial=0.0))
+        return (f"max abs {top:.3g} ({top / (scale or 1.0):.3g} of the "
+                f"largest magnitude), max rel {rel.max(initial=0.0):.3g}",
+                top, False)
+    if isinstance(u, dict) and isinstance(v, dict) and u.keys() == v.keys():
+        keys = sorted(u)
+        d, rel = _moves([u[k] for k in keys], [v[k] for k in keys])
+        return ", ".join(f"{k} {u[k]!r} -> {v[k]!r} (abs {dk:.3g}, rel "
+                         f"{rk:.3g})" for k, dk, rk in zip(keys, d, rel)
+                         if dk), d.max(), False
+    cx, cy = _cli_line(x), _cli_line(y)
+    if cx and cy and cx[0] != cy[0]:
+        rest = "" if cx[1] == cy[1] else f"; output {_text(cx[1], cy[1])[0]}"
+        return f"exit code {cx[0]} -> {cy[0]}{rest}", None, True
+    text, words = _text(x, y)
+    return text, None, words
 
 
 def _diff(a, b):
@@ -337,11 +364,12 @@ def _diff(a, b):
         print(f"the dumps list different outputs ({len(la)} and {len(lb)} "
               f"lines)")
         return 1
-    differ, largest, where = 0, 0.0, None
+    differ, verdicts, largest, where = 0, 0, 0.0, None
     for (name, x), (_, y) in zip(la, lb):
         if x != y:
             differ += 1
-            text, move = _describe(x, y)
+            text, move, moved = _describe(x, y)
+            verdicts += moved
             print(f"differs: {name}: {text}")
             if move is not None and move > largest:
                 largest, where = move, name
@@ -349,6 +377,8 @@ def _diff(a, b):
     if differ:
         print("largest absolute move among array and float.hex outputs: "
               + (f"{largest:.3g} in {where}" if where else "0 (none moves)"))
+    print(f"{verdicts} outputs moved their verdict (an exit code, or text "
+          f"that differs in words)")
     return 1 if differ else 0
 
 
