@@ -466,9 +466,10 @@ _EVALUATION_ERRORS = (DomainError, GeometryInputError, MetricError,
 def _fault_point(err, pts):
     """The first sample (in C order) where the mask ``outside`` that the
     error (or the error behind it) carries is True: the argument mask of a
-    :class:`jets.JetDomainError`, or the non-finite mask of an overflow in
-    ``geometry._plain_einsum``.  None for other errors or a mask of another
-    shape."""
+    :class:`jets.JetDomainError`, the non-finite mask of an overflow in
+    ``geometry._plain_einsum``, or the mask of a :class:`DomainError` from a
+    point outside its chart or a metric that is not positive definite there.
+    None for other errors or a mask of another shape."""
     outside = getattr(err, "outside", getattr(err.__cause__, "outside", None))
     if outside is None or np.shape(outside) != pts.shape[:-1]:
         return None
@@ -486,10 +487,12 @@ def record(name, tol, mode, evaluate, pts):
     what was raised, and the map-state stage that raised it, if one did
     (``... in stage curvature_map``).  A jet domain fault (raised directly
     or behind an expression error) is located at the first sample whose
-    argument lies outside the function's domain, and a plain einsum's
-    overflow at the first sample whose result is not finite, read from the
-    error (:func:`_fault_point`); its ``worst_point`` stays None when that
-    mask does not have the samples' batch shape.  Otherwise
+    argument lies outside the function's domain, a plain einsum's overflow
+    at the first sample whose result is not finite, and a domain fault at
+    the first sample whose point or image lies outside its chart or where
+    its metric is not positive definite, read from the error
+    (:func:`_fault_point`); its ``worst_point`` stays None when that mask
+    does not have the samples' batch shape.  Otherwise
     :func:`report.check_record` makes the record, which is errored too when
     a value is not finite.
     """

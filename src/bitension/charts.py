@@ -82,11 +82,15 @@ class ChartDomain:
         return ok
 
     def require(self, x):
+        """Raise DomainError naming the first point of ``x`` outside the
+        chart; its ``outside`` is True at every such point."""
         ok = self.contains(x)
         if not np.all(ok):
             arr = np.asarray(x, dtype=float).reshape(-1, self.dim)
             bad = arr[~np.asarray(ok).reshape(-1)]
-            raise DomainError(f"point outside chart domain: {bad[0].tolist()}")
+            err = DomainError(f"point outside chart domain: {bad[0].tolist()}")
+            err.outside = ~ok
+            raise err
 
 
 def _as_ast(component):

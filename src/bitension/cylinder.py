@@ -44,6 +44,9 @@ class CylinderParams:
         lo, hi = self.z_range
         if not lo < hi:
             raise ParameterError("empty z range")
+        if not np.all(np.isfinite([self.radius, self.c1, self.c2, lo, hi])):
+            raise ParameterError("radius, c1, c2 and the z range must be "
+                                 "finite")
 
 
 def lambda_sq_closed_form(params, z):

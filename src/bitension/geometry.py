@@ -24,8 +24,16 @@ A :class:`MapState` holds the per-point data for one (map, domain metric,
 target metric, batch of points, derivative order) tuple, as a domain side
 and a map side that a second state of the same map can share.  It validates
 its inputs when built and derives every other stage on first read, so a
-reader pays only for the stages it uses.  The module-level functions are thin
-wrappers that build a state and extract one quantity.
+reader pays only for the stages it uses.
+
+Each metric is evaluated, checked symmetric and checked positive definite in
+one step (:func:`_sym_matrix_jets`), and each batch of points is checked
+against its chart where its jet seeds are made (:func:`_seeds`).  The
+module-level functions are thin wrappers over that one route:
+:func:`pullback_metric` reads the ``pullback`` stage of a map side,
+:func:`conformality_factor` and the field operators build a state and read
+one quantity, and :func:`metric_jets`, :func:`christoffel` and
+:func:`curvature_tensor` evaluate one metric.
 """
 from __future__ import annotations
 
@@ -53,14 +61,17 @@ class MetricError(ValueError):
 # -- expression evaluation on jet seeds ---------------------------------------
 
 
-def _seeds(coords, x, order):
+def _seeds(domain, x, order):
+    """The points ``x`` as floats, checked against the chart ``domain``
+    (``domain.require``), and the order-``order`` jet seed of each chart
+    coordinate at them: the one place sample points meet their chart."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != len(coords):
+    if x.shape[-1] != domain.dim:
         raise GeometryInputError(
-            f"points have {x.shape[-1]} coordinates, chart has {len(coords)}")
-    variables = {c: jets.Jet.variable(i, x[..., i], len(coords), order)
-                 for i, c in enumerate(coords)}
-    return x, x.shape[:-1], variables
+            f"points have {x.shape[-1]} coordinates, chart has {domain.dim}")
+    domain.require(x)
+    return x, {c: jets.Jet.variable(i, x[..., i], domain.dim, order)
+               for i, c in enumerate(domain.coords)}
 
 
 def _eval_components(components, variables, parameters, batch_shape, num_vars, order):
@@ -96,14 +107,17 @@ def _by_identity(build):
     return once
 
 
-def _sym_matrix_jets(metric, variables, batch_shape, order, what):
-    """Component jets of a metric.  The distinct expression objects are
-    evaluated in one call, so each is evaluated once (a conformally flat
-    metric repeats one factor down its diagonal) and so is each subtree they
-    share; entries (i, j) and (j, i) holding one expression object share one
-    jet (:meth:`RiemannianMetric.from_components` gives mirror entries of
-    equal source text one object); other mirror pairs, equal trees
-    included, are evaluated and compared."""
+def _sym_matrix_jets(metric, variables, batch_shape, order, what, at):
+    """Component jets of a metric and their values, checked symmetric and
+    positive definite (:func:`_require_spd`, naming a point of ``at``).
+
+    The distinct expression objects are evaluated in one call, so each is
+    evaluated once (a conformally flat metric repeats one factor down its
+    diagonal) and so is each subtree they share; entries (i, j) and (j, i)
+    holding one expression object share one jet
+    (:meth:`RiemannianMetric.from_components` gives mirror entries of equal
+    source text one object); other mirror pairs, equal trees included, are
+    evaluated and compared."""
     m, comps = metric.dim, metric.components
     mirrored = {(i, j) for i in range(m) for j in range(i)
                 if comps[i][j] is comps[j][i]}
@@ -123,7 +137,9 @@ def _sym_matrix_jets(metric, variables, batch_shape, order, what):
                     1.0 + max(a.max_abs(), b.max_abs())):
                 raise MetricError(
                     f"{what} components ({i},{j}) and ({j},{i}) disagree")
-    return rows
+    values = jets.stack_values(rows)
+    _require_spd(values, at, what)
+    return rows, values
 
 
 def _float_values(components, coords, parameters, x):
@@ -134,16 +150,10 @@ def _float_values(components, coords, parameters, x):
                                      x.shape[:-1]) for comp in components], axis=-1)
 
 
-def _metric_values(metric, y):
-    """Plain float evaluation of the component matrix at points ``y``."""
-    flat = _float_values([c for row in metric.components for c in row],
-                         metric.domain.coords, metric.parameters, y)
-    return flat.reshape(y.shape[:-1] + (metric.dim, metric.dim))
-
-
 def _require_spd(values, x, what):
     """Raise DomainError naming the point of the smallest eigenvalue when a
-    metric value matrix is not positive definite.
+    metric value matrix is not positive definite; its ``outside`` is True
+    where the smallest eigenvalue is not positive.
 
     A batched Cholesky factorization decides; ``eigvalsh`` runs only when it
     fails or a value is not finite, and names the point.  So a matrix whose
@@ -162,8 +172,10 @@ def _require_spd(values, x, what):
         flat = smallest.reshape(-1)
         k = int(np.argmin(flat))
         pt = np.asarray(x, dtype=float).reshape(-1, x.shape[-1])[k]
-        raise DomainError(f"{what} is not positive definite at {pt.tolist()} "
+        err = DomainError(f"{what} is not positive definite at {pt.tolist()} "
                           f"(smallest eigenvalue {flat[k]:.6g})")
+        err.outside = smallest <= 0.0
+        raise err
 
 
 # -- jet linear algebra --------------------------------------------------------
@@ -259,8 +271,8 @@ def _curvature_values(gamma):
     dg = jets.stack_gradients(gamma)  # d_l Gamma^k_ij at [..., i, j, k, l]
     t1 = np.einsum("...jkli->...lkij", dg)
     t2 = np.einsum("...iklj->...lkij", dg)
-    t3 = _einsum("...ipl,...jkp->...lkij", gv, gv)
-    t4 = _einsum("...jpl,...ikp->...lkij", gv, gv)
+    t3 = np.einsum("...ipl,...jkp->...lkij", gv, gv, optimize=True)
+    t4 = np.einsum("...jpl,...ikp->...lkij", gv, gv, optimize=True)
     return t1 - t2 + t3 - t4
 
 
@@ -286,21 +298,6 @@ def _curvature_map(gv, dg, pull):
     t4 = flat @ gv.reshape(batch + (n * n, n)) @ gv
     return (t1.reshape(batch + (n, n)) - t2.mT + t3
             - t4.reshape(batch + (n, n)))
-
-
-def _einsum(subscripts, *operands):
-    """``np.einsum(subscripts, *operands, optimize=True)``, bit for bit, with
-    the contraction path searched once per subscripts and operand shapes."""
-    path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
-@lru_cache(maxsize=128)
-def _einsum_path(subscripts, *shapes):
-    # the search reads shapes only: zero-stride stand-ins allocate nothing;
-    # a tuple, so no caller can change the path the cache hands out
-    stand_ins = [np.broadcast_to(0.0, s) for s in shapes]
-    return tuple(np.einsum_path(subscripts, *stand_ins, optimize=True)[0])
 
 
 def _plain_einsum(subscripts, *operands):
@@ -375,10 +372,8 @@ class _DomainSide:
     def __init__(self, g, x, xvars, order):
         self.g, self.order = g, order
         gvars = {c: v.truncated(order - 1) for c, v in xvars.items()}
-        self.g_jets = _sym_matrix_jets(g, gvars, x.shape[:-1], order - 1,
-                                       "domain metric")
-        self.g_val = jets.stack_values(self.g_jets)
-        _require_spd(self.g_val, x, "domain metric")
+        self.g_jets, self.g_val = _sym_matrix_jets(
+            g, gvars, x.shape[:-1], order - 1, "domain metric", x)
 
     @_stage
     def ginv_jets(self):
@@ -417,15 +412,10 @@ class _MapSide:
             x.shape[:-1], *map(np.shape, phi.parameters.values()))
         self.phi_jets = _eval_components(phi.components, xvars, phi.parameters,
                                          batch, self.m, order)
-        self.y0 = jets.stack_values(self.phi_jets)
-        phi.codomain.require(self.y0)
-
-        yvars = {c: jets.Jet.variable(a, self.y0[..., a], self.n, order - 1)
-                 for a, c in enumerate(phi.codomain.coords)}
-        self.h_yjets = _sym_matrix_jets(h, yvars, batch, order - 1,
-                                        "target metric")
-        self.hN_val = jets.stack_values(self.h_yjets)
-        _require_spd(self.hN_val, self.y0, "target metric")
+        self.y0, yvars = _seeds(phi.codomain, jets.stack_values(self.phi_jets),
+                                order - 1)
+        self.h_yjets, self.hN_val = _sym_matrix_jets(
+            h, yvars, batch, order - 1, "target metric", self.y0)
 
     @_stage
     def Dphi(self):
@@ -555,8 +545,7 @@ class MapState:
             raise GeometryInputError("domain metric lives on a different chart")
         if h.domain.coords != phi.codomain.coords:
             raise GeometryInputError("target metric lives on a different chart")
-        x, _, xvars = _seeds(phi.domain.coords, x, order)
-        phi.domain.require(x)
+        x, xvars = _seeds(phi.domain, x, order)
         # arguments run left to right: the domain metric is validated first
         self._join(_DomainSide(g, x, xvars, order),
                    _MapSide(phi, h, x, xvars, order))
@@ -623,8 +612,8 @@ class MapState:
         return _plain_einsum("...ab,...a,...b->...", self.hN_val, a, b)
 
     def conformality(self, tol=1e-9):
-        """:func:`conformality_factor` at the state's points, read from its
-        ``pullback`` and metric values instead of evaluating the map again."""
+        """The fit of phi^*h = lambda^2 g at the state's points, read from
+        its ``pullback`` and ``g_val`` (see :func:`conformality_factor`)."""
         return _fit_conformality(self.pullback, self.g_val, tol)
 
     # -- sections of the pulled-back bundle --------------------------------------
@@ -738,39 +727,32 @@ class MapState:
 
 def metric_jets(metric, x, order=2):
     """Component jets of a metric at points ``x`` (symmetry and SPD checked)."""
-    x, batch, variables = _seeds(metric.domain.coords, x, order)
-    metric.domain.require(x)
-    rows = _sym_matrix_jets(metric, variables, batch, order, "metric")
-    _require_spd(jets.stack_values(rows), x, "metric")
-    return rows
+    x, variables = _seeds(metric.domain, x, order)
+    return _sym_matrix_jets(metric, variables, x.shape[:-1], order, "metric",
+                            x)[0]
+
+
+def _christoffel_of(metric, x):
+    rows = metric_jets(metric, x, order=2)
+    return _christoffel_jets(rows, _jet_matrix_inverse(rows, 1))
 
 
 def christoffel(metric, x):
     """Christoffel values; ``[..., i, j, k]`` is Gamma^k_ij."""
-    rows = metric_jets(metric, x, order=2)
-    ginv = _jet_matrix_inverse(rows, 1)
-    return jets.stack_values(_christoffel_jets(rows, ginv))
+    return jets.stack_values(_christoffel_of(metric, x))
 
 
 def curvature_tensor(metric, x):
     """Curvature values R[..., l, k, i, j]; R(e_i,e_j)e_k = R^l_{kij} e_l."""
-    rows = metric_jets(metric, x, order=2)
-    ginv = _jet_matrix_inverse(rows, 1)
-    return _curvature_values(_christoffel_jets(rows, ginv))
+    return _curvature_values(_christoffel_of(metric, x))
 
 
 def pullback_metric(phi, h, x):
-    """Values of (phi^* h)_ij = h_ab(phi) d_i phi^a d_j phi^b."""
-    x, batch, variables = _seeds(phi.domain.coords, x, 1)
-    phi.domain.require(x)
-    pj = _eval_components(phi.components, variables, phi.parameters, batch,
-                          phi.domain.dim, 1)
-    y0 = jets.stack_values(pj)
-    phi.codomain.require(y0)
-    dphi = jets.stack_values([[p.derivative(i) for p in pj]
-                              for i in range(phi.domain.dim)])
-    hv = _metric_values(h, y0)
-    return _plain_einsum("...ia,...ab,...jb->...ij", dphi, hv, dphi)
+    """Values of (phi^* h)_ij = h_ab(phi) d_i phi^a d_j phi^b: the
+    ``pullback`` stage of the map side of an order-2 :class:`MapState`, so
+    the target metric is checked symmetric and positive definite."""
+    x, xvars = _seeds(phi.domain, x, 2)
+    return _MapSide(phi, h, x, xvars, 2).pullback
 
 
 @dataclass(frozen=True)
@@ -786,12 +768,11 @@ def conformality_factor(phi, g, h, x):
 
     ``max_residual`` is the largest entry of phi^*h - lambda^2 g over all
     points, divided by 1 + the largest entry of phi^*h; the map counts as
-    conformal when it is at most 1e-9 and lambda^2 > 0.  A caller holding a
-    :class:`MapState` reads the same fit from :meth:`MapState.conformality`.
+    conformal when it is at most 1e-9 and lambda^2 > 0.  This is
+    :meth:`MapState.conformality` of an order-2 state, so both metrics are
+    checked symmetric and positive definite.
     """
-    x = np.asarray(x, dtype=float)
-    return _fit_conformality(pullback_metric(phi, h, x), _metric_values(g, x),
-                             1e-9)
+    return MapState(phi, g, h, x, 2).conformality()
 
 
 def _fit_conformality(pb, gv, tol):

@@ -46,7 +46,8 @@ def test_summary_of_pairs_reads_every_metric_in_its_direction():
     assert margin["change_wins"] == 1
     assert margin["parent"]["median"] == 7.0
     assert margin["change"]["median"] == 7.2
-    assert margin["change_worse_by"] == round(-(7.2 - 7.0) / 7.0, 4) < 0
+    # a digits metric moves in digits, not relative to its size
+    assert margin["change_worse_by"] == round(-(7.2 - 7.0), 4) < 0
     assert margin["bound"] == 0.1
     # equal runs: no wins either way and no change
     assert out["setup_s"]["change_wins"] == 0
@@ -54,6 +55,15 @@ def test_summary_of_pairs_reads_every_metric_in_its_direction():
     assert out["correct"] == {"parent": [True] * 3,
                               "change": [True, True, False]}
     assert out["failed"] == {"parent": [0, 0, 0], "change": [0, 0, 3]}
+
+
+def test_a_loss_of_digits_is_read_in_digits():
+    # a seed-1 law_sweep margin of 7.773 -> 7.613 digits is 0.16 digits
+    # worse, against a bound of 0.1 digits; its relative change is 0.0206
+    runs = {"parent": _parsed((0.5, 7.773)), "change": _parsed((0.5, 7.613))}
+    margin = bench_pairs.summarise(runs, _BENCH["end_to_end"])["margin_digits"]
+    assert margin["change_worse_by"] == 0.16 > margin["bound"]
+    assert margin["change_wins"] == 0
 
 
 @pytest.mark.parametrize("correct", [True, False])

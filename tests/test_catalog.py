@@ -179,9 +179,12 @@ def test_unbuildable_state_fails_every_check_that_reads_it():
                                factor="1")
     rep = catalog.verify_case(case, samples=16)
     assert [c.name for c in rep.checks] == kinds
+    # the fault is located at the first sample whose image leaves the chart
+    pts = dom.sample(16, 7)
+    first = tuple(pts[np.argmax(np.abs(5.0 * pts[:, 0]) >= 2.0)])
     for check in rep.checks:
         assert check.max_abs is None and check.max_norm is None
-        assert not check.passed and check.worst_point is None
+        assert not check.passed and check.worst_point == first
         # each record carries the build failure's own text
         assert check.error.startswith(
             "DomainError: point outside chart domain: [")
@@ -363,6 +366,29 @@ def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
     # the tension reads the contracted domain Christoffel symbols first
     assert bad.error == ("FloatingPointError: Christoffel stage refused"
                          " in stage gammaM_trace")
+
+
+# a domain metric u*delta and an image (u, v, 3u) leaving |r| < 2: each
+# fault is located at its first sample, where the message may name another
+# point (the metric's most negative eigenvalue)
+@pytest.mark.parametrize("factor,third,error,outside", [
+    ("u", "0", "domain metric is not positive definite at [-0.89",
+     lambda u: u <= 0.0),
+    ("1", "3*u", "point outside chart domain: [",
+     lambda u: np.abs(3.0 * u) >= 2.0),
+])
+def test_a_domain_fault_is_located_at_its_first_sample(factor, third, error,
+                                                        outside):
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((-3.0, 3.0), (-3.0, 3.0), (-2.0, 2.0)))
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", third))
+    case = catalog.custom_case(
+        "fault", phi, RiemannianMetric.conformally_flat(dom, factor),
+        RiemannianMetric.euclidean(tgt), [("tension_zero", None)])
+    (rec,) = catalog.verify_case(case, samples=16).checks
+    pts = dom.sample(16, 7)
+    assert rec.error.startswith(f"DomainError: {error}")
+    assert rec.worst_point == tuple(pts[np.argmax(outside(pts[:, 0]))])
 
 
 @pytest.mark.parametrize("subscripts,where", [

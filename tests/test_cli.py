@@ -307,6 +307,18 @@ def test_an_overflowing_cylinder_member_is_inadmissible(capsys, argv):
                           "and finite on the cylinder")
 
 
+@pytest.mark.parametrize("argv", [
+    ("cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2", flag)
+    for flag in ("--z1=inf", "--radius=inf", "--c1=nan", "--c2=nan",
+                 "--c1=inf", "--c2=inf", "--z0=-inf", "--z1=nan",
+                 "--radius=nan")
+] + [("catalog", "verify", "cylinder_family", "--param", "R=inf")])
+def test_a_non_finite_cylinder_parameter_is_bad_input(capsys, argv):
+    # the last flag wins: each run sets one parameter to inf or NaN
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == "" and err.startswith("error: ")
+
+
 def test_cylinder_solve_failing_tolerance(capsys):
     code, out, _ = run(capsys, "cylinder", "solve", "--radius", "1",
                        "--c1", "0", "--c2", "2", "--sign", "+",

@@ -417,9 +417,9 @@ def test_curvature_trace_matches_the_riemann_tensor_route(m, n, order, single):
                          order)
     section = np.random.default_rng(m * n).normal(
         size=state.batch_shape + (n,))
-    want = geometry._einsum("...ij,...ia,...b,...jk,...ckab->...c",
-                            state.ginv_val, state.dphi, section, state.dphi,
-                            geometry._curvature_values(state.gammaN_y))
+    want = np.einsum("...ij,...ia,...b,...jk,...ckab->...c",
+                     state.ginv_val, state.dphi, section, state.dphi,
+                     geometry._curvature_values(state.gammaN_y), optimize=True)
     got = state.curvature_trace(section)
     assert got.shape == want.shape == state.batch_shape + (n,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -836,6 +836,21 @@ def test_pullback_and_conformality():
     assert res2.max_residual > 0.1
 
 
+def test_pullback_and_conformality_check_their_metrics_positive_definite():
+    dom = ChartDomain(("x", "y"), ((-2.0, 2.0), (-1.0, 1.0)))
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    wrap = SmoothMap.from_components(
+        dom, tgt, ("R*cos(x/R)", "R*sin(x/R)", "y"), {"R": 1.3})
+    pts = dom.sample(15, 23)
+    h3 = RiemannianMetric.euclidean(tgt)
+    tilted = RiemannianMetric.conformally_flat(tgt, "q")
+    with pytest.raises(DomainError, match="^target metric is not positive"):
+        geometry.pullback_metric(wrap, tilted, pts)
+    with pytest.raises(DomainError, match="^domain metric is not positive"):
+        geometry.conformality_factor(
+            wrap, RiemannianMetric.conformally_flat(dom, "x"), h3, pts)
+
+
 def test_state_conformality_matches_the_one_shot_fit():
     dom = ChartDomain(("x", "y"), ((-2.0, 2.0), (-1.0, 1.0)))
     tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
@@ -1196,33 +1211,6 @@ def test_codomain_error_comes_before_a_failing_stage(monkeypatch):
     _raising(monkeypatch, "_christoffel_trace_jets")
     with pytest.raises(DomainError):
         MapState(phi, g, RiemannianMetric.euclidean(tgt), dom.sample(8, 1), 4)
-
-
-@pytest.mark.parametrize("subscripts,shapes", [
-    ("...ipl,...jkp->...lkij", [(7, 3, 3, 3)] * 2),
-    ("...jpl,...ikp->...lkij", [(2, 5, 4, 4, 4), (2, 5, 4, 4, 4)]),
-    ("...ij,...ijk,...kc->...c", [(9, 4, 4), (9, 4, 4, 4), (9, 4, 5)]),
-    ("...ij,...ia,...b,...jk,...ckab->...c",
-     [(3, 6, 2, 2), (3, 6, 2, 3), (3, 6, 3), (3, 6, 2, 3), (3, 6, 3, 3, 3, 3)]),
-])
-def test_einsum_helper_matches_optimized_einsum_bitwise(subscripts, shapes):
-    rng = np.random.default_rng(len(subscripts))
-    operands = [rng.normal(size=s) for s in shapes]
-    want = np.einsum(subscripts, *operands, optimize=True)
-    for _ in range(2):  # a searched path, then a cached one
-        got = geometry._einsum(subscripts, *operands)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def test_einsum_path_cache_is_bounded():
-    limit = geometry._einsum_path.cache_info().maxsize
-    assert limit is not None
-    operand = np.ones((1, 2, 2, 2))
-    for batch in range(1, limit + 11):
-        geometry._einsum("...ipl,...jkp->...lkij", operand,
-                         np.ones((batch, 2, 2, 2)))
-    assert geometry._einsum_path.cache_info().currsize <= limit
 
 
 @pytest.mark.parametrize("over", ["raise", "ignore"])

@@ -17,8 +17,10 @@ end-to-end metric of the change's ``BENCHMARK.json``: each side's median,
 quartiles (numpy's linear percentiles), minimum, maximum and run count;
 ``change_wins``, the pairs in which the change reads better (lower, or
 higher for a metric that is better higher), ties counting for neither; and
-``change_worse_by``, the relative change of the median, positive when the
-change reads worse, beside the metric's ``bound``; then every run's
+``change_worse_by``, the change of the median, positive when the change
+reads worse, beside the metric's ``bound``: relative to the parent's median,
+except for a metric in ``digits``, whose change is its absolute loss in
+digits (a margin of 7.773 -> 7.613 digits reads 0.16); then every run's
 ``correct`` and ``failed``.  Under ``runs``, every run's metrics and verdict
 counts.  Progress goes to standard error, one line per run.  The exit code
 is 1 if any run was not correct; a run that prints no result (the program
@@ -84,13 +86,15 @@ def summarise(runs, end_to_end):
         parent, change = ([run[name] for run in runs[side]] for side in SIDES)
         p, c = np.median(parent), np.median(change)
         worse = c - p if lower else p - c
+        if metric["unit"] != "digits":
+            worse = worse / abs(p) if p else None
         out[name] = {
             "parent": _stats(parent), "change": _stats(change),
             "change_wins": sum(b < a if lower else b > a
                                for a, b in zip(parent, change)),
             "pairs": min(len(parent), len(change)),
-            "change_worse_by": (round(float(worse / abs(p)), 4)
-                                if p else None),
+            "change_worse_by": None if worse is None else round(
+                float(worse), 4),
             "bound": metric["bound"]}
     for key in ("correct", "failed"):
         out[key] = {side: [run[key] for run in runs[side]] for side in SIDES}

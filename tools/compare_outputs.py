@@ -20,9 +20,13 @@ conformality sums, the tension, the W3 residual, the bitension and the
 nonholomorphicity of ``weierstrass``) and the direct bitension residual of
 every Weierstrass pool case, and the same lane for ``r2_wrap_r3``,
 ``r2_wrap_r6``, ``plane_inclusion`` and their negative controls at the
-catalog's sample points; the ``custom verify`` (JSON), ``weierstrass
-check`` and ``check-transform`` (m = 2..5, text) outputs of the CLI over the
-shipped configs, and the error paths and exit codes of the CLI: ``cylinder
+catalog's sample points; the library one-shots ``metric_jets`` (its
+coefficients), ``christoffel`` and ``curvature_tensor`` of the domain
+metric, ``pullback_metric`` of the target metric and
+``conformality_factor`` (lambda^2 and ``max_residual``) on every catalog
+case geometry at the catalog's sample points, or the error one raises; the
+``custom verify`` (JSON), ``weierstrass check`` and ``check-transform``
+(m = 2..5, text) outputs of the CLI over the shipped configs, and the error paths and exit codes of the CLI: ``cylinder
 solve`` passing and failing its tolerance and overflowing at radius 0.002,
 ``catalog verify cylinder_family`` on the inadmissible member R = 0.001,
 C1 = 0, and ``weierstrass check`` on ``h5_inclusion`` (no 2d domain), on
@@ -148,6 +152,15 @@ def _dump(root, seed, out):
             phi, g, h = case.geometry
             lane(label, phi, g, h, phi.domain.sample(
                 workloads.CATALOG_SAMPLES, inputs.sample_seed))
+    for name, case in inputs.cases:
+        phi, g, h = case.geometry
+        pts = phi.domain.sample(workloads.CATALOG_SAMPLES, inputs.sample_seed)
+        for key, shot in _one_shots(geometry, phi, g, h, pts):
+            try:
+                text = _array(shot())
+            except Exception as err:  # an error is an output too
+                text = f"error {type(err).__name__}: {err}"
+            emit(f"one-shot {name} {key}", text)
     for path in inputs.configs:
         emit(f"custom verify {path.name}", _cli(cli, [
             "custom", "verify", "--config", str(path), "--format", "json"]
@@ -195,6 +208,28 @@ def _dump(root, seed, out):
     for eps in (1e-2, 5e-3):
         emit(f"quadrature pair eps={eps}", _floats(geometry.first_variation(
             *quad.pair, eps=eps, nodes=24)))
+
+
+def _one_shots(geometry, phi, g, h, pts):
+    """(key, thunk) of each library one-shot on one geometry at ``pts``:
+    the coefficients of ``metric_jets`` of g (one array, entry by entry),
+    ``christoffel`` and ``curvature_tensor`` of g, ``pullback_metric`` of
+    h, and the lambda^2 of ``conformality_factor`` with its
+    ``max_residual`` appended."""
+    def coefficients():
+        rows = geometry.metric_jets(g, pts)
+        return np.stack(np.broadcast_arrays(*[e.coeffs for row in rows
+                                              for e in row]))
+
+    def conformality():
+        res = geometry.conformality_factor(phi, g, h, pts)
+        return np.append(res.lambda_sq, res.max_residual)
+
+    return (("metric_jets", coefficients),
+            ("christoffel", lambda: geometry.christoffel(g, pts)),
+            ("curvature_tensor", lambda: geometry.curvature_tensor(g, pts)),
+            ("pullback_metric", lambda: geometry.pullback_metric(phi, h, pts)),
+            ("conformality_factor", conformality))
 
 
 def _dump_fixed(seed, emit):
