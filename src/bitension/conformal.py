@@ -20,8 +20,8 @@ __all__ = [
     "ConformalFactor", "conformal_metric", "law_sides",
     "tension_transform_rhs", "jacobi_transform_rhs", "bitension_transform_rhs",
     "bitension_transform_rhs_dim2", "harmonic_biharmonic_condition",
-    "conformal_immersion_sides", "conformal_immersion_residual",
-    "conformal_immersion_residual_dim2", "random_transform_family",
+    "conformal_immersion_residual", "conformal_immersion_residual_dim2",
+    "random_transform_family",
 ]
 
 
@@ -232,8 +232,9 @@ def _immersion_states(phi, g, h, lam, x, parameters):
     return state, data, lam_sq, state.on(gbar)
 
 
-def conformal_immersion_sides(phi, g, h, lam, x, parameters=None):
-    """Both sides of the biharmonicity criterion for a conformal immersion.
+def conformal_immersion_residual(phi, g, h, lam, x, parameters=None):
+    """Left minus right of the biharmonicity criterion for a conformal
+    immersion; zero iff the conformal immersion is biharmonic.
 
     For phi with pullback metric lambda^2 g the left side is
     lambda^4 tau^2(phi, gbar) of the associated isometric immersion
@@ -242,8 +243,7 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None):
     -(m-2) J(dphi(grad ln lambda))
     + 2m lambda^2 (-Lap ln lambda - 2|grad ln lambda|^2) eta
     + m(m-6) lambda^2 nabla_{grad ln lambda} eta.
-    Left minus right equals tau^2(phi, g); it vanishes exactly when the
-    conformal immersion is biharmonic.
+    Left minus right equals tau^2(phi, g).
     """
     state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x,
                                                   parameters)
@@ -257,14 +257,6 @@ def conformal_immersion_sides(phi, g, h, lam, x, parameters=None):
     rhs = (-(m - 2.0) * jac_pushed
            + 2.0 * m * (lam_sq * shrink)[..., None] * eta
            + m * (m - 6.0) * lam_sq[..., None] * slide_eta)
-    return lhs, rhs
-
-
-def conformal_immersion_residual(phi, g, h, lam, x, parameters=None):
-    """Left minus right of the conformal-immersion criterion; zero iff
-    the conformal immersion is biharmonic."""
-    lhs, rhs = conformal_immersion_sides(phi, g, h, lam, x,
-                                         parameters=parameters)
     return lhs - rhs
 
 

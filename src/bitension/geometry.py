@@ -151,9 +151,10 @@ def _float_values(components, coords, parameters, x):
 
 
 def _require_spd(values, x, what):
-    """Raise DomainError naming the point of the smallest eigenvalue when a
-    metric value matrix is not positive definite; its ``outside`` is True
-    where the smallest eigenvalue is not positive.
+    """Raise DomainError naming the first point (in C order) where a metric
+    value matrix is not positive definite, with its smallest eigenvalue;
+    its ``outside`` is True wherever the smallest eigenvalue is not
+    positive, so the point named is the first one that mask holds.
 
     A batched Cholesky factorization decides; ``eigvalsh`` runs only when it
     fails or a value is not finite, and names the point.  So a matrix whose
@@ -168,13 +169,13 @@ def _require_spd(values, x, what):
             pass
     eig = np.linalg.eigvalsh(values)
     smallest = eig[..., 0]
-    if np.any(smallest <= 0.0):
-        flat = smallest.reshape(-1)
-        k = int(np.argmin(flat))
+    outside = smallest <= 0.0
+    if np.any(outside):
+        k = int(np.argmax(outside.reshape(-1)))
         pt = np.asarray(x, dtype=float).reshape(-1, x.shape[-1])[k]
         err = DomainError(f"{what} is not positive definite at {pt.tolist()} "
-                          f"(smallest eigenvalue {flat[k]:.6g})")
-        err.outside = smallest <= 0.0
+                          f"(smallest eigenvalue {smallest.flat[k]:.6g})")
+        err.outside = outside
         raise err
 
 
@@ -323,13 +324,13 @@ def _plain_einsum(subscripts, *operands):
 
 
 def _named(build):
-    """``build``, a stage of :class:`MapState`, with its errors carrying the
-    note "in stage <its name>" unless an inner stage noted itself first
-    (see :func:`error_text`)."""
+    """``build``, a stage or reader of :class:`MapState`, with its errors
+    carrying the note "in stage <its name>" unless an inner stage noted
+    itself first (see :func:`error_text`)."""
     @wraps(build)
-    def named(*args):
+    def named(*args, **kwargs):
         try:
-            return build(*args)
+            return build(*args, **kwargs)
         except Exception as err:
             if not any(note.startswith("in stage ")
                        for note in getattr(err, "__notes__", ())):
@@ -512,8 +513,10 @@ class MapState:
 
     So a reader of the inputs alone (the complex-coordinate lane) builds no
     Christoffel symbols, and an error in a stage fails only its readers.  An
-    error raised in a stage, or in the tension, the bitension or a covariant
-    derivative, carries the note "in stage <name>" naming the innermost one
+    error raised in a stage or in a reader of the state's values (the
+    tension, the bitension, a covariant derivative, the two inner products,
+    the conformality fit, the trace Laplacian or the curvature trace)
+    carries the note "in stage <name>" naming the innermost one
     (:func:`error_text` renders it).
 
     Other jets are carried at the lowest order any reader keeps: the domain
@@ -605,12 +608,15 @@ class MapState:
         df = [f.derivative(k) for k in range(self.m)]
         return self._laplace(lambda i, j: df[i].derivative(j), df)
 
+    @_named
     def domain_inner(self, u, v):
         return _plain_einsum("...ij,...i,...j->...", self.g_val, u, v)
 
+    @_named
     def target_inner(self, a, b):
         return _plain_einsum("...ab,...a,...b->...", self.hN_val, a, b)
 
+    @_named
     def conformality(self, tol=1e-9):
         """The fit of phi^*h = lambda^2 g at the state's points, read from
         its ``pullback`` and ``g_val`` (see :func:`conformality_factor`)."""
@@ -651,6 +657,7 @@ class MapState:
                  for c in range(self.n)] for j in range(self.m)])
         return kept[1]
 
+    @_named
     def directional_covariant(self, vec, section):
         """Values of nabla^phi_Y S for a domain vector Y (jets or values)."""
         dsval = jets.stack_values(self.covariant_derivative(section))
@@ -661,6 +668,7 @@ class MapState:
                                            self.batch_shape) for v in vec], axis=-1)
         return _plain_einsum("...j,...jc->...c", yv, dsval)
 
+    @_named
     def trace_laplacian(self, section):
         """Values of Trace_g (nabla^phi)^2 S (the rough Laplacian on sections)."""
         ds = self.covariant_derivative(section)
@@ -674,6 +682,7 @@ class MapState:
                 - _plain_einsum("...k,...kc->...c", self.gammaM_trace_val,
                                 dsval))
 
+    @_named
     def curvature_trace(self, section_values):
         """Values of Trace_g R^N(dphi, S) dphi = S^b K[b, c].
 

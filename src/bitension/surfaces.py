@@ -6,8 +6,6 @@ inner products route through the target metric, so ``(R, theta, z)``-style
 immersions need no Cartesian detour.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import geometry, jets
@@ -81,7 +79,6 @@ class SurfaceData:
         self.second_form_sq = jets.contract(
             (self.shape[i][k], self.shape[k][i])
             for i in range(2) for k in range(2))
-        self.eta = [self.mean_curvature * self.normal[c] for c in range(3)]
 
     # -- value views -------------------------------------------------------------
 
@@ -90,22 +87,8 @@ class SurfaceData:
         return jets.stack_values(self.normal)
 
     @property
-    def shape_values(self):
-        """A^k_i as [..., i, k]."""
-        return jets.stack_values(self.shape)
-
-    @property
     def mean_curvature_values(self):
         return self.mean_curvature.value
-
-    @property
-    def second_form_sq_values(self):
-        """|B|^2 with respect to the induced metric."""
-        return self.second_form_sq.value
-
-    @property
-    def eta_values(self):
-        return jets.stack_values(self.eta)
 
     # -- tangent algebra ----------------------------------------------------------
 
@@ -170,23 +153,3 @@ def r3_system_residual(sd, lam, stg, parameters=None):
               + 4.0 * cross)
     return tangential, normal
 
-
-@dataclass(frozen=True)
-class NormalDerivative:
-    """nabla^phi_Y (H xi) together with the residual of its Weingarten
-    decomposition Y(H) xi - H dphi(A(Y))."""
-    derivative: np.ndarray
-    split_residual: np.ndarray
-
-
-def normal_field_covariant_derivative(sd, direction, parameters=None):
-    """Covariant derivative of the mean-curvature section along a domain
-    vector field, plus the residual of its tangential/normal split."""
-    st = sd.state
-    vec = [st.scalar_jet(c, parameters) for c in direction]
-    derivative = st.directional_covariant(vec, sd.eta)
-    H = sd.mean_curvature
-    dh = sum(vec[i].value * H.derivative(i).value for i in range(2))
-    decomposed = (dh[..., None] * sd.normal_values
-                  - H.value[..., None] * sd.push_values(sd.apply_shape(vec)))
-    return NormalDerivative(derivative, derivative - decomposed)

@@ -99,16 +99,6 @@ def conformality_sums(ws):
             sum(v.real ** 2 + v.imag ** 2 for v in values))
 
 
-def tension_complex(ws):
-    """Components of the tension field, 4 mu^-2 d/dzbar phi_sec.
-
-    Real up to rounding; returned complex so the cancellation is visible.
-    """
-    inv = (1.0 / ws.mu_sq).value
-    return np.stack([(_value(wirtinger_dzbar(c)) * inv) * 4.0
-                     for c in ws.components], axis=-1)
-
-
 def w3_residual(ws):
     """d/dzbar d/dz (mu^-2 d/dzbar phi_sec), one complex value per
     component; all zero exactly when the map is biharmonic."""

@@ -369,10 +369,10 @@ def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
 
 
 # a domain metric u*delta and an image (u, v, 3u) leaving |r| < 2: each
-# fault is located at its first sample, where the message may name another
-# point (the metric's most negative eigenvalue)
+# fault is located at its first sample, whose point (or image) its message
+# names
 @pytest.mark.parametrize("factor,third,error,outside", [
-    ("u", "0", "domain metric is not positive definite at [-0.89",
+    ("u", "0", "domain metric is not positive definite at [-0.35",
      lambda u: u <= 0.0),
     ("1", "3*u", "point outside chart domain: [",
      lambda u: np.abs(3.0 * u) >= 2.0),
@@ -389,6 +389,46 @@ def test_a_domain_fault_is_located_at_its_first_sample(factor, third, error,
     pts = dom.sample(16, 7)
     assert rec.error.startswith(f"DomainError: {error}")
     assert rec.worst_point == tuple(pts[np.argmax(outside(pts[:, 0]))])
+
+
+# a metric diag(s - 0.7, 1, ...) that is not positive definite for s <= 0.7,
+# on the domain (s = u) or on the target (s = p, the image of u)
+@pytest.mark.parametrize("on_target", [False, True])
+def test_a_metric_fault_names_the_sample_its_record_holds(on_target):
+    dom = ChartDomain(("u", "v"), ((0.5, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((0.0, 2.0),) * 2 + ((-1.0, 1.0),))
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "0"))
+    g, h = RiemannianMetric.euclidean(dom), RiemannianMetric.euclidean(tgt)
+    if on_target:
+        h = RiemannianMetric.from_components(
+            tgt, [["p - 0.7", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    else:
+        g = RiemannianMetric.from_components(dom, [["u - 0.7", "0"],
+                                                   ["0", "1"]])
+    case = catalog.custom_case("fault", phi, g, h, [("tension_zero", None)])
+    (rec,) = catalog.verify_case(case, samples=16).checks
+    pts = dom.sample(16, 7)
+    first = pts[np.argmax(pts[:, 0] <= 0.7)].tolist()
+    assert list(rec.worst_point) == first
+    named = first + [0.0] if on_target else first
+    what = "target" if on_target else "domain"
+    assert rec.error.startswith(f"DomainError: {what} metric is not positive "
+                                f"definite at {named} (smallest eigenvalue")
+
+
+def test_an_overflow_outside_a_cached_stage_names_its_reader():
+    # |tau| = 2e200 is finite, but its squared norm overflows in the
+    # target inner product, which names itself
+    dom = ChartDomain(("u", "v"), ((0.5, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q"), ((-1e300, 1e300),) * 2)
+    phi = SmoothMap.from_components(dom, tgt, ("1e200*u^2", "v"))
+    case = catalog.custom_case(
+        "huge", phi, RiemannianMetric.euclidean(dom),
+        RiemannianMetric.euclidean(tgt), [("tension_nonzero", None)])
+    (rec,) = catalog.verify_case(case, samples=16).checks
+    assert rec.error == ("FloatingPointError: overflow encountered in einsum"
+                         " in stage target_inner")
+    assert rec.worst_point == tuple(dom.sample(16, 7)[0])
 
 
 @pytest.mark.parametrize("subscripts,where", [

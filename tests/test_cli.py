@@ -504,13 +504,14 @@ def test_a_non_finite_value_is_an_errored_record(capsys, tmp_path):
     check, = json.loads(out)["checks"]
     assert code == cli.EXIT_EVAL
     assert check["error"] == ("FloatingPointError: overflow encountered in "
-                              "einsum")
+                              "einsum in stage target_inner")
     assert not check["pass"] and check["max_abs"] is None
     pts = load_config(path).phi.domain.sample(8, 7)
     assert check["worst_point"] == list(pts[0])
     code, out, _ = run(capsys, "custom", "verify", "--config", str(path))
     assert code == cli.EXIT_EVAL
-    assert "error: FloatingPointError: overflow encountered in einsum" in out
+    assert ("error: FloatingPointError: overflow encountered in einsum in "
+            "stage target_inner") in out
 
 
 def test_an_expression_error_quotes_the_failing_node_cut_short(capsys,
@@ -602,7 +603,8 @@ EXIT_TABLE = {
               "--format", "json"),
         _argv("custom", "verify", "--config", SHIPPED["h5_inclusion"],
               "--tol", "1e-20", "--format", "json"),
-        (_huge_sheet, "FloatingPointError: overflow encountered in einsum")),
+        (_huge_sheet, "FloatingPointError: overflow encountered in einsum "
+         "in stage target_inner")),
     "check-transform": (
         _argv("check-transform", "--dims", "2,3", "--cases", "2",
               "--format", "json"),

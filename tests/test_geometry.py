@@ -484,10 +484,11 @@ def test_not_positive_definite_names_the_point_and_smallest_eigenvalue():
     dom = ChartDomain(("x1", "x2"), ((-2.0, 2.0),) * 2)
     met = RiemannianMetric.from_components(
         dom, [["1", "1.25*x1"], ["1.25*x1", "1"]])
-    # smallest eigenvalues 1, 0.375, -0.25 and -0.875: the most negative wins
+    # smallest eigenvalues 1, 0.375, -0.25 and -0.875: the first sample
+    # (in C order) that is not positive definite is named
     pts = np.array([[0.0, 0.0], [0.5, 0.1], [-1.0, 0.5], [1.5, -1.0]])
-    want = ("metric is not positive definite at [1.5, -1.0] "
-            "(smallest eigenvalue -0.875)")
+    want = ("metric is not positive definite at [-1.0, 0.5] "
+            "(smallest eigenvalue -0.25)")
     with pytest.raises(DomainError) as err:
         geometry.metric_jets(met, pts)
     assert str(err.value) == want
@@ -502,7 +503,7 @@ def test_not_positive_definite_names_the_point_and_smallest_eigenvalue():
         patch.setattr(np.linalg, "eigvalsh", counting)
         geometry.metric_jets(met, pts[:2])
         assert calls == []
-        with pytest.raises(DomainError, match="smallest eigenvalue -0.875"):
+        with pytest.raises(DomainError, match="smallest eigenvalue -0.25"):
             geometry.metric_jets(met, pts)
         assert calls == [(4, 2, 2)]
     # a NaN matrix is not rejected here, as before: the non-finite gate of

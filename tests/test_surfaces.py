@@ -59,12 +59,9 @@ def test_cylinder_extrinsic_data():
     assert np.max(np.abs(sd.normal_values - np.array([1.0, 0, 0]))) < 1e-12
     expected = np.zeros((20, 2, 2))
     expected[:, 0, 0] = -1.0 / radius
-    assert np.max(np.abs(sd.shape_values - expected)) < 1e-12
+    assert np.max(np.abs(jets.stack_values(sd.shape) - expected)) < 1e-12
     assert np.max(np.abs(sd.mean_curvature_values + 0.5 / radius)) < 1e-13
-    assert np.max(np.abs(sd.second_form_sq_values - 1.0 / radius ** 2)) < 1e-12
-    want_eta = np.zeros((20, 3))
-    want_eta[:, 0] = -0.5 / radius
-    assert np.max(np.abs(sd.eta_values - want_eta)) < 1e-12
+    assert np.max(np.abs(sd.second_form_sq.value - 1.0 / radius ** 2)) < 1e-12
 
 
 def test_plane_is_totally_geodesic():
@@ -76,7 +73,7 @@ def test_plane_is_totally_geodesic():
     pts = dom.sample(15, 2)
     sd = surfaces.surface_data(phi, induced, h, pts)
     assert np.max(np.abs(sd.normal_values - np.array([0, 0, 1.0]))) < 1e-14
-    assert np.max(np.abs(sd.shape_values)) < 1e-14
+    assert np.max(np.abs(jets.stack_values(sd.shape))) < 1e-14
     assert np.max(np.abs(surfaces.chen_bitension(sd))) < 1e-14
 
 
@@ -95,10 +92,10 @@ def test_paraboloid_closed_forms():
     gram[:, 0, 1] = gram[:, 1, 0] = u * v
     second = np.eye(2) / w[:, None, None]
     want_a = np.linalg.solve(gram, second)  # [k, i] = A^k_i
-    assert np.max(np.abs(sd.shape_values
-                         - np.swapaxes(want_a, -1, -2))) < 1e-11
+    shape = jets.stack_values(sd.shape)  # A^k_i as [..., i, k]
+    assert np.max(np.abs(shape - np.swapaxes(want_a, -1, -2))) < 1e-11
     # the shape operator is self-adjoint for the induced metric
-    paired = np.einsum("...ik,...kj->...ij", sd.shape_values, gram)
+    paired = np.einsum("...ik,...kj->...ij", shape, gram)
     assert np.max(np.abs(paired - np.swapaxes(paired, -1, -2))) < 1e-11
 
 
@@ -182,33 +179,6 @@ def test_chen_formula_revolution_surface():
     chen = surfaces.chen_bitension(sd)
     engine = geometry.bitension_field(phi, induced, h, pts)
     assert support.relative_error(chen, engine) < 1e-8
-
-
-# -- derivatives of the mean curvature section -------------------------------------
-
-
-def test_normal_derivative_cylinder_closed_form():
-    radius = 1.5
-    dom, phi, induced, h = cylinder_immersion(radius)
-    pts = dom.sample(12, 9)
-    sd = surfaces.surface_data(phi, induced, h, pts)
-    around = surfaces.normal_field_covariant_derivative(sd, ("1", "0"))
-    want = np.zeros((12, 3))
-    want[:, 1] = -0.5 / radius ** 2
-    assert np.max(np.abs(around.derivative - want)) < 1e-12
-    assert np.max(np.abs(around.split_residual)) < 1e-12
-    along = surfaces.normal_field_covariant_derivative(sd, ("0", "1"))
-    assert np.max(np.abs(along.derivative)) < 1e-13
-
-
-def test_normal_derivative_split_generic():
-    dom, phi, induced, h = revolution_surface()
-    pts = dom.sample(14, 10)
-    sd = surfaces.surface_data(phi, induced, h, pts)
-    out = surfaces.normal_field_covariant_derivative(
-        sd, ("0.7+0.2*z", "sin(theta)"))
-    assert np.max(np.abs(out.derivative)) > 1e-3  # actually moves
-    assert np.max(np.abs(out.split_residual)) < 1e-9
 
 
 # -- the two-equation biharmonicity system ------------------------------------------

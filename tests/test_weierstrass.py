@@ -158,7 +158,8 @@ def test_holomorphic_graph_is_conformal_and_harmonic():
     w1, w2 = weierstrass.conformality_sums(ws)
     assert np.max(np.abs(w1)) < 1e-14
     assert np.min(w2) > 0.0
-    assert np.max(np.abs(weierstrass.tension_complex(ws))) < 1e-13
+    # |tau| = 4 mu^-2 |d phi_sec/dzbar| and mu^2 >= 1 here
+    assert np.max(4.0 * weierstrass.nonholomorphicity(ws)) < 1e-13
     assert np.max(np.abs(weierstrass.w3_residual(ws))) < 1e-13
 
 
@@ -171,10 +172,8 @@ def test_wrapped_plane_is_proper_biharmonic():
     ws = weierstrass.section(phi, g, h, pts)
     assert np.max(np.abs(weierstrass.w3_residual(ws))) < 1e-12
     # ...but not harmonic: |tau| = exp(-y/R)/R stays well away from zero
-    tau = weierstrass.tension_complex(ws)
-    norms = np.linalg.norm(tau.real, axis=-1)
-    assert np.min(norms) > 0.3
-    assert np.max(np.abs(tau.imag)) < 1e-12
+    tau = geometry.tension_field(phi, g, h, pts)
+    assert np.min(np.linalg.norm(tau, axis=-1)) > 0.3
 
 
 def test_duplicated_wrap_into_six_space():
@@ -191,7 +190,7 @@ def test_duplicated_wrap_into_six_space():
     assert np.max(np.abs(w2 - 1.0)) < 1e-13  # pullback factor doubles
     assert np.max(np.abs(weierstrass.w3_residual(ws))) < 1e-12
     assert np.min(np.linalg.norm(
-        weierstrass.tension_complex(ws).real, axis=-1)) > 0.3
+        geometry.tension_field(phi, g, h, pts), axis=-1)) > 0.3
 
 
 def test_complex_bitension_matches_engine():
@@ -296,7 +295,6 @@ def test_section_builds_no_christoffel_symbols_or_curvature(monkeypatch):
     assert np.max(np.abs(weierstrass.w3_residual(ws))) < 1e-12
     assert np.max(np.abs(weierstrass.conformality_sums(ws)[0])) < 1e-13
     assert np.min(weierstrass.nonholomorphicity(ws)) > 0.1
-    weierstrass.tension_complex(ws)
 
 
 def test_the_lane_builds_only_float64_jets(monkeypatch):

@@ -16,7 +16,7 @@ every catalog case, negative control and cylinder grid member as a JSON
 report, with the controls that take parameters also run at identity m = 2
 and both cylinders at R = 2; the ``catalog verify NAME`` text of every case
 and of the README's ``--param`` run; the complex-coordinate lane (both
-conformality sums, the tension, the W3 residual, the bitension and the
+conformality sums, the W3 residual, the bitension and the
 nonholomorphicity of ``weierstrass``) and the direct bitension residual of
 every Weierstrass pool case, and the same lane for ``r2_wrap_r3``,
 ``r2_wrap_r6``, ``plane_inclusion`` and their negative controls at the
@@ -26,20 +26,23 @@ metric, ``pullback_metric`` of the target metric and
 ``conformality_factor`` (lambda^2 and ``max_residual``) on every catalog
 case geometry at the catalog's sample points, or the error one raises; the
 ``custom verify`` (JSON), ``weierstrass check`` and ``check-transform``
-(m = 2..5, text) outputs of the CLI over the shipped configs, and the error paths and exit codes of the CLI: ``cylinder
-solve`` passing and failing its tolerance and overflowing at radius 0.002,
-``catalog verify cylinder_family`` on the inadmissible member R = 0.001,
-C1 = 0, and ``weierstrass check`` on ``h5_inclusion`` (no 2d domain), on
-the ``r2_wrap_r3`` config with its domain metric made to overflow and on
-that config with its map made the constant (0, 0, 0); the
+(m = 2..5, text) outputs of the CLI over the shipped configs, and the
+error paths and exit codes of the CLI: ``cylinder solve`` passing and
+failing its tolerance, overflowing at radius 0.002 and given C1 = nan or
+radius inf, ``catalog verify cylinder_family`` on the inadmissible member
+R = 0.001, C1 = 0, ``weierstrass check`` on ``h5_inclusion`` (no 2d
+domain), on the ``r2_wrap_r3`` config with its domain metric made to
+overflow and on that config with its map made the constant (0, 0, 0), and
+``custom verify`` (JSON) of a domain metric diag(u - 0.7, 1) that is not
+positive definite on part of ``[0.5, 1]^2`` and of the map (1e200 u^2, v),
+whose tension overflows the target inner product; the
 ``first_variation`` dicts of the quadrature workload;
 and, on fixed inputs with sample points drawn from the seed,
 ``harmonic_biharmonic_condition`` (the totally geodesic inclusion of
 hyperbolic 4-space in hyperbolic 5-space), both conformal-immersion
-residuals (a cylinder with domain metric exp(y) flat),
-``bitension_transform_rhs_dim2`` (a seeded m = 2 transform family) and
-``surfaces.normal_field_covariant_derivative`` (the isometric cylinder of
-the catalog); and ``expr.to_source`` with the sorted ``expr.free_names`` of
+residuals (a cylinder with domain metric exp(y) flat) and
+``bitension_transform_rhs_dim2`` (a seeded m = 2 transform family); and
+``expr.to_source`` with the sorted ``expr.free_names`` of
 every expression of the catalog cases, their negative controls and the
 shipped configs.  Arrays are written as their dtype, shape and raw bytes in
 hex, and floats by ``float.hex``, so two dumps are equal exactly when every
@@ -134,7 +137,6 @@ def _dump(root, seed, out):
         ws = weierstrass.section(phi, g, h, pts)
         w1, w2 = weierstrass.conformality_sums(ws)
         for key, value in (("w1", w1), ("w2", w2),
-                           ("tension", weierstrass.tension_complex(ws)),
                            ("w3", weierstrass.w3_residual(ws)),
                            ("bitension", weierstrass.bitension_complex(ws)),
                            ("nonholomorphicity",
@@ -189,11 +191,21 @@ def _dump(root, seed, out):
                 "    R*cos(x/R)\n    R*sin(x/R)\n    y", "    0\n    0\n    0"))
         emit("weierstrass check constant.cfg", _cli(cli, [
             "weierstrass", "check", "--config", str(constant)] + seed_arg))
+        for label, text in (("bent.cfg", _BENT), ("huge.cfg", _HUGE)):
+            path = Path(tmp, label)
+            path.write_text(text)
+            emit(f"custom verify {label}", _cli(cli, [
+                "custom", "verify", "--config", str(path), "--format",
+                "json"] + seed_arg))
     emit("catalog verify cylinder_family --param R=0.001 --param C1=0",
          _cli(cli, ["catalog", "verify", "cylinder_family", "--param",
                     "R=0.001", "--param", "C1=0"] + seed_arg))
-    emit("cylinder solve --radius 0.002", _cli(cli, [
-        "cylinder", "solve", "--radius", "0.002", "--c1", "0", "--c2", "2"]))
+    for label, radius, c1 in (("--radius 0.002", "0.002", "0"),
+                              ("--c1 nan", "1", "nan"),
+                              ("--radius inf", "inf", "0")):
+        emit(f"cylinder solve {label}", _cli(cli, [
+            "cylinder", "solve", "--radius", radius, "--c1", c1, "--c2",
+            "2"]))
 
     _dump_fixed(seed, emit)
 
@@ -208,6 +220,78 @@ def _dump(root, seed, out):
     for eps in (1e-2, 5e-3):
         emit(f"quadrature pair eps={eps}", _floats(geometry.first_variation(
             *quad.pair, eps=eps, nodes=24)))
+
+
+# a custom verify whose domain metric diag(u - 0.7, 1) is not positive
+# definite at some samples, and one whose tension 2e200 is finite but
+# overflows its squared norm
+_BENT = """
+[chart sheet]
+coords = u v
+box = 0.5:1 0.5:1
+
+[chart space]
+coords = p q r
+box = -2:2 -2:2 -2:2
+
+[metric bent]
+chart = sheet
+g_1_1 = u - 0.7
+g_2_2 = 1
+
+[metric flat3]
+chart = space
+identity = yes
+
+[map slice]
+from = sheet
+to = space
+components =
+    u
+    v
+    0
+
+[check tension_zero]
+
+[run]
+map = slice
+metric = bent
+target = flat3
+samples = 16
+"""
+
+_HUGE = """
+[chart sheet]
+coords = u v
+box = 0.5:1 0.5:1
+
+[chart plane]
+coords = p q
+box = -1e300:1e300 -1e300:1e300
+
+[metric flat2]
+chart = sheet
+identity = yes
+
+[metric flat]
+chart = plane
+identity = yes
+
+[map lift]
+from = sheet
+to = plane
+components =
+    1e200*u^2
+    v
+
+[check tension_nonzero]
+
+[run]
+map = lift
+metric = flat2
+target = flat
+samples = 16
+"""
 
 
 def _one_shots(geometry, phi, g, h, pts):
@@ -233,8 +317,8 @@ def _one_shots(geometry, phi, g, h, pts):
 
 
 def _dump_fixed(seed, emit):
-    """The conformal criteria and surface derivatives on fixed geometries."""
-    from bitension import catalog, conformal, surfaces
+    """The conformal criteria on fixed geometries."""
+    from bitension import conformal
     from bitension.charts import ChartDomain, RiemannianMetric, SmoothMap
 
     cube = ChartDomain(("x1", "x2", "x3", "x4"), ((-1.5, 1.5),) * 3
@@ -267,13 +351,6 @@ def _dump_fixed(seed, emit):
     emit("bitension_transform_rhs_dim2", _array(
         conformal.bitension_transform_rhs_dim2(
             phi, g, h, fac, np.broadcast_to(pts, (4,) + pts.shape))))
-
-    phi, induced, h = catalog.build_case("isometric_cylinder").geometry
-    sd = surfaces.surface_data(phi, induced, h, phi.domain.sample(10, seed))
-    nd = surfaces.normal_field_covariant_derivative(sd, ("1", "0.5*z"))
-    emit("normal_field_covariant_derivative", _array(nd.derivative))
-    emit("normal_field_covariant_derivative split", _array(
-        nd.split_residual))
 
 
 def _expressions(root):
