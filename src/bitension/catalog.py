@@ -134,9 +134,11 @@ def _bitension(src, states):
 
 
 def _recovery(src, states):
-    probe = states.map(src.phi, src.g, src.h).conformality()
+    fit = states.map(src.phi, src.g, src.h).conformality()
     want = src.lambda_sq(states.pts)
-    diff = np.abs(probe.lambda_sq - want) + probe.max_residual
+    # the fit's residual over the points (the last batch axis) of each member
+    top = np.max([fit.residual, fit.scale], axis=-1, keepdims=True)
+    diff = np.abs(fit.lambda_sq - want) + top[0] / (1.0 + top[1])
     return diff, diff / (1.0 + np.abs(want))
 
 

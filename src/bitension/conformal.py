@@ -53,10 +53,13 @@ class _FactorData:
         self.factor = ConformalFactor.of(source, parameters)
         fj = state.scalar_jet(self.factor.ast, self.factor.parameters)
         self.values = np.asarray(fj.value, dtype=float)
-        if np.any(self.values <= 0.0):
+        outside = self.values <= 0.0
+        if np.any(outside):
             worst = float(np.min(self.values))
-            raise DomainError(
+            err = DomainError(
                 f"conformal factor must stay positive (found {worst:g})")
+            err.outside = outside
+            raise err
         lnf = jets.ln(fj)
         self.grad = state.gradient_jets(lnf)
         self.grad_values = jets.stack_values(self.grad)
@@ -217,14 +220,14 @@ def _immersion_states(phi, g, h, lam, x, parameters):
     factor lambda matches the measured conformal factor.
     """
     state = MapState(phi, g, h, x, 4)
-    probe = state.conformality(tol=_CONFORMAL_TOL)
-    if not probe.conformal:
+    fit = state.conformality()
+    if not (fit.max_residual <= _CONFORMAL_TOL and np.all(fit.lambda_sq > 0)):
         raise GeometryInputError("map is not a conformal immersion for g, h "
-                                 f"(pullback residual {probe.max_residual:g})")
+                                 f"(pullback residual {fit.max_residual:g})")
     data = _FactorData(state, lam, parameters)
     lam_sq = data.values ** 2
-    mismatch = np.max(np.abs(lam_sq - probe.lambda_sq)
-                      / (1.0 + np.abs(probe.lambda_sq)))
+    mismatch = np.max(np.abs(lam_sq - fit.lambda_sq)
+                      / (1.0 + np.abs(fit.lambda_sq)))
     if mismatch > _CONFORMAL_TOL:
         raise GeometryInputError("given factor disagrees with the measured "
                                  f"conformal factor (off by {mismatch:g})")

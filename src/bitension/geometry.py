@@ -617,10 +617,15 @@ class MapState:
         return _plain_einsum("...ab,...a,...b->...", self.hN_val, a, b)
 
     @_named
-    def conformality(self, tol=1e-9):
-        """The fit of phi^*h = lambda^2 g at the state's points, read from
-        its ``pullback`` and ``g_val`` (see :func:`conformality_factor`)."""
-        return _fit_conformality(self.pullback, self.g_val, tol)
+    def conformality(self):
+        """The fit of phi^*h = lambda^2 g at each of the state's points,
+        read from its ``pullback`` and ``g_val``: a
+        :class:`ConformalityResult`."""
+        pb, gv, m = self.pullback, self.g_val, self.m
+        lam2 = _plain_einsum("...ij,...ji->...", np.linalg.inv(gv), pb) / m
+        resid = np.abs(pb - lam2[..., None, None] * gv)
+        return ConformalityResult(lam2, np.max(resid, axis=(-2, -1)),
+                                  np.max(np.abs(pb), axis=(-2, -1)))
 
     # -- sections of the pulled-back bundle --------------------------------------
 
@@ -766,10 +771,21 @@ def pullback_metric(phi, h, x):
 
 @dataclass(frozen=True)
 class ConformalityResult:
-    """Outcome of testing phi^* h = lambda^2 g at a batch of points."""
-    conformal: bool
+    """The fit of phi^*h = lambda^2 g, point by point: ``lambda_sq`` is
+    trace(g^-1 phi^*h)/m, ``residual`` the largest entry of
+    |phi^*h - lambda^2 g| and ``scale`` the largest entry of |phi^*h|.  The
+    two properties reduce over every point."""
     lambda_sq: np.ndarray
-    max_residual: float
+    residual: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def max_residual(self):
+        return float(np.max(self.residual) / (1.0 + np.max(self.scale)))
+
+    @property
+    def conformal(self):
+        return bool(self.max_residual <= 1e-9 and np.all(self.lambda_sq > 0.0))
 
 
 def conformality_factor(phi, g, h, x):
@@ -782,16 +798,6 @@ def conformality_factor(phi, g, h, x):
     checked symmetric and positive definite.
     """
     return MapState(phi, g, h, x, 2).conformality()
-
-
-def _fit_conformality(pb, gv, tol):
-    lam2 = (_plain_einsum("...ij,...ji->...", np.linalg.inv(gv), pb)
-            / gv.shape[-1])
-    resid = pb - lam2[..., None, None] * gv
-    scale = 1.0 + np.max(np.abs(pb))
-    max_res = float(np.max(np.abs(resid)) / scale)
-    return ConformalityResult(bool(max_res <= tol and np.all(lam2 > 0.0)),
-                              lam2, max_res)
 
 
 def _as_field(field):

@@ -42,10 +42,14 @@ class SurfaceData:
                                      f"and a 3d target, got {state.m} -> "
                                      f"{state.n}")
         gap = np.max(np.abs(state.pullback - state.g_val)
-                     / (1.0 + np.abs(state.g_val)))
-        if gap > 1e-8:
-            raise GeometryInputError("declared induced metric differs from "
-                                     f"the immersion pullback (off by {gap:g})")
+                     / (1.0 + np.abs(state.g_val)), axis=(-2, -1))
+        outside = gap > 1e-8
+        if np.any(outside):
+            err = GeometryInputError(
+                "declared induced metric differs from the immersion pullback "
+                f"(off by {gap.max():g})")
+            err.outside = outside
+            raise err
         self.state = state
 
         monos = jets.Monomials(state.phi_jets, state.order - 1)

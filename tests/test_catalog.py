@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from bitension import catalog, geometry, jets, report, surfaces
 from bitension.charts import ChartDomain, DomainError, RiemannianMetric, \
     SmoothMap
+from bitension.config import load_config
 from bitension.geometry import MapState
 
 import support
@@ -389,6 +391,34 @@ def test_a_domain_fault_is_located_at_its_first_sample(factor, third, error,
     pts = dom.sample(16, 7)
     assert rec.error.startswith(f"DomainError: {error}")
     assert rec.worst_point == tuple(pts[np.argmax(outside(pts[:, 0]))])
+
+
+# the shipped cylinder config with its factor made z - 0.5, which is not
+# positive for z <= 0.5, or its declared induced metric's g_2_2 made 1 + z,
+# which the pullback's 1 misses for z > 0: both r3 checks are located at the
+# first such sample, and their messages name the values as before
+@pytest.mark.parametrize("edit,error,outside", [
+    (("expr = exp(-z/(2*R))", "expr = z - 0.5"),
+     "DomainError: conformal factor must stay positive (found -0.447531)",
+     lambda z: z - 0.5 <= 0.0),
+    (("g_2_2 = 1\n", "g_2_2 = 1 + z\n"),
+     "GeometryInputError: declared induced metric differs from the immersion "
+     "pullback (off by 0.321466)",
+     lambda z: np.abs(1.0 - (1.0 + z)) / (2.0 + z) > 1e-8),
+])
+def test_an_input_fault_of_a_config_is_located_at_its_first_sample(
+        tmp_path, edit, error, outside):
+    shipped = Path(__file__).resolve().parent.parent / "configs"
+    path = tmp_path / "cylinder.cfg"
+    path.write_text((shipped / "cylinder_family.cfg").read_text()
+                    .replace(*edit))
+    case = load_config(path).build_case()
+    records = {c.name: c for c in catalog.verify_case(case, samples=64).checks}
+    pts = case.domain.sample(64, 7)
+    want = tuple(pts[np.argmax(outside(pts[:, 1]))])
+    for name in ("r3_tangential", "r3_normal"):
+        assert records[name].error == error
+        assert records[name].worst_point == want
 
 
 # a metric diag(s - 0.7, 1, ...) that is not positive definite for s <= 0.7,

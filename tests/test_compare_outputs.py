@@ -36,8 +36,8 @@ def test_diff_reports_how_far_each_differing_line_moved(tmp_path, capsys):
         "1 of 4 outputs bitwise equal",
         "largest absolute move among array and float.hex outputs: 0.5 in "
         "floats",
-        "0 outputs moved their verdict (an exit code, or text that differs in "
-        "words)"]
+        "0 outputs moved their verdict (a CLI line's exit code or verdict "
+        "tokens, or other text that differs in words)"]
 
 
 def test_diff_of_equal_dumps_exits_0(tmp_path, capsys):
@@ -46,8 +46,8 @@ def test_diff_of_equal_dumps_exits_0(tmp_path, capsys):
                                  _dump(tmp_path / "b", lines)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "1 of 1 outputs bitwise equal",
-        "0 outputs moved their verdict (an exit code, or text that differs in "
-        "words)"]
+        "0 outputs moved their verdict (a CLI line's exit code or verdict "
+        "tokens, or other text that differs in words)"]
 
 
 def test_text_lines_that_differ_in_words_report_only_the_offset(tmp_path,
@@ -117,5 +117,30 @@ def test_an_exit_code_change_is_a_verdict_move_not_a_number_move(tmp_path,
         "differs: numbers: text differs from offset 12, in 1 numbers only; "
         "the largest move is 2.5 -> 2.75 (abs 0.25), the largest relative "
         "one 0.0909"]
-    assert out[-1] == ("2 outputs moved their verdict (an exit code, or "
-                       "text that differs in words)")
+    assert out[-1] == ("2 outputs moved their verdict (a CLI line's exit "
+                       "code or verdict tokens, or other text that differs "
+                       "in words)")
+
+
+def test_an_error_text_change_alone_moves_no_verdict(tmp_path, capsys):
+    def errored(error):
+        record = ('{"checks": [{"name": "tension_zero", "pass": false, '
+                  f'"worst_point": null, "error": "{error}"}}], '
+                  '"pass": false}')
+        return repr((3, record, ""))
+
+    before = [("json", errored("FloatingPointError: overflow")),
+              ("text", repr((3, "  FAIL  t: value=n/a\noverall: FAIL", "")))]
+    after = [("json", errored("FloatingPointError: overflow in stage x")),
+             ("text", repr((3, "  FAIL  t: value=n/a\n        error: e\n"
+                               "overall: FAIL", "")))]
+    code = compare_outputs.main(["diff", _dump(tmp_path / "a", before),
+                                 _dump(tmp_path / "b", after)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[-1].startswith("0 outputs moved their verdict")
+    # a moved pass flag, PASS/FAIL or verdict line is a move at one exit code
+    for x, y in (('"pass": false', '"pass": true'), ("FAIL", "PASS"),
+                 ("verdict: harmonic", "verdict: proper biharmonic")):
+        assert compare_outputs._describe(repr((1, x, "")),
+                                         repr((1, y, "")))[2]

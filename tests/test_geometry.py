@@ -867,6 +867,25 @@ def test_state_conformality_matches_the_one_shot_fit():
         assert got.conformal == want.conformal
         assert support.relative_error(got.lambda_sq, want.lambda_sq) < 1e-15
         assert abs(got.max_residual - want.max_residual) < 1e-15
+    # the fit is per point: with R on a leading member axis, each member's
+    # rows are its own fit, and reduce to its own one-shot max_residual
+    g = RiemannianMetric.conformally_flat(dom, "exp(y)")
+    radii = (0.9, 1.3, 2.0)
+    family = SmoothMap.from_components(
+        dom, tgt, wrap.components, {"R": np.array(radii)[:, None]})
+    fit = MapState(family, g, h3, np.broadcast_to(pts, (3,) + pts.shape),
+                   2).conformality()
+    assert fit.residual.shape == fit.scale.shape == (3, 15)
+    for k, radius in enumerate(radii):
+        member = SmoothMap.from_components(dom, tgt, wrap.components,
+                                           {"R": radius})
+        alone = MapState(member, g, h3, pts, 2).conformality()
+        for key in ("lambda_sq", "residual", "scale"):
+            assert (getattr(fit, key)[k].tobytes()
+                    == getattr(alone, key).tobytes())
+        reduced = np.max(fit.residual[k]) / (1.0 + np.max(fit.scale[k]))
+        assert reduced == geometry.conformality_factor(member, g, h3,
+                                                       pts).max_residual
 
 
 # -- bienergy and its first variation ---------------------------------------------------

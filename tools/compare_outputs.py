@@ -34,8 +34,13 @@ R = 0.001, C1 = 0, ``weierstrass check`` on ``h5_inclusion`` (no 2d
 domain), on the ``r2_wrap_r3`` config with its domain metric made to
 overflow and on that config with its map made the constant (0, 0, 0), and
 ``custom verify`` (JSON) of a domain metric diag(u - 0.7, 1) that is not
-positive definite on part of ``[0.5, 1]^2`` and of the map (1e200 u^2, v),
-whose tension overflows the target inner product; the
+positive definite on part of ``[0.5, 1]^2``, of the map (1e200 u^2, v),
+whose tension overflows the target inner product, of (u, v, 3u) on
+``[-1, 1]^2``, whose image leaves the cube ``(-2, 2)^3``, of
+(u, v, ln(u - 0.7)) and (u, v, exp(800 u)) on ``[0.5, 1]^2``, a jet domain
+fault and a ufunc overflow, and of ``cylinder_family.cfg`` with its factor
+made z - 0.5, which turns negative, or with its declared induced metric's
+g_2_2 made 1 + z, which the pullback does not match; the
 ``first_variation`` dicts of the quadrature workload;
 and, on fixed inputs with sample points drawn from the seed,
 ``harmonic_biharmonic_condition`` (the totally geodesic inclusion of
@@ -44,10 +49,12 @@ residuals (a cylinder with domain metric exp(y) flat) and
 ``bitension_transform_rhs_dim2`` (a seeded m = 2 transform family); and
 ``expr.to_source`` with the sorted ``expr.free_names`` of
 every expression of the catalog cases, their negative controls and the
-shipped configs.  Arrays are written as their dtype, shape and raw bytes in
-hex, and floats by ``float.hex``, so two dumps are equal exactly when every
-output has the same bits.  ``diff`` exits 1 if any line differs and prints,
-for each, how far apart the two sides are: for an array, the largest
+shipped configs.  No ``check-transform`` overflow is dumped: no input
+reaches one without replacing ``conformal.law_sides``.  Arrays are written
+as their dtype, shape and raw bytes in hex, and floats by ``float.hex``, so
+two dumps are equal exactly when every output has the same bits.  ``diff``
+exits 1 if any line differs and prints, for each, how far apart the two
+sides are: for an array, the largest
 absolute difference, that difference over the array's largest magnitude and
 the largest relative difference; for ``float.hex`` values, both differences
 key by key; for a CLI line whose exit code moved, both codes (and where its
@@ -56,8 +63,11 @@ differs and, when the texts differ in numbers only, the largest move among
 them.  When any line differs, it then prints the largest absolute
 difference over every array and ``float.hex`` output, with the output it is
 found in.  Its last line counts the outputs whose verdict moved: a CLI line
-whose exit code moved, or a text line that differs in words (anything but
-its numbers).  The relative difference of two numbers is |a - b| /
+whose exit code moved or whose verdict tokens differ (each JSON ``"pass"``
+flag, each PASS or FAIL of a text report, its ``overall:`` line included,
+and each ``verdict:`` line), or any other text line that differs in words
+(anything but its numbers); a CLI line whose error text alone changes
+moves no verdict.  The relative difference of two numbers is |a - b| /
 max(|a|, |b|), which is large for values that are zero up to rounding.
 """
 import argparse
@@ -191,7 +201,18 @@ def _dump(root, seed, out):
                 "    R*cos(x/R)\n    R*sin(x/R)\n    y", "    0\n    0\n    0"))
         emit("weierstrass check constant.cfg", _cli(cli, [
             "weierstrass", "check", "--config", str(constant)] + seed_arg))
-        for label, text in (("bent.cfg", _BENT), ("huge.cfg", _HUGE)):
+        cylinder = Path(root, "configs", "cylinder_family.cfg").read_text()
+        for label, text in (
+                ("bent.cfg", _BENT), ("huge.cfg", _HUGE),
+                ("off_chart.cfg", _SHEET.format("-1:1", "-2:2", "3*u")),
+                ("jet_domain.cfg",
+                 _SHEET.format("0.5:1", "-2:2", "ln(u - 0.7)")),
+                ("ufunc_overflow.cfg",
+                 _SHEET.format("0.5:1", "-1e300:1e300", "exp(800*u)")),
+                ("negative_factor.cfg", cylinder.replace(
+                    "expr = exp(-z/(2*R))", "expr = z - 0.5")),
+                ("induced_mismatch.cfg", cylinder.replace(
+                    "g_2_2 = 1\n", "g_2_2 = 1 + z\n"))):
             path = Path(tmp, label)
             path.write_text(text)
             emit(f"custom verify {label}", _cli(cli, [
@@ -290,6 +311,44 @@ components =
 map = lift
 metric = flat2
 target = flat
+samples = 16
+"""
+
+
+# a custom verify of the map (u, v, {2}) from the flat square {0}^2 into the
+# flat cube {1}^3: the dump's image that leaves its cube, third component
+# that leaves the domain of ln and exp that overflows
+_SHEET = """
+[chart sheet]
+coords = u v
+box = {0} {0}
+
+[chart space]
+coords = p q r
+box = {1} {1} {1}
+
+[metric flat2]
+chart = sheet
+identity = yes
+
+[metric flat3]
+chart = space
+identity = yes
+
+[map slice]
+from = sheet
+to = space
+components =
+    u
+    v
+    {2}
+
+[check tension_zero]
+
+[run]
+map = slice
+metric = flat2
+target = flat3
 samples = 16
 """
 
@@ -411,14 +470,21 @@ def _moves(a, b):
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
+# the verdict a CLI output states: each JSON "pass" flag, each PASS or FAIL of
+# a text report (its "overall:" line included) and each "verdict:" line
+_VERDICT = re.compile(r'"pass": (?:true|false)|\b(?:PASS|FAIL)\b'
+                      r'|verdict: .*')
+
+
 def _cli_line(text):
-    """The exit code and the rest of a CLI output line, else None."""
+    """The exit code, the verdict tokens and the rest of a CLI output line,
+    else None."""
     try:
         code, out, err = ast.literal_eval(text)
     except (ValueError, TypeError, SyntaxError):
         return None
     if isinstance(code, int) and isinstance(out, str) and isinstance(err, str):
-        return code, repr((out, err))
+        return code, _VERDICT.findall(out), repr((out, err))
     return None
 
 
@@ -442,7 +508,8 @@ def _describe(x, y):
     """How two differing dump lines (without their names) differ, the
     largest absolute move of an array or ``float.hex`` line of one shape
     and key set (None for any other line), and whether the verdict moved:
-    a CLI line's exit code, or text that differs in words."""
+    a CLI line's exit code or verdict tokens, or any other text that
+    differs in words."""
     u, v = _decode(x), _decode(y)
     if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
         if u.shape != v.shape or u.dtype != v.dtype:
@@ -462,10 +529,10 @@ def _describe(x, y):
                          if dk), d.max(), False
     cx, cy = _cli_line(x), _cli_line(y)
     if cx and cy and cx[0] != cy[0]:
-        rest = "" if cx[1] == cy[1] else f"; output {_text(cx[1], cy[1])[0]}"
+        rest = "" if cx[2] == cy[2] else f"; output {_text(cx[2], cy[2])[0]}"
         return f"exit code {cx[0]} -> {cy[0]}{rest}", None, True
     text, words = _text(x, y)
-    return text, None, words
+    return text, None, cx[1] != cy[1] if cx and cy else words
 
 
 def _diff(a, b):
@@ -489,8 +556,8 @@ def _diff(a, b):
     if differ:
         print("largest absolute move among array and float.hex outputs: "
               + (f"{largest:.3g} in {where}" if where else "0 (none moves)"))
-    print(f"{verdicts} outputs moved their verdict (an exit code, or text "
-          f"that differs in words)")
+    print(f"{verdicts} outputs moved their verdict (a CLI line's exit code "
+          f"or verdict tokens, or other text that differs in words)")
     return 1 if differ else 0
 
 
