@@ -99,10 +99,14 @@ def _as_ast(component):
 
 @dataclass(frozen=True)
 class RiemannianMetric:
-    """Symmetric 2-tensor with expression components over a chart."""
+    """Symmetric 2-tensor with expression components over a chart: F^-2
+    times the components when ``factor`` is an expression F
+    (:func:`conformal.conformal_metric`), the components themselves when
+    it is None."""
     domain: ChartDomain
     components: tuple  # m x m tuple of ASTs
     parameters: dict = field(default_factory=dict)
+    factor: object = None
 
     @classmethod
     def from_components(cls, domain, rows, parameters=None):

@@ -41,18 +41,24 @@ _DEFAULT_SEED = 7
 
 
 def _resolve_seed(flag, config_value=None):
-    if flag is not None:
-        return flag
+    """The sampling seed: the flag, else BITENSION_SEED, else the config's,
+    else 7; a negative one is bad input, as numpy takes none."""
+    source, seed = "--seed", flag
     raw = os.environ.get("BITENSION_SEED")
-    if raw is not None:
+    if seed is None and raw is not None:
+        source = "BITENSION_SEED"
         try:
-            return int(raw)
+            seed = int(raw)
         except ValueError:
             raise ConfigError(f"BITENSION_SEED must be an integer, "
                               f"got {raw!r}")
-    if config_value is not None:
-        return config_value
-    return _DEFAULT_SEED
+    if seed is None:
+        source, seed = "[run] seed", config_value
+    if seed is None:
+        return _DEFAULT_SEED
+    if seed < 0:
+        raise ConfigError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _coerce(raw):

@@ -148,6 +148,8 @@ def _build_chart(where, body):
         hi = _parse_float(where, "box", hi)
         if not lo < hi:
             _fail(where, f"box interval ({lo:g}, {hi:g}) is empty")
+        if not math.isfinite(hi - lo):
+            _fail(where, f"box interval ({lo:g}, {hi:g}) has no finite width")
         box.append((lo, hi))
     excluded = []
     for piece in exclude:

@@ -14,7 +14,7 @@ import numpy as np
 from . import expr, jets
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap, \
     VectorFieldAlongMap
-from .geometry import GeometryInputError, MapState, _by_identity
+from .geometry import GeometryInputError, MapState
 
 __all__ = [
     "ConformalFactor", "conformal_metric", "law_sides",
@@ -79,16 +79,12 @@ class _FactorData:
 
 
 def conformal_metric(g, factor, parameters=None):
-    """The metric with components F^-2 g_ij, as composed expressions: one
-    quotient per distinct entry object, so entries that share a tree (mirror
-    entries, a conformally flat diagonal) share their quotient."""
+    """The metric F^-2 g: g's components and parameters with the factor F,
+    or F_1 F_2 when g is already F_1^-2 times its components."""
     fac = ConformalFactor.of(factor, parameters)
-    fsq = expr.Binary("^", fac.ast, expr.Const(2.0))
-    quotient = _by_identity(lambda entry: expr.Binary("/", entry, fsq))
-    comps = tuple(tuple(quotient(entry) for entry in row)
-                  for row in g.components)
-    merged = {**g.parameters, **fac.parameters}
-    return RiemannianMetric(g.domain, comps, merged)
+    f = fac.ast if g.factor is None else expr.Binary("*", g.factor, fac.ast)
+    return RiemannianMetric(g.domain, g.components,
+                            {**g.parameters, **fac.parameters}, f)
 
 
 def _tension_rhs(state, fac):

@@ -16,7 +16,9 @@ character is an :class:`ExprLexError`.  Nesting is bounded: parentheses,
 call arguments and '-' and '^' chains nested more than ``MAX_DEPTH`` levels
 deep are an :class:`ExprSyntaxError` at the token that goes one level too
 deep.  Evaluating, printing and collecting names walk a tree with one loop,
-so long flat sums and products of any length pass through them.
+so long flat sums and products of any length pass through them; an
+evaluation keeps no value for another, so a subtree two trees share is
+computed in each.
 Functions are fixed: exp, ln, sin, cos, sqrt take one argument, pow takes two.
 Names resolve through an :class:`EvalContext` at evaluation time — nothing in
 the grammar distinguishes a chart coordinate from a bound parameter.
@@ -223,28 +225,16 @@ def parse(source):
 
 # -- walking --------------------------------------------------------------------
 
-# the walk's name for a node whose value is read from a memo, and the node
-# of a walk's entry
-_KNOWN = "known"
-_NODE = operator.itemgetter(0)
-
-
-def _postorder(root, memo=None):
+def _postorder(root):
     """(node, name, arity) for every node of a tree, each node after its
     children and children left to right: the order in which evaluate
     computes them.  name is the node's operator or function (None for a
-    leaf) and arity its number of children.  With a :class:`Memo`, a node
-    that one of its earlier walks reached is not walked into: it comes as
-    (node, ``_KNOWN``, 0), and the memo will keep its value.  A loop, so no
-    tree is too deep to walk."""
+    leaf) and arity its number of children.  A loop, so no tree is too
+    deep to walk."""
     walk, stack = [], [root]
-    reached = memo._reached if memo is not None else None
     while stack:
         node = stack.pop()
-        if reached and id(node) in reached:
-            memo.values[id(node)] = None
-            walk.append((node, _KNOWN, 0))
-        elif isinstance(node, Binary):
+        if isinstance(node, Binary):
             walk.append((node, node.op, 2))
             stack += node.left, node.right
         elif isinstance(node, Unary):
@@ -258,27 +248,6 @@ def _postorder(root, memo=None):
     # with the right child popped first, each node comes before its
     # children and the right subtree before the left: postorder, reversed
     return walk[::-1]
-
-
-class Memo:
-    """What :func:`evaluate` needs to evaluate several trees one after
-    another, each subtree they share once.
-
-    Each tree is walked once, here, in the order the trees will be
-    evaluated, and a node that an earlier tree reaches is not walked into
-    again.  ``values`` maps the id of every such node, and of a tree given
-    twice, to its value: None until the evaluation of the earlier tree
-    computes it.  It holds no other node, so every other intermediate value
-    is freed as soon as its parent is computed.  A subtree that one tree
-    alone reaches twice is computed twice."""
-
-    def __init__(self, roots):
-        self.values, self._walks, self._reached = {}, {}, set()
-        for k, root in enumerate(roots, 1 - len(roots)):
-            walk = _postorder(root, self)
-            self._walks.setdefault(id(root), walk)
-            if k:  # a later tree may reach these nodes
-                self._reached.update(map(id, map(_NODE, walk)))
 
 
 # -- printing ---------------------------------------------------------------------
@@ -371,36 +340,23 @@ _CALLS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "cos": jets.cos, "sqrt": jets.sqrt}
 
 
-def evaluate(root, ctx, memo=None):
+def evaluate(root, ctx):
     """Evaluate over whatever scalar kind the context supplies (jets, arrays, floats).
 
-    With a :class:`Memo` of several trees, ``root`` must be one of them,
-    evaluated in the memo's order: the subtrees it shares with an earlier
-    tree are read from the memo, and those it shares with a later one are
-    kept there.
-
-    A domain fault raises :class:`ExprEvalError` quoting the source of the
-    node that raised, cut after 200 characters."""
-    if memo is None:
-        walk, shared = _postorder(root), {}
-    elif memo.values.get(id(root)) is not None:
-        return memo.values[id(root)]  # a tree given twice
-    else:
-        walk, shared = memo._walks[id(root)], memo.values
+    The tree is walked once and every node computed once per path that
+    reaches it: nothing is shared between evaluations.  A domain fault
+    raises :class:`ExprEvalError` quoting the source of the node that
+    raised, cut after 200 characters."""
     values = []
     try:
-        for node, name, arity in walk:
+        for node, name, arity in _postorder(root):
             if name is None:
                 value = (node.value if isinstance(node, Const)
                          else ctx.resolve(node.ident))
-            elif name is _KNOWN:
-                value = shared[id(node)]
             else:
                 args = values[-arity:]
                 del values[-arity:]
                 value = _CALLS[name](*args)
-            if shared and id(node) in shared:
-                shared[id(node)] = value
             values.append(value)
     except jets.JetDomainError as err:
         # quote the node that raised, not the root

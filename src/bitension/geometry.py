@@ -74,30 +74,28 @@ def _seeds(domain, x, order):
                for i, c in enumerate(domain.coords)}
 
 
-def _eval_components(components, variables, parameters, batch_shape, num_vars, order):
-    """Evaluate expression components to jets, coercing constants.
+def _as_jet(value, batch_shape, num_vars, order):
+    """An evaluated expression as a jet: a number or array is a constant."""
+    if isinstance(value, jets.Jet):
+        return value
+    arr = np.broadcast_to(np.asarray(value, dtype=float), batch_shape)
+    return jets.Jet.constant(arr, num_vars, order)
 
-    A subtree that several components share (the F^2 of every entry of
-    :func:`conformal.conformal_metric`) is evaluated once, through one
-    :class:`expr.Memo` that lives for this call."""
+
+def _eval_components(components, variables, parameters, batch_shape, num_vars, order):
+    """Evaluate expression components to jets, coercing constants; each
+    tree is walked once, so a subtree two components share is evaluated
+    twice."""
     ctx = expr.EvalContext(variables, parameters)
-    memo = expr.Memo(components)
-    out = []
-    for comp in components:
-        v = expr.evaluate(comp, ctx, memo)
-        if isinstance(v, jets.Jet):
-            out.append(v)
-        else:
-            arr = np.broadcast_to(np.asarray(v, dtype=float), batch_shape)
-            out.append(jets.Jet.constant(arr, num_vars, order))
-    return out
+    return [_as_jet(expr.evaluate(comp, ctx), batch_shape, num_vars, order)
+            for comp in components]
 
 
 def _by_identity(build):
     """``build`` of one argument, run once per distinct argument object.
 
     Keys are ``id``s; each argument is kept beside its result, so no id is
-    reused while the memo lives."""
+    reused while ``once`` lives."""
     done = {}
 
     def once(obj):
@@ -111,21 +109,26 @@ def _sym_matrix_jets(metric, variables, batch_shape, order, what, at):
     """Component jets of a metric and their values, checked symmetric and
     positive definite (:func:`_require_spd`, naming a point of ``at``).
 
-    The distinct expression objects are evaluated in one call, so each is
-    evaluated once (a conformally flat metric repeats one factor down its
-    diagonal) and so is each subtree they share; entries (i, j) and (j, i)
-    holding one expression object share one jet
+    Each distinct expression object is evaluated once (a conformally flat
+    metric repeats one factor down its diagonal); entries (i, j) and
+    (j, i) holding one expression object share one jet
     (:meth:`RiemannianMetric.from_components` gives mirror entries of equal
     source text one object); other mirror pairs, equal trees included, are
-    evaluated and compared."""
+    evaluated and compared.  A metric with a ``factor`` F has F evaluated
+    once and each entry value divided by its one F^2 before constants
+    become jets, so every division shares F^2's reciprocal."""
     m, comps = metric.dim, metric.components
     mirrored = {(i, j) for i in range(m) for j in range(i)
                 if comps[i][j] is comps[j][i]}
     distinct = {id(comps[i][j]): comps[i][j] for i in range(m)
                 for j in range(m) if (i, j) not in mirrored}
-    jet = dict(zip(distinct, _eval_components(
-        list(distinct.values()), variables, metric.parameters, batch_shape,
-        m, order)))
+    ctx = expr.EvalContext(variables, metric.parameters)
+    raw = [expr.evaluate(comp, ctx) for comp in distinct.values()]
+    if metric.factor is not None:
+        fsq = jets.power(expr.evaluate(metric.factor, ctx), 2.0)
+        raw = [jets.divide(v, fsq) for v in raw]
+    jet = {key: _as_jet(v, batch_shape, m, order)
+           for key, v in zip(distinct, raw)}
     rows = []
     for i in range(m):
         rows.append([rows[j][i] if (i, j) in mirrored else

@@ -830,7 +830,7 @@ def power(base, exponent):
         else:
             return exp(exponent * ln(base))
     e = _real(np.asarray(exponent))
-    if e.ndim == 0 and float(e) == int(e):
+    if e.ndim == 0 and float(e).is_integer():  # False for inf and nan
         k = int(e)
         if isinstance(base, Jet):
             return base._pow_int(k)

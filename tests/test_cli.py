@@ -553,6 +553,39 @@ def test_a_jet_domain_fault_is_located_at_its_first_sample(capsys, tmp_path):
         assert check["worst_point"] == list(pts[first])
 
 
+@pytest.mark.parametrize("power", ["1e400", "(0*1e400)"])
+def test_a_non_finite_exponent_is_an_errored_record(capsys, tmp_path, power):
+    # an exponent of inf or NaN is a non-integer power, evaluated as such
+    path = tmp_path / "power.cfg"
+    path.write_text(HUGE_SHEET.replace("1e155*u^2", f"u^{power}"))
+    code, out, err = run(capsys, "custom", "verify", "--config", str(path),
+                         "--format", "json")
+    check, = json.loads(out)["checks"]
+    assert code == cli.EXIT_EVAL and err == ""
+    assert check["error"] is not None and not check["pass"]
+
+
+@pytest.mark.parametrize("source", ["flag", "environment", "config"])
+def test_a_negative_seed_is_bad_input(capsys, tmp_path, monkeypatch, source):
+    argv = ["check-transform", "--dims", "2,3", "--cases", "2"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        code, _, err = run(capsys, "catalog", "verify", "identity",
+                           "--seed", "-1")
+        assert code == cli.EXIT_USAGE
+    elif source == "environment":
+        monkeypatch.setenv("BITENSION_SEED", "-5")
+    else:
+        path = tmp_path / "seeded.cfg"
+        path.write_text(HUGE_SHEET.replace("samples = 8", "seed = -2"))
+        argv = ["custom", "verify", "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == ""
+    name = {"flag": "--seed", "environment": "BITENSION_SEED",
+            "config": "[run] seed"}[source]
+    assert f"{name} must be non-negative" in err
+
+
 def _nan_holomorphy(monkeypatch):
     """Make every anti-holomorphy figure NaN."""
     def nan(ws):

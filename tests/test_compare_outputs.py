@@ -122,6 +122,17 @@ def test_an_exit_code_change_is_a_verdict_move_not_a_number_move(tmp_path,
                        "in words)")
 
 
+def test_a_cli_run_that_raises_is_dumped_as_exit_1():
+    class Raising:
+        @staticmethod
+        def main(argv):
+            print("partial")
+            raise ValueError(f"no run for {argv}")
+
+    assert compare_outputs._cli(Raising, ["x"]) == repr(
+        (1, "partial\n", "ValueError: no run for ['x']\n"))
+
+
 def test_an_error_text_change_alone_moves_no_verdict(tmp_path, capsys):
     def errored(error):
         record = ('{"checks": [{"name": "tension_zero", "pass": false, '

@@ -91,6 +91,12 @@ def test_name_defaults_to_file_stem_and_label_overrides(tmp_path):
     # a tolerance of inf or NaN would pass every check it bounds
     (lambda t: t.replace("tol = 1e-7", "tol = inf"), "positive and finite"),
     (lambda t: t.replace("tol = 1e-7", "tol = nan"), "positive and finite"),
+    # an interval of infinite width cannot be sampled
+    (lambda t: t.replace("-1:1 -1:1", "-1:inf -1:1"),
+     r"case\.cfg \[chart sheet\]: box interval \(-1, inf\) has no finite "
+     r"width"),
+    (lambda t: t.replace("-1:1 -1:1", "-1:1 -1e308:1e308"),
+     r"\[chart sheet\]: box interval \(-1e\+308, 1e\+308\) has no finite"),
     (lambda t: t.replace("metric = flat2", "metric = flat3"),
      "starts from"),
     (lambda t: t.replace("samples = 32", "samples = soon"), "integer"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bitension import conformal, geometry, jets
+from bitension import catalog, conformal, expr, geometry, jets
 from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
                               SmoothMap, VectorFieldAlongMap)
 from bitension.geometry import GeometryInputError, MapState
@@ -54,6 +54,43 @@ def test_conformal_metric_components():
                        axis=-2)
     assert support.relative_error(values1, np.broadcast_to(np.eye(4),
                                                            values1.shape)) < 1e-14
+
+
+def test_a_twice_rescaled_metric_matches_the_composed_quotients():
+    dom, g, _, _, _, f1 = conformal.random_transform_family(
+        3, 2, np.random.default_rng(41))
+    f2 = conformal.ConformalFactor.of(
+        "1 + a*x2^2 - 0.2*x3", {"a": np.array([[0.3], [-0.2]])})
+    gbar = conformal.conformal_metric(conformal.conformal_metric(g, f1), f2)
+    # the reference divides each entry by F_1^2, then by F_2^2, as trees
+    comps = g.components
+    for fac in (f1, f2):
+        fsq = expr.Binary("^", fac.ast, expr.Const(2.0))
+        comps = tuple(tuple(expr.Binary("/", entry, fsq) for entry in row)
+                      for row in comps)
+    ref = RiemannianMetric(
+        dom, comps, {**g.parameters, **f1.parameters, **f2.parameters})
+    pts = broadcast_points(dom, 2, 6, 41)
+    got = geometry.metric_jets(gbar, pts, order=4)
+    want = geometry.metric_jets(ref, pts, order=4)
+    for got_row, want_row in zip(got, want):
+        for a, b in zip(got_row, want_row):
+            assert support.relative_error(a.coeffs, b.coeffs) < 1e-13
+
+
+def test_a_factor_vanishing_at_a_sample_errors_there():
+    dom, g, h, phi, fld, _ = conformal.random_transform_family(
+        2, 1, np.random.default_rng(3))
+    x = np.array([[[0.2, -0.1], [0.0, 0.1], [-0.3, 0.2]]])
+
+    def gap():
+        direct, rhs = conformal.law_sides(phi, g, h, fld, "x1", x)["tension"]
+        rel = np.max(np.abs(direct - rhs), axis=-1)
+        return rel, rel
+
+    rec = catalog.record("tension_law_match", 1e-7, "max", gap, x)
+    assert rec.worst_point == (0.0, 0.1)
+    assert rec.error == "JetDomainError: division by a jet with zero value"
 
 
 def test_trivial_factor_is_identity_of_each_law():

@@ -171,34 +171,6 @@ def test_evaluate_jets_matches_floats():
         assert jval.value == pytest.approx(fval, rel=1e-14)
 
 
-class _Counted(float):
-    """A float that counts the products it is the left factor of."""
-    products = 0
-
-    def __mul__(self, other):
-        _Counted.products += 1
-        return _Counted(float(self) * other)
-
-
-def test_a_memo_evaluates_each_shared_subtree_once(monkeypatch):
-    monkeypatch.setattr(_Counted, "products", 0)
-    shared = parse("x*y")
-    roots = [Binary("+", shared, Const(1.0)),
-             Binary("-", Name("x"), Binary("*", shared, Name("x"))),
-             shared, shared]
-    ctx = EvalContext({"x": _Counted(3.0), "y": 2.0})
-    memo = expr.Memo(roots)
-    got = [evaluate(root, ctx, memo) for root in roots]
-    assert got == [7.0, -15.0, 6.0, 6.0]
-    assert got[2] is got[3]
-    # x*y once, then its product with x
-    assert _Counted.products == 2
-    assert set(memo.values) == {id(shared)}
-    monkeypatch.setattr(_Counted, "products", 0)
-    assert [evaluate(root, ctx) for root in roots] == got
-    assert _Counted.products == 5
-
-
 def test_variable_shadows_parameter_and_unbound():
     ast = parse("a + b")
     ctx = EvalContext(variables={"a": 1.0}, parameters={"a": 100.0, "b": 2.0})

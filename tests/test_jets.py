@@ -133,6 +133,15 @@ def test_integer_power_valid_at_negative_base():
     assert g.partial((1,)) == pytest.approx(-2 * (-1.5) ** -3, rel=1e-13)
 
 
+@pytest.mark.parametrize("exponent", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_exponent_is_a_non_integer_power(exponent):
+    # not an integer, so a nonpositive base is outside its domain
+    for base in (-1.5, Jet.variable(0, -1.5, 1)):
+        with pytest.raises(JetDomainError,
+                           match="non-integer power of a nonpositive base"):
+            jets.power(base, exponent)
+
+
 def test_domain_errors():
     x = Jet.variable(0, -1.0, 1)
     with pytest.raises(JetDomainError):

@@ -38,9 +38,12 @@ positive definite on part of ``[0.5, 1]^2``, of the map (1e200 u^2, v),
 whose tension overflows the target inner product, of (u, v, 3u) on
 ``[-1, 1]^2``, whose image leaves the cube ``(-2, 2)^3``, of
 (u, v, ln(u - 0.7)) and (u, v, exp(800 u)) on ``[0.5, 1]^2``, a jet domain
-fault and a ufunc overflow, and of ``cylinder_family.cfg`` with its factor
-made z - 0.5, which turns negative, or with its declared induced metric's
-g_2_2 made 1 + z, which the pullback does not match; the
+fault and a ufunc overflow, of (u, v, u^1e400) on ``[0.5, 1]^2``, a
+power with an infinite exponent, of (u, v, u) on ``[0.5, inf)^2``, a chart
+of infinite width, and of ``cylinder_family.cfg`` with its factor made
+z - 0.5, which turns negative, or with its declared induced metric's g_2_2
+made 1 + z, which the pullback does not match; ``check-transform`` with
+the negative seed -1; the
 ``first_variation`` dicts of the quadrature workload;
 and, on fixed inputs with sample points drawn from the seed,
 ``harmonic_biharmonic_condition`` (the totally geodesic inclusion of
@@ -50,7 +53,9 @@ residuals (a cylinder with domain metric exp(y) flat) and
 ``expr.to_source`` with the sorted ``expr.free_names`` of
 every expression of the catalog cases, their negative controls and the
 shipped configs.  No ``check-transform`` overflow is dumped: no input
-reaches one without replacing ``conformal.law_sides``.  Arrays are written
+reaches one without replacing ``conformal.law_sides``.  A CLI run that
+raises out of ``cli.main`` is dumped as exit 1 with the exception on
+stderr, as a process would end.  Arrays are written
 as their dtype, shape and raw bytes in hex, and floats by ``float.hex``, so
 two dumps are equal exactly when every output has the same bits.  ``diff``
 exits 1 if any line differs and prints, for each, how far apart the two
@@ -92,9 +97,16 @@ def _floats(d):
 
 
 def _cli(cli, argv):
+    """The exit code, stdout and stderr of one CLI run; an exception that
+    escapes ``cli.main`` reads as a process ends on it: exit 1, with its type
+    and text on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=err)
     return repr((code, out.getvalue(), err.getvalue()))
 
 
@@ -209,6 +221,9 @@ def _dump(root, seed, out):
                  _SHEET.format("0.5:1", "-2:2", "ln(u - 0.7)")),
                 ("ufunc_overflow.cfg",
                  _SHEET.format("0.5:1", "-1e300:1e300", "exp(800*u)")),
+                ("non_finite_power.cfg",
+                 _SHEET.format("0.5:1", "-2:2", "u^1e400")),
+                ("infinite_box.cfg", _SHEET.format("0.5:inf", "-2:2", "u")),
                 ("negative_factor.cfg", cylinder.replace(
                     "expr = exp(-z/(2*R))", "expr = z - 0.5")),
                 ("induced_mismatch.cfg", cylinder.replace(
@@ -221,6 +236,8 @@ def _dump(root, seed, out):
     emit("catalog verify cylinder_family --param R=0.001 --param C1=0",
          _cli(cli, ["catalog", "verify", "cylinder_family", "--param",
                     "R=0.001", "--param", "C1=0"] + seed_arg))
+    emit("check-transform --dims 2,3 --cases 2 --seed -1", _cli(cli, [
+        "check-transform", "--dims", "2,3", "--cases", "2", "--seed", "-1"]))
     for label, radius, c1 in (("--radius 0.002", "0.002", "0"),
                               ("--c1 nan", "1", "nan"),
                               ("--radius inf", "inf", "0")):
