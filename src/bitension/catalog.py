@@ -14,6 +14,7 @@ inside its control.
 
 import functools
 import inspect
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import cylinder, jets, surfaces, weierstrass
 from . import expr as expr_mod
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
+from .conformal import ConformalFactor, conformal_metric
 from .cylinder import CylinderParams
 from .expr import ExprEvalError
 from .geometry import GeometryInputError, MapState, MetricError, error_text
@@ -62,7 +64,8 @@ class VerificationCase:
 @dataclass(frozen=True, eq=False)
 class _Inputs:
     """What a case's checks read: the map and its metrics, the immersion's
-    induced metric and conformal factor lambda with the factor's bindings,
+    induced metric and conformal factor lambda (a
+    :class:`conformal.ConformalFactor` or a source with no parameters),
     ``lambda_sq`` (points -> lambda^2) and chen_match's engine-side metric.
     """
     phi: SmoothMap
@@ -70,7 +73,6 @@ class _Inputs:
     h: RiemannianMetric
     induced: RiemannianMetric
     factor: object
-    bindings: dict
     lambda_sq: object
     engine: RiemannianMetric
 
@@ -114,7 +116,7 @@ class _SharedStates:
         # both r3 checks of a case read this one residual computation
         return self._get("r3", (src,), lambda: surfaces.r3_system_residual(
             self.surface(src.phi, src.induced, src.h), src.factor,
-            self.map(src.phi, src.g, src.h), parameters=src.bindings))
+            self.map(src.phi, src.g, src.h)))
 
 
 def _tension(src, states):
@@ -199,25 +201,26 @@ CHECK_KINDS = {
 }
 
 
-def _factor_sq_values(domain, source, bindings):
-    node = expr_mod.parse(source) if isinstance(source, str) else source
+def _factor_sq_values(domain, source):
+    factor = ConformalFactor.of(source)
 
     def run(pts):
         variables = {c: pts[..., i] for i, c in enumerate(domain.coords)}
-        lam = expr_mod.evaluate(node, expr_mod.EvalContext(variables, bindings))
+        lam = expr_mod.evaluate(factor.ast, expr_mod.EvalContext(
+            variables, factor.parameters))
         return np.asarray(lam, dtype=float) ** 2
 
     return run
 
 
 def _assemble(name, params, phi, g, h, checks, induced=None, factor=None,
-              bindings=None, lambda_sq=None, engine=None):
+              lambda_sq=None, engine=None):
     """The case whose checks are the (kind, tolerance-or-None) pairs of
     ``checks``, each evaluated as CHECK_KINDS says.  ``lambda_sq`` defaults
     to the square of ``factor`` and ``engine`` to ``g``."""
     if lambda_sq is None and factor is not None:
-        lambda_sq = _factor_sq_values(phi.domain, factor, bindings)
-    src = _Inputs(phi, g, h, induced, factor, bindings, lambda_sq,
+        lambda_sq = _factor_sq_values(phi.domain, factor)
+    src = _Inputs(phi, g, h, induced, factor, lambda_sq,
                   g if engine is None else engine)
     entries = []
     for kind, tol in checks:
@@ -266,7 +269,7 @@ def _s5_stereographic(*, bend=False):
                      _defaults("bitension_zero", "tension_nonzero"))
 
 
-def _cylinder_case(shown, params, phi, g, h, lam, bindings):
+def _cylinder_case(shown, params, phi, g, h, lam):
     # recovery compares against the closed form of lambda^2: squaring the
     # sqrt(...) of lam would move ulps
     return _assemble(
@@ -274,7 +277,6 @@ def _cylinder_case(shown, params, phi, g, h, lam, bindings):
         _defaults("bitension_zero", "tension_nonzero", "r3_tangential",
                   "r3_normal", "conformal_recovery"),
         induced=cylinder.induced_metric(params, phi.domain), factor=lam,
-        bindings=bindings,
         lambda_sq=lambda pts: cylinder.lambda_sq_closed_form(params,
                                                              pts[:, 1]))
 
@@ -283,9 +285,8 @@ def _cylinder_family(R=1.0, C1=0.0, C2=2.0, sign=-1):
     params = CylinderParams(float(R), float(C1), float(C2), int(sign),
                             (0.0, 1.0))
     phi, g, h = cylinder.build_family_case(params)
-    lam, bindings = cylinder.lambda_expression(params)
     return _cylinder_case({"R": R, "C1": C1, "C2": C2, "sign": sign},
-                          params, phi, g, h, lam, bindings)
+                          params, phi, g, h, cylinder.lambda_factor(params))
 
 
 def _broken_cylinder(R=1.0):
@@ -294,11 +295,9 @@ def _broken_cylinder(R=1.0):
     radius = float(R)
     params = CylinderParams(radius, 0.0, 2.0, 1, (0.0, 1.0))
     phi, _, h = cylinder.build_family_case(params)
-    g = RiemannianMetric.from_components(
-        phi.domain, [["R^2*exp(-2*z/R)", "0"], ["0", "exp(-2*z/R)"]],
-        {"R": radius})
-    return _cylinder_case({"R": radius}, params, phi, g, h, "exp(z/R)",
-                          {"R": radius})
+    lam = ConformalFactor(expr_mod.parse("exp(z/R)"), {"R": radius})
+    g = conformal_metric(cylinder.induced_metric(params, phi.domain), lam)
+    return _cylinder_case({"R": radius}, params, phi, g, h, lam)
 
 
 def _wrap_case(name, copies, *, exponent=1.0):
@@ -403,8 +402,9 @@ def _build(name, params, control=False):
     """Call the named case's builder, or its control's callable, with
     ``params``.  An unknown name, a parameter the callable does not take
     (keyword-only ones are switches, not parameters), a value that is
-    not a number (a bool is not) and a non-integral value for a parameter
-    whose default is an int raise CaseError."""
+    not a number (a bool is not), a non-integral value for a parameter
+    whose default is an int and a value that is not finite raise
+    CaseError."""
     if name not in _BUILDERS:
         known = ", ".join(CASE_NAMES)
         raise CaseError(f"unknown case '{name}' (choose from {known})")
@@ -424,6 +424,9 @@ def _build(name, params, control=False):
                 and not float(value).is_integer()):
             raise CaseError(f"bad parameters for '{name}': {key} = "
                             f"{value!r} is not an integer")
+        if not math.isfinite(value):
+            raise CaseError(f"bad parameters for '{name}': {key} = "
+                            f"{value!r} is not finite")
     return build(**params)
 
 
@@ -440,20 +443,20 @@ def negative_control(name, **params):
     return _build(name, params, control=True), _CONTROLS[name][1]
 
 
-def custom_case(name, phi, g, h, checks, induced=None, factor=None,
-                parameters=None):
+def custom_case(name, phi, g, h, checks, induced=None, factor=None):
     """Assemble an ad-hoc case from raw geometry.
 
     ``checks`` lists (kind, tolerance-or-None) pairs drawn from CHECK_KINDS,
     which also names the inputs each kind needs: the r3 system checks need
     ``induced`` (the immersion pullback metric on the domain) and ``factor``
-    (the conformal scale lambda as an expression in domain coordinates,
-    with ``parameters`` bound); conformal_recovery needs ``factor``;
+    (the conformal scale lambda in domain coordinates: a
+    :class:`conformal.ConformalFactor` carrying the parameters it reads, or
+    a source string or tree with none); conformal_recovery needs ``factor``;
     chen_match reads ``induced``, defaulting to the domain metric itself.
     A kind that is unknown or lacks an input raises CaseError.
     """
     return _assemble(name, {}, phi, g, h, checks, induced=induced,
-                     factor=factor, bindings=parameters)
+                     factor=factor)
 
 
 # -- running -------------------------------------------------------------------
@@ -532,7 +535,7 @@ def lane_records(phi, g, h, pts, tol, conformal_tol):
     min sum |phi_a|^2 above 0, w3_zero below ``tol`` and the holomorphy
     defect max |d phi_sec/dzbar| below 1e-10, which holds for a harmonic
     map.  The last two are figures of the lane, not check kinds."""
-    src = _Inputs(phi, g, h, None, None, None, None, g)
+    src = _Inputs(phi, g, h, None, None, None, g)
     states = _SharedStates(pts)
     return tuple(
         record(name, bound, mode, functools.partial(evaluate, src, states), pts)

@@ -30,10 +30,11 @@ from __future__ import annotations
 import configparser
 import math
 import os.path
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catalog, expr
 from .charts import ChartDomain, RiemannianMetric, SmoothMap
+from .conformal import ConformalFactor
 
 
 class ConfigError(Exception):
@@ -45,15 +46,15 @@ _SECTION_KINDS = ("chart", "params", "metric", "map", "factor", "check", "run")
 
 @dataclass
 class RunConfig:
-    """A fully validated run description, ready to assemble."""
-    path: str
+    """A fully validated run description, ready to assemble.  Every
+    expression carries the [params] it may read: the map and metrics as
+    their ``parameters``, the factor as a :class:`ConformalFactor`."""
     name: str
     phi: SmoothMap
     metric: RiemannianMetric
     target: RiemannianMetric
     induced: RiemannianMetric = None
-    factor: object = None    # expression tree of the conformal scale
-    parameters: dict = field(default_factory=dict)
+    factor: ConformalFactor = None  # the conformal scale lambda
     checks: tuple = ()       # ordered (kind, tol-or-None)
     samples: int = None
     seed: int = None
@@ -61,8 +62,7 @@ class RunConfig:
     def build_case(self):
         return catalog.custom_case(self.name, self.phi, self.metric,
                                    self.target, self.checks,
-                                   induced=self.induced, factor=self.factor,
-                                   parameters=self.parameters)
+                                   induced=self.induced, factor=self.factor)
 
 
 def _fail(where, message):
@@ -258,8 +258,8 @@ def load_config(path):
             dom = _ref(where, "chart", chart_name, charts, "chart")
             if source is None:
                 _fail(where, "expr is required")
-            factors[name] = (_parse_expr(where, source, dom.coords,
-                                         parameters), chart_name)
+            node = _parse_expr(where, source, dom.coords, parameters)
+            factors[name] = ConformalFactor(node, dict(parameters)), chart_name
         elif kind == "check":
             if name not in catalog.CHECK_KINDS:
                 known = ", ".join(sorted(catalog.CHECK_KINDS))
@@ -325,7 +325,6 @@ def load_config(path):
 
     default_label = os.path.splitext(os.path.basename(str(path)))[0]
     return RunConfig(
-        path=str(path), name=label or default_label, phi=phi,
-        metric=metric, target=target, induced=induced, factor=factor,
-        parameters=parameters, checks=tuple(checks),
+        name=label or default_label, phi=phi, metric=metric, target=target,
+        induced=induced, factor=factor, checks=tuple(checks),
         samples=samples, seed=seed)

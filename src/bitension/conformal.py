@@ -1,5 +1,9 @@
 """Conformal rescalings gbar = F^-2 g and their effect on tension-type operators.
 
+A factor F is one value, a :class:`ConformalFactor` carrying its tree and
+the parameters it reads; every function that takes a factor takes that,
+or a source string or tree with no parameters.
+
 Every *_transform_rhs function evaluates the g-side of a transformation law --
 all gradients, Laplacians and covariant derivatives taken with respect to the
 original metric g -- so the result can be compared against a direct computation
@@ -27,19 +31,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConformalFactor:
-    """A positive scale function on the domain chart, written in its coordinates."""
+    """A positive scale function on the domain chart, written in its
+    coordinates, with the parameters it reads."""
 
     ast: object
     parameters: dict = field(default_factory=dict)
 
     @classmethod
-    def of(cls, source, parameters=None):
+    def of(cls, source):
+        """``source`` itself when it is a factor, else the factor of a
+        source string or tree with no parameters."""
         if isinstance(source, cls):
-            if parameters:
-                return cls(source.ast, {**source.parameters, **parameters})
             return source
-        node = expr.parse(source) if isinstance(source, str) else source
-        return cls(node, dict(parameters or {}))
+        return cls(expr.parse(source) if isinstance(source, str) else source)
 
     def reciprocal(self):
         return ConformalFactor(expr.Binary("/", expr.Const(1.0), self.ast),
@@ -49,8 +53,8 @@ class ConformalFactor:
 class _FactorData:
     """Derived quantities of ln F at the points of a map state."""
 
-    def __init__(self, state, source, parameters=None):
-        self.factor = ConformalFactor.of(source, parameters)
+    def __init__(self, state, source):
+        self.factor = ConformalFactor.of(source)
         fj = state.scalar_jet(self.factor.ast, self.factor.parameters)
         self.values = np.asarray(fj.value, dtype=float)
         outside = self.values <= 0.0
@@ -78,10 +82,10 @@ class _FactorData:
         return jets.stack_values(self.pushed)
 
 
-def conformal_metric(g, factor, parameters=None):
-    """The metric F^-2 g: g's components and parameters with the factor F,
-    or F_1 F_2 when g is already F_1^-2 times its components."""
-    fac = ConformalFactor.of(factor, parameters)
+def conformal_metric(g, factor):
+    """The metric F^-2 g: g's components, g's and F's parameters and the
+    factor F, or F_1 F_2 when g is already F_1^-2 times its components."""
+    fac = ConformalFactor.of(factor)
     f = fac.ast if g.factor is None else expr.Binary("*", g.factor, fac.ast)
     return RiemannianMetric(g.domain, g.components,
                             {**g.parameters, **fac.parameters}, f)
@@ -116,25 +120,25 @@ def _bitension_rhs(state, fac):
     return fac.values[..., None] ** 4 * inner
 
 
-def tension_transform_rhs(phi, g, h, factor, x, parameters=None):
+def tension_transform_rhs(phi, g, h, factor, x):
     """g-side of the tension law: F^2 {tau(phi,g) - (m-2) dphi(grad ln F)}."""
     state = MapState(phi, g, h, x, 2)
-    return _tension_rhs(state, _FactorData(state, factor, parameters))
+    return _tension_rhs(state, _FactorData(state, factor))
 
 
-def jacobi_transform_rhs(phi, g, h, factor, fld, x, parameters=None):
+def jacobi_transform_rhs(phi, g, h, factor, fld, x):
     """g-side of the Jacobi law: F^2 J(X) + F^2 (m-2) nabla_{grad ln F} X."""
     state = MapState(phi, g, h, x, 3)
-    return _jacobi_rhs(state, _FactorData(state, factor, parameters), fld)
+    return _jacobi_rhs(state, _FactorData(state, factor), fld)
 
 
-def bitension_transform_rhs(phi, g, h, factor, x, parameters=None):
+def bitension_transform_rhs(phi, g, h, factor, x):
     """g-side of the bitension law, valid in every dimension."""
     state = MapState(phi, g, h, x, 4)
-    return _bitension_rhs(state, _FactorData(state, factor, parameters))
+    return _bitension_rhs(state, _FactorData(state, factor))
 
 
-def bitension_transform_rhs_dim2(phi, g, h, factor, x, parameters=None):
+def bitension_transform_rhs_dim2(phi, g, h, factor, x):
     """Two-dimensional specialization of the bitension law.
 
     F^4 {tau^2 + 2(Lap ln F + 2|grad ln F|^2) tau + 4 nabla_{grad ln F} tau},
@@ -144,7 +148,7 @@ def bitension_transform_rhs_dim2(phi, g, h, factor, x, parameters=None):
     if state.m != 2:
         raise GeometryInputError("dimension-2 form requires a 2d domain, "
                                  f"got m={state.m}")
-    fac = _FactorData(state, factor, parameters)
+    fac = _FactorData(state, factor)
     tau = state.tension_values
     slide_tau = state.directional_covariant(fac.grad, state.tension_jets)
     b = fac.laplacian + 2.0 * fac.grad_norm_sq
@@ -179,7 +183,7 @@ def law_sides(phi, g, h, fld, factor, x):
     }
 
 
-def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None):
+def harmonic_biharmonic_condition(phi, g, h, factor, x):
     """Residual whose vanishing makes a g-harmonic map biharmonic for F^-2 g.
 
     J(dphi(grad ln F)) + (m-6) nabla_{grad ln F} dphi(grad ln F)
@@ -193,7 +197,7 @@ def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None):
     if worst >= 1e-8:
         raise GeometryInputError("input map is not harmonic for g "
                                  f"(|tension| up to {worst:g})")
-    fac = _FactorData(state, factor, parameters)
+    fac = _FactorData(state, factor)
     m = state.m
     jac_pushed = state.jacobi_of(fac.pushed)
     slide_pushed = state.directional_covariant(fac.grad, fac.pushed)
@@ -207,7 +211,7 @@ def harmonic_biharmonic_condition(phi, g, h, factor, x, parameters=None):
 _CONFORMAL_TOL = 1e-8
 
 
-def _immersion_states(phi, g, h, lam, x, parameters):
+def _immersion_states(phi, g, h, lam, x):
     """The order-4 states of a conformal immersion on g and on the isometric
     metric gbar = lambda^2 g, sharing one map side, with the factor data of
     lambda and lambda^2.
@@ -220,7 +224,7 @@ def _immersion_states(phi, g, h, lam, x, parameters):
     if not (fit.max_residual <= _CONFORMAL_TOL and np.all(fit.lambda_sq > 0)):
         raise GeometryInputError("map is not a conformal immersion for g, h "
                                  f"(pullback residual {fit.max_residual:g})")
-    data = _FactorData(state, lam, parameters)
+    data = _FactorData(state, lam)
     lam_sq = data.values ** 2
     mismatch = np.max(np.abs(lam_sq - fit.lambda_sq)
                       / (1.0 + np.abs(fit.lambda_sq)))
@@ -231,7 +235,7 @@ def _immersion_states(phi, g, h, lam, x, parameters):
     return state, data, lam_sq, state.on(gbar)
 
 
-def conformal_immersion_residual(phi, g, h, lam, x, parameters=None):
+def conformal_immersion_residual(phi, g, h, lam, x):
     """Left minus right of the biharmonicity criterion for a conformal
     immersion; zero iff the conformal immersion is biharmonic.
 
@@ -244,8 +248,7 @@ def conformal_immersion_residual(phi, g, h, lam, x, parameters=None):
     + m(m-6) lambda^2 nabla_{grad ln lambda} eta.
     Left minus right equals tau^2(phi, g).
     """
-    state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x,
-                                                  parameters)
+    state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x)
     m = state.m
     lhs = lam_sq[..., None] ** 2 * iso.bitension_values
     eta_jets = [t * (1.0 / m) for t in iso.tension_jets]
@@ -259,7 +262,7 @@ def conformal_immersion_residual(phi, g, h, lam, x, parameters=None):
     return lhs - rhs
 
 
-def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None):
+def conformal_immersion_residual_dim2(phi, g, h, lam, x):
     """Surface form of the criterion: lambda^2 tau^2(phi,gbar)
     + 4(Lap ln lambda + 2|grad ln lambda|^2) eta + 8 nabla_{grad ln lambda} eta.
 
@@ -268,8 +271,7 @@ def conformal_immersion_residual_dim2(phi, g, h, lam, x, parameters=None):
     if phi.domain.dim != 2:
         raise GeometryInputError("surface criterion requires a 2d domain, "
                                  f"got m={phi.domain.dim}")
-    state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x,
-                                                  parameters)
+    state, data, lam_sq, iso = _immersion_states(phi, g, h, lam, x)
     eta_jets = [t * 0.5 for t in iso.tension_jets]
     eta = jets.stack_values(eta_jets)
     slide_eta = state.directional_covariant(data.grad, eta_jets)
@@ -335,7 +337,7 @@ def random_transform_family(m, count, rng, n=None):
               f"*x{(a % m) + 1}*x1" for a in range(n)),
         dict(params))
 
-    factor = ConformalFactor.of(
+    factor = ConformalFactor(expr.parse(
         f"exp({draw('fc', 0.2)} + {draw('fl', 0.3)}*x1"
-        f" + {draw('fq', 0.2)}*x{m}^2)", dict(params))
+        f" + {draw('fq', 0.2)}*x{m}^2)"), dict(params))
     return dom, g, h, phi, fld, factor

@@ -14,8 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
+from .conformal import ConformalFactor, conformal_metric
+from .expr import parse
 
 _GRID = 257  # positivity is checked on this many equally spaced z values
+_MAX_STEPS = 10 ** 7  # solve_ode's largest step count
 
 
 class ParameterError(ValueError):
@@ -67,14 +70,14 @@ def lambda_sq_slope(params, z):
     return 0.5 * s / r * (grow + decay)
 
 
-def lambda_expression(params):
-    """(source, parameters) for lambda itself, in the chart coordinate z."""
+def lambda_factor(params):
+    """lambda itself, in the chart coordinate z, with R, C1 and C2 bound."""
     if params.sign == 1:
         body = "0.5*(C2*exp(z/R) - C1*R^2/C2*exp(-z/R))"
     else:
         body = "0.5*(C2*exp(-z/R) - C1*R^2/C2*exp(z/R))"
-    bindings = {"R": params.radius, "C1": params.c1, "C2": params.c2}
-    return f"sqrt({body})", bindings
+    return ConformalFactor(parse(f"sqrt({body})"), {
+        "R": params.radius, "C1": params.c1, "C2": params.c2})
 
 
 def check_positive(params):
@@ -129,9 +132,12 @@ def solve_ode(params, y0=None, y0prime=None, steps=256):
 
     Initial data defaults to the closed-form member described by
     ``params``, so the run doubles as an independent check of the formula.
+    A step count below 16 or above 10**7 raises ParameterError.
     """
     if steps < 16:
         raise ParameterError("use at least 16 steps")
+    if steps > _MAX_STEPS:
+        raise ParameterError(f"use at most {_MAX_STEPS} steps")
     lo, hi = params.z_range
     r = params.radius
     if y0 is None:
@@ -164,7 +170,8 @@ def build_family_case(params):
     """(map, domain metric, target metric) for one family member.
 
     The map is the radius-R cylinder into a cylindrical chart of flat
-    3-space; the domain metric is the induced one divided by lambda^2.
+    3-space; the domain metric is conformal_metric(gbar, lambda), the
+    induced metric gbar divided by lambda^2.
     """
     check_positive(params)
     lo, hi = params.z_range
@@ -175,10 +182,7 @@ def build_family_case(params):
                           (lo - 0.5, hi + 0.5)))
     flat3 = RiemannianMetric.from_components(
         target, [["1", "0", "0"], ["0", "rho^2", "0"], ["0", "0", "1"]])
-    lam, bindings = lambda_expression(params)
-    lam_sq = f"({lam})^2"
-    g = RiemannianMetric.from_components(
-        dom, [[f"R^2/{lam_sq}", "0"], ["0", f"1/{lam_sq}"]], bindings)
+    g = conformal_metric(induced_metric(params, dom), lambda_factor(params))
     phi = SmoothMap.from_components(dom, target, ("R", "theta", "z"),
                                     {"R": r})
     return phi, g, flat3

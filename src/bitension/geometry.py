@@ -91,20 +91,6 @@ def _eval_components(components, variables, parameters, batch_shape, num_vars, o
             for comp in components]
 
 
-def _by_identity(build):
-    """``build`` of one argument, run once per distinct argument object.
-
-    Keys are ``id``s; each argument is kept beside its result, so no id is
-    reused while ``once`` lives."""
-    done = {}
-
-    def once(obj):
-        if id(obj) not in done:
-            done[id(obj)] = (obj, build(obj))
-        return done[id(obj)][1]
-    return once
-
-
 def _sym_matrix_jets(metric, variables, batch_shape, order, what, at):
     """Component jets of a metric and their values, checked symmetric and
     positive definite (:func:`_require_spd`, naming a point of ``at``).
@@ -116,7 +102,8 @@ def _sym_matrix_jets(metric, variables, batch_shape, order, what, at):
     source text one object); other mirror pairs, equal trees included, are
     evaluated and compared.  A metric with a ``factor`` F has F evaluated
     once and each entry value divided by its one F^2 before constants
-    become jets, so every division shares F^2's reciprocal."""
+    become jets, so every division shares F^2's reciprocal; an entry that
+    is a constant zero is not divided, so it stays a known zero."""
     m, comps = metric.dim, metric.components
     mirrored = {(i, j) for i in range(m) for j in range(i)
                 if comps[i][j] is comps[j][i]}
@@ -126,7 +113,8 @@ def _sym_matrix_jets(metric, variables, batch_shape, order, what, at):
     raw = [expr.evaluate(comp, ctx) for comp in distinct.values()]
     if metric.factor is not None:
         fsq = jets.power(expr.evaluate(metric.factor, ctx), 2.0)
-        raw = [jets.divide(v, fsq) for v in raw]
+        raw = [v if not isinstance(v, jets.Jet) and not np.any(v)
+               else jets.divide(v, fsq) for v in raw]
     jet = {key: _as_jet(v, batch_shape, m, order)
            for key, v in zip(distinct, raw)}
     rows = []
@@ -202,7 +190,7 @@ def _jet_matrix_inverse(rows, order=None):
     m = len(rows)
     entries = min(e.order for row in rows for e in row)
     order = entries if order is None else min(order, entries)
-    cut = _by_identity(lambda e: e.truncated(order))
+    cut = cache(lambda e: e.truncated(order))
     a = {}  # the nonzero entries, each symmetric pair sharing one jet
     for i in range(m):
         for j in range(i, m):
@@ -233,8 +221,9 @@ def _christoffel_sums(gj):
     1/2 g^kl s(i, j)[l]."""
     m = len(gj)
     # each distinct jet is differentiated once: entries that share a jet
-    # (see _sym_matrix_jets) share its derivatives
-    partials = _by_identity(lambda e: [e.derivative(l) for l in range(m)])
+    # (see _sym_matrix_jets) share its derivatives; a Jet hashes by
+    # identity, and the cache keeps each one alive
+    partials = cache(lambda e: [e.derivative(l) for l in range(m)])
     dg = [[partials(e) for e in row] for row in gj]
     return cache(lambda i, j: [dg[j][l][i] + dg[i][l][j] - dg[i][j][l]
                                for l in range(m)])

@@ -129,20 +129,22 @@ def chen_bitension(sd):
     return 2.0 * normal_part[..., None] * sd.normal_values - 2.0 * pushed
 
 
-def r3_system_residual(sd, lam, stg, parameters=None):
+def r3_system_residual(sd, lam, stg):
     """Residuals of the two-equation biharmonicity system for a conformal
     surface immersion into flat 3-space, with operators of the conformal
     domain metric g and |B|^2 = lambda^2 |B|^2_induced.
 
-    ``stg`` is a map state of order 3 or more for the same map and points
-    as ``sd``, carrying the conformal domain metric g.
+    ``lam`` is a :class:`conformal.ConformalFactor`, or a source string
+    or tree with no parameters; ``stg`` is a map state of order 3 or more
+    for the same map and points as ``sd``, carrying the conformal domain
+    metric g.
 
     Returns (tangential, normal): A(grad H) + grad(H^2)/2 + 2H A(grad ln lam)
     as domain-vector values, and Lap H - H|B|^2 + 2H(Lap ln lam
     + 2|grad ln lam|^2) + 4 g(grad ln lam, grad H) as a scalar.  A factor
     that is not positive at every point raises DomainError.
     """
-    fac = _FactorData(stg, lam, parameters)
+    fac = _FactorData(stg, lam)
     H = sd.mean_curvature
     hv = H.value
     grad_h = stg.gradient_jets(H)

@@ -108,6 +108,15 @@ def test_a_bool_is_not_a_number(value):
         catalog.negative_control("isometric_cylinder", R=value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_parameter_is_a_case_error(value):
+    for name in ("isometric_cylinder", "cylinder_family"):
+        with pytest.raises(catalog.CaseError, match="is not finite"):
+            catalog.build_case(name, R=value)
+        with pytest.raises(catalog.CaseError, match="is not finite"):
+            catalog.negative_control(name, R=value)
+
+
 def test_type_errors_inside_a_builder_propagate(monkeypatch):
     def broken(R=1.0):
         return len(R)  # a TypeError from the builder's own code

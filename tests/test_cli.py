@@ -141,6 +141,16 @@ def test_evaluation_errors_exit_as_verify_case_records_them(capsys,
      "m = inf is not an integer"),
     (("weierstrass", "check", "--case", "cylinder_family", "--param",
       "sign=0.5"), "sign = 0.5 is not an integer"),
+    # a non-finite value would reach the case's chart box
+    (("catalog", "verify", "isometric_cylinder", "--param", "R=nan"),
+     "R = nan is not finite"),
+    (("catalog", "verify", "isometric_cylinder", "--param", "R=inf"),
+     "R = inf is not finite"),
+    (("weierstrass", "check", "--case", "isometric_cylinder", "--param",
+      "R=inf"), "R = inf is not finite"),
+    # rejected before any array of that many steps is allocated
+    (("cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2",
+      "--steps", str(10 ** 20)), "at most 10000000 steps"),
 ])
 def test_named_input_errors_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)

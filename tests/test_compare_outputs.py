@@ -1,5 +1,10 @@
-"""The ``diff`` half of tools/compare_outputs.py: how far apart two dumps are."""
+"""The ``diff`` half of tools/compare_outputs.py: how far apart two dumps
+are; and the dump lines of configs written to a temporary directory."""
+from pathlib import Path
+
 import numpy as np
+
+from bitension import cli
 
 from support import compare_outputs
 
@@ -155,3 +160,15 @@ def test_an_error_text_change_alone_moves_no_verdict(tmp_path, capsys):
                  ("verdict: harmonic", "verdict: proper biharmonic")):
         assert compare_outputs._describe(repr((1, x, "")),
                                          repr((1, y, "")))[2]
+
+
+def test_config_lines_do_not_depend_on_their_directory(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    runs = []
+    for sub in ("one", "two"):
+        (tmp_path / sub).mkdir()
+        runs.append(dict(compare_outputs._config_runs(
+            cli, root, tmp_path / sub, ["--seed", "0"])))
+    # the config error of an infinite box names its file
+    assert "TMP" in runs[0]["custom verify infinite_box.cfg"]
+    assert runs[0] == runs[1]

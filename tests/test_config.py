@@ -56,7 +56,7 @@ def test_good_config_loads(tmp_path):
     cfg = load_config(write(tmp_path, GOOD))
     assert cfg.name == "case"
     assert cfg.samples == 32 and cfg.seed == 3
-    assert cfg.parameters == {"a": 0.5}
+    assert cfg.phi.parameters == {"a": 0.5}
     assert cfg.checks == (("tension_zero", 1e-7), ("bitension_zero", None))
     assert cfg.phi.domain.coords == ("u", "v")
     # the exclude line lands on the right axis of the target chart

@@ -59,8 +59,8 @@ def test_conformal_metric_components():
 def test_a_twice_rescaled_metric_matches_the_composed_quotients():
     dom, g, _, _, _, f1 = conformal.random_transform_family(
         3, 2, np.random.default_rng(41))
-    f2 = conformal.ConformalFactor.of(
-        "1 + a*x2^2 - 0.2*x3", {"a": np.array([[0.3], [-0.2]])})
+    f2 = conformal.ConformalFactor(
+        expr.parse("1 + a*x2^2 - 0.2*x3"), {"a": np.array([[0.3], [-0.2]])})
     gbar = conformal.conformal_metric(conformal.conformal_metric(g, f1), f2)
     # the reference divides each entry by F_1^2, then by F_2^2, as trees
     comps = g.components
@@ -282,7 +282,7 @@ def test_conformal_immersion_states_share_one_map_side(monkeypatch):
     pts = dom.sample(12, 47)
     built = support.record_builds(monkeypatch)
     state, _, _, iso = conformal._immersion_states(phi, g, h, "exp(-y/2)",
-                                                   pts, None)
+                                                   pts)
     assert iso._map is state._map and iso.g is not g and state.g is g
     for each in (state, iso):
         each.bitension_values  # both read gammaN_y and Q

@@ -28,11 +28,11 @@ def test_closed_form_exponential_members():
 ])
 def test_expression_solves_the_ode(params):
     # evaluate the squared factor as a z-jet and check (lam^2)'' = lam^2/R^2
-    src, bindings = cylinder.lambda_expression(params)
+    lam = cylinder.lambda_factor(params)
     z = np.linspace(*params.z_range, 11)
     zjet = jets.Jet.variable(0, z, 1, 4)
-    ctx = expr.EvalContext({"z": zjet}, bindings)
-    lam_sq = expr.evaluate(expr.parse(f"({src})^2"), ctx)
+    ctx = expr.EvalContext({"z": zjet}, lam.parameters)
+    lam_sq = expr.evaluate(expr.Binary("^", lam.ast, expr.Const(2.0)), ctx)
     ddz = lam_sq.derivative(0).derivative(0)
     assert support.relative_error(
         ddz.value, lam_sq.value / params.radius ** 2) < 1e-12
@@ -109,6 +109,9 @@ def test_rk4_from_custom_initial_data():
     assert run.first_integral_drift < 1e-10
     with pytest.raises(ValueError, match="16"):
         cylinder.solve_ode(params, steps=8)
+    # rejected before linspace is asked for a grid of that many steps
+    with pytest.raises(cylinder.ParameterError, match="at most 10000000"):
+        cylinder.solve_ode(params, steps=10 ** 20)
 
 
 def test_branch_fit_prefers_nonzero_constant():
@@ -146,8 +149,8 @@ def test_family_member_satisfies_surface_system():
     pts = phi.domain.sample(32, 22)
     induced = cylinder.induced_metric(params, phi.domain)
     sd = surfaces.surface_data(phi, induced, h, pts)
-    lam, bindings = cylinder.lambda_expression(params)
     tangential, normal = surfaces.r3_system_residual(
-        sd, lam, geometry.MapState(phi, g, h, pts, 3), parameters=bindings)
+        sd, cylinder.lambda_factor(params),
+        geometry.MapState(phi, g, h, pts, 3))
     assert np.max(np.abs(tangential)) < 1e-8
     assert np.max(np.abs(normal)) < 1e-8

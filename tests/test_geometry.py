@@ -1303,6 +1303,16 @@ def test_a_rescaled_metric_expands_its_factor_once(monkeypatch):
             assert np.array_equal(rows[i][j].coeffs, want.coeffs)
 
 
+def test_a_zero_entry_of_a_rescaled_metric_stays_a_known_zero():
+    dom = ChartDomain(("x1", "x2"), ((-1.0, 1.0),) * 2)
+    gbar = conformal.conformal_metric(RiemannianMetric.euclidean(dom),
+                                      "exp(x1)")
+    rows = geometry.metric_jets(gbar, dom.sample(4, 3), order=2)
+    # 0 / F^2 is not divided out: known zero when built, reading no variable
+    assert rows[0][1]._zero is True and rows[0][1]._support == 0
+    assert rows[0][0]._support != 0
+
+
 def test_a_jet_keeps_its_reciprocal(monkeypatch):
     x = jets.Jet.variable(0, np.array([0.5, 2.0]), 2, 3) + 1.0
     calls = _compositions(monkeypatch)

@@ -54,8 +54,13 @@ def _to_sympy(node, symbols, parameters):
 
 
 def _metric(metric, symbols):
-    return sp.Matrix([[_to_sympy(c, symbols, metric.parameters) for c in row]
+    """The exact matrix of ``metric``: F^-2 times its components when it
+    carries a factor F."""
+    gmat = sp.Matrix([[_to_sympy(c, symbols, metric.parameters) for c in row]
                       for row in metric.components])
+    if metric.factor is None:
+        return gmat
+    return gmat / _to_sympy(metric.factor, symbols, metric.parameters) ** 2
 
 
 def _christoffel(gmat, ginv, xs):

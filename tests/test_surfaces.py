@@ -4,6 +4,8 @@ import pytest
 from bitension import catalog, conformal, geometry, jets, surfaces
 from bitension.charts import (ChartDomain, DomainError, RiemannianMetric,
                               SmoothMap)
+from bitension.conformal import ConformalFactor
+from bitension.expr import parse
 from bitension.geometry import GeometryInputError, MapState
 
 import support
@@ -191,13 +193,12 @@ def test_r3_system_cylinder_biharmonic_factor():
     sd = surfaces.surface_data(phi, induced, h, pts)
     g = RiemannianMetric.from_components(
         dom, [["R^2*exp(-z/R)", "0"], ["0", "exp(-z/R)"]], {"R": radius})
+    lam = ConformalFactor(parse("exp(z/(2*R))"), {"R": radius})
     tangential, normal = surfaces.r3_system_residual(
-        sd, "exp(z/(2*R))", MapState(phi, g, h, pts, 3),
-        parameters={"R": radius})
+        sd, lam, MapState(phi, g, h, pts, 3))
     assert np.max(np.abs(tangential)) < 1e-10
     assert np.max(np.abs(normal)) < 1e-10
-    res = conformal.conformal_immersion_residual(
-        phi, g, h, "exp(z/(2*R))", pts, parameters={"R": radius})
+    res = conformal.conformal_immersion_residual(phi, g, h, lam, pts)
     assert np.max(np.abs(res)) < 1e-7
 
 
@@ -208,14 +209,14 @@ def test_r3_system_flags_nonsolution_factor():
     sd = surfaces.surface_data(phi, induced, h, pts)
     g = RiemannianMetric.from_components(
         dom, [["R^2*exp(-2*z/R)", "0"], ["0", "exp(-2*z/R)"]], {"R": radius})
+    lam = ConformalFactor(parse("exp(z/R)"), {"R": radius})
     tangential, normal = surfaces.r3_system_residual(
-        sd, "exp(z/R)", MapState(phi, g, h, pts, 3), parameters={"R": radius})
+        sd, lam, MapState(phi, g, h, pts, 3))
     assert np.max(np.abs(tangential)) < 1e-10  # the factor only depends on z
     want = -1.5 * np.exp(2.0 * pts[:, 1] / radius) / radius ** 3
     assert np.max(np.abs(normal - want)) < 1e-10
     assert np.min(np.abs(normal)) > 1e-2
-    res = conformal.conformal_immersion_residual(
-        phi, g, h, "exp(z/R)", pts, parameters={"R": radius})
+    res = conformal.conformal_immersion_residual(phi, g, h, lam, pts)
     assert np.max(np.abs(res)) > 1e-2
 
 

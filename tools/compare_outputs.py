@@ -28,11 +28,14 @@ case geometry at the catalog's sample points, or the error one raises; the
 ``custom verify`` (JSON), ``weierstrass check`` and ``check-transform``
 (m = 2..5, text) outputs of the CLI over the shipped configs, and the
 error paths and exit codes of the CLI: ``cylinder solve`` passing and
-failing its tolerance, overflowing at radius 0.002 and given C1 = nan or
-radius inf, ``catalog verify cylinder_family`` on the inadmissible member
-R = 0.001, C1 = 0, ``weierstrass check`` on ``h5_inclusion`` (no 2d
-domain), on the ``r2_wrap_r3`` config with its domain metric made to
-overflow and on that config with its map made the constant (0, 0, 0), and
+failing its tolerance, overflowing at radius 0.002, given C1 = nan or
+radius inf and given 10**20 steps, ``catalog verify cylinder_family`` on
+the inadmissible member R = 0.001, C1 = 0 and at R = nan,
+``catalog verify isometric_cylinder`` at R = nan and R = inf,
+``weierstrass check`` on ``isometric_cylinder`` at R = inf, on
+``h5_inclusion`` (no 2d domain), on the ``r2_wrap_r3`` config with its
+domain metric made to overflow and on that config with its map made the
+constant (0, 0, 0), and
 ``custom verify`` (JSON) of a domain metric diag(u - 0.7, 1) that is not
 positive definite on part of ``[0.5, 1]^2``, of the map (1e200 u^2, v),
 whose tension overflows the target inner product, of (u, v, 3u) on
@@ -42,7 +45,8 @@ fault and a ufunc overflow, of (u, v, u^1e400) on ``[0.5, 1]^2``, a
 power with an infinite exponent, of (u, v, u) on ``[0.5, inf)^2``, a chart
 of infinite width, and of ``cylinder_family.cfg`` with its factor made
 z - 0.5, which turns negative, or with its declared induced metric's g_2_2
-made 1 + z, which the pullback does not match; ``check-transform`` with
+made 1 + z, which the pullback does not match (each config written to a
+temporary directory, which its line reads as TMP); ``check-transform`` with
 the negative seed -1; the
 ``first_variation`` dicts of the quadrature workload;
 and, on fixed inputs with sample points drawn from the seed,
@@ -202,40 +206,18 @@ def _dump(root, seed, out):
     emit("weierstrass check --case h5_inclusion", _cli(cli, [
         "weierstrass", "check", "--case", "h5_inclusion"] + seed_arg))
     with tempfile.TemporaryDirectory() as tmp:
-        huge = Path(tmp, "overflow.cfg")
-        huge.write_text(Path(root, "configs", "r2_wrap_r3.cfg").read_text()
-                        .replace("exp(y/R)", "exp(800*y)"))
-        emit("weierstrass check overflow.cfg", _cli(cli, [
-            "weierstrass", "check", "--config", str(huge)] + seed_arg))
-        constant = Path(tmp, "constant.cfg")
-        constant.write_text(
-            Path(root, "configs", "r2_wrap_r3.cfg").read_text().replace(
-                "    R*cos(x/R)\n    R*sin(x/R)\n    y", "    0\n    0\n    0"))
-        emit("weierstrass check constant.cfg", _cli(cli, [
-            "weierstrass", "check", "--config", str(constant)] + seed_arg))
-        cylinder = Path(root, "configs", "cylinder_family.cfg").read_text()
-        for label, text in (
-                ("bent.cfg", _BENT), ("huge.cfg", _HUGE),
-                ("off_chart.cfg", _SHEET.format("-1:1", "-2:2", "3*u")),
-                ("jet_domain.cfg",
-                 _SHEET.format("0.5:1", "-2:2", "ln(u - 0.7)")),
-                ("ufunc_overflow.cfg",
-                 _SHEET.format("0.5:1", "-1e300:1e300", "exp(800*u)")),
-                ("non_finite_power.cfg",
-                 _SHEET.format("0.5:1", "-2:2", "u^1e400")),
-                ("infinite_box.cfg", _SHEET.format("0.5:inf", "-2:2", "u")),
-                ("negative_factor.cfg", cylinder.replace(
-                    "expr = exp(-z/(2*R))", "expr = z - 0.5")),
-                ("induced_mismatch.cfg", cylinder.replace(
-                    "g_2_2 = 1\n", "g_2_2 = 1 + z\n"))):
-            path = Path(tmp, label)
-            path.write_text(text)
-            emit(f"custom verify {label}", _cli(cli, [
-                "custom", "verify", "--config", str(path), "--format",
-                "json"] + seed_arg))
+        for label, text in _config_runs(cli, root, tmp, seed_arg):
+            emit(label, text)
     emit("catalog verify cylinder_family --param R=0.001 --param C1=0",
          _cli(cli, ["catalog", "verify", "cylinder_family", "--param",
                     "R=0.001", "--param", "C1=0"] + seed_arg))
+    for command, value in (("catalog verify isometric_cylinder", "R=nan"),
+                           ("catalog verify isometric_cylinder", "R=inf"),
+                           ("catalog verify cylinder_family", "R=nan"),
+                           ("weierstrass check --case isometric_cylinder",
+                            "R=inf")):
+        emit(f"{command} --param {value}", _cli(
+            cli, command.split() + ["--param", value] + seed_arg))
     emit("check-transform --dims 2,3 --cases 2 --seed -1", _cli(cli, [
         "check-transform", "--dims", "2,3", "--cases", "2", "--seed", "-1"]))
     for label, radius, c1 in (("--radius 0.002", "0.002", "0"),
@@ -244,6 +226,10 @@ def _dump(root, seed, out):
         emit(f"cylinder solve {label}", _cli(cli, [
             "cylinder", "solve", "--radius", radius, "--c1", c1, "--c2",
             "2"]))
+    # rejected before any array of that many steps is allocated
+    emit("cylinder solve --steps 10**20", _cli(cli, [
+        "cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2",
+        "--steps", str(10 ** 20)]))
 
     _dump_fixed(seed, emit)
 
@@ -370,6 +356,47 @@ samples = 16
 """
 
 
+def _config_runs(cli, root, tmp, seed_arg):
+    """(label, line) of each CLI run of the dump on a config it writes to
+    the directory ``tmp``: ``weierstrass check`` of the overflowing and the
+    constant ``r2_wrap_r3`` config, then ``custom verify`` (JSON) of each
+    error-path config.  A line reads ``tmp`` as the fixed token TMP, so it
+    is the same whichever temporary directory holds the configs."""
+    def run(argv):
+        return _cli(cli, argv).replace(str(tmp), "TMP")
+
+    wrap = Path(root, "configs", "r2_wrap_r3.cfg").read_text()
+    for label, text in (
+            ("overflow.cfg", wrap.replace("exp(y/R)", "exp(800*y)")),
+            ("constant.cfg", wrap.replace(
+                "    R*cos(x/R)\n    R*sin(x/R)\n    y",
+                "    0\n    0\n    0"))):
+        path = Path(tmp, label)
+        path.write_text(text)
+        yield f"weierstrass check {label}", run([
+            "weierstrass", "check", "--config", str(path)] + seed_arg)
+    cylinder = Path(root, "configs", "cylinder_family.cfg").read_text()
+    for label, text in (
+            ("bent.cfg", _BENT), ("huge.cfg", _HUGE),
+            ("off_chart.cfg", _SHEET.format("-1:1", "-2:2", "3*u")),
+            ("jet_domain.cfg",
+             _SHEET.format("0.5:1", "-2:2", "ln(u - 0.7)")),
+            ("ufunc_overflow.cfg",
+             _SHEET.format("0.5:1", "-1e300:1e300", "exp(800*u)")),
+            ("non_finite_power.cfg",
+             _SHEET.format("0.5:1", "-2:2", "u^1e400")),
+            ("infinite_box.cfg", _SHEET.format("0.5:inf", "-2:2", "u")),
+            ("negative_factor.cfg", cylinder.replace(
+                "expr = exp(-z/(2*R))", "expr = z - 0.5")),
+            ("induced_mismatch.cfg", cylinder.replace(
+                "g_2_2 = 1\n", "g_2_2 = 1 + z\n"))):
+        path = Path(tmp, label)
+        path.write_text(text)
+        yield f"custom verify {label}", run([
+            "custom", "verify", "--config", str(path), "--format",
+            "json"] + seed_arg)
+
+
 def _one_shots(geometry, phi, g, h, pts):
     """(key, thunk) of each library one-shot on one geometry at ``pts``:
     the coefficients of ``metric_jets`` of g (one array, entry by entry),
@@ -451,10 +478,12 @@ def _expressions(root):
                     for c in (row if isinstance(row, tuple) else (row,))]
             for k, node in enumerate(flat):
                 yield f"{label} {key}[{k}]", node
-        if owner.factor is not None:
-            yield f"{label} factor", (expr.parse(owner.factor)
-                                      if isinstance(owner.factor, str)
-                                      else owner.factor)
+        # a factor is a ConformalFactor, or at an older checkout a source
+        # string or tree
+        factor = getattr(owner.factor, "ast", owner.factor)
+        if factor is not None:
+            yield f"{label} factor", (expr.parse(factor)
+                                      if isinstance(factor, str) else factor)
 
 
 def _decode(text):
