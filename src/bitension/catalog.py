@@ -14,8 +14,8 @@ inside its control.
 
 import functools
 import inspect
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,8 +403,8 @@ def _build(name, params, control=False):
     ``params``.  An unknown name, a parameter the callable does not take
     (keyword-only ones are switches, not parameters), a value that is
     not a number (a bool is not), a non-integral value for a parameter
-    whose default is an int and a value that is not finite raise
-    CaseError."""
+    whose default is an int and a value that is not finite, or an integer
+    beyond float range, raise CaseError."""
     if name not in _BUILDERS:
         known = ", ".join(CASE_NAMES)
         raise CaseError(f"unknown case '{name}' (choose from {known})")
@@ -421,12 +421,14 @@ def _build(name, params, control=False):
             raise CaseError(f"bad parameters for '{name}': {key} = "
                             f"{value!r} is not a number")
         if (isinstance(signature.parameters[key].default, int)
-                and not float(value).is_integer()):
+                and value % 1 != 0):
             raise CaseError(f"bad parameters for '{name}': {key} = "
                             f"{value!r} is not an integer")
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:
+            what = ("beyond float range" if isinstance(value, int)
+                    else "not finite")
             raise CaseError(f"bad parameters for '{name}': {key} = "
-                            f"{value!r} is not finite")
+                            f"{value!r} is {what}")
     return build(**params)
 
 

@@ -172,6 +172,7 @@ def law_sides(phi, g, h, fld, factor, x):
     *_transform_rhs functions), whose lower orders give the same low-degree
     coefficients.
     """
+    factor = ConformalFactor.of(factor)
     bar = MapState(phi, conformal_metric(g, factor), h, x, 4)
     state = bar.on(g)
     fac = _FactorData(state, factor)

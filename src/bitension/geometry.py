@@ -229,9 +229,27 @@ def _christoffel_sums(gj):
                                for l in range(m)])
 
 
+def _zero_connection(gj):
+    """None, unless every entry of the metric jets ``gj`` has variable
+    support 0: then the metric is constant, every partial of it and so
+    every Christoffel symbol is a known zero, and this is that zero, one
+    order below the metric jets, decided once rather than derived."""
+    entries = [e for row in gj for e in row]
+    if not any(e._variables() for e in entries):
+        shape = np.broadcast_shapes(*{e.value.shape for e in entries})
+        return jets.Jet.constant(np.zeros(shape), len(gj), gj[0][0].order - 1)
+
+
 def _christoffel_jets(gj, ginv):
-    """gamma[i][j][k] = Gamma^k_ij, one jet order below the metric jets."""
-    m, s = len(gj), _christoffel_sums(gj)
+    """gamma[i][j][k] = Gamma^k_ij, one jet order below the metric jets;
+    ``ginv`` is g^-1, or None to form it here at that order, which a
+    constant metric (:func:`_zero_connection`) never does."""
+    m, zero = len(gj), _zero_connection(gj)
+    if zero is not None:
+        return [[[zero] * m] * m] * m
+    if ginv is None:
+        ginv = _jet_matrix_inverse(gj, gj[0][0].order - 1)
+    s = _christoffel_sums(gj)
     # the pairs i <= j, each read as (i, j) and as (j, i)
     gamma = {(i, j): [jets.contract(zip(row, s(i, j))) * 0.5 for row in ginv]
              for i in range(m) for j in range(i, m)}
@@ -242,8 +260,12 @@ def _christoffel_trace_jets(gj, ginv):
     """gamma[k] = Gamma^k = g^ij Gamma^k_ij, one jet order below the metric
     jets, as g^kl v_l with v_l = 1/2 g^ij s(i, j)[l] (see
     :func:`_christoffel_sums`): m^2 (m + 1) / 2 + m^2 products for a full
-    metric, where the symbols themselves take m^3 (m + 1) / 2."""
-    m, s = len(gj), _christoffel_sums(gj)
+    metric, where the symbols themselves take m^3 (m + 1) / 2.  A constant
+    metric's are known zeros (:func:`_zero_connection`)."""
+    m, zero = len(gj), _zero_connection(gj)
+    if zero is not None:
+        return [zero] * m
+    s = _christoffel_sums(gj)
     v = [_metric_trace(ginv, lambda i, j: s(i, j)[l]) * 0.5 for l in range(m)]
     return [jets.contract(zip(row, v)) for row in ginv]
 
@@ -426,8 +448,7 @@ class _MapSide:
 
     @_stage
     def gammaN_y(self):
-        hinv_y = _jet_matrix_inverse(self.h_yjets, self.order - 2)
-        return _christoffel_jets(self.h_yjets, hinv_y)
+        return _christoffel_jets(self.h_yjets, None)
 
     @_stage
     def gammaN_stacks(self):
@@ -437,6 +458,12 @@ class _MapSide:
     @_stage
     def Q_jets(self):
         n, D = self.n, self.Dphi
+        gamma = [e for ab in self.gammaN_y for row in ab for e in row]
+        if all(e._zero for e in gamma):  # a constant target metric
+            shape = np.broadcast_shapes(D[0][0].value.shape,
+                                        *{e.value.shape for e in gamma})
+            zero = jets.Jet.constant(np.zeros(shape), self.m, self.order - 2)
+            return [[[zero] * n] * n] * self.m
         monos = jets.Monomials(self.phi_jets, self.order - 2)
         gnx = [[None] * n for _ in range(n)]
         for a in range(n):
@@ -502,6 +529,12 @@ class MapState:
       itself is :func:`curvature_tensor` of the target metric);
     * ``tension_values``, the tension field's values: the tension checks
       and the conformal-change laws, which read it several times.
+
+    A constant metric (every component jet of variable support 0, such as
+    a Euclidean chart) has its connection decided once, not derived:
+    ``gammaM_trace`` or ``gammaN_y`` is one shared known zero
+    (:func:`_zero_connection`), ``gammaN_y`` then forms no target inverse,
+    and ``Q_jets`` is known zeros when every ``gammaN_y`` jet is one.
 
     So a reader of the inputs alone (the complex-coordinate lane) builds no
     Christoffel symbols, and an error in a stage fails only its readers.  An
@@ -739,8 +772,7 @@ def metric_jets(metric, x, order=2):
 
 
 def _christoffel_of(metric, x):
-    rows = metric_jets(metric, x, order=2)
-    return _christoffel_jets(rows, _jet_matrix_inverse(rows, 1))
+    return _christoffel_jets(metric_jets(metric, x, order=2), None)
 
 
 def christoffel(metric, x):

@@ -709,25 +709,22 @@ def contract(terms):
       module docstring) at the smallest order among all the jet factors,
       with their broadcast batch shape.
     """
-    skipped = []
-
-    def kept():
-        for factors in terms:
-            factor_jets = [f for f in factors if isinstance(f, Jet)]
-            if not any(f.is_zero() for f in factor_jets):
-                yield reduce(operator.mul, factors)
-            else:
-                skipped.extend(factor_jets)
-
-    products = kept()
-    total = next(products, None)
+    total, skipped = None, []
+    for factors in terms:
+        for f in factors:
+            if isinstance(f, Jet) and f.is_zero():
+                skipped += [g for g in factors if isinstance(g, Jet)]
+                break
+        else:
+            product = factors[0]
+            for f in factors[1:]:
+                product = product * f
+            total = product if total is None else total + product
     if total is None:
         shapes = {f._c.shape[1:] for f in skipped}
         shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         return _zero_jet(skipped[0].num_vars, min(f.order for f in skipped),
                          shape)
-    for p in products:
-        total = total + p
     return total
 
 

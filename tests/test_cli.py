@@ -151,6 +151,13 @@ def test_evaluation_errors_exit_as_verify_case_records_them(capsys,
     # rejected before any array of that many steps is allocated
     (("cylinder", "solve", "--radius", "1", "--c1", "0", "--c2", "2",
       "--steps", str(10 ** 20)), "at most 10000000 steps"),
+    # an integer beyond float range is not converted to one
+    pytest.param(("catalog", "verify", "isometric_cylinder", "--param",
+                  f"R={10 ** 400}"), f"R = {10 ** 400} is beyond float range",
+                 id="R=10**400"),
+    pytest.param(("catalog", "verify", "identity", "--param",
+                  f"m={10 ** 400}"), f"m = {10 ** 400} is beyond float range",
+                 id="m=10**400"),
 ])
 def test_named_input_errors_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)

@@ -1118,6 +1118,71 @@ def test_a_euclidean_slab_has_known_zero_christoffel_jets():
         assert not jet.coeffs.flags.writeable and not any(jet.coeffs.strides)
 
 
+def _bent_plane():
+    """The bent plane (u, v, (u^4 + v^4)/4), whose tension and bitension do
+    not vanish, between Euclidean charts, each metric also written as
+    1 + 0*c and 0*c in a coordinate c of its chart: the same values with
+    variable support, so its connection is derived entry by entry."""
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "(u^4 + v^4)/4"))
+
+    def with_support(chart):
+        c, m = chart.coords[0], chart.dim
+        return RiemannianMetric.from_components(chart, [
+            [f"{int(i == j)} + 0*{c}" for j in range(m)] for i in range(m)])
+    g, h = RiemannianMetric.euclidean(dom), RiemannianMetric.euclidean(tgt)
+    return phi, g, h, with_support(dom), with_support(tgt), dom.sample(8, 3)
+
+
+def _recording(monkeypatch, name):
+    """Record the first argument of every call to geometry.<name>."""
+    calls, call = [], getattr(geometry, name)
+
+    def recording(*args):
+        calls.append(args[0])
+        return call(*args)
+
+    monkeypatch.setattr(geometry, name, recording)
+    return calls
+
+
+def _known_zeros(nest):
+    return all(jet._zero is True and not jet.coeffs.flags.writeable
+               and not any(jet.coeffs.strides) for jet in _every_jet(nest))
+
+
+def test_a_euclidean_target_has_a_known_zero_connection_and_no_inverse(
+        monkeypatch):
+    phi, g, h, _, h_support, x = _bent_plane()
+    state = MapState(phi, g, h, x, 4)
+    inverses = _recording(monkeypatch, "_jet_matrix_inverse")
+    sums = _recording(monkeypatch, "_christoffel_sums")
+    assert _known_zeros(state.gammaN_y) and _known_zeros(state.Q_jets)
+    # decided from the metric jets: no inverse, no symbol derived
+    assert inverses == [] and sums == []
+    general = MapState(phi, g, h_support, x, 4)
+    general.Q_jets
+    assert inverses == [general.h_yjets] and sums == [general.h_yjets]
+    for name in ("tension_values", "bitension_values"):
+        got, want = getattr(state, name), getattr(general, name)
+        assert np.max(np.abs(got)) > 0.1 and np.array_equal(got, want), name
+
+
+def test_a_euclidean_domain_has_a_known_zero_contracted_connection(
+        monkeypatch):
+    phi, g, h, g_support, _, x = _bent_plane()
+    state = MapState(phi, g, h, x, 4)
+    sums = _recording(monkeypatch, "_christoffel_sums")
+    assert _known_zeros(state.gammaM_trace) and sums == []
+    general = MapState(phi, g_support, h, x, 4)
+    general.gammaM_trace
+    assert sums == [general.g_jets]
+    for name in ("tension_values", "bitension_values"):
+        got, want = getattr(state, name), getattr(general, name)
+        assert np.max(np.abs(got)) > 0.1 and np.array_equal(got, want), name
+
+
 def test_zero_jets_of_an_order_four_slab_chunk_hold_no_memory():
     phi, g, h, _ = small_slab()
     # one chunk of the first-variation pairing: 65536 // 70 points of

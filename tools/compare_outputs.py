@@ -31,7 +31,9 @@ error paths and exit codes of the CLI: ``cylinder solve`` passing and
 failing its tolerance, overflowing at radius 0.002, given C1 = nan or
 radius inf and given 10**20 steps, ``catalog verify cylinder_family`` on
 the inadmissible member R = 0.001, C1 = 0 and at R = nan,
-``catalog verify isometric_cylinder`` at R = nan and R = inf,
+``catalog verify isometric_cylinder`` at R = nan, R = inf and
+R = 10**400, an integer beyond float range, ``catalog verify identity`` at
+m = 10**400,
 ``weierstrass check`` on ``isometric_cylinder`` at R = inf, on
 ``h5_inclusion`` (no 2d domain), on the ``r2_wrap_r3`` config with its
 domain metric made to overflow and on that config with its map made the
@@ -218,6 +220,11 @@ def _dump(root, seed, out):
                             "R=inf")):
         emit(f"{command} --param {value}", _cli(
             cli, command.split() + ["--param", value] + seed_arg))
+    for command, key in (("catalog verify isometric_cylinder", "R"),
+                         ("catalog verify identity", "m")):
+        emit(f"{command} --param {key}=10**400", _cli(
+            cli, command.split() + ["--param", f"{key}={10 ** 400}"]
+            + seed_arg))
     emit("check-transform --dims 2,3 --cases 2 --seed -1", _cli(cli, [
         "check-transform", "--dims", "2,3", "--cases", "2", "--seed", "-1"]))
     for label, radius, c1 in (("--radius 0.002", "0.002", "0"),
