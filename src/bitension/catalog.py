@@ -26,7 +26,8 @@ from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
 from .conformal import ConformalFactor, conformal_metric
 from .cylinder import CylinderParams
 from .expr import ExprEvalError
-from .geometry import GeometryInputError, MapState, MetricError, error_text
+from .geometry import (GeometryInputError, MapState, MetricError,
+                       _float_values, error_text)
 from .report import (VERSION, CheckRecord, VerificationReport,
                      check_record)
 
@@ -201,25 +202,15 @@ CHECK_KINDS = {
 }
 
 
-def _factor_sq_values(domain, source):
-    factor = ConformalFactor.of(source)
-
-    def run(pts):
-        variables = {c: pts[..., i] for i, c in enumerate(domain.coords)}
-        lam = expr_mod.evaluate(factor.ast, expr_mod.EvalContext(
-            variables, factor.parameters))
-        return np.asarray(lam, dtype=float) ** 2
-
-    return run
-
-
 def _assemble(name, params, phi, g, h, checks, induced=None, factor=None,
               lambda_sq=None, engine=None):
     """The case whose checks are the (kind, tolerance-or-None) pairs of
     ``checks``, each evaluated as CHECK_KINDS says.  ``lambda_sq`` defaults
     to the square of ``factor`` and ``engine`` to ``g``."""
     if lambda_sq is None and factor is not None:
-        lambda_sq = _factor_sq_values(phi.domain, factor)
+        fac = ConformalFactor.of(factor)
+        lambda_sq = lambda pts: _float_values(
+            (fac.ast,), phi.domain.coords, fac.parameters, pts)[..., 0] ** 2
     src = _Inputs(phi, g, h, induced, factor, lambda_sq,
                   g if engine is None else engine)
     entries = []
@@ -269,14 +260,15 @@ def _s5_stereographic(*, bend=False):
                      _defaults("bitension_zero", "tension_nonzero"))
 
 
-def _cylinder_case(shown, params, phi, g, h, lam):
+def _cylinder_case(shown, params, lam):
+    phi, gbar, h = cylinder.round_cylinder(params.radius, params.z_range)
     # recovery compares against the closed form of lambda^2: squaring the
     # sqrt(...) of lam would move ulps
     return _assemble(
-        "cylinder_family", shown, phi, g, h,
+        "cylinder_family", shown, phi, conformal_metric(gbar, lam), h,
         _defaults("bitension_zero", "tension_nonzero", "r3_tangential",
                   "r3_normal", "conformal_recovery"),
-        induced=cylinder.induced_metric(params, phi.domain), factor=lam,
+        induced=gbar, factor=lam,
         lambda_sq=lambda pts: cylinder.lambda_sq_closed_form(params,
                                                              pts[:, 1]))
 
@@ -284,9 +276,9 @@ def _cylinder_case(shown, params, phi, g, h, lam):
 def _cylinder_family(R=1.0, C1=0.0, C2=2.0, sign=-1):
     params = CylinderParams(float(R), float(C1), float(C2), int(sign),
                             (0.0, 1.0))
-    phi, g, h = cylinder.build_family_case(params)
+    cylinder.check_positive(params)
     return _cylinder_case({"R": R, "C1": C1, "C2": C2, "sign": sign},
-                          params, phi, g, h, cylinder.lambda_factor(params))
+                          params, cylinder.lambda_factor(params))
 
 
 def _broken_cylinder(R=1.0):
@@ -294,10 +286,10 @@ def _broken_cylinder(R=1.0):
     the solution family allows."""
     radius = float(R)
     params = CylinderParams(radius, 0.0, 2.0, 1, (0.0, 1.0))
-    phi, _, h = cylinder.build_family_case(params)
-    lam = ConformalFactor(expr_mod.parse("exp(z/R)"), {"R": radius})
-    g = conformal_metric(cylinder.induced_metric(params, phi.domain), lam)
-    return _cylinder_case({"R": radius}, params, phi, g, h, lam)
+    cylinder.check_positive(params)
+    return _cylinder_case(
+        {"R": radius}, params,
+        ConformalFactor(expr_mod.parse("exp(z/R)"), {"R": radius}))
 
 
 def _wrap_case(name, copies, *, exponent=1.0):
@@ -342,26 +334,27 @@ def _identity(m=3, *, bend=False):
                      _defaults("tension_zero", "bitension_zero"))
 
 
+def _scaled(metric, scale):
+    """``scale`` times ``metric``: a constant entry becomes the constant
+    product, any other the tree scale*entry; mirror entries stay one tree."""
+    def times(c):
+        if isinstance(c, expr_mod.Const):
+            return expr_mod.Const(scale * c.value)
+        return expr_mod.Binary("*", expr_mod.Const(scale), c)
+
+    scaled = {id(c): times(c) for row in metric.components for c in row}
+    return RiemannianMetric(metric.domain, tuple(
+        tuple(scaled[id(c)] for c in row) for row in metric.components),
+        dict(metric.parameters))
+
+
 def _isometric_cylinder(R=1.0, *, engine_scale=1.0):
-    radius = float(R)
-    dom = ChartDomain(("theta", "z"), ((0.1, 6.0), (-1.0, 1.0)))
-    tgt = ChartDomain(("rho", "psi", "w"),
-                      ((0.5 * radius, 2.0 * radius + 3.0), (0.05, 6.25),
-                       (-1.5, 1.5)))
-    h = RiemannianMetric.from_components(
-        tgt, [["1", "0", "0"], ["0", "rho^2", "0"], ["0", "0", "1"]])
-    phi = SmoothMap.from_components(dom, tgt, ("R", "theta", "z"),
-                                    {"R": radius})
-    induced = RiemannianMetric.from_components(
-        dom, [["R^2", "0"], ["0", "1"]], {"R": radius})
-    scale = float(engine_scale)
-    engine = RiemannianMetric.from_components(
-        dom, [[f"{scale!r}*R^2", "0"], ["0", f"{scale!r}"]], {"R": radius})
+    phi, induced, h = cylinder.round_cylinder(float(R), (-1.0, 1.0))
     # chen_match's engine side runs on the scaled metric, while
     # tension_nonzero stays on the induced one
     return _assemble("isometric_cylinder", {"R": R}, phi, induced, h,
                      _defaults("chen_match", "tension_nonzero"),
-                     engine=engine)
+                     engine=_scaled(induced, float(engine_scale)))
 
 
 _BUILDERS = {

@@ -5,8 +5,8 @@ metric gbar = R^2 dtheta^2 + dz^2, becomes proper biharmonic for the
 rescaled domain metric g = lambda^-2 gbar exactly when the factor depends
 on z alone and solves (lambda^2)'' = lambda^2 / R^2.  This module carries
 the closed-form solutions, an RK4 integrator for cross-checking them, and
-builders that package a family member as (map, metric, metric) inputs for
-the bitension engine.
+the round cylinder itself as (map, induced metric, target metric) inputs
+for the bitension engine, written once for every cylinder case.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartDomain, DomainError, RiemannianMetric, SmoothMap
-from .conformal import ConformalFactor, conformal_metric
+from .conformal import ConformalFactor
 from .expr import parse
 
 _GRID = 257  # positivity is checked on this many equally spaced z values
@@ -52,22 +52,25 @@ class CylinderParams:
                                  "finite")
 
 
-def lambda_sq_closed_form(params, z):
-    """The squared conformal factor (c2 e^{s z/R} - c1 c2^-1 R^2 e^{-s z/R})/2."""
+def _branches(params, z):
+    """The two exponential branches c2 e^{s z/R} and c1 c2^-1 R^2 e^{-s z/R}
+    of the squared factor."""
     z = np.asarray(z, dtype=float)
     r, s = params.radius, params.sign
-    grow = params.c2 * np.exp(s * z / r)
-    decay = params.c1 / params.c2 * r ** 2 * np.exp(-s * z / r)
+    return (params.c2 * np.exp(s * z / r),
+            params.c1 / params.c2 * r ** 2 * np.exp(-s * z / r))
+
+
+def lambda_sq_closed_form(params, z):
+    """The squared conformal factor (c2 e^{s z/R} - c1 c2^-1 R^2 e^{-s z/R})/2."""
+    grow, decay = _branches(params, z)
     return 0.5 * (grow - decay)
 
 
 def lambda_sq_slope(params, z):
     """d/dz of the squared factor (used to seed the integrator exactly)."""
-    z = np.asarray(z, dtype=float)
-    r, s = params.radius, params.sign
-    grow = params.c2 * np.exp(s * z / r)
-    decay = params.c1 / params.c2 * r ** 2 * np.exp(-s * z / r)
-    return 0.5 * s / r * (grow + decay)
+    grow, decay = _branches(params, z)
+    return 0.5 * params.sign / params.radius * (grow + decay)
 
 
 def lambda_factor(params):
@@ -166,29 +169,23 @@ def solve_ode(params, y0=None, y0prime=None, steps=256):
                   float(np.max(np.abs(values - exact))), float(drift))
 
 
-def build_family_case(params):
-    """(map, domain metric, target metric) for one family member.
-
-    The map is the radius-R cylinder into a cylindrical chart of flat
-    3-space; the domain metric is conformal_metric(gbar, lambda), the
-    induced metric gbar divided by lambda^2.
-    """
-    check_positive(params)
-    lo, hi = params.z_range
-    r = params.radius
+def round_cylinder(radius, z_range):
+    """(map, induced metric gbar, target metric) of the round cylinder of
+    ``radius`` over ``z_range``: the map (R, theta, z) into a cylindrical
+    chart of flat 3-space, gbar = R^2 dtheta^2 + dz^2 and the flat metric
+    diag(1, rho^2, 1).  A radius that is not positive raises
+    ParameterError."""
+    if not radius > 0.0:
+        raise ParameterError("radius must be positive")
+    lo, hi = z_range
     dom = ChartDomain(("theta", "z"), ((0.1, 6.0), (lo, hi)))
     target = ChartDomain(("rho", "psi", "w"),
-                         ((0.5 * r, 2.0 * r + 3.0), (0.05, 6.25),
+                         ((0.5 * radius, 2.0 * radius + 3.0), (0.05, 6.25),
                           (lo - 0.5, hi + 0.5)))
     flat3 = RiemannianMetric.from_components(
         target, [["1", "0", "0"], ["0", "rho^2", "0"], ["0", "0", "1"]])
-    g = conformal_metric(induced_metric(params, dom), lambda_factor(params))
+    gbar = RiemannianMetric.from_components(
+        dom, [["R^2", "0"], ["0", "1"]], {"R": radius})
     phi = SmoothMap.from_components(dom, target, ("R", "theta", "z"),
-                                    {"R": r})
-    return phi, g, flat3
-
-
-def induced_metric(params, domain):
-    """The unrescaled cylinder metric R^2 dtheta^2 + dz^2 on ``domain``."""
-    return RiemannianMetric.from_components(
-        domain, [["R^2", "0"], ["0", "1"]], {"R": params.radius})
+                                    {"R": radius})
+    return phi, gbar, flat3

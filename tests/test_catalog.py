@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bitension import catalog, geometry, jets, report, surfaces
+from bitension import catalog, cylinder, geometry, jets, report, surfaces
 from bitension.charts import ChartDomain, DomainError, RiemannianMetric, \
     SmoothMap
 from bitension.config import load_config
@@ -312,6 +312,41 @@ def test_degenerate_cylinder_parameters_are_rejected():
     # lambda^2(0) = (1 - 4)/2 < 0: never silently verified
     with pytest.raises(DomainError, match="positive"):
         catalog.build_case("cylinder_family", R=1.0, C1=4.0, C2=1.0, sign=1)
+
+
+@pytest.mark.parametrize("name", ["isometric_cylinder", "cylinder_family"])
+@pytest.mark.parametrize("radius", [-2.0, 0.0, -1.0])
+def test_every_cylinder_case_rejects_a_radius_that_is_not_positive(name,
+                                                                  radius):
+    for build in (catalog.build_case, catalog.negative_control):
+        with pytest.raises(cylinder.ParameterError,
+                           match="radius must be positive"):
+            build(name, R=radius)
+
+
+def test_a_cylinder_member_builds_one_factor_after_admissibility(
+        monkeypatch):
+    calls = []
+
+    def counted(build):
+        def wrapper(*args):
+            calls.append(build.__name__)
+            return build(*args)
+        return wrapper
+
+    for name in ("lambda_factor", "check_positive", "round_cylinder"):
+        monkeypatch.setattr(cylinder, name, counted(getattr(cylinder, name)))
+    case = catalog.build_case("cylinder_family")
+    assert calls == ["check_positive", "lambda_factor", "round_cylinder"]
+    # the domain metric and the checks read that one factor
+    src = case._entries[0][1].args[0]
+    g = case.geometry[1]
+    assert g.factor is src.factor.ast
+    assert g.components == src.induced.components
+    calls.clear()
+    with pytest.raises(DomainError, match="positive"):
+        catalog.build_case("cylinder_family", R=1.0, C1=4.0, C2=1.0, sign=1)
+    assert calls == ["check_positive"]
 
 
 def test_tolerance_override_is_respected():

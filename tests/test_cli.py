@@ -158,6 +158,17 @@ def test_evaluation_errors_exit_as_verify_case_records_them(capsys,
     pytest.param(("catalog", "verify", "identity", "--param",
                   f"m={10 ** 400}"), f"m = {10 ** 400} is beyond float range",
                  id="m=10**400"),
+    # every cylinder case rejects a radius <= 0 by one rule, before any
+    # chart box is built from it
+    *[pytest.param(tuple(command.split()) + ("--param", f"R={value}"),
+                   "error: radius must be positive",
+                   id=f"{command.split()[0]}-{name}-R={value}")
+      for command, name in (
+          ("catalog verify isometric_cylinder", "isometric"),
+          ("weierstrass check --case isometric_cylinder", "isometric"),
+          ("catalog verify cylinder_family", "family"),
+          ("weierstrass check --case cylinder_family", "family"))
+      for value in ("-2", "0", "-1")],
 ])
 def test_named_input_errors_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)
@@ -411,17 +422,49 @@ def test_every_shipped_config_passes(capsys, path):
     assert "overall: PASS" in out
 
 
+# check -> (max_abs of the config, max_abs of the case, whether the two
+# name one worst point) where the shipped cylinder_family.cfg differs from
+# its case in ulps: the config writes g = lambda^-2 gbar out by hand, where
+# the case forms conformal_metric(gbar, lambda), so the two round
+# differently
+CYLINDER_CONFIG_ULPS = {
+    "bitension_zero": ("0x1.0000000000000p-52", "0x1.8000000000000p-51",
+                       False),
+    "tension_nonzero": ("0x1.8d007943049b7p-2", "0x1.8d007943049b6p-2",
+                        True),
+    "r3_normal": ("0x1.0000000000000p-52", "0x1.0000000000000p-52", False),
+    "conformal_recovery": ("0x1.8000000000000p-53", "0x1.4000000000000p-52",
+                           False),
+}
+
+
 def test_custom_config_matches_catalog_verdict(capsys):
-    path = next(p for p in CONFIGS if p.stem == "h5_inclusion")
-    code, custom_out, _ = run(capsys, "custom", "verify", "--config",
-                              str(path), "--format", "json",
-                              "--seed", "7", "--samples", "64")
-    assert code == 0
-    code, cat_out, _ = run(capsys, "catalog", "verify", "h5_inclusion",
-                           "--format", "json", "--seed", "7",
-                           "--samples", "64")
-    assert code == 0
-    assert json.loads(custom_out) == json.loads(cat_out)
+    # every shipped config restates the case it is named after
+    assert sorted(p.stem for p in CONFIGS) == sorted(catalog.CASE_NAMES)
+    for path in CONFIGS:
+        code, custom_out, _ = run(capsys, "custom", "verify", "--config",
+                                  str(path), "--format", "json",
+                                  "--seed", "7", "--samples", "64")
+        assert code == 0
+        code, cat_out, _ = run(capsys, "catalog", "verify", path.stem,
+                               "--format", "json", "--seed", "7",
+                               "--samples", "64")
+        assert code == 0
+        custom, case = json.loads(custom_out), json.loads(cat_out)
+        if path.stem != "cylinder_family":
+            assert custom == case, path.stem
+            continue
+        assert ([c["name"] for c in custom["checks"]]
+                == [c["name"] for c in case["checks"]])
+        for mine, theirs in zip(custom["checks"], case["checks"]):
+            assert mine["pass"] is theirs["pass"] is True
+            pinned = CYLINDER_CONFIG_ULPS.get(mine["name"])
+            if pinned is None:
+                assert mine == theirs
+            else:
+                assert (mine["max_abs"].hex(), theirs["max_abs"].hex(),
+                        mine["worst_point"] == theirs["worst_point"]
+                        ) == pinned, mine["name"]
 
 
 def test_custom_config_errors(capsys, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from bitension import cylinder, expr, geometry, jets, surfaces
 from bitension.charts import DomainError
+from bitension.conformal import conformal_metric
 from bitension.cylinder import CylinderParams
 
 import support
@@ -127,7 +128,8 @@ def test_branch_fit_prefers_nonzero_constant():
     CylinderParams(0.5, 1.0, 2.0, 1, (0.0, 1.0)),
 ])
 def test_family_members_are_proper_biharmonic(params):
-    phi, g, h = cylinder.build_family_case(params)
+    phi, gbar, h = cylinder.round_cylinder(params.radius, params.z_range)
+    g = conformal_metric(gbar, cylinder.lambda_factor(params))
     dom = phi.domain
     pts = dom.sample(64, 21)
     probe = geometry.conformality_factor(phi, g, h, pts)
@@ -145,12 +147,19 @@ def test_family_members_are_proper_biharmonic(params):
 
 def test_family_member_satisfies_surface_system():
     params = CylinderParams(1.3, 0.0, 2.0, -1, (-1.0, 1.0))
-    phi, g, h = cylinder.build_family_case(params)
+    phi, gbar, h = cylinder.round_cylinder(params.radius, params.z_range)
+    lam = cylinder.lambda_factor(params)
     pts = phi.domain.sample(32, 22)
-    induced = cylinder.induced_metric(params, phi.domain)
-    sd = surfaces.surface_data(phi, induced, h, pts)
+    sd = surfaces.surface_data(phi, gbar, h, pts)
     tangential, normal = surfaces.r3_system_residual(
-        sd, cylinder.lambda_factor(params),
-        geometry.MapState(phi, g, h, pts, 3))
+        sd, lam, geometry.MapState(phi, conformal_metric(gbar, lam), h, pts,
+                                   3))
     assert np.max(np.abs(tangential)) < 1e-8
     assert np.max(np.abs(normal)) < 1e-8
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, -2.0, float("nan")])
+def test_the_round_cylinder_needs_a_positive_radius(radius):
+    with pytest.raises(cylinder.ParameterError,
+                       match="radius must be positive"):
+        cylinder.round_cylinder(radius, (0.0, 1.0))

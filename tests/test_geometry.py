@@ -934,6 +934,32 @@ def test_first_variation_matches_bitension_pairing():
     assert 3.0 < err_full / err_half < 5.2
 
 
+def test_first_variation_sees_a_target_that_is_not_conformally_flat():
+    # criterion 9's recipe and bounds on a target whose curvature map K is
+    # not symmetric, so a transposed term of K moves the bitension pairing
+    # but not the energy slope, which reads the tension only
+    dom = ChartDomain(("x", "y"), ((0.0, 1.0),) * 2)
+    g = RiemannianMetric.conformally_flat(dom, "exp(x)")
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    h = RiemannianMetric.from_components(tgt, [
+        ["1+0.3*q^2", "0.2*p*r", "0.1*q"],
+        ["0.2*p*r", "1+0.2*r^2", "0.15*p*q"],
+        ["0.1*q", "0.15*p*q", "1+0.25*p^2"]])
+    phi = SmoothMap.from_components(dom, tgt, ("x^3", "y", "x*y"))
+    k = MapState(phi, g, h, dom.sample(64, 7), 4).curvature_map
+    assert np.max(np.abs(k - k.mT)) / np.max(np.abs(k)) > 1e-2
+    bump = "100*(x*(1-x)*y*(1-y))^3"
+    field = VectorFieldAlongMap.from_components((bump,) * 3)
+    one = geometry.first_variation(phi, g, h, field, eps=1e-2, nodes=24)
+    two = geometry.first_variation(phi, g, h, field, eps=5e-3, nodes=24)
+    target = geometry.VARIATION_SIGN * one["pairing"]
+    errs = [abs(one["slope"] - target), abs(one["slope_half"] - target),
+            abs(two["slope_half"] - target)]
+    ratios = [errs[i] / errs[i + 1] for i in range(2)]
+    assert abs(target) > 1e-4 and errs[2] > 0.0
+    assert all(3.0 < r < 5.5 for r in ratios), ratios
+
+
 def test_first_variation_vanishes_at_biharmonic_map():
     dom, _, tgt, h5, phi = hyperbolic_inclusion()
     box = ((-1.0, 1.0),) * 3 + ((0.5, 1.5),)

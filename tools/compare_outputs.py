@@ -30,11 +30,11 @@ case geometry at the catalog's sample points, or the error one raises; the
 error paths and exit codes of the CLI: ``cylinder solve`` passing and
 failing its tolerance, overflowing at radius 0.002, given C1 = nan or
 radius inf and given 10**20 steps, ``catalog verify cylinder_family`` on
-the inadmissible member R = 0.001, C1 = 0 and at R = nan,
-``catalog verify isometric_cylinder`` at R = nan, R = inf and
+the inadmissible member R = 0.001, C1 = 0 and at R = nan and R = 0,
+``catalog verify isometric_cylinder`` at R = nan, R = inf, R = -2, R = 0 and
 R = 10**400, an integer beyond float range, ``catalog verify identity`` at
 m = 10**400,
-``weierstrass check`` on ``isometric_cylinder`` at R = inf, on
+``weierstrass check`` on ``isometric_cylinder`` at R = inf and R = -2, on
 ``h5_inclusion`` (no 2d domain), on the ``r2_wrap_r3`` config with its
 domain metric made to overflow and on that config with its map made the
 constant (0, 0, 0), and
@@ -217,7 +217,12 @@ def _dump(root, seed, out):
                            ("catalog verify isometric_cylinder", "R=inf"),
                            ("catalog verify cylinder_family", "R=nan"),
                            ("weierstrass check --case isometric_cylinder",
-                            "R=inf")):
+                            "R=inf"),
+                           ("catalog verify isometric_cylinder", "R=-2"),
+                           ("catalog verify isometric_cylinder", "R=0"),
+                           ("catalog verify cylinder_family", "R=0"),
+                           ("weierstrass check --case isometric_cylinder",
+                            "R=-2")):
         emit(f"{command} --param {value}", _cli(
             cli, command.split() + ["--param", value] + seed_arg))
     for command, key in (("catalog verify isometric_cylinder", "R"),
