@@ -82,11 +82,12 @@ class _SharedStates:
     """Order-4 map states at one batch of points, shared by a case's checks.
 
     States are keyed by the identity of their (map, domain metric, target
-    metric) objects, which hold dicts and so cannot be hashed.  The states
-    of one (map, target metric) share one map side: the first that builds,
-    their kin, lends it to the others (:meth:`MapState.on`).  A build that
-    raises is not kept: every check that needs it fails on its own, and a
-    domain metric that cannot be built fails only the checks that read it.
+    metric) objects, which hold dicts and so cannot be hashed.  Every
+    state has the same points and order, and a case's checks read one map
+    and target metric, so its states are built one after another on them
+    and share one map side (see :class:`MapState`).  A build that raises
+    is not kept: every check that needs it fails on its own, and a domain
+    metric that cannot be built fails only the checks that read it.
     """
 
     def __init__(self, pts):
@@ -100,10 +101,8 @@ class _SharedStates:
         return self._built[key]
 
     def map(self, phi, g, h):
-        kin = self._get("kin", (phi, h),
-                        lambda: MapState(phi, g, h, self.pts, 4))
         return self._get("map", (phi, g, h),
-                         lambda: kin if kin.g is g else kin.on(g))
+                         lambda: MapState(phi, g, h, self.pts, 4))
 
     def surface(self, phi, g, h):
         return self._get("surface", (phi, g, h),
@@ -260,7 +259,9 @@ def _s5_stereographic(*, bend=False):
                      _defaults("bitension_zero", "tension_nonzero"))
 
 
-def _cylinder_case(shown, params, lam):
+def _cylinder_case(shown, params, lam, lambda_sq):
+    """The round cylinder of ``params`` with factor ``lam``, whose closed
+    form lambda^2 is ``lambda_sq(params, z)``."""
     phi, gbar, h = cylinder.round_cylinder(params.radius, params.z_range)
     # recovery compares against the closed form of lambda^2: squaring the
     # sqrt(...) of lam would move ulps
@@ -269,8 +270,7 @@ def _cylinder_case(shown, params, lam):
         _defaults("bitension_zero", "tension_nonzero", "r3_tangential",
                   "r3_normal", "conformal_recovery"),
         induced=gbar, factor=lam,
-        lambda_sq=lambda pts: cylinder.lambda_sq_closed_form(params,
-                                                             pts[:, 1]))
+        lambda_sq=lambda pts: lambda_sq(params, pts[:, 1]))
 
 
 def _cylinder_family(R=1.0, C1=0.0, C2=2.0, sign=-1):
@@ -278,18 +278,26 @@ def _cylinder_family(R=1.0, C1=0.0, C2=2.0, sign=-1):
                             (0.0, 1.0))
     cylinder.check_positive(params)
     return _cylinder_case({"R": R, "C1": C1, "C2": C2, "sign": sign},
-                          params, cylinder.lambda_factor(params))
+                          params, cylinder.lambda_factor(params),
+                          cylinder.lambda_sq_closed_form)
 
 
 def _broken_cylinder(R=1.0):
-    """The cylinder with factor lambda^2 = exp(2z/R): twice the decay rate
-    the solution family allows."""
+    """The cylinder of radius R with factor lambda = exp(z/R), so
+    lambda^2 = exp(2z/R): twice the rate the solution family allows (its
+    member (C1, C2, sign) = (0, 2, +1) has lambda^2 = exp(z/R))."""
     radius = float(R)
     params = CylinderParams(radius, 0.0, 2.0, 1, (0.0, 1.0))
-    cylinder.check_positive(params)
+    cylinder.check_positive(params, _doubled_rate)
     return _cylinder_case(
         {"R": radius}, params,
-        ConformalFactor(expr_mod.parse("exp(z/R)"), {"R": radius}))
+        ConformalFactor(expr_mod.parse("exp(z/R)"), {"R": radius}),
+        _doubled_rate)
+
+
+def _doubled_rate(params, z):
+    # the broken cylinder's own lambda^2 = exp(2z/R)
+    return np.exp(2.0 * z / params.radius)
 
 
 def _wrap_case(name, copies, *, exponent=1.0):

@@ -83,16 +83,18 @@ def lambda_factor(params):
         "R": params.radius, "C1": params.c1, "C2": params.c2})
 
 
-def check_positive(params):
-    """Verify 0 < lambda^2 < inf across the z range; report the first z
-    where lambda^2 is not positive or not finite (an overflowed exponential
-    reads inf, and 0 * inf reads nan).  Overflow and invalid values are
-    computed, not raised, whatever the caller's ``np.errstate``: this check
-    rejects them, with its DomainError."""
+def check_positive(params, lambda_sq=lambda_sq_closed_form):
+    """Verify 0 < lambda^2 < inf across the z range, with lambda^2 read by
+    ``lambda_sq(params, z)`` (the closed form of the solution family by
+    default); report the first z where lambda^2 is not positive or not
+    finite (an overflowed exponential reads inf, and 0 * inf reads nan).
+    Overflow and invalid values are computed, not raised, whatever the
+    caller's ``np.errstate``: this check rejects them, with its
+    DomainError."""
     lo, hi = params.z_range
     z = np.linspace(lo, hi, _GRID)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = lambda_sq_closed_form(params, z)
+        vals = lambda_sq(params, z)
     bad = np.nonzero(~(np.isfinite(vals) & (vals > 0.0)))[0]
     if bad.size:
         raise DomainError("conformal factor is not positive and finite on the "

@@ -22,9 +22,10 @@ docstring fixes the zero-skipping rule and the summation order.
 
 A :class:`MapState` holds the per-point data for one (map, domain metric,
 target metric, batch of points, derivative order) tuple, as a domain side
-and a map side that a second state of the same map can share.  It validates
-its inputs when built and derives every other stage on first read, so a
-reader pays only for the stages it uses.
+and a map side.  A state built on the map, target metric, points and order
+of the state built just before it shares that state's map side.  It
+validates its inputs when built and derives every other stage on first
+read, so a reader pays only for the stages it uses.
 
 Each metric is evaluated, checked symmetric and checked positive definite in
 one step (:func:`_sym_matrix_jets`), and each batch of points is checked
@@ -478,6 +479,18 @@ class _MapSide:
         return jets.stack_values(self.Q_jets)
 
 
+def _bits(value):
+    # a number or array as its dtype, shape and raw bytes
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# [key, side]: the map side of the last MapState built, keyed by what it was
+# built from; the side holds its map and target metric, so their ids are not
+# reused while it is kept
+_last = [None, None]
+
+
 class MapState:
     """Jets of one map between metric charts at a batch of points.
 
@@ -493,15 +506,27 @@ class MapState:
     ``Q_jets``), one per (map, target metric, points, order).  Their stages
     read as attributes of the state.  The stages that read both sides
     (``curvature_map``, the tension, the bitension, covariant derivatives
-    and the Laplacians) are the state's own.  :meth:`on` builds the state of
-    the same map on another domain metric, sharing this state's map side:
-    the paper's conformal-change laws compare one map under two metrics.
+    and the Laplacians) are the state's own.
+
+    The paper's conformal-change laws compare one map under two domain
+    metrics, so a state reuses the map side of the state built just before
+    it, with every stage built on it then or later, when both have the same
+    map and target metric objects, the same order, points equal bit for bit
+    and the parameters of the map and the target metric equal bit for bit
+    to their values when that side was built (so an array edited in place
+    gets a new side).  The module keeps that one side only: a state that
+    cannot reuse it drops it before seeding its points, and keeps its own
+    side once it is built; the quadrature loop (:func:`_integrate`) drops
+    it after each chunk, whose successor has other points.  A shared side gives the same bits as a rebuilt
+    one, and the state still builds and validates its own domain side.
 
     Building a state evaluates and validates its inputs, in this order: the
     points (``domain.require``); the domain metric ``g_jets``/``g_val``
     (symmetric and positive definite); the map ``phi_jets`` and its image
     ``y0`` (``codomain.require``); the target metric ``h_yjets``/``hN_val``
-    at the image (symmetric and positive definite).  Every other stage is
+    at the image (symmetric and positive definite).  A reused map side was
+    validated when it was built; a side whose build raised is not kept, so
+    the next state on its inputs raises again.  Every other stage is
     built on first read and then kept; a stage that raises is not kept, so
     reading it again raises again.  The stages and their readers:
 
@@ -573,24 +598,22 @@ class MapState:
             raise GeometryInputError("domain metric lives on a different chart")
         if h.domain.coords != phi.codomain.coords:
             raise GeometryInputError("target metric lives on a different chart")
-        x, xvars = _seeds(phi.domain, x, order)
-        # arguments run left to right: the domain metric is validated first
-        self._join(_DomainSide(g, x, xvars, order),
-                   _MapSide(phi, h, x, xvars, order))
-
-    def on(self, g):
-        """The state of this map, target metric, points and order on the
-        domain metric ``g``.  It shares this state's map side, with every
-        stage built on it now or later, and builds and validates its own
-        domain side as the constructor does."""
-        if g.domain.coords != self.phi.domain.coords:
-            raise GeometryInputError("domain metric lives on a different chart")
-        state = object.__new__(type(self))
-        state._join(_DomainSide(g, self.x, self._xvars, self.order), self._map)
-        return state
-
-    def _join(self, domain, side):
-        self._domain, self._map = domain, side
+        key = (id(phi), id(h), order, _bits(x),
+               *(tuple((k, *_bits(v)) for k, v in obj.parameters.items())
+                 for obj in (phi, h)))
+        kept, side = _last  # one read, so the key and its side agree
+        if kept == key:
+            self._domain = _DomainSide(g, side.x, side._xvars, order)
+        else:
+            # the kept side is released before the points are seeded
+            side = None
+            _last[:] = None, None
+            x, xvars = _seeds(phi.domain, x, order)
+            # the domain metric is validated first
+            self._domain = _DomainSide(g, x, xvars, order)
+            side = _MapSide(phi, h, x, xvars, order)
+            _last[:] = key, side
+        self._map = side
         self._tension = self._bitension = None
         self._derivatives = {}  # id(section) -> (section, its derivative)
 
@@ -905,6 +928,9 @@ def _integrate(integrand, box, nodes, order, width=1):
             weight = weight * w[i]
         terms.append(integrand(np.stack([a[i] for a, i in zip(axes, idx)],
                                         axis=-1), weight))
+        # the next chunk's points differ, so this chunk's map side cannot
+        # serve it; holding it while they are built slows quadrature
+        _last[:] = None, None
     return np.sum(np.concatenate(terms, axis=-1), axis=-1)
 
 

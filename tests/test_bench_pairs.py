@@ -66,6 +66,48 @@ def test_a_loss_of_digits_is_read_in_digits():
     assert margin["change_wins"] == 0
 
 
+def _verdict(parent, change):
+    # the verdict_s summary of runs that differ in verdict_s alone
+    runs = {"parent": _parsed(*[(v, 7.0) for v in parent]),
+            "change": _parsed(*[(v, 7.0) for v in change])}
+    return bench_pairs.summarise(runs, _BENCH["end_to_end"])["verdict_s"]
+
+
+def test_a_clear_win_shows_a_gain():
+    parent = [0.45, 0.44, 0.46, 0.45, 0.43, 0.47, 0.45, 0.44, 0.46, 0.45]
+    out = _verdict(parent, [v - 0.08 for v in parent])
+    assert out["change_wins"] == 10
+    assert out["gain_shown"] and not out["unresolved"]
+
+
+def test_eight_wins_in_ten_show_no_gain():
+    parent = [0.45] * 10
+    change = [0.36] * 8 + [0.46, 0.47]
+    out = _verdict(parent, change)
+    assert out["change_wins"] == 8
+    assert not out["gain_shown"] and not out["unresolved"]
+    # nine wins in ten with the same medians show it
+    assert _verdict(parent, [0.36] * 9 + [0.46])["gain_shown"]
+
+
+def test_a_gain_within_the_parents_spread_is_not_shown():
+    # nine wins, but the medians differ by less than the parent's q3 - q1
+    parent = [0.3, 0.5] * 5
+    out = _verdict(parent, [v - 0.01 for v in parent[:9]] + [0.6])
+    assert out["change_wins"] == 9 and not out["gain_shown"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # the parent's quartiles span 0.3 .. 0.5, 50% of its median 0.4,
+    # against a bound of 20%
+    parent = [0.3, 0.5] * 5
+    out = _verdict(parent, [0.35, 0.45] * 5)
+    assert out["bound"] == 0.2 and out["unresolved"]
+    assert not out["gain_shown"]
+    # every change run below every parent run resolves it
+    assert not _verdict(parent, [0.2] * 10)["unresolved"]
+
+
 @pytest.mark.parametrize("correct", [True, False])
 def test_pairs_alternate_and_an_incorrect_run_fails_the_tool(
         monkeypatch, tmp_path, correct):

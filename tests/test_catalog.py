@@ -134,10 +134,11 @@ def test_checks_share_map_states(monkeypatch, name, metrics):
     case = catalog.build_case(name)
     built = support.record_builds(monkeypatch)
     assert catalog.verify_case(case).passed
-    # one constructor call, one state per domain metric, and one map side
-    # for them all, whose target Christoffel symbols and Q are built once
-    assert support.build_counts(built) == {
-        "state": 1, "domain": metrics, "map": 1, "gammaN_y": 1, "Q_jets": 1}
+    # one state per domain metric, and one map side for them all, whose
+    # target Christoffel symbols and Q are built once
+    assert support.build_counts(built) == {"state": metrics, "domain": metrics,
+                                           "map": 1, "gammaN_y": 1,
+                                           "Q_jets": 1}
     sides = [side for kind, side in built if kind == "domain"]
     assert len({id(side.g) for side in sides}) == metrics
 
@@ -347,6 +348,22 @@ def test_a_cylinder_member_builds_one_factor_after_admissibility(
     with pytest.raises(DomainError, match="positive"):
         catalog.build_case("cylinder_family", R=1.0, C1=4.0, C2=1.0, sign=1)
     assert calls == ["check_positive"]
+
+
+def test_the_cylinder_control_reads_its_own_factor():
+    control, key = catalog.negative_control("cylinder_family")
+    records = {c.name: c for c in catalog.verify_case(control).checks}
+    # lambda^2 = exp(2z/R) is what the fit recovers; the key check still
+    # fails by its old margin
+    assert records["conformal_recovery"].passed
+    assert records["conformal_recovery"].max_abs < 1e-12
+    assert not records[key].passed
+    assert round(records[key].max_abs, 2) == 132.79
+    # exp(2z/R) overflows on 0 <= z <= 1 below R = 2/709.78 = 0.00282,
+    # where exp(z/R) still stays finite down to R = 0.00141
+    for radius in (0.001, 0.0015, 0.002, 0.0027):
+        with pytest.raises(DomainError, match="not positive and finite"):
+            catalog.negative_control("cylinder_family", R=radius)
 
 
 def test_tolerance_override_is_respected():

@@ -169,14 +169,39 @@ def test_law_sides_builds_one_state_per_geometry(monkeypatch):
     x = broadcast_points(dom, 2, 2, 39)
     built = support.record_builds(monkeypatch)
     conformal.law_sides(phi, g, h, fld, fac, x)
-    # one constructor call and one map side, whose target Christoffel
-    # symbols and Q both states read; one domain side per state
+    # two states and one map side, whose target Christoffel symbols and Q
+    # both states read; one domain side per state
     assert support.build_counts(built) == {
-        "state": 1, "domain": 2, "map": 1, "gammaN_y": 1, "Q_jets": 1}
+        "state": 2, "domain": 2, "map": 1, "gammaN_y": 1, "Q_jets": 1}
     # the rescaled metric's side first, so its errors come first, then g's
     bar, own = [side.g for kind, side in built if kind == "domain"]
     assert own is g and bar is not g
     assert [side.order for kind, side in built if kind == "map"] == [4]
+
+
+def test_each_law_one_shot_pair_builds_one_map_side(monkeypatch):
+    rng = np.random.default_rng(105)
+    dom, g, h, phi, fld, fac = conformal.random_transform_family(3, 2, rng)
+    x = broadcast_points(dom, 2, 3, 40)
+    gbar = conformal.conformal_metric(g, fac)
+    # the direct side and then the g-side of each law, as the law sweep
+    # runs them
+    calls = [lambda: geometry.tension_field(phi, gbar, h, x),
+             lambda: conformal.tension_transform_rhs(phi, g, h, fac, x),
+             lambda: geometry.jacobi_apply(phi, gbar, h, x, fld),
+             lambda: conformal.jacobi_transform_rhs(phi, g, h, fac, fld, x),
+             lambda: geometry.bitension_field(phi, gbar, h, x),
+             lambda: conformal.bitension_transform_rhs(phi, g, h, fac, x)]
+    cold = []
+    for call in calls:
+        monkeypatch.setattr(geometry, "_last", [None, None])
+        cold.append(support.bits(call()))
+    monkeypatch.setattr(geometry, "_last", [None, None])
+    built = support.record_builds(monkeypatch)
+    assert [support.bits(call()) for call in calls] == cold
+    # each g-side reuses the map side of its law's direct side
+    assert support.build_counts(built)["map"] == 3
+    assert [side.order for kind, side in built if kind == "map"] == [2, 3, 4]
 
 
 def test_law_sides_stacks_the_target_christoffel_symbols_once(monkeypatch):
@@ -287,7 +312,7 @@ def test_conformal_immersion_states_share_one_map_side(monkeypatch):
     for each in (state, iso):
         each.bitension_values  # both read gammaN_y and Q
     assert support.build_counts(built) == {
-        "state": 1, "domain": 2, "map": 1, "gammaN_y": 1, "Q_jets": 1}
+        "state": 2, "domain": 2, "map": 1, "gammaN_y": 1, "Q_jets": 1}
 
 
 def test_conformal_immersion_tension_split():

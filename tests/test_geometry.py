@@ -1109,9 +1109,29 @@ def test_bienergy_memory_is_bounded_by_one_chunk(monkeypatch):
             tracemalloc.stop()
 
     peak(4)  # first call fills the module-level tables and caches
-    one = peak(4)  # 256 points, one chunk
+    # 256 points, one chunk, whose map side is built, not reused from the
+    # call before
+    monkeypatch.setattr(geometry, "_last", [None, None])
+    one = peak(4)
     # 4096 points, 16 chunks; in one batch the peak is about 15 times larger
     assert peak(8) <= 1.5 * one
+
+
+def test_a_quadrature_chunk_starts_with_no_map_side_kept(monkeypatch):
+    phi, g, h, _ = small_slab()
+    # 256-point chunks: nodes = 8 is 16 of them
+    monkeypatch.setattr(geometry, "_CHUNK_COEFFS", 15 * 256)
+    monkeypatch.setattr(geometry, "_last", [None, None])
+    kept, terms = [], geometry._energy_terms
+
+    def recording(*args):
+        kept.append(geometry._last[1])
+        return terms(*args)
+
+    monkeypatch.setattr(geometry, "_energy_terms", recording)
+    geometry.bienergy(phi, g, h, nodes=8)
+    # no chunk's side, which the next chunk cannot reuse, is held into it
+    assert kept == [None] * 16 and geometry._last == [None, None]
 
 
 def test_quadrature_grid_is_built_chunk_by_chunk(monkeypatch):
@@ -1286,31 +1306,112 @@ def test_a_stage_that_raises_is_not_kept(monkeypatch):
                           MapState(phi, g, h, x, 4).gammaM_trace_val)
 
 
-def test_on_shares_the_map_side_and_builds_its_own_domain_side():
+_REUSE_STAGES = ("gammaM_trace_val", "sqrt_det_g", "Q_val", "curvature_map",
+                 "tension_values", "bitension_values")
+
+
+def _reuse_family():
     dom, g, h, phi, _, fac = conformal.random_transform_family(
         3, 2, np.random.default_rng(81))
     pts = dom.sample(5, 82)
     x = np.broadcast_to(pts, (2,) + pts.shape)
-    gbar = conformal.conformal_metric(g, fac)
+    return dom, g, h, phi, conformal.conformal_metric(g, fac), x
+
+
+def _cold(monkeypatch, phi, g, h, x, order):
+    # the state built with no map side kept from a state before it
+    monkeypatch.setattr(geometry, "_last", [None, None])
+    return MapState(phi, g, h, x, order)
+
+
+def _same_stages(state, fresh, names=_REUSE_STAGES):
+    for name in names:
+        assert support.bits(getattr(state, name)) == \
+            support.bits(getattr(fresh, name)), name
+
+
+def test_a_state_on_the_same_inputs_shares_the_map_side(monkeypatch):
+    dom, g, h, phi, gbar, x = _reuse_family()
     state = MapState(phi, g, h, x, 4)
     state.Q_jets  # a map stage built before the sharing is shared too
-    other = state.on(gbar)
+    # equal points in another array still share the side
+    other = MapState(phi, gbar, h, np.array(x), 4)
     assert other._map is state._map and other._domain is not state._domain
     assert other.g is gbar and other.Q_jets is state.Q_jets
     assert other.gammaM_trace is not state.gammaM_trace
-    fresh = MapState(phi, gbar, h, x, 4)
-    for name in ("gammaM_trace_val", "sqrt_det_g", "Q_val", "curvature_map",
-                 "tension_values", "bitension_values"):
-        assert support.bits(getattr(other, name)) == \
-            support.bits(getattr(fresh, name)), name
-    # the new domain metric is validated as the constructor validates it
+    _same_stages(other, _cold(monkeypatch, phi, gbar, h, x, 4))
+    # the new domain metric is validated as on a cold build, and the side
+    # stays kept for the next state
+    state = MapState(phi, g, h, x, 4)
     bad = RiemannianMetric.from_components(
         dom, [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]])
     with pytest.raises(DomainError, match="domain metric is not positive"):
-        state.on(bad)
+        MapState(phi, bad, h, x, 4)
+    assert MapState(phi, gbar, h, x, 4)._map is state._map
     elsewhere = ChartDomain(("a", "b", "c"), ((-1.0, 1.0),) * 3)
     with pytest.raises(GeometryInputError, match="different chart"):
-        state.on(RiemannianMetric.euclidean(elsewhere))
+        MapState(phi, RiemannianMetric.euclidean(elsewhere), h, x, 4)
+
+
+def _edit_points(phi, h, x):
+    x[0, 0, 0] += 0.01
+    return phi, h, x, 4
+
+
+def _edit_map_parameter(phi, h, x):
+    phi.parameters["p0"][1, 0] += 0.01
+    return phi, h, x, 4
+
+
+def _edit_target_parameter(phi, h, x):
+    h.parameters["hl"][0, 0] += 0.01
+    return phi, h, x, 4
+
+
+@pytest.mark.parametrize("change", [
+    lambda phi, h, x: (phi, h, x[:, :4], 4),  # other points
+    _edit_points,  # the points array edited in place
+    lambda phi, h, x: (phi, h, x, 3),  # another order
+    lambda phi, h, x: (phi, dataclasses.replace(h), x, 4),  # an equal copy
+    _edit_map_parameter, _edit_target_parameter])
+def test_a_state_on_other_inputs_builds_its_own_map_side(monkeypatch,
+                                                          change):
+    _, g, h, phi, gbar, x = _reuse_family()
+    x = np.array(x)
+    state = MapState(phi, g, h, x, 4)
+    before = state.tension_values
+    phi, h, x, order = change(phi, h, x)
+    other = MapState(phi, gbar, h, x, order)
+    assert other._map is not state._map
+    names = _REUSE_STAGES[:-1] if order == 3 else _REUSE_STAGES
+    _same_stages(other, _cold(monkeypatch, phi, gbar, h, x, order), names)
+    if order == 4 and x.shape == state.x.shape and h is state.h:
+        # an edit in place moves the values a reused side would have kept
+        assert not np.array_equal(MapState(phi, g, h, x, 4).tension_values,
+                                  before)
+
+
+def test_a_map_side_whose_build_raised_is_not_kept(monkeypatch):
+    dom = ChartDomain(("u", "v"), ((-1.0, 1.0),) * 2)
+    tgt = ChartDomain(("p", "q", "r"), ((-2.0, 2.0),) * 3)
+    phi = SmoothMap.from_components(dom, tgt, ("u", "v", "a*u"), {"a": 1.0})
+    g, h = RiemannianMetric.euclidean(dom), RiemannianMetric.euclidean(tgt)
+    x = dom.sample(6, 3)
+    built = support.record_builds(monkeypatch)
+    MapState(phi, g, h, x, 2)
+    phi.parameters["a"] = 5.0  # the image leaves the target cube
+    for _ in range(2):
+        with pytest.raises(DomainError, match="outside"):
+            MapState(phi, g, h, x, 2)
+        assert geometry._last == [None, None]
+    # a domain side that raises keeps no map side either
+    bad = RiemannianMetric.from_components(dom, [["1", "0"], ["0", "-1"]])
+    phi.parameters["a"] = 1.0
+    with pytest.raises(DomainError, match="domain metric is not positive"):
+        MapState(phi, bad, h, x, 2)
+    assert geometry._last == [None, None]
+    MapState(phi, g, h, x, 2)
+    assert support.build_counts(built) == {"state": 5, "domain": 4, "map": 2}
 
 
 def test_codomain_error_comes_before_a_failing_stage(monkeypatch):

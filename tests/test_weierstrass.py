@@ -240,6 +240,24 @@ def test_wrapped_pool_verdicts():
 # -- input screening ----------------------------------------------------------------
 
 
+def test_section_then_bitension_of_a_pool_case_build_one_map_side(
+        monkeypatch):
+    case = weierstrass.random_wrapped_pool(1, seed=4050)[0]
+    pts = case.phi.domain.sample(12, 4051)
+    # the two routes of the pool verdict, as the catalog sweep runs them
+    calls = [lambda: np.stack(weierstrass.w3_residual(weierstrass.section(
+                 case.phi, case.g, case.h, pts))),
+             lambda: geometry.bitension_field(case.phi, case.g, case.h, pts)]
+    cold = []
+    for call in calls:
+        monkeypatch.setattr(geometry, "_last", [None, None])
+        cold.append(support.bits(call()))
+    monkeypatch.setattr(geometry, "_last", [None, None])
+    built = support.record_builds(monkeypatch)
+    assert [support.bits(call()) for call in calls] == cold
+    assert support.build_counts(built)["map"] == 1
+
+
 def test_section_rejects_unsuitable_input():
     dom = square()
     tgt, h = flat_target(3)

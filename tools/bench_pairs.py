@@ -20,7 +20,14 @@ higher for a metric that is better higher), ties counting for neither; and
 ``change_worse_by``, the change of the median, positive when the change
 reads worse, beside the metric's ``bound``: relative to the parent's median,
 except for a metric in ``digits``, whose change is its absolute loss in
-digits (a margin of 7.773 -> 7.613 digits reads 0.16); then every run's
+digits (a margin of 7.773 -> 7.613 digits reads 0.16); ``gain_shown``,
+true when the change wins at least 9 in 10 of the pairs and its median is
+better than the parent's by more than the parent's quartile spread
+(q3 - q1), the rule a claimed gain must meet; and ``unresolved``, true
+when the parent's quartile spread, read like ``change_worse_by``
+(relative to its median, or in digits), is wider than the bound and not
+every change run reads better than every parent run, so the runs spread
+too widely to tell a change within the bound; then every run's
 ``correct`` and ``failed``.  Under ``runs``, every run's metrics and verdict
 counts.  Progress goes to standard error, one line per run.  The exit code
 is 1 if any run was not correct; a run that prints no result (the program
@@ -85,17 +92,23 @@ def summarise(runs, end_to_end):
         name, lower = metric["name"], metric["better"] == "lower"
         parent, change = ([run[name] for run in runs[side]] for side in SIDES)
         p, c = np.median(parent), np.median(change)
-        worse = c - p if lower else p - c
+        q1, q3 = np.percentile(parent, [25, 75])
+        worse, spread = (c - p if lower else p - c), q3 - q1
+        wins = sum(b < a if lower else b > a for a, b in zip(parent, change))
+        pairs = min(len(parent), len(change))
+        apart = (max(change) < min(parent) if lower
+                 else min(change) > max(parent))
+        gain = bool(10 * wins >= 9 * pairs and -worse > spread)
         if metric["unit"] != "digits":
             worse = worse / abs(p) if p else None
+            spread = spread / abs(p) if p else float("inf")
         out[name] = {
             "parent": _stats(parent), "change": _stats(change),
-            "change_wins": sum(b < a if lower else b > a
-                               for a, b in zip(parent, change)),
-            "pairs": min(len(parent), len(change)),
+            "change_wins": wins, "pairs": pairs,
             "change_worse_by": None if worse is None else round(
                 float(worse), 4),
-            "bound": metric["bound"]}
+            "bound": metric["bound"], "gain_shown": gain,
+            "unresolved": bool(spread > metric["bound"] and not apart)}
     for key in ("correct", "failed"):
         out[key] = {side: [run[key] for run in runs[side]] for side in SIDES}
     return out
